@@ -55,8 +55,8 @@ void BM_GroupPoll(benchmark::State& state) {
   MessageBus bus(InstantBus());
   RAILGUN_CHECK_OK(bus.CreateTopic("t", 8));
   RAILGUN_CHECK_OK(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}));
-  std::vector<Message> batch;
-  RAILGUN_CHECK_OK(bus.Poll("c", 1, &batch));  // Absorb the assignment.
+  MessageBatch batch;
+  RAILGUN_CHECK_OK(bus.PollBatch("c", 1, &batch));  // Absorb the assignment.
   uint64_t produced = 0;
   for (auto _ : state) {
     if (produced % 64 == 0) {
@@ -65,7 +65,7 @@ void BM_GroupPoll(benchmark::State& state) {
       }
     }
     produced += 64;
-    benchmark::DoNotOptimize(bus.Poll("c", 64, &batch));
+    benchmark::DoNotOptimize(bus.PollBatch("c", 64, &batch));
   }
 }
 BENCHMARK(BM_GroupPoll);

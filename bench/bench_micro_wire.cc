@@ -1,6 +1,6 @@
-// Microbenchmarks (google-benchmark) for the wire codecs: row vs
-// columnar encode/decode of poll-sized message batches, and the pooled
-// frame read path's buffer acquisition.
+// Microbenchmarks (google-benchmark) for the wire codecs: columnar
+// encode/decode of poll-sized message batches, and the pooled frame
+// read path's buffer acquisition.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -35,18 +35,6 @@ std::vector<Message> SampleMessages(int64_t count) {
   return messages;
 }
 
-void BM_EncodeRow(benchmark::State& state) {
-  const std::vector<Message> messages = SampleMessages(state.range(0));
-  std::string encoded;
-  for (auto _ : state) {
-    encoded.clear();
-    remote::PutWireMessageList(&encoded, messages);
-    benchmark::DoNotOptimize(encoded);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EncodeRow)->Arg(16)->Arg(256);
-
 void BM_EncodeColumnar(benchmark::State& state) {
   const std::vector<Message> messages = SampleMessages(state.range(0));
   std::string encoded;
@@ -58,32 +46,6 @@ void BM_EncodeColumnar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EncodeColumnar)->Arg(16)->Arg(256);
-
-void BM_DecodeRowCopy(benchmark::State& state) {
-  std::string encoded;
-  remote::PutWireMessageList(&encoded, SampleMessages(state.range(0)));
-  for (auto _ : state) {
-    Slice in(encoded);
-    std::vector<Message> decoded;
-    benchmark::DoNotOptimize(remote::GetWireMessageList(&in, &decoded));
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DecodeRowCopy)->Arg(16)->Arg(256);
-
-void BM_DecodeRowViews(benchmark::State& state) {
-  std::string encoded;
-  remote::PutWireMessageList(&encoded, SampleMessages(state.range(0)));
-  MessageBatch batch;
-  for (auto _ : state) {
-    Slice in(encoded);
-    batch.Clear();
-    benchmark::DoNotOptimize(remote::GetWireMessageListViews(&in, &batch));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DecodeRowViews)->Arg(16)->Arg(256);
 
 void BM_DecodeColumnar(benchmark::State& state) {
   std::string encoded;

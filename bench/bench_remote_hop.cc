@@ -25,7 +25,7 @@
 
 using namespace railgun;
 using msg::Bus;
-using msg::Message;
+using msg::MessageBatch;
 using msg::ProduceRecord;
 
 namespace {
@@ -56,9 +56,9 @@ HopResult DriveHop(Bus* producer_bus, Bus* consumer_bus, int64_t pings,
            .ok()) {
     return result;
   }
-  std::vector<Message> batch;
+  MessageBatch batch;
   RAILGUN_CHECK_OK(
-      consumer_bus->Poll("hop-consumer", 16, &batch));  // Assignment.
+      consumer_bus->PollBatch("hop-consumer", 16, &batch));  // Assignment.
 
   // Phase 1: sequential produce -> blocking poll, per-event latency.
   for (int64_t i = 0; i < pings; ++i) {
@@ -67,7 +67,8 @@ HopResult DriveHop(Bus* producer_bus, Bus* consumer_bus, int64_t pings,
       return result;
     }
     do {
-      if (!consumer_bus->Poll("hop-consumer", 16, &batch, kMicrosPerSecond)
+      if (!consumer_bus
+               ->PollBatch("hop-consumer", 16, &batch, kMicrosPerSecond)
                .ok()) {
         return result;
       }
@@ -98,7 +99,8 @@ HopResult DriveHop(Bus* producer_bus, Bus* consumer_bus, int64_t pings,
   int64_t received = 0;
   const Micros start = clock->NowMicros();
   while (received < events) {
-    if (!consumer_bus->Poll("hop-consumer", 1024, &batch, kMicrosPerSecond)
+    if (!consumer_bus
+             ->PollBatch("hop-consumer", 1024, &batch, kMicrosPerSecond)
              .ok()) {
       break;
     }

@@ -298,22 +298,13 @@ StatusOr<std::unique_ptr<Subscription>> Client::Subscribe(
     const std::string& statement) {
   if (!started_) return Status::Unavailable("client not started");
   if (remote()) {
-    if (subscribe_unsupported_.load(std::memory_order_relaxed)) {
-      return Status::NotSupported(
-          "server predates live subscriptions (sticky downgrade)");
-    }
     ops::SubCreateRequest request;
     request.statement = statement;
     std::string payload, result;
     ops::EncodeSubCreateRequest(request, &payload);
-    const Status created = remote_bus_->CallOpcode(
+    RAILGUN_RETURN_IF_ERROR(remote_bus_->CallOpcode(
         static_cast<uint8_t>(msg::remote::OpCode::kSubCreate), payload,
-        &result);
-    if (created.IsNotSupported()) {
-      subscribe_unsupported_.store(true, std::memory_order_relaxed);
-      return created;
-    }
-    RAILGUN_RETURN_IF_ERROR(created);
+        &result));
     ops::SubCreateReply reply;
     RAILGUN_RETURN_IF_ERROR(ops::DecodeSubCreateReply(Slice(result), &reply));
     return std::unique_ptr<Subscription>(

@@ -146,9 +146,8 @@ class Client {
 
   // Opens a live tail: "SUBSCRIBE SELECT * FROM s [WHERE ...]" or a
   // metric tail "SUBSCRIBE SELECT agg(...) FROM s ... [OVER infinite |
-  // sliding N events]". Remote servers predating the subscription
-  // opcodes answer NotSupported — sticky: later calls fail fast
-  // without another RPC.
+  // sliding N events]". A cluster without a subscription hub (local or
+  // behind the remote server) answers NotSupported.
   StatusOr<std::unique_ptr<Subscription>> Subscribe(
       const std::string& statement);
 
@@ -260,9 +259,6 @@ class Client {
   uint64_t event_id_base_ = 0;
   mutable std::atomic<uint64_t> next_event_id_{1};
   std::atomic<uint64_t> next_frontend_{0};
-  // Sticky downgrade: set after a remote kSubCreate came back
-  // NotSupported (the server will not grow the opcode mid-connection).
-  std::atomic<bool> subscribe_unsupported_{false};
 };
 
 }  // namespace railgun::api

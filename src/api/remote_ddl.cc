@@ -77,13 +77,13 @@ Status RemoteDdlClient::Execute(const std::string& statement,
       bus_->Produce(kDdlTopic, client_id_, std::move(encoded)).status());
 
   const Micros deadline = clock_->NowMicros() + timeout;
-  std::vector<msg::Message> replies;
+  msg::MessageBatch replies;
   while (clock_->NowMicros() < deadline) {
     RAILGUN_RETURN_IF_ERROR(
-        bus_->Poll(consumer_id_, 16, &replies, 50 * kMicrosPerMilli));
-    for (const auto& message : replies) {
+        bus_->PollBatch(consumer_id_, 16, &replies, 50 * kMicrosPerMilli));
+    for (const msg::MessageView& message : replies.views()) {
       DdlReply reply;
-      if (!DecodeDdlReply(Slice(message.payload), &reply).ok()) continue;
+      if (!DecodeDdlReply(message.payload, &reply).ok()) continue;
       if (reply.request_id == request.request_id) return reply.result;
     }
   }

@@ -70,8 +70,8 @@ size_t ColumnBatch::Decode(const std::vector<msg::MessageView>& messages,
       reply_topics_.push_back(reply_topic);
       timestamps_.push_back(ts_delta);  // Envelopes encode base_ts = 0.
       ids_.push_back(id);
-      // The log position wins over the encoded offset, exactly as
-      // ProcessMessage overrides env.event.offset.
+      // The log position wins over the offset encoded in the envelope
+      // (producers do not know it yet when they encode).
       offsets_.push_back(messages[r].offset);
       for (Column& col : columns_) {
         switch (col.type) {

@@ -117,6 +117,29 @@ Status DecodeStreamDef(Slice* in, StreamDef* def) {
   return Status::OK();
 }
 
+void EncodeStreamDefList(const std::vector<StreamDef>& defs,
+                         std::string* out) {
+  PutVarint32(out, static_cast<uint32_t>(defs.size()));
+  for (const auto& def : defs) EncodeStreamDef(def, out);
+}
+
+Status DecodeStreamDefList(Slice* in, std::vector<StreamDef>* defs) {
+  uint32_t count;
+  // Every definition takes more than one byte, so a count beyond the
+  // remaining input is hostile: reject it before reserving anything.
+  if (!GetVarint32(in, &count) || count > in->size()) {
+    return Status::Corruption("malformed stream listing");
+  }
+  defs->clear();
+  defs->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    StreamDef def;
+    RAILGUN_RETURN_IF_ERROR(DecodeStreamDef(in, &def));
+    defs->push_back(std::move(def));
+  }
+  return Status::OK();
+}
+
 void EncodeEventEnvelope(const EventEnvelope& env,
                          const reservoir::Schema& schema, std::string* out) {
   PutFixed64(out, env.request_id);
@@ -209,7 +232,10 @@ Status DecodeReplyEnvelope(const Slice& data, ReplyEnvelope* env,
   Slice in = data;
   uint64_t request_id;
   uint32_t count;
-  if (!GetFixed64(&in, &request_id) || !GetVarint32(&in, &count)) {
+  // Every result takes more than one byte, so a count beyond the
+  // remaining input is hostile: reject it before reserving anything.
+  if (!GetFixed64(&in, &request_id) || !GetVarint32(&in, &count) ||
+      count > in.size()) {
     return Status::Corruption("bad reply envelope");
   }
   env->request_id = request_id;

@@ -46,6 +46,10 @@ struct StreamDef {
 // decode, so both sides always agree with the DDL grammar.
 void EncodeStreamDef(const StreamDef& def, std::string* out);
 Status DecodeStreamDef(Slice* in, StreamDef* def);
+// A stream listing: varint32 count, then that many definitions.
+void EncodeStreamDefList(const std::vector<StreamDef>& defs,
+                         std::string* out);
+Status DecodeStreamDefList(Slice* in, std::vector<StreamDef>* defs);
 
 // ----- Wire envelopes -----
 

@@ -140,22 +140,6 @@ Status TaskProcessor::RollBackToCheckpoint() {
   return Status::OK();
 }
 
-Status TaskProcessor::ProcessMessage(const msg::Message& message,
-                                     ReplyEnvelope* reply) {
-  reply->results.clear();
-  reply->request_id = 0;
-  reply->reply_topic.clear();
-
-  EventEnvelope env;
-  Slice rest;
-  RAILGUN_RETURN_IF_ERROR(
-      DecodeEventEnvelope(Slice(message.payload), *reservoir_->schema(),
-                          &env, &rest));
-  env.event.offset = message.offset;
-  return ApplyEvent(env.event, env.request_id, Slice(env.reply_topic),
-                    trace::ParseTraceTrailer(rest), reply);
-}
-
 Status TaskProcessor::ApplyEvent(const reservoir::Event& event,
                                  uint64_t request_id,
                                  const Slice& reply_topic,

@@ -48,16 +48,13 @@ class TaskProcessor {
   // first message-log offset to consume.
   Status Open();
 
-  // Processes one message from the task's partition. Fills *reply with
-  // the metrics for the arriving event (valid for active tasks to send
-  // back). Idempotent across replays: offsets at or below the recovered
-  // positions skip the reservoir append / plan processing respectively.
-  Status ProcessMessage(const msg::Message& message, ReplyEnvelope* reply);
-
-  // Batched variant for the wake-on-arrival pipeline: processes the
-  // messages in arrival order and fills *replies 1:1 with the inputs
-  // (entries with request_id 0 need no reply). Per-message failures are
-  // counted in *failed and skipped instead of aborting the batch.
+  // Processes messages from the task's partition in arrival order and
+  // fills *replies 1:1 with the inputs: the metrics for each arriving
+  // event (valid for active tasks to send back; entries with
+  // request_id 0 need no reply). Per-message failures are counted in
+  // *failed and skipped instead of aborting the batch. Idempotent across
+  // replays: offsets at or below the recovered positions skip the
+  // reservoir append / plan processing respectively.
   // Message views typically point into the poll's pooled wire buffer;
   // envelopes are decoded columnar in one pass (ColumnBatch) and events
   // materialized through a reused scratch row — no per-event allocation
@@ -104,7 +101,7 @@ class TaskProcessor {
   // (the first partitioner's, so exactly one task per partition runs
   // each pipeline) that are not yet installed.
   Status InstallPipelines(const StreamDef& def);
-  // Post-decode half of ProcessMessage: reservoir append + plan update +
+  // Per-row half of ProcessBatch: reservoir append + plan update +
   // reply fill + checkpoint cadence for one already-decoded event.
   // trace_ctx is the context recovered from the envelope trailer
   // (invalid when untraced); the advanced context lands in reply->trace

@@ -44,8 +44,8 @@ Broker::Broker(const BrokerOptions& options) : options_(options) {
   registry->AddProbe("server.connections", [this] {
     return static_cast<double>(server_->live_connections());
   });
-  // Wire hot-path health: pooled receive-buffer reuse and columnar batch
-  // adoption on the server side of every connection.
+  // Wire hot-path health: pooled receive-buffer reuse on the server side
+  // of every connection.
   registry->AddProbe("wire.decode.pool_hit", [this] {
     return static_cast<double>(server_->pool_hits());
   });
@@ -54,9 +54,6 @@ Broker::Broker(const BrokerOptions& options) : options_(options) {
   });
   registry->AddProbe("wire.decode.bytes", [this] {
     return static_cast<double>(server_->decode_bytes());
-  });
-  registry->AddProbe("wire.columnar.batches", [this] {
-    return static_cast<double>(server_->columnar_batches());
   });
 }
 

@@ -68,17 +68,8 @@ StatusOr<std::vector<engine::StreamDef>> MetaClient::ListStreams() {
   std::string result;
   RAILGUN_RETURN_IF_ERROR(Call(OpCode::kMetaListStreams, "", &result));
   Slice in(result);
-  uint32_t count;
-  if (!GetVarint32(&in, &count)) {
-    return Status::Corruption("malformed stream listing");
-  }
   std::vector<engine::StreamDef> defs;
-  defs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    engine::StreamDef def;
-    RAILGUN_RETURN_IF_ERROR(engine::DecodeStreamDef(&in, &def));
-    defs.push_back(std::move(def));
-  }
+  RAILGUN_RETURN_IF_ERROR(engine::DecodeStreamDefList(&in, &defs));
   return defs;
 }
 

@@ -323,20 +323,19 @@ void MetadataService::AddPipelineToRegistry(query::PipelineSpec pipeline) {
 }
 
 void MetadataService::DdlLoop() {
-  std::vector<msg::Message> batch;
+  msg::MessageBatch batch;
   while (running_) {
     const Status polled =
-        bus_->Poll(ddl_consumer_id_, 16, &batch, 50 * kMicrosPerMilli);
+        bus_->PollBatch(ddl_consumer_id_, 16, &batch, 50 * kMicrosPerMilli);
     if (!polled.ok()) {
       // Fenced or unreachable: back off without spinning; statements
       // in flight simply time out on the client.
-      batch.clear();
       MonotonicClock::Default()->SleepMicros(10 * kMicrosPerMilli);
       continue;
     }
-    for (const auto& message : batch) {
+    for (const msg::MessageView& message : batch.views()) {
       api::DdlRequest request;
-      if (!api::DecodeDdlRequest(Slice(message.payload), &request).ok()) {
+      if (!api::DecodeDdlRequest(message.payload, &request).ok()) {
         continue;
       }
       api::DdlReply reply;
@@ -424,9 +423,7 @@ bool MetadataService::HandleWire(uint8_t opcode, const Slice& payload,
       return true;
     }
     case OpCode::kMetaListStreams: {
-      const std::vector<engine::StreamDef> defs = ListStreamDefs();
-      PutVarint32(result, static_cast<uint32_t>(defs.size()));
-      for (const auto& def : defs) engine::EncodeStreamDef(def, result);
+      engine::EncodeStreamDefList(ListStreamDefs(), result);
       *status = Status::OK();
       return true;
     }

@@ -58,8 +58,7 @@ WorkerNode::WorkerNode(const WorkerNodeOptions& options)
   registry_.AddProbe("bus.backlog", [this] {
     return bus_ != nullptr ? static_cast<double>(bus_->BacklogHint()) : 0.0;
   });
-  // Client side of the wire hot path: pooled poll-buffer reuse and how
-  // many batches travelled in the columnar frame encoding.
+  // Client side of the wire hot path: pooled poll-buffer reuse.
   registry_.AddProbe("wire.decode.pool_hit", [this] {
     return bus_ != nullptr ? static_cast<double>(bus_->pool_hits()) : 0.0;
   });
@@ -68,10 +67,6 @@ WorkerNode::WorkerNode(const WorkerNodeOptions& options)
   });
   registry_.AddProbe("wire.decode.bytes", [this] {
     return bus_ != nullptr ? static_cast<double>(bus_->decode_bytes()) : 0.0;
-  });
-  registry_.AddProbe("wire.columnar.batches", [this] {
-    return bus_ != nullptr ? static_cast<double>(bus_->columnar_batches())
-                           : 0.0;
   });
 }
 

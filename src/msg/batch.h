@@ -1,7 +1,7 @@
 // Zero-copy poll results. A MessageView is a msg::Message whose string
 // fields are Slices into storage owned by the enclosing MessageBatch —
 // either a pooled wire receive buffer (remote zero-copy path) or a
-// vector of owned Messages adopted from a row-at-a-time bus. Views stay
+// vector of owned Messages adopted from the in-process broker. Views stay
 // valid until the batch is Clear()ed, refilled or destroyed.
 #ifndef RAILGUN_MSG_BATCH_H_
 #define RAILGUN_MSG_BATCH_H_
@@ -59,7 +59,7 @@ class MessageBatch {
   const MessageView& operator[](size_t i) const { return views_[i]; }
   const std::vector<MessageView>& views() const { return views_; }
 
-  // Owned path (default Bus::PollBatch, replica fetches): take the row
+  // Owned path (InProcessBus::PollBatch, replica fetches): take the
   // messages and build views over them. Replaces current contents.
   void Adopt(std::vector<Message> messages) {
     Clear();

@@ -420,8 +420,10 @@ void InProcessBus::RecomputeCommittedFloorLocked(const TopicPartition& tp) {
       floor, std::memory_order_release);
 }
 
-Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
-                          std::vector<Message>* out, Micros max_wait) {
+Status InProcessBus::PollBatch(const std::string& consumer_id,
+                               size_t max_messages, MessageBatch* out,
+                               Micros max_wait) {
+  out->Clear();
   // The park deadline lives entirely in the bus clock's domain, the same
   // domain as message visibility: under a simulated clock both elapse in
   // virtual time, so a parked consumer never sleeps real-time slices
@@ -440,17 +442,19 @@ Status InProcessBus::Poll(const std::string& consumer_id, size_t max_messages,
     bool delivered_callbacks = false;
     bool interrupted = false;
     Micros earliest_visible = 0;
-    RAILGUN_RETURN_IF_ERROR(PollOnce(consumer_id, max_messages, out,
+    std::vector<Message> messages;
+    RAILGUN_RETURN_IF_ERROR(PollOnce(consumer_id, max_messages, &messages,
                                      &delivered_callbacks,
                                      &earliest_visible, &interrupted));
-    if (!out->empty() || delivered_callbacks || interrupted ||
+    if (!messages.empty() || delivered_callbacks || interrupted ||
         max_wait <= 0) {
-      if (trace_poll_start != 0 && !out->empty()) {
+      if (trace_poll_start != 0 && !messages.empty()) {
         // Park-to-delivery latency; no context travels into a park, so
         // this hop is histogram-only.
         tracer->Record(trace::Stage::kBrokerPoll, trace::TraceContext(),
                        trace_poll_start, tracer->NowMicros());
       }
+      out->Adopt(std::move(messages));
       return Status::OK();
     }
     const Micros now = clock_->NowMicros();

@@ -109,8 +109,8 @@ class InProcessBus : public Bus {
   // bus clock's domain: virtual time under a simulated clock, real time
   // under the monotonic clock. The consumer keeps heartbeating and
   // re-running liveness checks while parked.
-  Status Poll(const std::string& consumer_id, size_t max_messages,
-              std::vector<Message>* out, Micros max_wait = 0) override;
+  Status PollBatch(const std::string& consumer_id, size_t max_messages,
+                   MessageBatch* out, Micros max_wait = 0) override;
 
   // Direct partition read (used for replay during recovery and by the
   // injectors, outside any group). Offsets below the retention-trimmed

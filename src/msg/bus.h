@@ -9,12 +9,14 @@
 //  - Partitioned, offset-addressed, replayable logs; Produce returns the
 //    assigned offset; per-key order is preserved within ProduceBatch.
 //  - Consumer groups with exactly-one-active-consumer-per-partition,
-//    heartbeat liveness (Poll is the heartbeat) and coordinator-driven
-//    rebalances delivered synchronously inside Poll via the listener.
-//  - Poll(max_wait > 0) blocks (wake-on-arrival) until a message becomes
-//    visible, a rebalance is delivered, WakeConsumer fires, or max_wait
-//    elapses. WakeConsumer is level-triggered: a wake issued between
-//    polls is consumed by the next Poll, never lost.
+//    heartbeat liveness (PollBatch is the heartbeat) and
+//    coordinator-driven rebalances delivered synchronously inside
+//    PollBatch via the listener.
+//  - PollBatch is the one consuming call. With max_wait > 0 it blocks
+//    (wake-on-arrival) until a message becomes visible, a rebalance is
+//    delivered, WakeConsumer fires, or max_wait elapses. WakeConsumer is
+//    level-triggered: a wake issued between polls is consumed by the
+//    next poll, never lost.
 //  - Seek/Fetch never position a consumer below the retention-trimmed
 //    log head: offsets inside truncated data clamp forward.
 #ifndef RAILGUN_MSG_BUS_H_
@@ -84,26 +86,15 @@ class Bus {
   virtual Status Unsubscribe(const std::string& consumer_id) = 0;
 
   // ----- Consuming -----
-  // Pulls up to max_messages across the consumer's assigned partitions;
-  // acts as the heartbeat; delivers rebalance callbacks synchronously
-  // before returning. With max_wait > 0 an empty poll blocks
-  // (wake-on-arrival) until data, a rebalance, a wake, or the deadline.
-  virtual Status Poll(const std::string& consumer_id, size_t max_messages,
-                      std::vector<Message>* out, Micros max_wait = 0) = 0;
-
-  // Batched poll into a view batch. Implementations that can avoid
-  // per-message copies (RemoteBus decodes poll responses zero-copy into
-  // a pooled receive buffer) override this; the default adopts the
-  // row-at-a-time Poll result so every Bus supports it.
+  // Pulls up to max_messages across the consumer's assigned partitions
+  // into *out (replacing its contents); acts as the heartbeat; delivers
+  // rebalance callbacks synchronously before returning. With
+  // max_wait > 0 an empty poll blocks (wake-on-arrival) until data, a
+  // rebalance, a wake, or the deadline. Views in *out stay valid until
+  // the batch is cleared or refilled; MessageView::ToMessage copies out.
   virtual Status PollBatch(const std::string& consumer_id,
                            size_t max_messages, MessageBatch* out,
-                           Micros max_wait = 0) {
-    std::vector<Message> messages;
-    const Status status = Poll(consumer_id, max_messages, &messages, max_wait);
-    out->Clear();
-    if (status.ok()) out->Adopt(std::move(messages));
-    return status;
-  }
+                           Micros max_wait = 0) = 0;
 
   // Direct partition read outside any group (replay, replica shadowing).
   // Offsets below the retention-trimmed head clamp forward.
@@ -139,8 +130,8 @@ class Bus {
   virtual uint64_t rebalance_count() const = 0;
   // Total messages produced but not yet consumed across all partitions —
   // the broker-side queue-depth signal admission control watches.
-  // InProcessBus computes it live; RemoteBus reports the last hint a
-  // kPoll response carried (see wire.h). 0 = empty or unknown.
+  // InProcessBus computes it live; RemoteBus reports the hint the last
+  // kPoll response carried (see wire.h). 0 = empty, or no poll yet.
   virtual uint64_t BacklogHint() const { return 0; }
 };
 

@@ -173,26 +173,15 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       break;
     }
     case OpCode::kProduceBatch: {
-      Slice topic;
-      uint32_t n = 0;
+      std::string topic;
       std::vector<ProduceRecord> records;
-      parsed = GetLengthPrefixedSlice(&in, &topic) && GetVarint32(&in, &n);
-      for (uint32_t i = 0; parsed && i < n; ++i) {
-        Slice key, payload;
-        if ((parsed = GetLengthPrefixedSlice(&in, &key) &&
-                      GetLengthPrefixedSlice(&in, &payload))) {
-          records.push_back({key.ToString(), payload.ToString()});
-        }
-      }
-      if (parsed) {
-        // A trace trailer may follow the last record (see kTraceHello);
+      if ((parsed = GetColumnarProduceBatch(&in, &topic, &records))) {
+        // A tracing producer appends a trace trailer after the records;
         // make it ambient so the hosted bus's append span links. A
         // corrupt trailer degrades to an untraced produce, never an
         // error.
-        const trace::ScopedTraceContext scope(
-            options_.enable_trace ? trace::ParseTraceTrailer(in)
-                                  : trace::TraceContext());
-        status = bus_->ProduceBatch(topic.ToString(), std::move(records));
+        const trace::ScopedTraceContext scope(trace::ParseTraceTrailer(in));
+        status = bus_->ProduceBatch(topic, std::move(records));
       }
       break;
     }
@@ -249,10 +238,10 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
                     GetVarint64(&in, &max_messages) &&
                     GetVarsint64(&in, &max_wait))) {
-        std::vector<Message> messages;
-        status = bus_->Poll(consumer.ToString(),
-                            static_cast<size_t>(max_messages), &messages,
-                            max_wait);
+        MessageBatch batch;
+        status = bus_->PollBatch(consumer.ToString(),
+                                 static_cast<size_t>(max_messages), &batch,
+                                 max_wait);
         if (status.ok()) {
           std::vector<TopicPartition> revoked, assigned;
           auto buffer = BufferFor(consumer.ToString());
@@ -261,14 +250,8 @@ Frame BusServer::HandleRequest(const FrameView& request) {
             revoked.swap(buffer->revoked);
             assigned.swap(buffer->assigned);
           }
-          PutTopicPartitionList(&result, revoked);
-          PutTopicPartitionList(&result, assigned);
-          PutWireMessageList(&result, messages);
-          // Backlog hint: trailing varint appended after the original
-          // kPoll body. Old clients stop decoding before it; new
-          // clients treat it as optional — both directions stay
-          // compatible across versions.
-          PutVarint64(&result, bus_->BacklogHint());
+          PutPollResponse(&result, revoked, assigned, batch.views(),
+                          bus_->BacklogHint());
         }
       }
       break;
@@ -282,7 +265,7 @@ Frame BusServer::HandleRequest(const FrameView& request) {
         std::vector<Message> messages;
         status = bus_->Fetch(tp, offset, static_cast<size_t>(max_messages),
                              &messages);
-        if (status.ok()) PutWireMessageList(&result, messages);
+        if (status.ok()) PutColumnarMessageList(&result, messages);
       }
       break;
     }
@@ -342,68 +325,16 @@ Frame BusServer::HandleRequest(const FrameView& request) {
     case OpCode::kRebalanceCount:
       PutVarint64(&result, bus_->rebalance_count());
       break;
-    case OpCode::kPollColumnar: {
-      if (!options_.enable_columnar) {
-        // Mirror a server predating the columnar frames byte-for-byte
-        // so the client downgrade path sees the real thing.
-        status = Status::NotSupported("unknown opcode " +
-                                      std::to_string(request.opcode));
-        break;
-      }
-      Slice consumer;
-      uint64_t max_messages;
-      int64_t max_wait;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
-                    GetVarint64(&in, &max_messages) &&
-                    GetVarsint64(&in, &max_wait))) {
-        std::vector<Message> messages;
-        status = bus_->Poll(consumer.ToString(),
-                            static_cast<size_t>(max_messages), &messages,
-                            max_wait);
-        if (status.ok()) {
-          std::vector<TopicPartition> revoked, assigned;
-          auto buffer = BufferFor(consumer.ToString());
-          {
-            MutexLock lock(&buffer->mu);
-            revoked.swap(buffer->revoked);
-            assigned.swap(buffer->assigned);
-          }
-          PutTopicPartitionList(&result, revoked);
-          PutTopicPartitionList(&result, assigned);
-          PutColumnarMessageList(&result, messages);
-          PutVarint64(&result, bus_->BacklogHint());
-          columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-        }
+    case OpCode::kHello: {
+      uint32_t version;
+      if ((parsed = GetVarint32(&in, &version)) &&
+          version != kProtocolVersion) {
+        status = ProtocolMismatch(
+            "server speaks v" + std::to_string(kProtocolVersion) +
+            ", client sent v" + std::to_string(version));
       }
       break;
     }
-    case OpCode::kProduceColumnar: {
-      if (!options_.enable_columnar) {
-        status = Status::NotSupported("unknown opcode " +
-                                      std::to_string(request.opcode));
-        break;
-      }
-      std::string topic;
-      std::vector<ProduceRecord> records;
-      if ((parsed = GetColumnarProduceBatch(&in, &topic, &records))) {
-        const trace::ScopedTraceContext scope(
-            options_.enable_trace ? trace::ParseTraceTrailer(in)
-                                  : trace::TraceContext());
-        status = bus_->ProduceBatch(topic, std::move(records));
-        if (status.ok()) {
-          columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      break;
-    }
-    case OpCode::kTraceHello:
-      if (!options_.enable_trace) {
-        // Mirror a server predating trace propagation byte-for-byte so
-        // the client downgrade path sees the real thing.
-        status = Status::NotSupported("unknown opcode " +
-                                      std::to_string(request.opcode));
-      }
-      break;
     default:
       if (extension_ == nullptr ||
           !extension_(request.opcode, in, &status, &result)) {

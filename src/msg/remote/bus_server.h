@@ -3,7 +3,7 @@
 // the wire protocol of msg/remote/wire.h.
 //
 // Threading: one accept thread plus one thread per connection, each
-// handling its connection's requests strictly in order. Blocking Poll
+// handling its connection's requests strictly in order. A blocking poll
 // parks *server-side* inside the hosted bus — the paired RemoteBus uses
 // a dedicated connection per consumer, so a parked poll never stalls
 // control traffic, and a WakeConsumer arriving on another connection
@@ -12,7 +12,7 @@
 // Rebalance callbacks are streamed to clients piggybacked on Poll
 // responses: the server subscribes with a buffering listener, and the
 // hosted bus delivers revoke/assign synchronously inside that consumer's
-// own Poll, so the buffer is drained into the very response that poll
+// own poll, so the buffer is drained into the very response that poll
 // produces.
 #ifndef RAILGUN_MSG_REMOTE_BUS_SERVER_H_
 #define RAILGUN_MSG_REMOTE_BUS_SERVER_H_
@@ -35,14 +35,6 @@ namespace railgun::msg::remote {
 struct BusServerOptions {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; port() reports the bound one.
-  // Answer kPollColumnar/kProduceColumnar. Off simulates a server
-  // predating the columnar frames, exercising the client's
-  // NotSupported downgrade path.
-  bool enable_columnar = true;
-  // Answer kTraceHello (and honor produce trace trailers). Off
-  // simulates a server predating trace propagation, exercising the
-  // client's NotSupported downgrade path.
-  bool enable_trace = true;
 };
 
 class BusServer {
@@ -97,10 +89,6 @@ class BusServer {
   uint64_t pool_hits() const { return pool_.hits(); }
   uint64_t pool_misses() const { return pool_.misses(); }
   uint64_t decode_bytes() const { return pool_.bytes(); }
-  // Columnar poll/produce batches served.
-  uint64_t columnar_batches() const {
-    return columnar_batches_.load(std::memory_order_relaxed);
-  }
 
  private:
   // Revoke/assign lists buffered by the server-side listener until the
@@ -126,7 +114,6 @@ class BusServer {
   // internally synchronized); steady state serves every frame from a
   // warm buffer with zero heap allocation.
   BufferPool pool_;
-  std::atomic<uint64_t> columnar_batches_{0};
 
   ListenSocket listener_;
   std::thread accept_thread_;

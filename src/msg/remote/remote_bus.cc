@@ -47,6 +47,7 @@ Status RemoteBus::EnsureConnectedLocked(Conn* conn) const {
     // Inside the backoff window: fail fast without touching the
     // network, so poll loops retrying every few milliseconds don't
     // hammer a dead (or recovering) broker with SYNs.
+    if (!conn->refusal.ok()) return conn->refusal;
     return Status::Unavailable("broker unreachable: " + options_.address +
                                " (reconnect backing off)");
   }
@@ -61,6 +62,28 @@ Status RemoteBus::EnsureConnectedLocked(Conn* conn) const {
   }
   conn->sock = std::move(sock).value();
   conn->connected = true;
+
+  std::string hello;
+  PutVarint32(&hello, kProtocolVersion);
+  BufferRef buffer;
+  Slice ignored;
+  Status answered =
+      RoundTripLocked(conn, OpCode::kHello, hello, &buffer, &ignored);
+  if (!answered.ok()) {
+    if (conn->connected) {
+      // The server answered and refused. One predating kHello answers
+      // its unknown-opcode NotSupported, which is a mismatch too.
+      if (answered.IsNotSupported()) {
+        answered = ProtocolMismatch("server predates the kHello check");
+      }
+      conn->refusal = answered;
+      conn->sock.Close();
+      conn->connected = false;
+    }
+    conn->backoff.RecordFailure(clock_->NowMicros());
+    return answered;
+  }
+  conn->refusal = Status::OK();
   conn->backoff.RecordSuccess();
   return Status::OK();
 }
@@ -86,7 +109,12 @@ Status RemoteBus::CallView(const std::shared_ptr<Conn>& conn, OpCode opcode,
   RAILGUN_RETURN_IF_ERROR(address_status_);
   MutexLock lock(&conn->mu);
   RAILGUN_RETURN_IF_ERROR(EnsureConnectedLocked(conn.get()));
+  return RoundTripLocked(conn.get(), opcode, payload, buffer, result);
+}
 
+Status RemoteBus::RoundTripLocked(Conn* conn, OpCode opcode,
+                                  const std::string& payload,
+                                  BufferRef* buffer, Slice* result) const {
   Frame request;
   request.correlation_id = conn->next_correlation++;
   request.opcode = static_cast<uint8_t>(opcode);
@@ -94,7 +122,7 @@ Status RemoteBus::CallView(const std::shared_ptr<Conn>& conn, OpCode opcode,
   std::string encoded;
   EncodeFrame(request, &encoded);
 
-  auto fail = [&conn](Status status) {
+  auto fail = [conn](Status status) {
     conn->sock.Close();
     conn->connected = false;
     return status;
@@ -207,56 +235,14 @@ StatusOr<uint64_t> RemoteBus::ProduceToPartition(const std::string& topic,
 
 Status RemoteBus::ProduceBatch(const std::string& topic,
                                std::vector<ProduceRecord> records) {
-  // When the producer left a trace context ambient, forward it as a
-  // request trailer so the server-side append span joins the trace —
-  // but only once the kTraceHello handshake confirmed the server
-  // understands trailers.
-  trace::TraceContext trace_ctx = trace::CurrentTraceContext();
-  if (trace_ctx.valid() && (!trace::Tracer::Global()->enabled() ||
-                            !TraceTrailerNegotiated())) {
-    trace_ctx = trace::TraceContext();
-  }
-  if (server_columnar_.load(std::memory_order_relaxed)) {
-    std::string payload;
-    PutColumnarProduceBatch(&payload, topic, records);
-    trace::AppendTraceTrailer(trace_ctx, &payload);
-    const Status status =
-        CallControl(OpCode::kProduceColumnar, payload, nullptr);
-    if (!status.IsNotSupported()) {
-      if (status.ok()) {
-        columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return status;
-    }
-    // Old server: downgrade to row frames for good and retry below
-    // (NotSupported means the batch was never applied).
-    server_columnar_.store(false, std::memory_order_relaxed);
-  }
   std::string payload;
-  PutLengthPrefixedSlice(&payload, topic);
-  PutVarint32(&payload, static_cast<uint32_t>(records.size()));
-  for (const auto& record : records) {
-    PutLengthPrefixedSlice(&payload, record.key);
-    PutLengthPrefixedSlice(&payload, record.payload);
+  PutColumnarProduceBatch(&payload, topic, records);
+  // When the producer left a trace context ambient, forward it as a
+  // request trailer so the server-side append span joins the trace.
+  if (trace::Tracer::Global()->enabled()) {
+    trace::AppendTraceTrailer(trace::CurrentTraceContext(), &payload);
   }
-  trace::AppendTraceTrailer(trace_ctx, &payload);
   return CallControl(OpCode::kProduceBatch, payload, nullptr);
-}
-
-bool RemoteBus::TraceTrailerNegotiated() {
-  const int state = server_trace_.load(std::memory_order_relaxed);
-  if (state != 0) return state > 0;
-  const Status hello =
-      CallControl(OpCode::kTraceHello, std::string(), nullptr);
-  if (hello.ok()) {
-    server_trace_.store(1, std::memory_order_relaxed);
-    return true;
-  }
-  if (hello.IsNotSupported()) {
-    server_trace_.store(-1, std::memory_order_relaxed);
-    return false;
-  }
-  return false;  // Transport hiccup: stay unknown, retry next produce.
 }
 
 // --- Group management ------------------------------------------------
@@ -300,21 +286,6 @@ Status RemoteBus::Unsubscribe(const std::string& consumer_id) {
 
 // --- Consuming -------------------------------------------------------
 
-Status RemoteBus::Poll(const std::string& consumer_id, size_t max_messages,
-                       std::vector<Message>* out, Micros max_wait) {
-  // Row-interface adapter over the zero-copy path: exactly one string
-  // construction per field, same as the old direct decode.
-  out->clear();
-  MessageBatch batch;
-  RAILGUN_RETURN_IF_ERROR(
-      PollBatch(consumer_id, max_messages, &batch, max_wait));
-  out->reserve(batch.size());
-  for (const MessageView& view : batch.views()) {
-    out->push_back(view.ToMessage());
-  }
-  return Status::OK();
-}
-
 void RemoteBus::DeliverRebalance(const std::string& consumer_id,
                                  const std::vector<TopicPartition>& revoked,
                                  const std::vector<TopicPartition>& assigned) {
@@ -341,51 +312,16 @@ Status RemoteBus::PollBatch(const std::string& consumer_id,
   PutVarsint64(&payload, max_wait);
   // The dedicated per-consumer connection lets the server park this
   // poll without stalling control traffic (wakes, produces, commits).
-  auto conn = ConnFor(consumer_id);
-
-  if (server_columnar_.load(std::memory_order_relaxed)) {
-    BufferRef buffer;
-    Slice in;
-    const Status called =
-        CallView(conn, OpCode::kPollColumnar, payload, &buffer, &in);
-    if (called.ok()) {
-      std::vector<TopicPartition> revoked, assigned;
-      if (!GetTopicPartitionList(&in, &revoked) ||
-          !GetTopicPartitionList(&in, &assigned) ||
-          !GetColumnarMessageList(&in, out)) {
-        out->Clear();
-        return Status::Corruption("malformed Poll response");
-      }
-      out->BorrowBuffer(std::move(buffer));
-      uint64_t backlog = 0;
-      if (GetVarint64(&in, &backlog)) {
-        backlog_hint_.store(backlog, std::memory_order_relaxed);
-      }
-      columnar_batches_.fetch_add(1, std::memory_order_relaxed);
-      DeliverRebalance(consumer_id, revoked, assigned);
-      return Status::OK();
-    }
-    if (!called.IsNotSupported()) return called;
-    server_columnar_.store(false, std::memory_order_relaxed);
-  }
-
   BufferRef buffer;
   Slice in;
   RAILGUN_RETURN_IF_ERROR(
-      CallView(conn, OpCode::kPoll, payload, &buffer, &in));
+      CallView(ConnFor(consumer_id), OpCode::kPoll, payload, &buffer, &in));
   std::vector<TopicPartition> revoked, assigned;
-  if (!GetTopicPartitionList(&in, &revoked) ||
-      !GetTopicPartitionList(&in, &assigned) ||
-      !GetWireMessageListViews(&in, out)) {
-    out->Clear();
-    return Status::Corruption("malformed Poll response");
-  }
-  out->BorrowBuffer(std::move(buffer));
-  // Optional trailing backlog hint (servers predating it send none).
   uint64_t backlog = 0;
-  if (GetVarint64(&in, &backlog)) {
-    backlog_hint_.store(backlog, std::memory_order_relaxed);
-  }
+  RAILGUN_RETURN_IF_ERROR(
+      GetPollResponse(in, &revoked, &assigned, out, &backlog));
+  out->BorrowBuffer(std::move(buffer));
+  backlog_hint_.store(backlog, std::memory_order_relaxed);
   DeliverRebalance(consumer_id, revoked, assigned);
   return Status::OK();
 }
@@ -394,14 +330,21 @@ Status RemoteBus::Fetch(const TopicPartition& tp, uint64_t offset,
                         size_t max_messages,
                         std::vector<Message>* out) const {
   out->clear();
-  std::string payload, result;
+  std::string payload;
   PutTopicPartition(&payload, tp);
   PutVarint64(&payload, offset);
   PutVarint64(&payload, max_messages);
-  RAILGUN_RETURN_IF_ERROR(CallControl(OpCode::kFetch, payload, &result));
-  Slice in(result);
-  if (!GetWireMessageList(&in, out)) {
+  BufferRef buffer;
+  Slice in;
+  RAILGUN_RETURN_IF_ERROR(
+      CallView(ConnFor(""), OpCode::kFetch, payload, &buffer, &in));
+  MessageBatch batch;
+  if (!GetColumnarMessageList(&in, &batch) || !in.empty()) {
     return Status::Corruption("malformed Fetch response");
+  }
+  out->reserve(batch.size());
+  for (const MessageView& view : batch.views()) {
+    out->push_back(view.ToMessage());
   }
   return Status::OK();
 }

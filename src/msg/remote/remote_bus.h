@@ -4,11 +4,15 @@
 //
 // Connection model: one control connection for administrative and
 // producer traffic, plus one lazily created connection per consumer for
-// Poll — a blocking poll parks server-side on the consumer connection
+// PollBatch — a blocking poll parks server-side on the consumer connection
 // while WakeConsumer/Produce traffic flows on the control connection,
 // mirroring the in-process wake-on-arrival contract. Each connection
 // carries one outstanding request at a time (correlation ids are still
-// checked defensively).
+// checked defensively). Every dialled connection first sends kHello
+// with wire.h's kProtocolVersion; a server speaking another version
+// refuses it, and calls on that connection fail with the typed
+// ProtocolMismatch error instead of exchanging frames neither side can
+// read.
 //
 // Failure model: any transport error marks the connection broken and
 // surfaces Status::Unavailable. Reconnects are lazy with capped
@@ -19,8 +23,8 @@
 // engine's poll-error paths (backoff + request deadlines) handle that,
 // exactly as they would a fenced consumer.
 //
-// Rebalance callbacks arrive piggybacked on Poll responses and are
-// invoked synchronously before Poll returns, preserving the Bus
+// Rebalance callbacks arrive piggybacked on poll responses and are
+// invoked synchronously before PollBatch returns, preserving the Bus
 // contract. The client-side AssignmentStrategy cannot cross the wire:
 // remote subscribers always run the server's default strategy.
 #ifndef RAILGUN_MSG_REMOTE_REMOTE_BUS_H_
@@ -62,8 +66,9 @@ class RemoteBus : public Bus {
   RemoteBus(const RemoteBus&) = delete;
   RemoteBus& operator=(const RemoteBus&) = delete;
 
-  // Establishes the control connection (also validates the address).
-  // Calls made without (or after a failed) Connect lazily retry.
+  // Establishes the control connection (also validates the address and
+  // the server's protocol version). Calls made without (or after a
+  // failed) Connect lazily retry.
   Status Connect();
 
   // --- Bus interface -------------------------------------------------
@@ -87,13 +92,9 @@ class RemoteBus : public Bus {
                    RebalanceListener listener) override;
   Status Unsubscribe(const std::string& consumer_id) override;
 
-  Status Poll(const std::string& consumer_id, size_t max_messages,
-              std::vector<Message>* out, Micros max_wait = 0) override;
   // Zero-copy poll: the response body stays in a pooled receive buffer
-  // and *out's views point straight into it (columnar frames when the
-  // server speaks them, row frames otherwise — both without copying a
-  // single key/payload byte). The first NotSupported answer to a
-  // columnar opcode permanently downgrades this client to row frames.
+  // and *out's views point straight into it, without copying a single
+  // key/payload byte.
   Status PollBatch(const std::string& consumer_id, size_t max_messages,
                    MessageBatch* out, Micros max_wait = 0) override;
   Status Fetch(const TopicPartition& tp, uint64_t offset,
@@ -116,7 +117,7 @@ class RemoteBus : public Bus {
       const std::string& consumer_id) override;
   uint64_t rebalance_count() const override;
   // Broker queue depth as of the last kPoll response this client saw
-  // (the trailing hint of wire.h's kPoll). 0 until the first poll.
+  // (the backlog field of wire.h's kPoll). 0 until the first poll.
   uint64_t BacklogHint() const override {
     return backlog_hint_.load(std::memory_order_relaxed);
   }
@@ -132,20 +133,6 @@ class RemoteBus : public Bus {
   uint64_t pool_hits() const { return pool_.hits(); }
   uint64_t pool_misses() const { return pool_.misses(); }
   uint64_t decode_bytes() const { return pool_.bytes(); }
-  // Columnar poll responses decoded + columnar produce batches sent.
-  uint64_t columnar_batches() const {
-    return columnar_batches_.load(std::memory_order_relaxed);
-  }
-  // False once the server answered NotSupported to a columnar opcode.
-  bool columnar_enabled() const {
-    return server_columnar_.load(std::memory_order_relaxed);
-  }
-  // True once the server answered the kTraceHello handshake OK (i.e.
-  // produce requests may carry trace trailers). False while unknown or
-  // after a NotSupported downgrade.
-  bool trace_negotiated() const {
-    return server_trace_.load(std::memory_order_relaxed) > 0;
-  }
 
   // Generic RPC on the control connection, for stubs speaking opcodes
   // the bus itself does not (the metadata service's kMeta* RPCs via
@@ -165,13 +152,24 @@ class RemoteBus : public Bus {
     uint64_t next_correlation GUARDED_BY(mu) = 1;
     bool connected GUARDED_BY(mu) = false;
     ReconnectBackoff backoff GUARDED_BY(mu);
+    // The server's answer to the last kHello when it refused it; calls
+    // inside the backoff window report it rather than a bare
+    // "unreachable".
+    Status refusal GUARDED_BY(mu);
   };
 
   // Returns the connection for `key` ("" = control, else per-consumer),
   // creating and connecting it if needed.
   std::shared_ptr<Conn> ConnFor(const std::string& key) const;
-  // Dials conn->sock if disconnected, honoring the backoff window.
+  // Dials conn->sock if disconnected, honoring the backoff window, and
+  // runs the kHello version check on the fresh connection.
   Status EnsureConnectedLocked(Conn* conn) const REQUIRES(conn->mu);
+  // Sends one request on the connected conn and awaits its response;
+  // transport and framing failures close the connection. *result views
+  // into *buffer (populated only when the remote status is OK).
+  Status RoundTripLocked(Conn* conn, OpCode opcode, const std::string& payload,
+                         BufferRef* buffer, Slice* result) const
+      REQUIRES(conn->mu);
   // One RPC: send the request on `conn`, await its response, split off
   // the remote status; *result receives the RPC-specific fields (only
   // populated when the remote status is OK).
@@ -185,10 +183,6 @@ class RemoteBus : public Bus {
                   Slice* result) const;
   Status CallControl(OpCode opcode, const std::string& payload,
                      std::string* result) const;
-  // Lazily runs the kTraceHello handshake on the first traced produce.
-  // OK caches yes, NotSupported caches a permanent downgrade; transport
-  // errors stay unknown and retry on a later produce.
-  bool TraceTrailerNegotiated();
   // Fires the consumer's rebalance listener for non-empty lists.
   void DeliverRebalance(const std::string& consumer_id,
                         const std::vector<TopicPartition>& revoked,
@@ -202,14 +196,8 @@ class RemoteBus : public Bus {
   mutable std::atomic<uint64_t> dial_attempts_{0};
   std::atomic<uint64_t> backlog_hint_{0};
   // Receive buffers shared by all connections (BufferPool is internally
-  // synchronized). Optimistically assume the server speaks columnar
-  // frames until it proves otherwise.
+  // synchronized).
   mutable BufferPool pool_;
-  std::atomic<bool> server_columnar_{true};
-  std::atomic<uint64_t> columnar_batches_{0};
-  // Trace-trailer handshake state: 0 unknown, 1 negotiated, -1 the
-  // server answered NotSupported (permanent downgrade).
-  std::atomic<int> server_trace_{0};
 
   mutable Mutex mu_{kRankMsgRemoteBus};
   mutable std::map<std::string, std::shared_ptr<Conn>> conns_ GUARDED_BY(mu_);

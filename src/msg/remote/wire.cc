@@ -92,6 +92,10 @@ Status DecodeFrame(Slice* in, Frame* out) {
   return DecodeBody(body, masked_crc, out);
 }
 
+Status ProtocolMismatch(const std::string& detail) {
+  return Status::InvalidArgument("protocol version mismatch: " + detail);
+}
+
 void PutStatus(std::string* out, const Status& status) {
   PutVarint32(out, static_cast<uint32_t>(status.code()));
   PutLengthPrefixedSlice(out, status.message());
@@ -143,82 +147,6 @@ bool GetTopicPartitionList(Slice* in, std::vector<TopicPartition>* tps) {
   return true;
 }
 
-void PutWireMessage(std::string* out, const Message& message) {
-  PutLengthPrefixedSlice(out, message.topic);
-  PutVarint32(out, static_cast<uint32_t>(message.partition));
-  PutVarint64(out, message.offset);
-  PutLengthPrefixedSlice(out, message.key);
-  PutLengthPrefixedSlice(out, message.payload);
-  PutVarsint64(out, message.publish_time);
-  PutVarsint64(out, message.visible_time);
-}
-
-bool GetWireMessage(Slice* in, Message* message) {
-  Slice topic, key, payload;
-  uint32_t partition;
-  if (!GetLengthPrefixedSlice(in, &topic) || !GetVarint32(in, &partition) ||
-      partition > static_cast<uint32_t>(INT32_MAX) ||
-      !GetVarint64(in, &message->offset) ||
-      !GetLengthPrefixedSlice(in, &key) ||
-      !GetLengthPrefixedSlice(in, &payload) ||
-      !GetVarsint64(in, &message->publish_time) ||
-      !GetVarsint64(in, &message->visible_time)) {
-    return false;
-  }
-  message->topic = topic.ToString();
-  message->partition = static_cast<int>(partition);
-  message->key = key.ToString();
-  message->payload = payload.ToString();
-  return true;
-}
-
-void PutWireMessageList(std::string* out,
-                        const std::vector<Message>& messages) {
-  PutVarint32(out, static_cast<uint32_t>(messages.size()));
-  for (const auto& message : messages) PutWireMessage(out, message);
-}
-
-bool GetWireMessageList(Slice* in, std::vector<Message>* messages) {
-  uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
-  messages->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    Message message;
-    if (!GetWireMessage(in, &message)) return false;
-    messages->push_back(std::move(message));
-  }
-  return true;
-}
-
-bool GetWireMessageView(Slice* in, MessageView* view) {
-  uint32_t partition;
-  if (!GetLengthPrefixedSlice(in, &view->topic) ||
-      !GetVarint32(in, &partition) ||
-      partition > static_cast<uint32_t>(INT32_MAX) ||
-      !GetVarint64(in, &view->offset) ||
-      !GetLengthPrefixedSlice(in, &view->key) ||
-      !GetLengthPrefixedSlice(in, &view->payload) ||
-      !GetVarsint64(in, &view->publish_time) ||
-      !GetVarsint64(in, &view->visible_time)) {
-    return false;
-  }
-  view->partition = static_cast<int>(partition);
-  return true;
-}
-
-bool GetWireMessageListViews(Slice* in, MessageBatch* out) {
-  uint32_t n;
-  if (!GetVarint32(in, &n)) return false;
-  std::vector<MessageView>* views = out->mutable_views();
-  views->reserve(views->size() + n);
-  for (uint32_t i = 0; i < n; ++i) {
-    MessageView view;
-    if (!GetWireMessageView(in, &view)) return false;
-    views->push_back(view);
-  }
-  return true;
-}
-
 namespace {
 
 // Reads n varint32 column lengths, then carves the concatenated bytes
@@ -250,8 +178,8 @@ bool GetByteColumn(Slice* in, uint32_t n, std::vector<Slice>* columns) {
 
 }  // namespace
 
-void PutColumnarMessageList(std::string* out,
-                            const std::vector<Message>& messages) {
+template <typename M>
+void PutColumnarMessageList(std::string* out, const std::vector<M>& messages) {
   // Count runs of consecutive (topic, partition).
   uint32_t ngroups = 0;
   for (size_t i = 0; i < messages.size(); ++i) {
@@ -291,14 +219,23 @@ void PutColumnarMessageList(std::string* out,
     for (size_t i = start; i < end; ++i) {
       PutVarint32(out, static_cast<uint32_t>(messages[i].key.size()));
     }
-    for (size_t i = start; i < end; ++i) out->append(messages[i].key);
+    for (size_t i = start; i < end; ++i) {
+      out->append(messages[i].key.data(), messages[i].key.size());
+    }
     for (size_t i = start; i < end; ++i) {
       PutVarint32(out, static_cast<uint32_t>(messages[i].payload.size()));
     }
-    for (size_t i = start; i < end; ++i) out->append(messages[i].payload);
+    for (size_t i = start; i < end; ++i) {
+      out->append(messages[i].payload.data(), messages[i].payload.size());
+    }
     start = end;
   }
 }
+
+template void PutColumnarMessageList(std::string*,
+                                     const std::vector<Message>&);
+template void PutColumnarMessageList(std::string*,
+                                     const std::vector<MessageView>&);
 
 bool GetColumnarMessageList(Slice* in, MessageBatch* out) {
   uint32_t ngroups;
@@ -392,6 +329,30 @@ bool GetColumnarProduceBatch(Slice* in, std::string* topic,
     records->push_back(std::move(record));
   }
   return true;
+}
+
+void PutPollResponse(std::string* out,
+                     const std::vector<TopicPartition>& revoked,
+                     const std::vector<TopicPartition>& assigned,
+                     const std::vector<MessageView>& messages,
+                     uint64_t backlog) {
+  PutTopicPartitionList(out, revoked);
+  PutTopicPartitionList(out, assigned);
+  PutColumnarMessageList(out, messages);
+  PutVarint64(out, backlog);
+}
+
+Status GetPollResponse(Slice in, std::vector<TopicPartition>* revoked,
+                       std::vector<TopicPartition>* assigned,
+                       MessageBatch* messages, uint64_t* backlog) {
+  if (!GetTopicPartitionList(&in, revoked) ||
+      !GetTopicPartitionList(&in, assigned) ||
+      !GetColumnarMessageList(&in, messages) || !GetVarint64(&in, backlog) ||
+      !in.empty()) {
+    messages->Clear();
+    return Status::Corruption("malformed Poll response");
+  }
+  return Status::OK();
 }
 
 }  // namespace railgun::msg::remote

@@ -40,6 +40,16 @@ constexpr size_t kFrameHeaderSize = 8;  // body_len + masked crc.
 
 constexpr uint8_t kResponseBit = 0x80;
 
+// Version carried by kHello. Bump it on any incompatible change to a
+// frame or payload layout: peers never negotiate formats, they either
+// match or refuse each other at connect time.
+constexpr uint32_t kProtocolVersion = 1;
+
+// The typed error a kHello with a foreign version gets (and that
+// RemoteBus surfaces from the first call on such a connection). Not a
+// NotSupported: callers read that code as "feature absent".
+Status ProtocolMismatch(const std::string& detail);
+
 enum class OpCode : uint8_t {
   kCreateTopic = 1,
   kDeleteTopic = 2,
@@ -47,13 +57,15 @@ enum class OpCode : uint8_t {
   kPartitionsOf = 4,
   kProduce = 5,
   kProduceToPartition = 6,
+  // Columnar produce payload (PutColumnarProduceBatch), followed by
+  // trace::kTraceTrailerSize checksummed trace-context bytes when the
+  // producer traces the request.
   kProduceBatch = 7,
   kSubscribe = 8,
   kUnsubscribe = 9,
-  // kPoll responses carry [revoked tps][assigned tps][messages] plus an
-  // optional trailing varint64 backlog hint (Bus::BacklogHint at the
-  // server). Decoders written before the hint stop early and ignore it;
-  // decoders that know it treat absence as "no hint".
+  // kPoll responses carry [revoked tps][assigned tps][columnar message
+  // list][varint64 backlog hint (Bus::BacklogHint at the server)]; see
+  // PutPollResponse. kFetch responses carry a columnar message list.
   kPoll = 10,
   kFetch = 11,
   kCommit = 12,
@@ -67,30 +79,17 @@ enum class OpCode : uint8_t {
   kCheckLiveness = 20,
   kRebalanceCount = 21,
 
-  // Columnar batch frames (PR 7). Same request payloads as kPoll /
-  // kProduceBatch but message data travels as per-column contiguous
-  // arrays (see PutColumnarMessageList / PutColumnarProduceBatch), and a
-  // kPollColumnar response is decoded zero-copy into Slice views over
-  // the pooled receive buffer. Negotiation rides the unknown-opcode
-  // fallback: a server predating these opcodes answers NotSupported and
-  // the client permanently downgrades to the row forms.
-  kPollColumnar = 22,
-  kProduceColumnar = 23,
-
-  // Trace-context negotiation (PR 9). An empty-payload hello: a server
-  // that understands the optional trace trailer appended after produce
-  // payloads answers OK; older servers answer NotSupported through the
-  // unknown-opcode fallback and the client never appends trailers. The
-  // trailer itself is trace::kTraceTrailerSize checksummed bytes after
-  // the last record of kProduceBatch / kProduceColumnar (decoders parse
-  // front-to-back, so peers that predate it skip it untouched).
-  kTraceHello = 24,
+  // Connect-time version check: payload [varint32 version]. The server
+  // answers OK when the version equals kProtocolVersion and the typed
+  // mismatch error (ProtocolMismatch, an InvalidArgument) otherwise.
+  // RemoteBus sends it once per dialled connection, before any other
+  // request on that connection.
+  kHello = 25,
 
   // Live subscriptions (src/ops/subscription.h), answered by the
   // BusServer's extension handler. Payloads are defined in
-  // ops/sub_wire.h; servers predating them answer NotSupported through
-  // the unknown-opcode fallback and the client sticky-downgrades
-  // (api::Client::Subscribe returns NotSupported thereafter).
+  // ops/sub_wire.h; a server hosting no subscription hub answers
+  // NotSupported through the unknown-opcode fallback.
   kSubCreate = 40,
   kSubFetch = 41,
   kSubCancel = 42,
@@ -158,20 +157,7 @@ void PutTopicPartitionList(std::string* out,
                            const std::vector<TopicPartition>& tps);
 bool GetTopicPartitionList(Slice* in, std::vector<TopicPartition>* tps);
 
-void PutWireMessage(std::string* out, const Message& message);
-bool GetWireMessage(Slice* in, Message* message);
-
-void PutWireMessageList(std::string* out,
-                        const std::vector<Message>& messages);
-bool GetWireMessageList(Slice* in, std::vector<Message>* messages);
-
-// Zero-copy decoders of the row wire forms: views point into *in's
-// underlying storage, which must outlive them.
-bool GetWireMessageView(Slice* in, MessageView* view);
-// Appends decoded views to out->mutable_views() (does not Clear).
-bool GetWireMessageListViews(Slice* in, MessageBatch* out);
-
-// ----- Columnar batch forms (kPollColumnar / kProduceColumnar) -----
+// ----- Columnar batch forms (kPoll / kFetch / kProduceBatch) -----
 //
 // A columnar message list groups consecutive messages sharing
 // (topic, partition) — preserving global order — and transposes each
@@ -188,8 +174,9 @@ bool GetWireMessageListViews(Slice* in, MessageBatch* out);
 // Every length is validated against the remaining input before any
 // array is walked; mismatched column lengths fail the decode (mapped to
 // Corruption by callers), never read out of bounds.
-void PutColumnarMessageList(std::string* out,
-                            const std::vector<Message>& messages);
+// M is Message or MessageView (both instantiated in wire.cc).
+template <typename M>
+void PutColumnarMessageList(std::string* out, const std::vector<M>& messages);
 // Appends zero-copy views into out (topic shared per group). Storage
 // behind *in must outlive the batch's views.
 bool GetColumnarMessageList(Slice* in, MessageBatch* out);
@@ -200,6 +187,19 @@ void PutColumnarProduceBatch(std::string* out, const std::string& topic,
                              const std::vector<ProduceRecord>& records);
 bool GetColumnarProduceBatch(Slice* in, std::string* topic,
                              std::vector<ProduceRecord>* records);
+
+// kPoll response fields (after the status):
+//   [revoked tps][assigned tps][columnar message list][varint64 backlog]
+void PutPollResponse(std::string* out,
+                     const std::vector<TopicPartition>& revoked,
+                     const std::vector<TopicPartition>& assigned,
+                     const std::vector<MessageView>& messages,
+                     uint64_t backlog);
+// Appends zero-copy message views into *messages (storage behind `in`
+// must outlive them). Corruption unless the whole input parses.
+Status GetPollResponse(Slice in, std::vector<TopicPartition>* revoked,
+                       std::vector<TopicPartition>* assigned,
+                       MessageBatch* messages, uint64_t* backlog);
 
 }  // namespace railgun::msg::remote
 

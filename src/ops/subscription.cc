@@ -140,30 +140,29 @@ StatusOr<uint64_t> SubscriptionHub::Create(const std::string& statement) {
 }
 
 void SubscriptionHub::Pump(Subscription* sub) {
-  std::vector<msg::Message> messages;
+  msg::MessageBatch messages;
   while (!sub->stop.load(std::memory_order_acquire)) {
-    messages.clear();
-    const Status status = bus_->Poll(sub->consumer_id, kPumpBatch, &messages,
-                                     options_.poll_wait);
+    const Status status = bus_->PollBatch(sub->consumer_id, kPumpBatch,
+                                          &messages, options_.poll_wait);
     if (!status.ok()) {
       if (sub->stop.load(std::memory_order_acquire)) break;
       decode_errors_->Add(1);
       continue;
     }
-    for (const auto& message : messages) {
+    for (const msg::MessageView& message : messages.views()) {
       HandleEvent(sub, message);
     }
   }
 }
 
 void SubscriptionHub::HandleEvent(Subscription* sub,
-                                  const msg::Message& message) {
+                                  const msg::MessageView& message) {
   trace::Tracer* tracer = trace::Tracer::Global();
   const Micros t0 = tracer->NowMicros();
 
   engine::EventEnvelope envelope;
   Slice rest;
-  if (!engine::DecodeEventEnvelope(Slice(message.payload), sub->schema,
+  if (!engine::DecodeEventEnvelope(message.payload, sub->schema,
                                    &envelope, &rest)
            .ok()) {
     decode_errors_->Add(1);

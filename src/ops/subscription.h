@@ -129,7 +129,7 @@ class SubscriptionHub {
   };
 
   void Pump(Subscription* sub);
-  void HandleEvent(Subscription* sub, const msg::Message& message);
+  void HandleEvent(Subscription* sub, const msg::MessageView& message);
   void Enqueue(Subscription* sub, SubRecord record);
   std::shared_ptr<Subscription> Find(uint64_t sub_id);
 

@@ -3,10 +3,12 @@
 // lookup.
 #include <gtest/gtest.h>
 
+#include "common/coding.h"
 #include "engine/coordinator.h"
 #include "engine/stream_def.h"
 #include "engine/task_processor.h"
 #include "msg/broker.h"
+#include "trace/trace_context.h"
 
 namespace railgun::engine {
 namespace {
@@ -78,15 +80,19 @@ TEST(WireTest, EventEnvelopeRoundTrip) {
   EXPECT_DOUBLE_EQ(decoded.event.values[2].as_double(), 42.5);
 }
 
-TEST(WireTest, ReplyEnvelopeRoundTripAllValueTypes) {
+ReplyEnvelope SampleReply() {
   ReplyEnvelope env;
   env.request_id = 99;
   env.results = {{"count(*)", "card1", FieldValue(int64_t{7})},
                  {"sum(amount)", "card1", FieldValue(1.5)},
                  {"flag", "card1", FieldValue(true)},
                  {"last(city)", "card1", FieldValue("lisbon")}};
+  return env;
+}
+
+TEST(WireTest, ReplyEnvelopeRoundTripAllValueTypes) {
   std::string encoded;
-  EncodeReplyEnvelope(env, &encoded);
+  EncodeReplyEnvelope(SampleReply(), &encoded);
   ReplyEnvelope decoded;
   ASSERT_TRUE(DecodeReplyEnvelope(encoded, &decoded).ok());
   ASSERT_EQ(decoded.results.size(), 4u);
@@ -96,6 +102,44 @@ TEST(WireTest, ReplyEnvelopeRoundTripAllValueTypes) {
   EXPECT_EQ(decoded.results[3].value.as_string(), "lisbon");
 }
 
+TEST(WireTest, ReplyEnvelopeHostileCountIsCorruptionNotAnAbort) {
+  // A request id plus a result count of 2^32-1 and nothing behind it:
+  // the decoder must refuse the count before reserving for it.
+  std::string encoded;
+  PutFixed64(&encoded, 1);
+  PutVarint32(&encoded, 0xffffffffu);
+  ReplyEnvelope decoded;
+  EXPECT_TRUE(DecodeReplyEnvelope(encoded, &decoded).IsCorruption());
+}
+
+TEST(WireTest, ReplyEnvelopeEveryTruncationIsCorruption) {
+  std::string encoded;
+  EncodeReplyEnvelope(SampleReply(), &encoded);
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    ReplyEnvelope decoded;
+    const Status status =
+        DecodeReplyEnvelope(Slice(encoded.data(), len), &decoded);
+    EXPECT_TRUE(status.IsCorruption()) << "prefix length " << len;
+  }
+}
+
+TEST(WireTest, ReplyEnvelopeBitFlipsYieldTypedStatuses) {
+  // No checksum guards the envelope, so a flip may still decode; it must
+  // otherwise fail as Corruption, never crash or over-allocate.
+  std::string encoded;
+  EncodeReplyEnvelope(SampleReply(), &encoded);
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = encoded;
+      mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+      ReplyEnvelope decoded;
+      const Status status = DecodeReplyEnvelope(mutated, &decoded);
+      EXPECT_TRUE(status.ok() || status.IsCorruption())
+          << "byte " << i << " bit " << bit << ": " << status.ToString();
+    }
+  }
+}
+
 TEST(WireTest, CorruptEnvelopesRejected) {
   const StreamDef stream = PaymentsStream();
   const reservoir::Schema schema(0, stream.fields);
@@ -103,6 +147,23 @@ TEST(WireTest, CorruptEnvelopesRejected) {
   EXPECT_FALSE(DecodeEventEnvelope("short", schema, &env).ok());
   ReplyEnvelope reply;
   EXPECT_FALSE(DecodeReplyEnvelope("x", &reply).ok());
+}
+
+// Runs one message through ProcessBatch. A row the batch counts as
+// failed surfaces as an error status, so callers can assert on it.
+Status ProcessOne(TaskProcessor* proc, msg::Message message,
+                  ReplyEnvelope* reply) {
+  std::vector<msg::Message> one;
+  one.push_back(std::move(message));
+  msg::MessageBatch batch;
+  batch.Adopt(std::move(one));
+  std::vector<ReplyEnvelope> replies;
+  size_t failed = 0;
+  RAILGUN_RETURN_IF_ERROR(proc->ProcessBatch(batch.views(), &replies,
+                                             &failed));
+  if (failed > 0) return Status::Corruption("message failed to process");
+  *reply = std::move(replies[0]);
+  return Status::OK();
 }
 
 class TaskProcessorTest : public ::testing::Test {
@@ -144,22 +205,18 @@ TEST_F(TaskProcessorTest, ComputesOnlyQueriesRoutedToItsTopic) {
 
   ReplyEnvelope reply;
   ASSERT_TRUE(
-      proc.ProcessMessage(MakeMessage(0, 1000, 1, "cardA", 10.0), &reply)
+      ProcessOne(&proc, MakeMessage(0, 1000, 1, "cardA", 10.0), &reply)
           .ok());
   ASSERT_EQ(reply.results.size(), 2u);
   EXPECT_EQ(reply.request_id, 1u);
 }
 
-TEST_F(TaskProcessorTest, ColumnarBatchMatchesScalarProcessing) {
-  // Same event stream through the scalar ProcessMessage path and the
-  // columnar ProcessBatch path must produce identical replies and state.
-  TaskProcessor scalar(options_, dir_ + "/scalar", stream_,
-                       "payments.cardId");
-  ASSERT_TRUE(scalar.Open().ok());
-  TaskProcessor columnar(options_, dir_ + "/columnar", stream_,
-                         "payments.cardId");
-  ASSERT_TRUE(columnar.Open().ok());
-
+TEST_F(TaskProcessorTest, ColumnBatchMatchesTheEnvelopeDecoderRowByRow) {
+  // The columnar decode (ColumnBatch + MaterializeRow) must agree, field
+  // by field, with the scalar reference DecodeEventEnvelope — which the
+  // subscription hub, the remote client and the baseline worker still
+  // use — on plain rows, a traced row and a malformed row.
+  const reservoir::Schema schema(0, stream_.fields);
   std::vector<msg::Message> messages;
   const char* cards[] = {"cardA", "cardA", "cardB", "cardA", "cardB"};
   for (uint64_t i = 0; i < 25; ++i) {
@@ -167,37 +224,66 @@ TEST_F(TaskProcessorTest, ColumnarBatchMatchesScalarProcessing) {
                                    i + 1, cards[i % 5],
                                    0.25 * static_cast<double>(i)));
   }
-
-  std::vector<ReplyEnvelope> scalar_replies(messages.size());
-  for (size_t i = 0; i < messages.size(); ++i) {
-    ASSERT_TRUE(
-        scalar.ProcessMessage(messages[i], &scalar_replies[i]).ok());
-  }
+  constexpr size_t kTraced = 7;
+  trace::TraceContext ctx;
+  ctx.trace_hi = 0x1122334455667788ull;
+  ctx.trace_lo = 0x99aabbccddeeff00ull;
+  ctx.span_id = 42;
+  ctx.flags = trace::TraceContext::kSampledFlag;
+  trace::AppendTraceTrailer(ctx, &messages[kTraced].payload);
+  constexpr size_t kMalformed = 12;
+  messages[kMalformed].payload.resize(10);  // Cut inside the reply topic.
 
   msg::MessageBatch batch;
-  batch.Adopt(std::move(messages));
-  std::vector<ReplyEnvelope> batch_replies;
-  size_t failed = 7;
-  ASSERT_TRUE(
-      columnar.ProcessBatch(batch.views(), &batch_replies, &failed).ok());
-  EXPECT_EQ(failed, 0u);
-  ASSERT_EQ(batch_replies.size(), scalar_replies.size());
-  for (size_t i = 0; i < batch_replies.size(); ++i) {
-    EXPECT_EQ(batch_replies[i].request_id, scalar_replies[i].request_id);
-    EXPECT_EQ(batch_replies[i].reply_topic, scalar_replies[i].reply_topic);
-    ASSERT_EQ(batch_replies[i].results.size(),
-              scalar_replies[i].results.size());
-    for (size_t r = 0; r < batch_replies[i].results.size(); ++r) {
-      EXPECT_EQ(batch_replies[i].results[r].metric_name,
-                scalar_replies[i].results[r].metric_name);
-      EXPECT_EQ(batch_replies[i].results[r].group_key,
-                scalar_replies[i].results[r].group_key);
-      EXPECT_DOUBLE_EQ(batch_replies[i].results[r].value.ToNumber(),
-                       scalar_replies[i].results[r].value.ToNumber())
-          << "message " << i << " metric " << r;
+  batch.Adopt(messages);
+  ColumnBatch columns;
+  EXPECT_EQ(columns.Decode(batch.views(), schema), messages.size() - 1);
+  reservoir::Event row;
+  for (size_t i = 0; i < messages.size(); ++i) {
+    EventEnvelope ref;
+    Slice rest;
+    const Status decoded = DecodeEventEnvelope(Slice(messages[i].payload),
+                                               schema, &ref, &rest);
+    ASSERT_EQ(columns.row_ok(i), decoded.ok()) << "row " << i;
+    if (!decoded.ok()) {
+      EXPECT_EQ(i, kMalformed);
+      EXPECT_TRUE(decoded.IsCorruption()) << decoded.ToString();
+      continue;
+    }
+    EXPECT_EQ(columns.request_id(i), ref.request_id) << "row " << i;
+    EXPECT_EQ(columns.reply_topic(i).ToString(), ref.reply_topic);
+    EXPECT_EQ(columns.trailer(i).ToString(), rest.ToString()) << "row " << i;
+    columns.MaterializeRow(i, &row);
+    EXPECT_EQ(row.timestamp, ref.event.timestamp) << "row " << i;
+    EXPECT_EQ(row.id, ref.event.id) << "row " << i;
+    // The log position wins over the envelope's encoded offset.
+    EXPECT_EQ(row.offset, messages[i].offset) << "row " << i;
+    ASSERT_EQ(row.values.size(), ref.event.values.size());
+    for (size_t f = 0; f < row.values.size(); ++f) {
+      EXPECT_EQ(row.values[f], ref.event.values[f])
+          << "row " << i << " field " << f << ": "
+          << row.values[f].ToString() << " vs "
+          << ref.event.values[f].ToString();
     }
   }
-  EXPECT_EQ(columnar.processed_count(), scalar.processed_count());
+  const trace::TraceContext carried =
+      trace::ParseTraceTrailer(columns.trailer(kTraced));
+  EXPECT_EQ(carried.trace_hi, ctx.trace_hi);
+  EXPECT_EQ(carried.trace_lo, ctx.trace_lo);
+  EXPECT_EQ(carried.span_id, ctx.span_id);
+
+  // The processor skips exactly the malformed row and counts it.
+  TaskProcessor proc(options_, dir_, stream_, "payments.cardId");
+  ASSERT_TRUE(proc.Open().ok());
+  std::vector<ReplyEnvelope> replies;
+  size_t failed = 0;
+  ASSERT_TRUE(proc.ProcessBatch(batch.views(), &replies, &failed).ok());
+  EXPECT_EQ(failed, 1u);
+  ASSERT_EQ(replies.size(), messages.size());
+  EXPECT_EQ(replies[kMalformed].request_id, 0u);
+  EXPECT_EQ(replies[kTraced].request_id, kTraced + 1);
+  EXPECT_EQ(replies[kTraced].results.size(), 2u);
+  EXPECT_EQ(proc.processed_count(), messages.size() - 1);
 }
 
 TEST_F(TaskProcessorTest, BatchSkipsUndecodableMessagesAndCounts) {
@@ -230,19 +316,19 @@ TEST_F(TaskProcessorTest, CheckpointAndRecoveryReplayIsExactlyOnce) {
     ASSERT_TRUE(proc.Open().ok());
     ReplyEnvelope reply;
     for (uint64_t i = 0; i < 100; ++i) {
-      ASSERT_TRUE(proc.ProcessMessage(
-                          MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
-                                      i + 1, "cardA", 1.0),
-                          &reply)
+      ASSERT_TRUE(ProcessOne(&proc,
+                             MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+                                         i + 1, "cardA", 1.0),
+                             &reply)
                       .ok());
     }
     ASSERT_TRUE(proc.Checkpoint().ok());
     // 20 more messages after the checkpoint (these will be replayed).
     for (uint64_t i = 100; i < 120; ++i) {
-      ASSERT_TRUE(proc.ProcessMessage(
-                          MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
-                                      i + 1, "cardA", 1.0),
-                          &reply)
+      ASSERT_TRUE(ProcessOne(&proc,
+                             MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+                                         i + 1, "cardA", 1.0),
+                             &reply)
                       .ok());
     }
     // Last reply before "crash": count = 120.
@@ -257,10 +343,10 @@ TEST_F(TaskProcessorTest, CheckpointAndRecoveryReplayIsExactlyOnce) {
   EXPECT_LE(proc.replay_offset(), 100u);
   ReplyEnvelope reply;
   for (uint64_t i = proc.replay_offset(); i < 120; ++i) {
-    ASSERT_TRUE(proc.ProcessMessage(
-                        MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
-                                    i + 1, "cardA", 1.0),
-                        &reply)
+    ASSERT_TRUE(ProcessOne(&proc,
+                           MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+                                       i + 1, "cardA", 1.0),
+                           &reply)
                     .ok());
   }
   // Same result as before the crash: no double counting.
@@ -275,10 +361,10 @@ TEST_F(TaskProcessorTest, CloneDataBootstrapsAnotherProcessor) {
     ASSERT_TRUE(donor.Open().ok());
     ReplyEnvelope reply;
     for (uint64_t i = 0; i < 200; ++i) {
-      ASSERT_TRUE(donor.ProcessMessage(
-                          MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
-                                      i + 1, "cardA", 2.0),
-                          &reply)
+      ASSERT_TRUE(ProcessOne(&donor,
+                             MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+                                         i + 1, "cardA", 2.0),
+                             &reply)
                       .ok());
     }
     ASSERT_TRUE(donor.Checkpoint().ok());
@@ -296,15 +382,14 @@ TEST_F(TaskProcessorTest, CloneDataBootstrapsAnotherProcessor) {
 
   ReplyEnvelope reply;
   for (uint64_t i = recovered.replay_offset(); i < 200; ++i) {
-    ASSERT_TRUE(recovered.ProcessMessage(
-                        MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
-                                    i + 1, "cardA", 2.0),
-                        &reply)
+    ASSERT_TRUE(ProcessOne(&recovered,
+                           MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+                                       i + 1, "cardA", 2.0),
+                           &reply)
                     .ok());
   }
-  ASSERT_TRUE(recovered.ProcessMessage(MakeMessage(200, 201000, 201, "cardA",
-                                                   2.0),
-                                       &reply)
+  ASSERT_TRUE(ProcessOne(&recovered,
+                         MakeMessage(200, 201000, 201, "cardA", 2.0), &reply)
                   .ok());
   // 5-minute window holds all 201 events (timestamps within 201 ms):
   // no event lost, none double-counted across clone + replay.

@@ -12,6 +12,7 @@
 #include <algorithm>
 
 #include "api/client.h"
+#include "common/coding.h"
 #include "engine/cluster.h"
 #include "engine/coordinator.h"
 #include "engine/stream_def.h"
@@ -84,6 +85,57 @@ TEST(MetaWireTest, StreamDefTruncationsAreCorruptionNeverACrash) {
     engine::StreamDef decoded;
     EXPECT_FALSE(engine::DecodeStreamDef(&in, &decoded).ok())
         << "prefix length " << len;
+  }
+}
+
+std::vector<engine::StreamDef> SampleStreamList() {
+  std::vector<engine::StreamDef> defs = {SampleStreamDef(),
+                                         SampleStreamDef()};
+  defs[1].name = "refunds";
+  defs[1].queries.clear();
+  return defs;
+}
+
+TEST(MetaWireTest, StreamListRoundTrip) {
+  std::string encoded;
+  engine::EncodeStreamDefList(SampleStreamList(), &encoded);
+  Slice in(encoded);
+  std::vector<engine::StreamDef> decoded;
+  ASSERT_TRUE(engine::DecodeStreamDefList(&in, &decoded).ok());
+  EXPECT_TRUE(in.empty());
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0].name, "payments");
+  EXPECT_EQ(decoded[1].name, "refunds");
+  EXPECT_TRUE(decoded[1].queries.empty());
+}
+
+TEST(MetaWireTest, StreamListHostileCountIsCorruptionNotAnAbort) {
+  std::string encoded;
+  PutVarint32(&encoded, 0xffffffffu);  // 2^32-1 definitions, no bytes.
+  Slice in(encoded);
+  std::vector<engine::StreamDef> decoded;
+  EXPECT_TRUE(engine::DecodeStreamDefList(&in, &decoded).IsCorruption());
+}
+
+TEST(MetaWireTest, StreamListTruncationsAndBitFlipsYieldTypedStatuses) {
+  std::string encoded;
+  engine::EncodeStreamDefList(SampleStreamList(), &encoded);
+  for (size_t len = 0; len < encoded.size(); ++len) {
+    Slice in(encoded.data(), len);
+    std::vector<engine::StreamDef> decoded;
+    EXPECT_TRUE(engine::DecodeStreamDefList(&in, &decoded).IsCorruption())
+        << "prefix length " << len;
+  }
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string mutated = encoded;
+      mutated[i] = static_cast<char>(mutated[i] ^ (1 << bit));
+      Slice in(mutated);
+      std::vector<engine::StreamDef> decoded;
+      const Status status = engine::DecodeStreamDefList(&in, &decoded);
+      EXPECT_TRUE(status.ok() || status.IsCorruption())
+          << "byte " << i << " bit " << bit << ": " << status.ToString();
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the messaging layer: topics, keyed partitioning, offsets and
 // replay, visibility delay, consumer groups, heartbeat failure detection
 // and rebalancing — plus the batched, wake-on-arrival path: blocking
-// Poll, ProduceBatch ordering, rebalance delivery to parked consumers,
+// PollBatch, ProduceBatch ordering, rebalance delivery to parked consumers,
 // and retention truncation.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,21 @@
 
 namespace railgun::msg {
 namespace {
+
+// PollBatch, copied out into owned messages so assertions can hold on
+// to them across polls.
+Status PollMessages(Bus* bus, const std::string& consumer_id,
+                    size_t max_messages, std::vector<Message>* out,
+                    Micros max_wait = 0) {
+  MessageBatch batch;
+  const Status status =
+      bus->PollBatch(consumer_id, max_messages, &batch, max_wait);
+  out->clear();
+  for (const MessageView& view : batch.views()) {
+    out->push_back(view.ToMessage());
+  }
+  return status;
+}
 
 BusOptions FastBus(Clock* clock = nullptr) {
   BusOptions options;
@@ -132,8 +147,8 @@ TEST(GroupTest, SinglePartitionOwnershipWithinGroup) {
 
   // Trigger assignment delivery.
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
-  ASSERT_TRUE(bus.Poll("c2", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
 
   auto a1 = bus.AssignmentOf("c1");
   auto a2 = bus.AssignmentOf("c2");
@@ -154,9 +169,9 @@ TEST(GroupTest, PollDeliversOnlyAssignedPartitions) {
   std::vector<Message> from1, from2, batch;
   // First polls deliver the assignment, subsequent polls the messages.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(bus.Poll("c1", 100, &batch).ok());
+    ASSERT_TRUE(PollMessages(&bus, "c1", 100, &batch).ok());
     from1.insert(from1.end(), batch.begin(), batch.end());
-    ASSERT_TRUE(bus.Poll("c2", 100, &batch).ok());
+    ASSERT_TRUE(PollMessages(&bus, "c2", 100, &batch).ok());
     from2.insert(from2.end(), batch.begin(), batch.end());
   }
   EXPECT_EQ(from1.size() + from2.size(), 20u);
@@ -178,12 +193,12 @@ TEST(GroupTest, RebalanceCallbacksFireOnMembershipChange) {
   };
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, listener).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(assigned1.size(), 4u);  // Sole member owns everything.
 
   // A second member takes over some partitions: c1 sees revocations.
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(revoked1.size(), 2u);
 }
 
@@ -196,16 +211,18 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
   ASSERT_TRUE(bus.Subscribe("alive", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("alive", 10, &out).ok());
-  ASSERT_TRUE(bus.Poll("dead", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "alive", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "dead", 10, &out).ok());
   EXPECT_EQ(bus.AssignmentOf("dead").size(), 1u);
 
   // "dead" stops polling; time passes; "alive" keeps polling.
   clock.Advance(2000);
-  ASSERT_TRUE(bus.Poll("alive", 10, &out).ok());  // Triggers liveness check.
-  ASSERT_TRUE(bus.Poll("alive", 10, &out).ok());  // Picks up new assignment.
+  // Triggers liveness check.
+  ASSERT_TRUE(PollMessages(&bus, "alive", 10, &out).ok());
+  // Picks up new assignment.
+  ASSERT_TRUE(PollMessages(&bus, "alive", 10, &out).ok());
   EXPECT_EQ(bus.AssignmentOf("alive").size(), 2u);
-  EXPECT_TRUE(bus.Poll("dead", 10, &out).IsUnavailable());
+  EXPECT_TRUE(PollMessages(&bus, "dead", 10, &out).IsUnavailable());
 }
 
 TEST(GroupTest, KillConsumerRebalancesImmediately) {
@@ -214,11 +231,11 @@ TEST(GroupTest, KillConsumerRebalancesImmediately) {
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   const uint64_t before = bus.rebalance_count();
   ASSERT_TRUE(bus.KillConsumer("c2").ok());
   EXPECT_GT(bus.rebalance_count(), before);
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(bus.AssignmentOf("c1").size(), 2u);
 }
 
@@ -230,11 +247,11 @@ TEST(GroupTest, SeekRewindsConsumption) {
     ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
   }
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Assignment.
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
   EXPECT_EQ(out.size(), 5u);
   ASSERT_TRUE(bus.Seek("c", {"t", 0}, 2).ok());
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].payload, "2");
 }
@@ -251,8 +268,8 @@ TEST(GroupTest, PartitionsOnlyAssignedToSubscribedMembers) {
   ASSERT_TRUE(
       bus.Subscribe("c2", "g", {"t1", "t2"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
-  ASSERT_TRUE(bus.Poll("c2", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
 
   for (const auto& tp : bus.AssignmentOf("c1")) {
     EXPECT_NE(tp.topic, "t2") << "t2/" << tp.partition << " on c1";
@@ -266,7 +283,7 @@ TEST(GroupTest, PartitionsOnlyAssignedToSubscribedMembers) {
   // An event produced into the not-yet-universally-subscribed topic is
   // delivered to the subscribed member, not dropped.
   ASSERT_TRUE(bus.ProduceToPartition("t2", 0, "k", "first").ok());
-  ASSERT_TRUE(bus.Poll("c2", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].payload, "first");
 }
@@ -278,9 +295,9 @@ TEST(GroupTest, UnsubscribeTriggersRebalance) {
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Unsubscribe("c2").ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(bus.AssignmentOf("c1").size(), 2u);
-  EXPECT_TRUE(bus.Poll("c2", 10, &out).IsNotFound());
+  EXPECT_TRUE(PollMessages(&bus, "c2", 10, &out).IsNotFound());
 }
 
 TEST(BlockingPollTest, WakesOnProduce) {
@@ -288,7 +305,8 @@ TEST(BlockingPollTest, WakesOnProduce) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Absorb the assignment.
+  // Absorb the assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   std::thread producer([&bus] {
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
@@ -296,7 +314,7 @@ TEST(BlockingPollTest, WakesOnProduce) {
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
   // Park with a generous deadline: the produce must cut it short.
-  ASSERT_TRUE(bus.Poll("c", 10, &out, 5 * kMicrosPerSecond).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 5 * kMicrosPerSecond).ok());
   const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
   producer.join();
   ASSERT_EQ(out.size(), 1u);
@@ -309,10 +327,11 @@ TEST(BlockingPollTest, HonorsMaxWaitWhenNothingArrives) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Absorb the assignment.
+  // Absorb the assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   const Micros start = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c", 10, &out, 50 * kMicrosPerMilli).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 50 * kMicrosPerMilli).ok());
   const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
   EXPECT_TRUE(out.empty());
   EXPECT_GE(elapsed, 40 * kMicrosPerMilli);
@@ -323,14 +342,15 @@ TEST(BlockingPollTest, WakeInterruptsParkedPoll) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Absorb the assignment.
+  // Absorb the assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   std::thread waker([&bus] {
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
     bus.Wake();
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c", 10, &out, 5 * kMicrosPerSecond).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 5 * kMicrosPerSecond).ok());
   const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
   waker.join();
   EXPECT_TRUE(out.empty());  // Interrupted, not satisfied.
@@ -342,21 +362,22 @@ TEST(BlockingPollTest, WakeConsumerIsLevelTriggered) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Absorb the assignment.
+  // Absorb the assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   EXPECT_TRUE(bus.WakeConsumer("nobody").IsNotFound());
   // A wake issued while the consumer is between polls is consumed by
   // the NEXT poll (no lost-wakeup window): it returns immediately.
   ASSERT_TRUE(bus.WakeConsumer("c").ok());
   const Micros start = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c", 10, &out, 5 * kMicrosPerSecond).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 5 * kMicrosPerSecond).ok());
   EXPECT_LT(MonotonicClock::Default()->NowMicros() - start,
             kMicrosPerSecond);
   EXPECT_TRUE(out.empty());
 
   // Consumed: the next blocking poll waits normally again.
   const Micros start2 = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c", 10, &out, 50 * kMicrosPerMilli).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 50 * kMicrosPerMilli).ok());
   EXPECT_GE(MonotonicClock::Default()->NowMicros() - start2,
             40 * kMicrosPerMilli);
 }
@@ -420,7 +441,7 @@ TEST(BlockingPollTest, RebalanceWhileParkedDeliversCallbacksExactlyOnce) {
   };
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, listener).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());  // Initial assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());  // Initial assignment.
   ASSERT_EQ(assigned_calls.load(), 1);
 
   // Park c1 in a blocking poll, then trigger a rebalance from another
@@ -430,7 +451,7 @@ TEST(BlockingPollTest, RebalanceWhileParkedDeliversCallbacksExactlyOnce) {
     EXPECT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c1", 10, &out, 5 * kMicrosPerSecond).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out, 5 * kMicrosPerSecond).ok());
   const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
   joiner.join();
   EXPECT_LT(elapsed, kMicrosPerSecond);
@@ -439,8 +460,8 @@ TEST(BlockingPollTest, RebalanceWhileParkedDeliversCallbacksExactlyOnce) {
 
   // Subsequent polls observe no further generation change: the
   // callbacks fired exactly once.
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
-  ASSERT_TRUE(bus.Poll("c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(revoked_calls.load(), 1);
   EXPECT_EQ(assigned_calls.load(), 1);
 }
@@ -455,7 +476,7 @@ TEST(BlockingPollTest, ParkDeadlineFollowsTheBusClockDomain) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
 
   // Nothing is produced. Poll with a 10-virtual-second max_wait; another
   // thread advances the simulated clock past the deadline almost
@@ -466,7 +487,7 @@ TEST(BlockingPollTest, ParkDeadlineFollowsTheBusClockDomain) {
     clock.Advance(10 * kMicrosPerSecond);
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c", 10, &out, 10 * kMicrosPerSecond).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 10 * kMicrosPerSecond).ok());
   const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
   advancer.join();
   EXPECT_TRUE(out.empty());
@@ -487,7 +508,7 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
   ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "m").ok());
 
   std::thread advancer([&clock] {
@@ -495,7 +516,7 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
     clock.Advance(kMicrosPerSecond);  // Message becomes visible.
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
-  ASSERT_TRUE(bus.Poll("c", 10, &out, kMicrosPerHour).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, kMicrosPerHour).ok());
   const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
   advancer.join();
   ASSERT_EQ(out.size(), 1u);
@@ -510,7 +531,8 @@ TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Assignment (position 0).
+  // Assignment (position 0).
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   // The consumer's committed position pins the log head even past the
   // retention cap: nothing it hasn't read may be dropped.
@@ -537,7 +559,7 @@ TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
@@ -548,7 +570,7 @@ TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
   }
   // Cap would allow base 17, but offset 4 is the consumer's floor.
   EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 4u);
-  ASSERT_TRUE(bus.Poll("c", 100, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 100, &out).ok());
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(out[0].offset, 4u);  // Nothing unread was lost.
 }
@@ -560,7 +582,7 @@ TEST(RetentionTest, SeekClampsToRetainedBase) {
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
-  ASSERT_TRUE(bus.Poll("c", 10, &out).ok());  // Assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
 
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
@@ -576,14 +598,14 @@ TEST(RetentionTest, SeekClampsToRetainedBase) {
   ASSERT_TRUE(bus.Seek("c", {"t", 0}, 0).ok());
   EXPECT_EQ(bus.PositionOf("c", {"t", 0}).value(), base)
       << "seek positioned the consumer inside truncated data";
-  ASSERT_TRUE(bus.Poll("c", 1, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 1, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].offset, base);
 
   // Seeks into retained data still rewind exactly.
   ASSERT_TRUE(bus.Seek("c", {"t", 0}, base + 5).ok());
   EXPECT_EQ(bus.PositionOf("c", {"t", 0}).value(), base + 5);
-  ASSERT_TRUE(bus.Poll("c", 1, &out).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 1, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].offset, base + 5);
 }
