@@ -6,7 +6,6 @@
 
 #include <algorithm>
 
-#include "api/remote_ddl.h"
 #include "common/hash.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -21,8 +20,8 @@ namespace railgun::api {
 
 namespace {
 
-// Process-unique id for a remote client: names its reply topics and
-// salts its request ids, so independent clients (and restarts of the
+// Process-unique id for a client: names its front end's reply topic and
+// salts its event ids, so independent clients (and restarts of the
 // same client) never collide on the shared bus. The per-process
 // counter keeps clients created within the same microsecond distinct.
 std::string RandomClientId() {
@@ -101,15 +100,13 @@ Client::Client(const ClientOptions& options)
     remote_frontend_.reset(new engine::FrontEnd(
         frontend_options, "client-" + client_id_, remote_bus_.get(),
         clock_));
-    remote_ddl_.reset(
-        new RemoteDdlClient(remote_bus_.get(), client_id_, clock_));
-    // The stub shares the bus's control connection (and so its
-    // reconnect backoff and clock domain).
+    // The stub shares the bus's connections (and so its reconnect
+    // backoff and clock domain).
     meta_.reset(new meta::MetaClient(remote_bus_.get()));
   }
   if (!remote()) {
     // The built-in internals stream is queryable out of the box in
-    // local mode: preloading its definition lets AddMetric validate
+    // local mode: preloading its definition lets metric DDL validate
     // against it (the cluster-side registration rides along with the
     // first metric). Remote mode instead resolves it like any foreign
     // stream — the broker pre-registers it in the metadata service —
@@ -158,7 +155,6 @@ void Client::Stop() {
   if (!started_) return;
   if (remote()) {
     remote_frontend_->Stop();
-    remote_ddl_->Shutdown();
     started_ = false;
     return;
   }
@@ -169,120 +165,120 @@ void Client::Stop() {
 
 // --- Stream DDL ------------------------------------------------------
 
-Status Client::AddStream(engine::StreamDef stream) {
-  {
-    MutexLock lock(&mu_);
-    if (streams_.count(stream.name) > 0) {
-      return Status::AlreadyExists("stream already exists: " + stream.name);
-    }
-    RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(stream));
-    streams_[stream.name] = std::move(stream);
-  }
-  return WaitForRegistration(options_.request_timeout);
+Status Client::CreateStream(const std::string& ddl) {
+  return RunDdl(ddl, {query::DdlKind::kCreateStream},
+                "CreateStream() takes CREATE STREAM statements");
 }
 
-Status Client::AddMetric(query::QueryDef metric) {
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(metric.stream);
-    if (it == streams_.end()) {
-      return Status::NotFound("unknown stream: " + metric.stream);
-    }
-    // Validate against a copy; the client's view must not change unless
-    // the cluster accepted the registration.
-    engine::StreamDef updated = it->second;
-    // Fail fast when no partitioner covers the metric's group-by set
-    // (paper §4: metrics hash by a subset of the partitioners).
-    RAILGUN_RETURN_IF_ERROR(updated.PartitionerForQuery(metric).status());
-    for (const auto& existing : updated.queries) {
-      if (existing.raw == metric.raw) {
-        return Status::AlreadyExists("metric already registered: " +
-                                     metric.raw);
-      }
-    }
-    updated.queries.push_back(std::move(metric));
-    RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(updated));
-    it->second = std::move(updated);
-  }
-  return WaitForRegistration(options_.request_timeout);
-}
-
-Status Client::AddPipelineLocal(query::PipelineSpec pipeline) {
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(pipeline.stream);
-    if (it == streams_.end()) {
-      return Status::NotFound("unknown stream: " + pipeline.stream);
-    }
-    engine::StreamDef updated = it->second;
-    for (const auto& existing : updated.pipelines) {
-      if (existing.raw == pipeline.raw) {
-        return Status::AlreadyExists("pipeline already registered: " +
-                                     pipeline.raw);
-      }
-    }
-    // Compile-validate against the source schema before shipping (the
-    // throwaway instance's counters are pipeline-local).
-    RAILGUN_RETURN_IF_ERROR(
-        ops::Pipeline::Compile(pipeline.raw,
-                               reservoir::Schema(0, updated.fields),
-                               /*registry=*/nullptr)
-            .status());
-    updated.pipelines.push_back(std::move(pipeline));
-    RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(updated));
-    it->second = std::move(updated);
-  }
-  return WaitForRegistration(options_.request_timeout);
-}
-
-Status Client::RemoteAddPipeline(const std::string& statement,
-                                 query::PipelineSpec pipeline) {
-  RAILGUN_RETURN_IF_ERROR(EnsureStream(pipeline.stream));
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(pipeline.stream);
-    if (it == streams_.end()) {
-      return Status::NotFound("unknown stream: " + pipeline.stream);
-    }
-    for (const auto& existing : it->second.pipelines) {
-      if (existing.raw == pipeline.raw) {
-        return Status::AlreadyExists("pipeline already registered: " +
-                                     pipeline.raw);
-      }
-    }
-    RAILGUN_RETURN_IF_ERROR(
-        ops::Pipeline::Compile(pipeline.raw,
-                               reservoir::Schema(0, it->second.fields),
-                               /*registry=*/nullptr)
-            .status());
-  }
-  // As with streams/metrics, AlreadyExists still syncs the local view.
-  const Status executed =
-      remote_ddl_->Execute(statement, options_.request_timeout);
-  if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(pipeline.stream);
-    if (it != streams_.end()) {
-      bool known = false;
-      for (const auto& existing : it->second.pipelines) {
-        known = known || existing.raw == pipeline.raw;
-      }
-      if (!known) it->second.pipelines.push_back(std::move(pipeline));
-    }
-  }
-  return executed;
+Status Client::Query(const std::string& statement) {
+  return RunDdl(statement, {query::DdlKind::kAddMetric},
+                "Query() takes ADD METRIC / SELECT statements; use "
+                "CreateStream() for CREATE STREAM");
 }
 
 Status Client::AddPipeline(const std::string& statement) {
-  RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
-                           query::ParseDdl(statement));
-  if (ddl.kind != query::DdlKind::kAddPipeline) {
+  return RunDdl(statement, {query::DdlKind::kAddPipeline},
+                "AddPipeline() takes ADD PIPELINE statements");
+}
+
+Status Client::Execute(const std::string& statement) {
+  if (query::IsSubscribeStatement(statement)) {
     return Status::InvalidArgument(
-        "AddPipeline() takes ADD PIPELINE statements");
+        "SUBSCRIBE returns a live tail; use Client::Subscribe()");
   }
-  if (remote()) return RemoteAddPipeline(statement, std::move(ddl.pipeline));
-  return AddPipelineLocal(std::move(ddl.pipeline));
+  return RunDdl(statement,
+                {query::DdlKind::kCreateStream, query::DdlKind::kAddMetric,
+                 query::DdlKind::kAddPipeline},
+                "");
+}
+
+Status Client::RunDdl(const std::string& statement,
+                      std::initializer_list<query::DdlKind> accepted,
+                      const char* refusal) {
+  RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
+                           query::ParseDdlOrMetric(statement));
+  if (std::find(accepted.begin(), accepted.end(), ddl.kind) ==
+      accepted.end()) {
+    return Status::InvalidArgument(refusal);
+  }
+  if (remote() && ddl.kind != query::DdlKind::kCreateStream) {
+    // Foreign streams are fair game: fetch the definition from the
+    // metadata service before validating against it.
+    RAILGUN_RETURN_IF_ERROR(EnsureStream(ddl.kind == query::DdlKind::kAddMetric
+                                             ? ddl.metric.stream
+                                             : ddl.pipeline.stream));
+  }
+  MutexLock lock(&mu_);
+  RAILGUN_ASSIGN_OR_RETURN(engine::StreamDef updated, ValidateLocked(ddl));
+  if (!remote()) {
+    // Registering under the lock keeps concurrent DDL on one stream
+    // from dropping each other's additions.
+    RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(updated));
+    engine::FoldDdl(std::move(ddl), &streams_);
+    lock.Unlock();
+    return WaitForRegistration(options_.request_timeout);
+  }
+  // The metadata service answers once every alive unit applied the
+  // statement (ADD METRIC backfill included); submits must not queue
+  // behind mu_ meanwhile.
+  lock.Unlock();
+  const Status executed = meta_->ExecuteDdl(statement);
+  // AlreadyExists means the cluster has it (e.g. this client reattached
+  // after a restart): still fold it into the view so the client can
+  // bind and submit, and let the caller see the typed status.
+  if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
+  if (ddl.kind == query::DdlKind::kCreateStream) {
+    // Teach the client's own front end the fan-out routing (topic
+    // creation over the remote bus is idempotent).
+    RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(updated));
+  }
+  lock.Lock();
+  engine::FoldDdl(std::move(ddl), &streams_);
+  return executed;
+}
+
+StatusOr<engine::StreamDef> Client::ValidateLocked(
+    const query::DdlStatement& ddl) const {
+  if (ddl.kind == query::DdlKind::kCreateStream) {
+    const std::string& name = ddl.create_stream.name;
+    if (streams_.count(name) > 0) {
+      return Status::AlreadyExists("stream already exists: " + name);
+    }
+    return engine::StreamDefFromSchema(ddl.create_stream);
+  }
+  const bool metric = ddl.kind == query::DdlKind::kAddMetric;
+  const std::string& stream = metric ? ddl.metric.stream : ddl.pipeline.stream;
+  auto it = streams_.find(stream);
+  if (it == streams_.end()) {
+    return Status::NotFound("unknown stream: " + stream);
+  }
+  // Validate against a copy; the view changes only once the statement
+  // has been applied.
+  engine::StreamDef updated = it->second;
+  if (metric) {
+    // Fail fast when no partitioner covers the metric's group-by set
+    // (paper §4: metrics hash by a subset of the partitioners).
+    RAILGUN_RETURN_IF_ERROR(updated.PartitionerForQuery(ddl.metric).status());
+    if (engine::ContainsRaw(updated.queries, ddl.metric.raw)) {
+      return Status::AlreadyExists("metric already registered: " +
+                                   ddl.metric.raw);
+    }
+    updated.queries.push_back(ddl.metric);
+    return updated;
+  }
+  if (engine::ContainsRaw(updated.pipelines, ddl.pipeline.raw)) {
+    return Status::AlreadyExists("pipeline already registered: " +
+                                 ddl.pipeline.raw);
+  }
+  // Compile-validate against the source schema before shipping (the
+  // throwaway instance's counters are pipeline-local).
+  RAILGUN_RETURN_IF_ERROR(
+      ops::Pipeline::Compile(ddl.pipeline.raw,
+                             reservoir::Schema(0, updated.fields),
+                             /*registry=*/nullptr)
+          .status());
+  updated.pipelines.push_back(ddl.pipeline);
+  return updated;
 }
 
 std::vector<query::PipelineSpec> Client::ListPipelines() const {
@@ -303,7 +299,7 @@ StatusOr<std::unique_ptr<Subscription>> Client::Subscribe(
     std::string payload, result;
     ops::EncodeSubCreateRequest(request, &payload);
     RAILGUN_RETURN_IF_ERROR(remote_bus_->CallOpcode(
-        static_cast<uint8_t>(msg::remote::OpCode::kSubCreate), payload,
+        "", static_cast<uint8_t>(msg::remote::OpCode::kSubCreate), payload,
         &result));
     ops::SubCreateReply reply;
     RAILGUN_RETURN_IF_ERROR(ops::DecodeSubCreateReply(Slice(result), &reply));
@@ -316,69 +312,6 @@ StatusOr<std::unique_ptr<Subscription>> Client::Subscribe(
   }
   RAILGUN_ASSIGN_OR_RETURN(const uint64_t id, hub->Create(statement));
   return std::unique_ptr<Subscription>(new Subscription(hub, id));
-}
-
-Status Client::RemoteAddStream(const std::string& statement,
-                               engine::StreamDef stream) {
-  {
-    MutexLock lock(&mu_);
-    if (streams_.count(stream.name) > 0) {
-      return Status::AlreadyExists("stream already exists: " + stream.name);
-    }
-  }
-  // The broker's metadata service replies only after the cluster
-  // applied the statement on every alive unit, so no second
-  // registration wait is needed.
-  // AlreadyExists means the cluster has the stream (e.g. this client
-  // reattached after a restart): still register it locally so the
-  // client can bind and submit rows, and let the caller see the typed
-  // status.
-  const Status executed =
-      remote_ddl_->Execute(statement, options_.request_timeout);
-  if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
-  // Teach the client's own front end the fan-out routing (topic
-  // creation over the remote bus is idempotent).
-  RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(stream));
-  {
-    MutexLock lock(&mu_);
-    streams_[stream.name] = std::move(stream);
-  }
-  return executed;
-}
-
-Status Client::RemoteAddMetric(const std::string& statement,
-                               query::QueryDef metric) {
-  // Foreign streams are fair game: fetch the definition from the
-  // metadata service before validating the metric against it.
-  RAILGUN_RETURN_IF_ERROR(EnsureStream(metric.stream));
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(metric.stream);
-    if (it == streams_.end()) {
-      return Status::NotFound("unknown stream: " + metric.stream);
-    }
-    RAILGUN_RETURN_IF_ERROR(
-        it->second.PartitionerForQuery(metric).status());
-    for (const auto& existing : it->second.queries) {
-      if (existing.raw == metric.raw) {
-        return Status::AlreadyExists("metric already registered: " +
-                                     metric.raw);
-      }
-    }
-  }
-  // As with streams, AlreadyExists still syncs the client's local view
-  // (the cluster knows this metric from a previous attachment).
-  const Status executed =
-      remote_ddl_->Execute(statement, options_.request_timeout);
-  if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
-  {
-    MutexLock lock(&mu_);
-    auto it = streams_.find(metric.stream);
-    if (it != streams_.end()) {
-      it->second.queries.push_back(std::move(metric));
-    }
-  }
-  return executed;
 }
 
 Status Client::EnsureStream(const std::string& stream) {
@@ -401,12 +334,11 @@ Status Client::EnsureStream(const std::string& stream) {
   auto def_or = meta_->GetStream(stream);
   if (!def_or.ok()) {
     // Transport failures stay Unavailable and wire corruption stays
-    // Corruption (both retryable). A broker without a metadata service
+    // Corruption (both retryable); a broker without a metadata service
     // answers the RPC itself with a typed NotSupported ("unknown
-    // opcode"); that and a plain miss both mean the stream cannot be
-    // resolved — keep the submit paths' typed NotFound.
+    // opcode"). Only a plain miss is cached as an unknown stream.
     const Status& status = def_or.status();
-    if (!status.IsNotFound() && !status.IsNotSupported()) return status;
+    if (!status.IsNotFound()) return status;
     MutexLock lock(&mu_);
     // The negative cache is bounded: expired entries are swept on
     // insert, so it holds at most the distinct unknown names of the
@@ -416,8 +348,7 @@ Status Client::EnsureStream(const std::string& stream) {
       it = now < it->second ? std::next(it) : unknown_streams_.erase(it);
     }
     unknown_streams_[stream] = now + options_.unknown_stream_ttl;
-    return Status::NotFound("unknown stream: " + stream + " (metadata: " +
-                            status.ToString() + ")");
+    return Status::NotFound("unknown stream: " + stream);
   }
   engine::StreamDef def = std::move(def_or).value();
   RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(def));
@@ -450,68 +381,6 @@ Status Client::WaitForRegistration(Micros timeout) {
     }
     clock_->SleepMicros(kMicrosPerMilli);
   }
-}
-
-Status Client::CreateStream(const std::string& ddl) {
-  RAILGUN_ASSIGN_OR_RETURN(query::StreamSchemaDef schema,
-                           query::ParseCreateStream(ddl));
-  engine::StreamDef stream;
-  stream.name = std::move(schema.name);
-  stream.fields = std::move(schema.fields);
-  stream.partitioners = std::move(schema.partitioners);
-  stream.partitions_per_topic = schema.partitions_per_topic;
-  if (remote()) return RemoteAddStream(ddl, std::move(stream));
-  return AddStream(std::move(stream));
-}
-
-Status Client::Query(const std::string& statement) {
-  if (query::IsDdlStatement(statement)) {
-    RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
-                             query::ParseDdl(statement));
-    if (ddl.kind != query::DdlKind::kAddMetric) {
-      return Status::InvalidArgument(
-          "Query() takes ADD METRIC / SELECT statements; use "
-          "CreateStream() for CREATE STREAM");
-    }
-    if (remote()) return RemoteAddMetric(statement, std::move(ddl.metric));
-    return AddMetric(std::move(ddl.metric));
-  }
-  RAILGUN_ASSIGN_OR_RETURN(query::QueryDef metric,
-                           query::ParseQuery(statement));
-  if (remote()) return RemoteAddMetric(statement, std::move(metric));
-  return AddMetric(std::move(metric));
-}
-
-Status Client::Execute(const std::string& statement) {
-  if (query::IsDdlStatement(statement)) {
-    RAILGUN_ASSIGN_OR_RETURN(query::DdlStatement ddl,
-                             query::ParseDdl(statement));
-    if (ddl.kind == query::DdlKind::kCreateStream) {
-      engine::StreamDef stream;
-      stream.name = std::move(ddl.create_stream.name);
-      stream.fields = std::move(ddl.create_stream.fields);
-      stream.partitioners = std::move(ddl.create_stream.partitioners);
-      stream.partitions_per_topic = ddl.create_stream.partitions_per_topic;
-      if (remote()) return RemoteAddStream(statement, std::move(stream));
-      return AddStream(std::move(stream));
-    }
-    if (ddl.kind == query::DdlKind::kAddPipeline) {
-      if (remote()) {
-        return RemoteAddPipeline(statement, std::move(ddl.pipeline));
-      }
-      return AddPipelineLocal(std::move(ddl.pipeline));
-    }
-    if (remote()) return RemoteAddMetric(statement, std::move(ddl.metric));
-    return AddMetric(std::move(ddl.metric));
-  }
-  if (query::IsSubscribeStatement(statement)) {
-    return Status::InvalidArgument(
-        "SUBSCRIBE returns a live tail; use Client::Subscribe()");
-  }
-  RAILGUN_ASSIGN_OR_RETURN(query::QueryDef metric,
-                           query::ParseQuery(statement));
-  if (remote()) return RemoteAddMetric(statement, std::move(metric));
-  return AddMetric(std::move(metric));
 }
 
 std::vector<std::string> Client::ListStreams() const {

@@ -22,6 +22,7 @@
 #define RAILGUN_API_CLIENT_H_
 
 #include <atomic>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,6 +36,7 @@
 #include "engine/admission.h"
 #include "engine/cluster.h"
 #include "introspect/internals.h"
+#include "query/ddl.h"
 
 namespace railgun::msg::remote {
 class RemoteBus;
@@ -45,8 +47,6 @@ class MetaClient;
 }  // namespace railgun::meta
 
 namespace railgun::api {
-
-class RemoteDdlClient;
 
 struct ClientOptions {
   // Topology of the owned cluster.
@@ -61,12 +61,13 @@ struct ClientOptions {
 
   // When set ("host:port" of a msg::remote::BusServer), the client owns
   // no cluster: it attaches to the remote one over the network, running
-  // its own front end against a RemoteBus and shipping DDL through the
-  // bus to the broker's metadata service (see src/api/remote_ddl.h and
-  // src/meta/). The topology fields above are ignored. Schemas of
-  // streams this client did not declare are fetched on demand from the
-  // metadata service; admin() answers node/stream listings from the
-  // metadata view and mutating calls degrade to Unavailable.
+  // its own front end against a RemoteBus and executing DDL as the
+  // broker metadata service's kMetaExecuteDdl RPC (src/meta/). The
+  // topology fields above are ignored. Schemas of streams this client
+  // did not declare are fetched on demand from the metadata service;
+  // admin() answers node/stream listings from the metadata view and
+  // mutating calls degrade to Unavailable. A server without a metadata
+  // service answers DDL and schema fetches with NotSupported.
   std::string remote_address;
 
   // Remote mode: how long a metadata miss ("unknown stream") is cached
@@ -204,18 +205,19 @@ class Client {
   engine::Cluster* cluster() { return cluster_; }
 
  private:
-  Status AddStream(engine::StreamDef stream);
-  Status AddMetric(query::QueryDef metric);
-  Status AddPipelineLocal(query::PipelineSpec pipeline);
-  Status RemoteAddPipeline(const std::string& statement,
-                           query::PipelineSpec pipeline);
-  // Remote-mode DDL: ships the raw statement to the broker's metadata
-  // service, then applies the already-parsed definition to the
-  // client's local registry and front end.
-  Status RemoteAddStream(const std::string& statement,
-                         engine::StreamDef stream);
-  Status RemoteAddMetric(const std::string& statement,
-                         query::QueryDef metric);
+  // The one DDL path behind CreateStream/Query/AddPipeline/Execute:
+  // parses `statement` (a bare SELECT is ADD METRIC), refuses kinds the
+  // entry point does not take (InvalidArgument carrying `refusal`),
+  // validates it against the client's view and applies it — local mode
+  // registers on the cluster, remote mode executes it on the broker's
+  // metadata service — then folds it into the view.
+  Status RunDdl(const std::string& statement,
+                std::initializer_list<query::DdlKind> accepted,
+                const char* refusal);
+  // The stream definition `ddl` produces from the client's view, or
+  // the typed reason the view refuses it.
+  StatusOr<engine::StreamDef> ValidateLocked(
+      const query::DdlStatement& ddl) const REQUIRES(mu_);
   // Blocks until every alive processor unit has applied its enqueued
   // stream registrations (or the timeout elapses).
   Status WaitForRegistration(Micros timeout);
@@ -223,8 +225,8 @@ class Client {
   // definition from the broker's metadata service and teaches the
   // local front end its routing — this is what lets a client submit to
   // (or add metrics on) a stream another client created. NotFound when
-  // neither side knows the stream (or the broker has no metadata
-  // service).
+  // neither side knows the stream; NotSupported when the broker has no
+  // metadata service.
   Status EnsureStream(const std::string& stream);
   StatusOr<reservoir::Event> BindRow(const std::string& stream_name,
                                      const Row& row) const;
@@ -243,7 +245,6 @@ class Client {
   std::string client_id_;
   std::unique_ptr<msg::remote::RemoteBus> remote_bus_;
   std::unique_ptr<engine::FrontEnd> remote_frontend_;
-  std::unique_ptr<RemoteDdlClient> remote_ddl_;
   std::unique_ptr<meta::MetaClient> meta_;
 
   // Null unless ClientOptions::noreply_tokens_per_sec > 0.

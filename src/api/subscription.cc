@@ -10,7 +10,7 @@ Subscription::Subscription(ops::SubscriptionHub* hub, uint64_t id)
     : id_(id), hub_(hub) {}
 
 Subscription::Subscription(msg::remote::RemoteBus* bus, uint64_t id)
-    : id_(id), bus_(bus) {}
+    : id_(id), bus_(bus), conn_key_("sub/" + std::to_string(id)) {}
 
 Subscription::~Subscription() { (void)Cancel(); }
 
@@ -35,8 +35,8 @@ Status Subscription::Next(std::vector<ops::SubRecord>* records,
     std::string payload, result;
     EncodeSubFetchRequest(request, &payload);
     fetched = bus_->CallOpcode(
-        static_cast<uint8_t>(msg::remote::OpCode::kSubFetch), payload,
-        &result);
+        conn_key_, static_cast<uint8_t>(msg::remote::OpCode::kSubFetch),
+        payload, &result);
     if (fetched.ok()) {
       fetched = DecodeSubFetchReply(Slice(result), &reply);
     }
@@ -67,8 +67,9 @@ Status Subscription::Cancel() {
   std::string payload, result;
   EncodeSubCancelRequest(request, &payload);
   const Status s = bus_->CallOpcode(
-      static_cast<uint8_t>(msg::remote::OpCode::kSubCancel), payload,
+      "", static_cast<uint8_t>(msg::remote::OpCode::kSubCancel), payload,
       &result);
+  bus_->DropConnection(conn_key_);
   return s.IsNotFound() ? Status::OK() : s;
 }
 

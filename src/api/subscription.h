@@ -14,6 +14,7 @@
 #ifndef RAILGUN_API_SUBSCRIPTION_H_
 #define RAILGUN_API_SUBSCRIPTION_H_
 
+#include <string>
 #include <vector>
 
 #include "common/clock.h"
@@ -59,12 +60,14 @@ class Subscription {
   friend class Client;
   // Local tail: served directly by the in-process hub.
   Subscription(ops::SubscriptionHub* hub, uint64_t id);
-  // Remote tail: kSubFetch/kSubCancel RPCs on the control connection.
+  // Remote tail: kSubFetch long-polls park on a connection of their
+  // own (so they never stall the client's produces), dropped on Cancel.
   Subscription(msg::remote::RemoteBus* bus, uint64_t id);
 
   const uint64_t id_;
   ops::SubscriptionHub* const hub_ = nullptr;
   msg::remote::RemoteBus* const bus_ = nullptr;
+  const std::string conn_key_;  // Remote: the fetch connection's key.
 
   // Held across the fetch (hub call or RPC): Next/Cancel are
   // serialized, which the ack-on-next-fetch contract requires anyway.

@@ -70,7 +70,6 @@ const char* RankName(int rank) {
     case kRankMetaService: return "MetaService";
     case kRankMetaSweep: return "MetaSweep";
     case kRankApiResult: return "ApiResult";
-    case kRankApiRemoteDdl: return "ApiRemoteDdl";
     case kRankApiClient: return "ApiClient";
     case kRankWorkloadInjector: return "WorkloadInjector";
     case kRankMetaDdlSerializer: return "MetaDdlSerializer";

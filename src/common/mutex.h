@@ -104,8 +104,6 @@ enum LockRank : int {
   // --- api (6xx) ------------------------------------------------------
   kRankApiSubscription = 605,    // api::Subscription stub (held across
                                  // RemoteBus subscription RPCs)
-  kRankApiRemoteDdl = 610,       // RemoteDdlClient (held across bus
-                                 // produce/poll round trips)
   kRankApiClient = 620,          // api::Client registration state
 
   // --- cross-layer serializers (7xx) ---------------------------------

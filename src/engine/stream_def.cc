@@ -1,6 +1,7 @@
 #include "engine/stream_def.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/coding.h"
 
@@ -23,6 +24,37 @@ StatusOr<std::string> StreamDef::PartitionerForQuery(
   }
   return Status::InvalidArgument(
       "no partitioner covers the query's group-by fields");
+}
+
+StreamDef StreamDefFromSchema(query::StreamSchemaDef schema) {
+  StreamDef def;
+  def.name = std::move(schema.name);
+  def.fields = std::move(schema.fields);
+  def.partitioners = std::move(schema.partitioners);
+  def.partitions_per_topic = schema.partitions_per_topic;
+  return def;
+}
+
+bool FoldDdl(query::DdlStatement ddl,
+             std::map<std::string, StreamDef>* streams) {
+  if (ddl.kind == query::DdlKind::kCreateStream) {
+    const std::string name = ddl.create_stream.name;
+    return streams
+        ->try_emplace(name, StreamDefFromSchema(std::move(ddl.create_stream)))
+        .second;
+  }
+  const bool metric = ddl.kind == query::DdlKind::kAddMetric;
+  auto it = streams->find(metric ? ddl.metric.stream : ddl.pipeline.stream);
+  if (it == streams->end()) return false;
+  StreamDef& def = it->second;
+  if (metric) {
+    if (ContainsRaw(def.queries, ddl.metric.raw)) return false;
+    def.queries.push_back(std::move(ddl.metric));
+  } else {
+    if (ContainsRaw(def.pipelines, ddl.pipeline.raw)) return false;
+    def.pipelines.push_back(std::move(ddl.pipeline));
+  }
+  return true;
 }
 
 void EncodeStreamDef(const StreamDef& def, std::string* out) {

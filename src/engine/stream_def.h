@@ -6,10 +6,13 @@
 #ifndef RAILGUN_ENGINE_STREAM_DEF_H_
 #define RAILGUN_ENGINE_STREAM_DEF_H_
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "query/ddl.h"
 #include "query/pipeline.h"
 #include "query/query.h"
 #include "reservoir/event.h"
@@ -39,6 +42,26 @@ struct StreamDef {
   StatusOr<std::string> PartitionerForQuery(
       const query::QueryDef& query) const;
 };
+
+// The definition a CREATE STREAM statement declares (no metrics or
+// pipelines yet).
+StreamDef StreamDefFromSchema(query::StreamSchemaDef schema);
+
+// True when `items` (queries or pipelines) holds the raw statement.
+template <typename T>
+bool ContainsRaw(const std::vector<T>& items, const std::string& raw) {
+  return std::any_of(items.begin(), items.end(),
+                     [&raw](const T& item) { return item.raw == raw; });
+}
+
+// Folds one accepted DDL statement into a stream registry: CREATE
+// STREAM adds an unknown stream (a known one keeps its metrics), ADD
+// METRIC / ADD PIPELINE append to a known stream unless the same raw
+// statement is there. Returns whether the registry changed. The
+// api::Client's view and the metadata service's registry both fold
+// through here, so they agree on reattach and foreign-stream DDL.
+bool FoldDdl(query::DdlStatement ddl,
+             std::map<std::string, StreamDef>* streams);
 
 // Wire form of a stream definition, used by the metadata service so a
 // client or worker process can learn streams it did not declare. Metric

@@ -10,7 +10,7 @@ using msg::remote::OpCode;
 
 Status MetaClient::Call(OpCode opcode, const std::string& payload,
                         std::string* result) {
-  return bus_->CallOpcode(static_cast<uint8_t>(opcode), payload, result);
+  return bus_->CallOpcode("", static_cast<uint8_t>(opcode), payload, result);
 }
 
 StatusOr<AnnounceResult> MetaClient::Announce(
@@ -71,6 +71,14 @@ StatusOr<std::vector<engine::StreamDef>> MetaClient::ListStreams() {
   std::vector<engine::StreamDef> defs;
   RAILGUN_RETURN_IF_ERROR(engine::DecodeStreamDefList(&in, &defs));
   return defs;
+}
+
+Status MetaClient::ExecuteDdl(const std::string& statement) {
+  std::string payload;
+  PutLengthPrefixedSlice(&payload, statement);
+  return bus_->CallOpcode("meta/ddl",
+                          static_cast<uint8_t>(OpCode::kMetaExecuteDdl),
+                          payload, nullptr);
 }
 
 }  // namespace railgun::meta

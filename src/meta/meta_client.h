@@ -1,10 +1,10 @@
 // Client stub for the metadata service: speaks the kMeta* opcodes of
-// the remote wire protocol over a RemoteBus's control connection to a
-// BusServer whose extension hook routes them into the broker's
-// MetadataService.
+// the remote wire protocol over a RemoteBus to a BusServer whose
+// extension hook routes them into the broker's MetadataService. Every
+// RPC but ExecuteDdl rides the bus's control connection.
 //
 // Used by worker daemons (announce/heartbeat/leave, stream sync) and by
-// remote api::Clients (foreign-schema fetch, admin listings). The stub
+// remote api::Clients (DDL, foreign-schema fetch, admin listings). The stub
 // is a pure encoder/decoder: transport — lazy reconnect with capped
 // backoff, correlation ids, Unavailable on failure — is the borrowed
 // RemoteBus's, so metadata RPCs share the connection and failure model
@@ -41,6 +41,13 @@ class MetaClient {
   // ----- Schema registry ----------------------------------------------
   StatusOr<engine::StreamDef> GetStream(const std::string& name);
   StatusOr<std::vector<engine::StreamDef>> ListStreams();
+
+  // ----- DDL ----------------------------------------------------------
+  // Executes one statement on the broker and returns its typed status
+  // once every unit applied it (ADD METRIC backfill included). That wait
+  // runs on a dedicated connection, so it never stalls the bus's
+  // produces.
+  Status ExecuteDdl(const std::string& statement);
 
  private:
   Status Call(msg::remote::OpCode opcode, const std::string& payload,

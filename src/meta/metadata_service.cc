@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "api/remote_ddl.h"
 #include "common/coding.h"
 #include "msg/remote/wire.h"
 #include "query/ddl.h"
@@ -22,22 +21,6 @@ MetadataService::~MetadataService() { Stop(); }
 
 Status MetadataService::Start() {
   if (running_.exchange(true)) return Status::OK();
-  if (options_.run_ddl_service) {
-    Status s = bus_->CreateTopic(api::kDdlTopic, 1);
-    if (!s.ok() && !s.IsAlreadyExists()) {
-      running_ = false;
-      return s;
-    }
-    // The consumer group is the failover seam: a standby service
-    // joining "ddl.svc" takes over the topic when this member dies.
-    s = bus_->Subscribe(ddl_consumer_id_, "ddl.svc", {api::kDdlTopic}, "",
-                        nullptr, {});
-    if (!s.ok()) {
-      running_ = false;
-      return s;
-    }
-    ddl_thread_ = std::thread([this] { DdlLoop(); });
-  }
   // Leases are measured on the bus clock; under a simulated clock there
   // is no real time to sweep on — tests drive CheckLeases directly.
   if (clock_->IsRealTime()) {
@@ -52,11 +35,7 @@ void MetadataService::Stop() {
     MutexLock lock(&sweep_mu_);
   }
   sweep_cv_.NotifyAll();
-  // Cut a parked DDL poll short (best effort).
-  (void)bus_->WakeConsumer(ddl_consumer_id_);
-  if (ddl_thread_.joinable()) ddl_thread_.join();
   if (sweep_thread_.joinable()) sweep_thread_.join();
-  if (options_.run_ddl_service) (void)bus_->Unsubscribe(ddl_consumer_id_);
 }
 
 // ----- Membership -----------------------------------------------------
@@ -269,86 +248,11 @@ Status MetadataService::ExecuteDdl(const std::string& statement) {
   const Status executed = client_.Execute(statement);
   if (!executed.ok() && !executed.IsAlreadyExists()) return executed;
   ddl_executed_.fetch_add(1, std::memory_order_relaxed);
-
-  if (query::IsDdlStatement(statement)) {
-    auto ddl = query::ParseDdl(statement);
-    if (!ddl.ok()) return executed;  // Client accepted it; cannot happen.
-    if (ddl.value().kind == query::DdlKind::kCreateStream) {
-      engine::StreamDef def;
-      query::StreamSchemaDef& schema = ddl.value().create_stream;
-      def.name = std::move(schema.name);
-      def.fields = std::move(schema.fields);
-      def.partitioners = std::move(schema.partitioners);
-      def.partitions_per_topic = schema.partitions_per_topic;
-      MutexLock lock(&mu_);
-      // Keep registered metrics when the stream was already known.
-      if (streams_.count(def.name) == 0) {
-        streams_[def.name] = std::move(def);
-        ++generation_;
-      }
-      return executed;
-    }
-    if (ddl.value().kind == query::DdlKind::kAddPipeline) {
-      AddPipelineToRegistry(std::move(ddl.value().pipeline));
-      return executed;
-    }
-    AddMetricToRegistry(std::move(ddl.value().metric));
-    return executed;
-  }
-  auto metric = query::ParseQuery(statement);
-  if (metric.ok()) AddMetricToRegistry(std::move(metric).value());
+  auto ddl = query::ParseDdlOrMetric(statement);
+  if (!ddl.ok()) return executed;  // Client accepted it; cannot happen.
+  MutexLock lock(&mu_);
+  if (engine::FoldDdl(std::move(ddl).value(), &streams_)) ++generation_;
   return executed;
-}
-
-void MetadataService::AddMetricToRegistry(query::QueryDef metric) {
-  MutexLock lock(&mu_);
-  auto it = streams_.find(metric.stream);
-  if (it == streams_.end()) return;
-  for (const auto& existing : it->second.queries) {
-    if (existing.raw == metric.raw) return;
-  }
-  it->second.queries.push_back(std::move(metric));
-  ++generation_;
-}
-
-void MetadataService::AddPipelineToRegistry(query::PipelineSpec pipeline) {
-  MutexLock lock(&mu_);
-  auto it = streams_.find(pipeline.stream);
-  if (it == streams_.end()) return;
-  for (const auto& existing : it->second.pipelines) {
-    if (existing.raw == pipeline.raw) return;
-  }
-  it->second.pipelines.push_back(std::move(pipeline));
-  ++generation_;
-}
-
-void MetadataService::DdlLoop() {
-  msg::MessageBatch batch;
-  while (running_) {
-    const Status polled =
-        bus_->PollBatch(ddl_consumer_id_, 16, &batch, 50 * kMicrosPerMilli);
-    if (!polled.ok()) {
-      // Fenced or unreachable: back off without spinning; statements
-      // in flight simply time out on the client.
-      MonotonicClock::Default()->SleepMicros(10 * kMicrosPerMilli);
-      continue;
-    }
-    for (const msg::MessageView& message : batch.views()) {
-      api::DdlRequest request;
-      if (!api::DecodeDdlRequest(message.payload, &request).ok()) {
-        continue;
-      }
-      api::DdlReply reply;
-      reply.request_id = request.request_id;
-      reply.result = ExecuteDdl(request.statement);
-      std::string encoded;
-      api::EncodeDdlReply(reply, &encoded);
-      // Best effort: an unreachable reply topic means the client died;
-      // it would have timed out anyway.
-      (void)bus_->Produce(request.reply_topic, request.reply_topic,
-                          std::move(encoded));
-    }
-  }
 }
 
 void MetadataService::SweepLoop() {
@@ -425,6 +329,15 @@ bool MetadataService::HandleWire(uint8_t opcode, const Slice& payload,
     case OpCode::kMetaListStreams: {
       engine::EncodeStreamDefList(ListStreamDefs(), result);
       *status = Status::OK();
+      return true;
+    }
+    case OpCode::kMetaExecuteDdl: {
+      Slice statement;
+      if (!GetLengthPrefixedSlice(&in, &statement)) {
+        *status = Status::Corruption("malformed DDL request");
+        return true;
+      }
+      *status = ExecuteDdl(statement.ToString());
       return true;
     }
     default:

@@ -11,17 +11,15 @@
 //     survivors;
 //   - a schema registry of wire-serializable StreamDefs, so any client
 //     or worker can fetch streams it did not declare;
-//   - DDL execution (absorbed from PR 3's api::DdlService): statements
-//     arriving on the "__railgun.ddl" topic are executed through an
-//     attached api::Client and folded into the registry. The DDL
-//     consumer runs in a consumer group, which is the failover path: a
-//     standby metadata service joining the same group would take over
-//     the topic when this one dies (leader election is the seeded next
-//     step, see ROADMAP.md).
+//   - DDL execution: kMetaExecuteDdl statements are executed through
+//     an attached api::Client and folded into the registry. DDL needs
+//     no failover path of its own: it lives in the broker process with
+//     the bus and the other kMeta* RPCs, so it fails over with them
+//     once the broker does (broker HA, see ROADMAP.md).
 //
 // Wire surface: the BusServer extension hook routes the kMeta* opcodes
-// (msg/remote/wire.h) into HandleWire; meta::MetaClient is the client
-// stub.
+// (msg/remote/wire.h) into HandleWire, on the server's connection
+// threads; meta::MetaClient is the client stub.
 #ifndef RAILGUN_META_METADATA_SERVICE_H_
 #define RAILGUN_META_METADATA_SERVICE_H_
 
@@ -49,9 +47,6 @@ struct MetadataServiceOptions {
   // are pruned — workers restart under fresh generated ids, so without
   // a bound the node map would grow forever.
   Micros dead_node_retention = 10 * kMicrosPerMinute;
-  // Consume the "__railgun.ddl" topic and execute statements. Disabled
-  // by tests that drive ExecuteDdl directly.
-  bool run_ddl_service = true;
 };
 
 class MetadataService {
@@ -99,7 +94,8 @@ class MetadataService {
   // Executes one statement through the attached client (full
   // validation, applied-by-every-local-unit synchronization) and folds
   // the result into the schema registry. AlreadyExists still syncs the
-  // registry, mirroring client reattachment semantics.
+  // registry, mirroring client reattachment semantics. Statements are
+  // serialized; the kMetaExecuteDdl RPC lands here.
   Status ExecuteDdl(const std::string& statement);
 
   // ----- Introspection -------------------------------------------------
@@ -136,7 +132,6 @@ class MetadataService {
     bool fencing = false;
   };
 
-  void DdlLoop();
   void SweepLoop();
   // Appends newly expired nodes' unit ids to *fence and their node ids
   // to *fenced (the caller must hand both to FenceUnits). Also prunes
@@ -148,8 +143,6 @@ class MetadataService {
   // the named nodes' fencing flags, unblocking re-announces.
   void FenceUnits(const std::vector<std::string>& units,
                   const std::vector<std::string>& fenced);
-  void AddMetricToRegistry(query::QueryDef metric);
-  void AddPipelineToRegistry(query::PipelineSpec pipeline);
 
   MetadataServiceOptions options_;
   engine::Cluster* cluster_;
@@ -172,11 +165,9 @@ class MetadataService {
   std::atomic<uint64_t> ddl_executed_{0};
 
   std::atomic<bool> running_{false};
-  std::thread ddl_thread_;
   std::thread sweep_thread_;
   Mutex sweep_mu_{kRankMetaSweep};
   CondVar sweep_cv_;
-  const std::string ddl_consumer_id_ = "ddl.svc";
 };
 
 }  // namespace railgun::meta

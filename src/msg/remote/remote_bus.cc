@@ -88,9 +88,15 @@ Status RemoteBus::EnsureConnectedLocked(Conn* conn) const {
   return Status::OK();
 }
 
-Status RemoteBus::CallOpcode(uint8_t opcode, const std::string& payload,
+Status RemoteBus::CallOpcode(const std::string& key, uint8_t opcode,
+                             const std::string& payload,
                              std::string* result) {
-  return CallControl(static_cast<OpCode>(opcode), payload, result);
+  return Call(ConnFor(key), static_cast<OpCode>(opcode), payload, result);
+}
+
+void RemoteBus::DropConnection(const std::string& key) {
+  MutexLock lock(&mu_);
+  conns_.erase(key);
 }
 
 Status RemoteBus::Call(const std::shared_ptr<Conn>& conn, OpCode opcode,
@@ -278,9 +284,11 @@ Status RemoteBus::Unsubscribe(const std::string& consumer_id) {
   std::string payload;
   PutLengthPrefixedSlice(&payload, consumer_id);
   const Status status = CallControl(OpCode::kUnsubscribe, payload, nullptr);
-  MutexLock lock(&mu_);
-  listeners_.erase(consumer_id);
-  conns_.erase(consumer_id);  // Drop the dedicated poll connection.
+  {
+    MutexLock lock(&mu_);
+    listeners_.erase(consumer_id);
+  }
+  DropConnection(consumer_id);  // The dedicated poll connection.
   return status;
 }
 

@@ -3,14 +3,15 @@
 // broker in another process without touching engine/ or api/ code.
 //
 // Connection model: one control connection for administrative and
-// producer traffic, plus one lazily created connection per consumer for
-// PollBatch — a blocking poll parks server-side on the consumer connection
-// while WakeConsumer/Produce traffic flows on the control connection,
-// mirroring the in-process wake-on-arrival contract. Each connection
-// carries one outstanding request at a time (correlation ids are still
-// checked defensively). Every dialled connection first sends kHello
-// with wire.h's kProtocolVersion; a server speaking another version
-// refuses it, and calls on that connection fail with the typed
+// producer traffic, plus one lazily created connection per key: per
+// consumer for PollBatch, and per caller-chosen key for other blocking
+// RPCs (CallOpcode) — a blocking call parks server-side on its own
+// connection while WakeConsumer/Produce traffic flows on the control
+// connection, mirroring the in-process wake-on-arrival contract. Each
+// connection carries one outstanding request at a time (correlation ids
+// are still checked defensively). Every dialled connection first sends
+// kHello with wire.h's kProtocolVersion; a server speaking another
+// version refuses it, and calls on that connection fail with the typed
 // ProtocolMismatch error instead of exchanging frames neither side can
 // read.
 //
@@ -134,12 +135,18 @@ class RemoteBus : public Bus {
   uint64_t pool_misses() const { return pool_.misses(); }
   uint64_t decode_bytes() const { return pool_.bytes(); }
 
-  // Generic RPC on the control connection, for stubs speaking opcodes
-  // the bus itself does not (the metadata service's kMeta* RPCs via
-  // meta::MetaClient): same correlation, reconnect-backoff and
-  // failure model as every built-in call.
-  Status CallOpcode(uint8_t opcode, const std::string& payload,
-                    std::string* result);
+  // Generic RPC for stubs speaking opcodes the bus itself does not
+  // (meta::MetaClient's kMeta* RPCs, api::Subscription's kSub*): same
+  // correlation, reconnect-backoff and failure model as every built-in
+  // call. `key` names the connection: "" is the control connection,
+  // anything else a dedicated one (sharing the consumer-id namespace),
+  // which a call that may block server-side must use so it never
+  // stalls produces.
+  Status CallOpcode(const std::string& key, uint8_t opcode,
+                    const std::string& payload, std::string* result);
+  // Closes the dedicated connection named `key`, if any (a call in
+  // flight on it finishes first).
+  void DropConnection(const std::string& key);
 
  private:
   struct Conn {
@@ -158,7 +165,7 @@ class RemoteBus : public Bus {
     Status refusal GUARDED_BY(mu);
   };
 
-  // Returns the connection for `key` ("" = control, else per-consumer),
+  // Returns the connection for `key` ("" = control, else dedicated),
   // creating and connecting it if needed.
   std::shared_ptr<Conn> ConnFor(const std::string& key) const;
   // Dials conn->sock if disconnected, honoring the backoff window, and

@@ -42,8 +42,10 @@ constexpr uint8_t kResponseBit = 0x80;
 
 // Version carried by kHello. Bump it on any incompatible change to a
 // frame or payload layout: peers never negotiate formats, they either
-// match or refuse each other at connect time.
-constexpr uint32_t kProtocolVersion = 1;
+// match or refuse each other at connect time. v2: DDL is the
+// kMetaExecuteDdl RPC (v1 clients published it to a bus topic that no
+// v2 server consumes).
+constexpr uint32_t kProtocolVersion = 2;
 
 // The typed error a kHello with a foreign version gets (and that
 // RemoteBus surfaces from the first call on such a connection). Not a
@@ -103,6 +105,10 @@ enum class OpCode : uint8_t {
   kMetaGetView = 35,
   kMetaGetStream = 36,
   kMetaListStreams = 37,
+  // [length-prefixed statement] -> status only. Answered once every
+  // unit applied the statement, so clients send it on a keyed
+  // connection (RemoteBus::CallOpcode), never the control one.
+  kMetaExecuteDdl = 38,
 };
 
 struct Frame {

@@ -168,4 +168,12 @@ StatusOr<DdlStatement> ParseDdl(const std::string& statement) {
       tokens.Peek().raw + "'");
 }
 
+StatusOr<DdlStatement> ParseDdlOrMetric(const std::string& statement) {
+  if (IsDdlStatement(statement)) return ParseDdl(statement);
+  DdlStatement ddl;
+  ddl.kind = DdlKind::kAddMetric;
+  RAILGUN_ASSIGN_OR_RETURN(ddl.metric, ParseQuery(statement));
+  return ddl;
+}
+
 }  // namespace railgun::query

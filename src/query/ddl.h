@@ -54,6 +54,10 @@ bool IsDdlStatement(const std::string& statement);
 // ParseQuery, so the metric grammar is identical to ad-hoc queries.
 StatusOr<DdlStatement> ParseDdl(const std::string& statement);
 
+// ParseDdl, also reading a bare SELECT as the ADD METRIC it means: the
+// statement forms the client's DDL entry points accept.
+StatusOr<DdlStatement> ParseDdlOrMetric(const std::string& statement);
+
 // Parses only the CREATE STREAM form. Validates that field names are
 // unique, types are known, PARTITION BY is present and every
 // partitioner is a declared field.

@@ -3,13 +3,16 @@
 // MetadataService's lease lifecycle under a SimulatedClock (expiry
 // after exactly the configured timeout, unit fencing, one rebalance,
 // tasks landing on survivors), DDL absorption into the schema
-// registry, and the full multi-process topology over loopback TCP:
+// registry and the kMetaExecuteDdl RPC (truncated requests execute
+// nothing; typed errors cross the loopback unchanged), and the full
+// multi-process topology over loopback TCP:
 // broker + worker nodes + remote clients, including a client
 // submitting to a stream it did not create and a graceful node leave
 // that preserves every acked event.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "api/client.h"
 #include "common/coding.h"
@@ -18,8 +21,11 @@
 #include "engine/stream_def.h"
 #include "meta/broker.h"
 #include "meta/cluster_view.h"
+#include "meta/meta_client.h"
 #include "meta/metadata_service.h"
 #include "meta/worker_node.h"
+#include "msg/remote/remote_bus.h"
+#include "msg/remote/wire.h"
 #include "query/query.h"
 
 namespace railgun::meta {
@@ -198,7 +204,6 @@ class MembershipTest : public ::testing::Test {
 
     MetadataServiceOptions meta_options;
     meta_options.lease_timeout = kLease;
-    meta_options.run_ddl_service = false;  // Driven directly.
     meta_ = std::make_unique<MetadataService>(meta_options, cluster_.get());
     ASSERT_TRUE(meta_->Start().ok());
   }
@@ -328,9 +333,7 @@ TEST(MetadataDdlTest, ExecuteDdlPopulatesTheSchemaRegistry) {
   options.bus.delivery_delay = 0;
   engine::Cluster cluster(options);
   ASSERT_TRUE(cluster.Start().ok());
-  MetadataServiceOptions meta_options;
-  meta_options.run_ddl_service = false;
-  MetadataService meta(meta_options, &cluster);
+  MetadataService meta(MetadataServiceOptions(), &cluster);
 
   EXPECT_TRUE(meta.GetStream("payments").status().IsNotFound());
   const uint64_t generation0 = meta.View().generation;
@@ -361,6 +364,80 @@ TEST(MetadataDdlTest, ExecuteDdlPopulatesTheSchemaRegistry) {
                   .IsNotFound());
   EXPECT_EQ(meta.ListStreamDefs().size(), 1u);
   EXPECT_EQ(meta.View().streams, std::vector<std::string>{"payments"});
+}
+
+TEST(MetadataDdlTest, EveryTruncatedExecuteDdlRequestIsCorruption) {
+  engine::ClusterOptions options;
+  options.num_nodes = 0;
+  options.base_dir = "/tmp/railgun-meta-ddl-truncation";
+  options.bus.delivery_delay = 0;
+  engine::Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  MetadataService meta(MetadataServiceOptions(), &cluster);
+  const uint8_t opcode =
+      static_cast<uint8_t>(msg::remote::OpCode::kMetaExecuteDdl);
+
+  std::string payload;
+  PutLengthPrefixedSlice(&payload,
+                         "CREATE STREAM payments (cardId STRING) "
+                         "PARTITION BY cardId");
+  for (size_t len = 0; len < payload.size(); ++len) {
+    Status status;
+    std::string result;
+    ASSERT_TRUE(meta.HandleWire(opcode, Slice(payload.data(), len), &status,
+                                &result));
+    EXPECT_TRUE(status.IsCorruption())
+        << "prefix length " << len << ": " << status.ToString();
+  }
+  // No prefix executed anything: neither a statement nor a stream.
+  EXPECT_EQ(meta.ddl_executed(), 0u);
+  EXPECT_TRUE(meta.ListStreamDefs().empty());
+
+  Status status;
+  std::string result;
+  ASSERT_TRUE(meta.HandleWire(opcode, Slice(payload), &status, &result));
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(result.empty());  // The response is the status only.
+  EXPECT_TRUE(meta.GetStream("payments").ok());
+  cluster.Stop();
+}
+
+TEST(MetadataDdlTest, ExecuteDdlStatusesCrossTheLoopbackUnchanged) {
+  BrokerOptions options;
+  options.cluster.base_dir = "/tmp/railgun-meta-ddl-loopback";
+  options.cluster.bus.delivery_delay = 0;
+  Broker broker(options);
+  ASSERT_TRUE(broker.Start().ok());
+  msg::remote::RemoteBusOptions bus_options;
+  bus_options.address = broker.address();
+  msg::remote::RemoteBus bus(bus_options);
+  ASSERT_TRUE(bus.Connect().ok());
+  MetaClient client(&bus);
+
+  const std::string create =
+      "CREATE STREAM payments (cardId STRING, amount DOUBLE) "
+      "PARTITION BY cardId";
+  ASSERT_TRUE(client.ExecuteDdl(create).ok());
+  ASSERT_TRUE(broker.metadata()->GetStream("payments").ok());
+
+  // Each failure is deterministic, so re-running the statement on the
+  // service directly yields the status the RPC must have carried.
+  const std::vector<std::pair<std::string, bool (Status::*)() const>>
+      failures = {
+          {create, &Status::IsAlreadyExists},
+          {"ADD METRIC SELECT count(*) FROM nope GROUP BY cardId "
+           "OVER sliding 1 minutes",
+           &Status::IsNotFound},
+          {"CREATE STREAM broken (cardId STRING) PARTITION BY nope",
+           &Status::IsInvalidArgument},
+      };
+  for (const auto& [statement, has_code] : failures) {
+    const Status remote = client.ExecuteDdl(statement);
+    EXPECT_TRUE((remote.*has_code)()) << statement << ": " << remote.ToString();
+    EXPECT_EQ(remote.ToString(),
+              broker.metadata()->ExecuteDdl(statement).ToString());
+  }
+  broker.Stop();
 }
 
 }  // namespace

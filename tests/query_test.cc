@@ -262,6 +262,17 @@ TEST(DdlTest, ParseDdlRoutesBothForms) {
       ParseDdl("SELECT sum(v) FROM s GROUP BY a OVER infinite").ok());
 }
 
+TEST(DdlTest, ParseDdlOrMetricReadsABareSelectAsAddMetric) {
+  auto bare = ParseDdlOrMetric("SELECT sum(v) FROM s GROUP BY a OVER infinite");
+  ASSERT_TRUE(bare.ok()) << bare.status().ToString();
+  EXPECT_EQ(bare->kind, DdlKind::kAddMetric);
+  EXPECT_EQ(bare->metric.stream, "s");
+  auto create = ParseDdlOrMetric("CREATE STREAM s (a INT) PARTITION BY a");
+  ASSERT_TRUE(create.ok());
+  EXPECT_EQ(create->kind, DdlKind::kCreateStream);
+  EXPECT_TRUE(ParseDdlOrMetric("DROP STREAM s").status().IsInvalidArgument());
+}
+
 TEST(DdlTest, IsDdlStatement) {
   EXPECT_TRUE(IsDdlStatement("CREATE STREAM s (a INT) PARTITION BY a"));
   EXPECT_TRUE(IsDdlStatement("  add metric select count(*) from s"));

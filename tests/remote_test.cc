@@ -5,7 +5,9 @@
 // RemoteBus surfaces it from the first call), RemoteBus <-> BusServer
 // behavior over a loopback socket (produce/poll, blocking poll
 // wake-on-arrival, rebalance callback streaming), the full remote
-// api::Client quickstart flow, and kill-the-server failure handling.
+// api::Client quickstart flow (a parked subscription fetch never
+// stalls submits; DDL on a server without a metadata service fails
+// fast and typed), and kill-the-server failure handling.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +17,6 @@
 #include <thread>
 
 #include "api/client.h"
-#include "api/remote_ddl.h"
 #include "common/clock.h"
 #include "engine/cluster.h"
 #include "meta/broker.h"
@@ -408,7 +409,9 @@ TEST(BusServerTest, HelloWithAForeignVersionGetsTheTypedMismatch) {
   auto sock_or = Socket::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(sock_or.ok());
   Socket sock = std::move(sock_or).value();
-  for (const uint32_t version : {kProtocolVersion + 1, kProtocolVersion}) {
+  // kProtocolVersion - 1 is a client from before DDL became an RPC.
+  for (const uint32_t version :
+       {kProtocolVersion + 1, kProtocolVersion - 1, kProtocolVersion}) {
     std::string wire;
     EncodeFrame(HelloFrame(version), &wire);
     ASSERT_TRUE(sock.SendAll(wire.data(), wire.size()).ok());
@@ -1358,9 +1361,52 @@ TEST(RemoteClientTest, PipelineRoutesAndSubscriptionTailsEndToEnd) {
   harness.Stop();
 }
 
-TEST(RemoteClientTest, SubscribeOnAServerWithoutAHubIsNotSupported) {
-  // A plain BusServer (no broker extension) hosts no subscription hub:
-  // Subscribe gets the server's typed NotSupported, every time.
+TEST(RemoteClientTest, ParkedSubscriptionFetchDoesNotStallSubmits) {
+  // A Next() long-polling an idle tail parks server-side. Submits from
+  // the same client must not queue behind it: the fetch has its own
+  // connection, the produce rides the control one.
+  RemoteHarness harness("sub-stall");
+  ASSERT_TRUE(harness.Start().ok());
+  ClientOptions options;
+  options.remote_address = harness.address();
+  Client client(options);
+  ASSERT_TRUE(client.Start().ok());
+  ASSERT_TRUE(client.CreateStream(kPaymentsDdl).ok());
+  ASSERT_TRUE(client.Query(kCardMetric).ok());
+  ASSERT_TRUE(client
+                  .CreateStream("CREATE STREAM alerts (cardId STRING) "
+                                "PARTITION BY cardId")
+                  .ok());
+  auto sub = client.Subscribe("SUBSCRIBE SELECT * FROM alerts");
+  ASSERT_TRUE(sub.ok()) << sub.status().ToString();
+
+  constexpr Micros kParkedWait = 1500 * kMicrosPerMilli;
+  Clock* clock = MonotonicClock::Default();
+  std::thread parked([&] {
+    std::vector<ops::SubRecord> records;
+    EXPECT_TRUE(sub.value()->Next(&records, kParkedWait).ok());
+    EXPECT_TRUE(records.empty());
+  });
+  clock->SleepMicros(200 * kMicrosPerMilli);  // Let the fetch park.
+  const Micros start = clock->NowMicros();
+  const EventResult result = client.SubmitSync(
+      "payments",
+      Row().Set("cardId", "c1").Set("merchantId", "m1").Set("amount", 1.0));
+  const Micros elapsed = clock->NowMicros() - start;
+  parked.join();
+  EXPECT_TRUE(result.ok()) << result.status.ToString();
+  EXPECT_LT(elapsed, kParkedWait / 3) << "submit waited out the parked fetch";
+
+  EXPECT_TRUE(sub.value()->Cancel().ok());
+  client.Stop();
+  harness.Stop();
+}
+
+TEST(RemoteClientTest, DdlAndSubscribeOnAPlainServerFailFastAndTyped) {
+  // A plain BusServer (no broker extension) hosts neither a metadata
+  // service nor a subscription hub: DDL and Subscribe get the server's
+  // typed NotSupported at once, every time, and leave nothing behind
+  // on the hosted bus.
   msg::BusOptions bus_options;
   bus_options.delivery_delay = 0;
   msg::InProcessBus bus(bus_options);
@@ -1369,14 +1415,27 @@ TEST(RemoteClientTest, SubscribeOnAServerWithoutAHubIsNotSupported) {
 
   ClientOptions options;
   options.remote_address = server.address();
+  options.request_timeout = 2 * kMicrosPerSecond;
   Client client(options);
   ASSERT_TRUE(client.Start().ok());
+  Clock* clock = MonotonicClock::Default();
   for (int attempt = 0; attempt < 2; ++attempt) {
+    Micros start = clock->NowMicros();
+    const Status created = client.CreateStream(kPaymentsDdl);
+    EXPECT_TRUE(created.IsNotSupported()) << created.ToString();
+    EXPECT_LT(clock->NowMicros() - start, options.request_timeout / 4);
+    start = clock->NowMicros();
+    const Status queried = client.Query(kCardMetric);
+    EXPECT_TRUE(queried.IsNotSupported()) << queried.ToString();
+    EXPECT_LT(clock->NowMicros() - start, options.request_timeout / 4);
     EXPECT_TRUE(client.Subscribe("SUBSCRIBE SELECT * FROM payments")
                     .status()
                     .IsNotSupported())
         << "attempt " << attempt;
   }
+  // The topic DDL travelled on before it became an RPC.
+  const std::string legacy_ddl_topic = std::string("__railgun") + ".ddl";
+  EXPECT_TRUE(bus.NumPartitions(legacy_ddl_topic).status().IsNotFound());
   client.Stop();
   server.Stop();
 }
