@@ -42,47 +42,28 @@ const char* AggKindName(AggKind kind) {
   return "?";
 }
 
-Status Aggregator::EnterColumn(const double* values, const uint64_t* offsets,
-                               size_t n, std::string* state,
-                               AggContext* ctx) {
-  Event event;
-  for (size_t i = 0; i < n; ++i) {
-    event.offset = offsets[i];
-    RAILGUN_RETURN_IF_ERROR(Enter(FieldValue(values[i]), event, state, ctx));
-  }
-  return Status::OK();
-}
-
-Status Aggregator::ExpireColumn(const double* values, const uint64_t* offsets,
-                                size_t n, std::string* state,
-                                AggContext* ctx) {
-  Event event;
-  for (size_t i = 0; i < n; ++i) {
-    event.offset = offsets[i];
-    RAILGUN_RETURN_IF_ERROR(Expire(FieldValue(values[i]), event, state, ctx));
-  }
-  return Status::OK();
-}
-
 namespace {
+
+// The number one event contributes; count(*) (field -1) counts 1.
+double NumberAt(const Event* event, int field) {
+  return field >= 0 ? event->values[field].ToNumber() : 1.0;
+}
+
+double RunSum(const Event* const* events, size_t n, int field) {
+  double sum = 0;
+  for (size_t i = 0; i < n; ++i) sum += NumberAt(events[i], field);
+  return sum;
+}
 
 // -------------------------------------------------------- count
 class CountAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue&, const Event&, std::string* state,
+  Status Enter(const Event* const*, size_t n, int, std::string* state,
                AggContext*) override {
-    return Bump(state, +1);
-  }
-  Status Expire(const FieldValue&, const Event&, std::string* state,
-                AggContext*) override {
-    return Bump(state, -1);
-  }
-  Status EnterColumn(const double*, const uint64_t*, size_t n,
-                     std::string* state, AggContext*) override {
     return Bump(state, static_cast<int64_t>(n));
   }
-  Status ExpireColumn(const double*, const uint64_t*, size_t n,
-                      std::string* state, AggContext*) override {
+  Status Expire(const Event* const*, size_t n, int, std::string* state,
+                AggContext*) override {
     return Bump(state, -static_cast<int64_t>(n));
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
@@ -110,21 +91,13 @@ class CountAggregator : public Aggregator {
 // -------------------------------------------------------- sum
 class SumAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
-    return Bump(state, v.ToNumber());
+  Status Enter(const Event* const* events, size_t n, int field,
+               std::string* state, AggContext*) override {
+    return Bump(state, RunSum(events, n, field));
   }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext*) override {
-    return Bump(state, -v.ToNumber());
-  }
-  Status EnterColumn(const double* values, const uint64_t*, size_t n,
-                     std::string* state, AggContext*) override {
-    return Bump(state, ColumnSum(values, n));
-  }
-  Status ExpireColumn(const double* values, const uint64_t*, size_t n,
-                      std::string* state, AggContext*) override {
-    return Bump(state, -ColumnSum(values, n));
+  Status Expire(const Event* const* events, size_t n, int field,
+                std::string* state, AggContext*) override {
+    return Bump(state, -RunSum(events, n, field));
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
     double sum = 0;
@@ -136,11 +109,6 @@ class SumAggregator : public Aggregator {
   }
 
  private:
-  static double ColumnSum(const double* values, size_t n) {
-    double sum = 0;
-    for (size_t i = 0; i < n; ++i) sum += values[i];
-    return sum;
-  }
   static Status Bump(std::string* state, double delta) {
     double sum = 0;
     if (!state->empty()) {
@@ -156,25 +124,13 @@ class SumAggregator : public Aggregator {
 // -------------------------------------------------------- avg
 class AvgAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
-    return Bump(state, v.ToNumber(), +1);
+  Status Enter(const Event* const* events, size_t n, int field,
+               std::string* state, AggContext*) override {
+    return Bump(state, RunSum(events, n, field), static_cast<int64_t>(n));
   }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext*) override {
-    return Bump(state, -v.ToNumber(), -1);
-  }
-  Status EnterColumn(const double* values, const uint64_t*, size_t n,
-                     std::string* state, AggContext*) override {
-    double acc = 0;
-    for (size_t i = 0; i < n; ++i) acc += values[i];
-    return Bump(state, acc, static_cast<int64_t>(n));
-  }
-  Status ExpireColumn(const double* values, const uint64_t*, size_t n,
-                      std::string* state, AggContext*) override {
-    double acc = 0;
-    for (size_t i = 0; i < n; ++i) acc += values[i];
-    return Bump(state, -acc, -static_cast<int64_t>(n));
+  Status Expire(const Event* const* events, size_t n, int field,
+                std::string* state, AggContext*) override {
+    return Bump(state, -RunSum(events, n, field), -static_cast<int64_t>(n));
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
     double sum = 0;
@@ -212,46 +168,15 @@ class AvgAggregator : public Aggregator {
 // update, which is numerically acceptable for the window sizes involved.
 class StdDevAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
-    int64_t n;
-    double mean, m2;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
-    const double x = v.ToNumber();
-    ++n;
-    const double delta = x - mean;
-    mean += delta / static_cast<double>(n);
-    m2 += delta * (x - mean);
-    Store(state, n, mean, m2);
-    return Status::OK();
-  }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext*) override {
-    int64_t n;
-    double mean, m2;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
-    const double x = v.ToNumber();
-    if (n <= 1) {
-      Store(state, 0, 0, 0);
-      return Status::OK();
-    }
-    // Inverse Welford step.
-    const double mean_prev =
-        (static_cast<double>(n) * mean - x) / static_cast<double>(n - 1);
-    m2 -= (x - mean) * (x - mean_prev);
-    if (m2 < 0) m2 = 0;  // Guard against rounding drift.
-    Store(state, n - 1, mean_prev, m2);
-    return Status::OK();
-  }
   // Welford updates run entirely in registers; the state round-trips
-  // through the blob once per run instead of once per event.
-  Status EnterColumn(const double* values, const uint64_t*, size_t count,
-                     std::string* state, AggContext*) override {
+  // through the blob once per run.
+  Status Enter(const Event* const* events, size_t count, int field,
+               std::string* state, AggContext*) override {
     int64_t n;
     double mean, m2;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
     for (size_t i = 0; i < count; ++i) {
-      const double x = values[i];
+      const double x = NumberAt(events[i], field);
       ++n;
       const double delta = x - mean;
       mean += delta / static_cast<double>(n);
@@ -260,13 +185,14 @@ class StdDevAggregator : public Aggregator {
     Store(state, n, mean, m2);
     return Status::OK();
   }
-  Status ExpireColumn(const double* values, const uint64_t*, size_t count,
-                      std::string* state, AggContext*) override {
+  // Inverse Welford steps.
+  Status Expire(const Event* const* events, size_t count, int field,
+                std::string* state, AggContext*) override {
     int64_t n;
     double mean, m2;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &mean, &m2));
     for (size_t i = 0; i < count; ++i) {
-      const double x = values[i];
+      const double x = NumberAt(events[i], field);
       if (n <= 1) {
         n = 0;
         mean = 0;
@@ -276,7 +202,7 @@ class StdDevAggregator : public Aggregator {
       const double mean_prev =
           (static_cast<double>(n) * mean - x) / static_cast<double>(n - 1);
       m2 -= (x - mean) * (x - mean_prev);
-      if (m2 < 0) m2 = 0;
+      if (m2 < 0) m2 = 0;  // Guard against rounding drift.
       mean = mean_prev;
       --n;
     }
@@ -322,44 +248,28 @@ class ExtremumAggregator : public Aggregator {
  public:
   explicit ExtremumAggregator(bool is_max) : is_max_(is_max) {}
 
-  Status Enter(const FieldValue& v, const Event& e, std::string* state,
-               AggContext*) override {
-    std::deque<Entry> dq;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
-    const double x = v.ToNumber();
-    while (!dq.empty() && Dominates(x, dq.back().value)) dq.pop_back();
-    dq.push_back({x, e.offset});
-    Store(state, dq);
-    return Status::OK();
-  }
-  Status Expire(const FieldValue&, const Event& e, std::string* state,
-                AggContext*) override {
-    std::deque<Entry> dq;
-    RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
-    if (!dq.empty() && dq.front().offset == e.offset) dq.pop_front();
-    Store(state, dq);
-    return Status::OK();
-  }
   // Parse the deque once, run every push/pop against it in memory,
   // serialize once.
-  Status EnterColumn(const double* values, const uint64_t* offsets,
-                     size_t n, std::string* state, AggContext*) override {
+  Status Enter(const Event* const* events, size_t n, int field,
+               std::string* state, AggContext*) override {
     std::deque<Entry> dq;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
     for (size_t i = 0; i < n; ++i) {
-      const double x = values[i];
+      const double x = NumberAt(events[i], field);
       while (!dq.empty() && Dominates(x, dq.back().value)) dq.pop_back();
-      dq.push_back({x, offsets[i]});
+      dq.push_back({x, events[i]->offset});
     }
     Store(state, dq);
     return Status::OK();
   }
-  Status ExpireColumn(const double*, const uint64_t* offsets, size_t n,
-                      std::string* state, AggContext*) override {
+  Status Expire(const Event* const* events, size_t n, int,
+                std::string* state, AggContext*) override {
     std::deque<Entry> dq;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &dq));
     for (size_t i = 0; i < n; ++i) {
-      if (!dq.empty() && dq.front().offset == offsets[i]) dq.pop_front();
+      if (!dq.empty() && dq.front().offset == events[i]->offset) {
+        dq.pop_front();
+      }
     }
     Store(state, dq);
     return Status::OK();
@@ -412,14 +322,16 @@ class LastPrevAggregator : public Aggregator {
  public:
   explicit LastPrevAggregator(bool prev) : prev_(prev) {}
 
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext*) override {
+  Status Enter(const Event* const* events, size_t count, int field,
+               std::string* state, AggContext*) override {
     double last = 0, prev = 0;
     uint32_t n = 0;
     RAILGUN_RETURN_IF_ERROR(Parse(*state, &n, &last, &prev));
-    prev = last;
-    last = v.ToNumber();
-    n = std::min<uint32_t>(n + 1, 2);
+    for (size_t i = 0; i < count; ++i) {
+      prev = last;
+      last = NumberAt(events[i], field);
+      n = std::min<uint32_t>(n + 1, 2);
+    }
     state->clear();
     PutVarint32(state, n);
     PutDouble(state, last);
@@ -427,7 +339,7 @@ class LastPrevAggregator : public Aggregator {
     return Status::OK();
   }
   // `last`/`prev` track arrival recency, not window membership.
-  Status Expire(const FieldValue&, const Event&, std::string*,
+  Status Expire(const Event* const*, size_t, int, std::string*,
                 AggContext*) override {
     return Status::OK();
   }
@@ -463,49 +375,57 @@ class LastPrevAggregator : public Aggregator {
 // RocksDB to hold the counts").
 class CountDistinctAggregator : public Aggregator {
  public:
-  Status Enter(const FieldValue& v, const Event&, std::string* state,
-               AggContext* ctx) override {
-    if (ctx == nullptr || ctx->db == nullptr) {
-      return Status::InvalidArgument("countDistinct needs an AggContext");
-    }
-    const std::string aux_key = ctx->aux_key_prefix + v.ToString();
-    int64_t refs = 0;
+  Status Enter(const Event* const* events, size_t n, int field,
+               std::string* state, AggContext* ctx) override {
+    RAILGUN_RETURN_IF_ERROR(CheckArgs(field, ctx));
+    int64_t distinct_delta = 0;
     std::string stored;
-    Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
-    if (s.ok()) {
+    for (size_t i = 0; i < n; ++i) {
+      const std::string aux_key =
+          ctx->aux_key_prefix + events[i]->values[field].ToString();
+      int64_t refs = 0;
+      Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
+      if (s.ok()) {
+        Slice in(stored);
+        if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
+      } else if (!s.IsNotFound()) {
+        return s;
+      }
+      ++refs;
+      stored.clear();
+      PutVarsint64(&stored, refs);
+      RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
+      if (refs == 1) ++distinct_delta;
+    }
+    return distinct_delta == 0 ? Status::OK()
+                               : BumpDistinct(state, distinct_delta);
+  }
+  Status Expire(const Event* const* events, size_t n, int field,
+                std::string* state, AggContext* ctx) override {
+    RAILGUN_RETURN_IF_ERROR(CheckArgs(field, ctx));
+    int64_t distinct_delta = 0;
+    std::string stored;
+    for (size_t i = 0; i < n; ++i) {
+      const std::string aux_key =
+          ctx->aux_key_prefix + events[i]->values[field].ToString();
+      Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
+      if (s.IsNotFound()) continue;  // Never entered (reset?).
+      RAILGUN_RETURN_IF_ERROR(s);
+      int64_t refs = 0;
       Slice in(stored);
       if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
-    } else if (!s.IsNotFound()) {
-      return s;
+      --refs;
+      if (refs <= 0) {
+        RAILGUN_RETURN_IF_ERROR(ctx->db->Delete(ctx->aux_cf, aux_key));
+        --distinct_delta;
+        continue;
+      }
+      stored.clear();
+      PutVarsint64(&stored, refs);
+      RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
     }
-    ++refs;
-    stored.clear();
-    PutVarsint64(&stored, refs);
-    RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
-    if (refs == 1) return BumpDistinct(state, +1);
-    return Status::OK();
-  }
-  Status Expire(const FieldValue& v, const Event&, std::string* state,
-                AggContext* ctx) override {
-    if (ctx == nullptr || ctx->db == nullptr) {
-      return Status::InvalidArgument("countDistinct needs an AggContext");
-    }
-    const std::string aux_key = ctx->aux_key_prefix + v.ToString();
-    std::string stored;
-    Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
-    if (s.IsNotFound()) return Status::OK();  // Never entered (reset?).
-    RAILGUN_RETURN_IF_ERROR(s);
-    int64_t refs = 0;
-    Slice in(stored);
-    if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
-    --refs;
-    if (refs <= 0) {
-      RAILGUN_RETURN_IF_ERROR(ctx->db->Delete(ctx->aux_cf, aux_key));
-      return BumpDistinct(state, -1);
-    }
-    stored.clear();
-    PutVarsint64(&stored, refs);
-    return ctx->db->Put(ctx->aux_cf, aux_key, stored);
+    return distinct_delta == 0 ? Status::OK()
+                               : BumpDistinct(state, distinct_delta);
   }
   StatusOr<FieldValue> Result(const std::string& state) const override {
     int64_t n = 0;
@@ -519,6 +439,17 @@ class CountDistinctAggregator : public Aggregator {
   }
 
  private:
+  // Distinct values are identified by their string form, so the value
+  // must come from a field (never count(*)'s implicit 1).
+  static Status CheckArgs(int field, const AggContext* ctx) {
+    if (ctx == nullptr || ctx->db == nullptr) {
+      return Status::InvalidArgument("countDistinct needs an AggContext");
+    }
+    if (field < 0) {
+      return Status::InvalidArgument("countDistinct needs a field");
+    }
+    return Status::OK();
+  }
   static Status BumpDistinct(std::string* state, int64_t delta) {
     int64_t n = 0;
     if (!state->empty()) {

@@ -47,29 +47,17 @@ class Aggregator {
 
   static std::unique_ptr<Aggregator> Create(AggKind kind);
 
-  // Applies an entering value. `event` supplies ordering metadata
-  // (offset) needed by deque-based aggregators.
-  virtual Status Enter(const reservoir::FieldValue& value,
-                       const reservoir::Event& event, std::string* state,
-                       AggContext* ctx) = 0;
+  // Applies a run of `n` entering events, in arrival order, to one
+  // state blob. `field` selects the aggregated value (-1 = count(*));
+  // `events[i]->offset` supplies the ordering metadata deque-based
+  // aggregators need. The state is parsed once per run and stored once,
+  // so a run of one is an ordinary single-event update.
+  virtual Status Enter(const reservoir::Event* const* events, size_t n,
+                       int field, std::string* state, AggContext* ctx) = 0;
 
-  // Applies an expiring value.
-  virtual Status Expire(const reservoir::FieldValue& value,
-                        const reservoir::Event& event, std::string* state,
-                        AggContext* ctx) = 0;
-
-  // Columnar fast path: applies `n` entering values in one call, with
-  // `offsets[i]` supplying the ordering metadata Enter() reads from the
-  // event. Equivalent to n scalar Enter() calls; numeric aggregators
-  // override with a parse-once / tight-loop / store-once implementation
-  // so a batched caller pays one state (de)serialization per run instead
-  // of one per event. The default is the scalar loop.
-  virtual Status EnterColumn(const double* values, const uint64_t* offsets,
-                             size_t n, std::string* state, AggContext* ctx);
-
-  // Columnar expiry, mirror of EnterColumn.
-  virtual Status ExpireColumn(const double* values, const uint64_t* offsets,
-                              size_t n, std::string* state, AggContext* ctx);
+  // Applies a run of `n` expiring events, oldest first.
+  virtual Status Expire(const reservoir::Event* const* events, size_t n,
+                        int field, std::string* state, AggContext* ctx) = 0;
 
   // Produces the current aggregation result from the state.
   virtual StatusOr<reservoir::FieldValue> Result(

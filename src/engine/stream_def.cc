@@ -191,7 +191,7 @@ Status DecodeEventEnvelope(const Slice& data,
     return Status::Corruption("bad event envelope");
   }
   env->request_id = request_id;
-  env->reply_topic = reply_topic.ToString();
+  env->reply_topic.assign(reply_topic.data(), reply_topic.size());
   const reservoir::EventCodec codec(&schema);
   RAILGUN_RETURN_IF_ERROR(codec.Decode(&in, /*base_ts=*/0, &env->event));
   if (rest != nullptr) *rest = in;  // Unconsumed trailer bytes, if any.

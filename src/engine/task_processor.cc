@@ -203,37 +203,44 @@ Status TaskProcessor::ProcessBatch(
   replies->clear();
   replies->resize(messages.size());
   *failed = 0;
-  // One columnar pass decodes every envelope in the batch; rows then
-  // materialize through a reused scratch event. A message that fails to
-  // decode or process is skipped — its reply slot keeps request_id 0,
-  // so no reply is routed for it — without aborting the rest.
+  // One pass decodes every envelope in the batch into reused scratch
+  // rows. A message that fails to decode or process is skipped — its
+  // reply slot keeps request_id 0, so no reply is routed for it —
+  // without aborting the rest.
   trace::Tracer* tracer = trace::Tracer::Global();
   const Micros batch_start = tracer->enabled() ? tracer->NowMicros() : 0;
-  column_batch_.Decode(messages, *reservoir_->schema());
+  if (rows_.size() < messages.size()) rows_.resize(messages.size());
+  const reservoir::Schema& schema = *reservoir_->schema();
+  for (size_t i = 0; i < messages.size(); ++i) {
+    DecodedRow& row = rows_[i];
+    row.ok = DecodeEventEnvelope(messages[i].payload, schema, &row.envelope,
+                                 &row.trailer)
+                 .ok();
+    // The log position wins over the offset encoded in the envelope
+    // (producers do not know it yet when they encode).
+    row.envelope.event.offset = messages[i].offset;
+  }
   // Batch-level spans (decode, whole-batch process) attach to the first
   // traced row's context; per-row spans use each row's own trailer.
   trace::TraceContext batch_ctx;
   if (batch_start != 0) {
     for (size_t i = 0; i < messages.size() && !batch_ctx.valid(); ++i) {
-      if (column_batch_.row_ok(i)) {
-        batch_ctx = trace::ParseTraceTrailer(column_batch_.trailer(i));
-      }
+      if (rows_[i].ok) batch_ctx = trace::ParseTraceTrailer(rows_[i].trailer);
     }
     tracer->Record(trace::Stage::kUnitDecode, batch_ctx, batch_start,
                    tracer->NowMicros());
   }
   for (size_t i = 0; i < messages.size(); ++i) {
-    if (!column_batch_.row_ok(i)) {
+    const DecodedRow& row = rows_[i];
+    if (!row.ok) {
       ++*failed;
       continue;
     }
-    column_batch_.MaterializeRow(i, &scratch_event_);
     const trace::TraceContext row_ctx =
-        batch_start != 0
-            ? trace::ParseTraceTrailer(column_batch_.trailer(i))
-            : trace::TraceContext();
-    if (!ApplyEvent(scratch_event_, column_batch_.request_id(i),
-                    column_batch_.reply_topic(i), row_ctx, &(*replies)[i])
+        batch_start != 0 ? trace::ParseTraceTrailer(row.trailer)
+                         : trace::TraceContext();
+    if (!ApplyEvent(row.envelope.event, row.envelope.request_id,
+                    row.envelope.reply_topic, row_ctx, &(*replies)[i])
              .ok()) {
       (*replies)[i] = ReplyEnvelope();
       ++*failed;

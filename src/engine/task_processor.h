@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/column_batch.h"
 #include "engine/stream_def.h"
 #include "introspect/registry.h"
 #include "msg/batch.h"
@@ -55,10 +54,11 @@ class TaskProcessor {
   // *failed and skipped instead of aborting the batch. Idempotent across
   // replays: offsets at or below the recovered positions skip the
   // reservoir append / plan processing respectively.
-  // Message views typically point into the poll's pooled wire buffer;
-  // envelopes are decoded columnar in one pass (ColumnBatch) and events
-  // materialized through a reused scratch row — no per-event allocation
-  // once the batch machinery is warm.
+  // Message views typically point into the poll's pooled wire buffer.
+  // One pass decodes every envelope with DecodeEventEnvelope into
+  // per-row scratch reused across batches (string capacity included), so
+  // a warm batch decodes without per-event allocation; each event takes
+  // its offset from the message's log position.
   Status ProcessBatch(const std::vector<msg::MessageView>& messages,
                       std::vector<ReplyEnvelope>* replies, size_t* failed);
 
@@ -135,8 +135,12 @@ class TaskProcessor {
   uint64_t events_since_checkpoint_ = 0;
 
   // Batch scratch, reused across ProcessBatch calls.
-  ColumnBatch column_batch_;
-  reservoir::Event scratch_event_;
+  struct DecodedRow {
+    EventEnvelope envelope;
+    Slice trailer;  // Unconsumed bytes after the event (trace trailer).
+    bool ok = false;
+  };
+  std::vector<DecodedRow> rows_;
   std::vector<plan::MetricResult> scratch_results_;
 };
 

@@ -193,27 +193,38 @@ void SubscriptionHub::HandleEvent(Subscription* sub,
     if (group.agg_states.empty()) {
       group.agg_states.resize(sub->aggs.size());
     }
-    agg::AggContext agg_ctx;
-    std::vector<reservoir::FieldValue> entered;
-    entered.reserve(sub->aggs.size());
+    // Project the aggregated fields into one event, in AggSpec order, so
+    // a count-sliding window can keep exactly what entered and expire
+    // it later. Its offset is the subscription's arrival number: the
+    // tail reads every partition of the topic, where log offsets repeat,
+    // and max/min match expiries to deque entries by offset.
+    reservoir::Event projected;
+    projected.offset = sub->arrivals++;
+    projected.values.resize(sub->aggs.size());
     for (size_t i = 0; i < sub->aggs.size(); ++i) {
       const int index = sub->agg_field_indices[i];
-      reservoir::FieldValue value =
-          index >= 0 ? event.values[index]
-                     : reservoir::FieldValue(int64_t{1});
+      if (index >= 0) projected.values[i] = event.values[index];
+    }
+    const auto projected_field = [sub](size_t i) {
+      return sub->agg_field_indices[i] >= 0 ? static_cast<int>(i) : -1;
+    };
+    agg::AggContext agg_ctx;
+    const reservoir::Event* entering = &projected;
+    for (size_t i = 0; i < sub->aggs.size(); ++i) {
       if (!sub->aggs[i]
-               ->Enter(value, event, &group.agg_states[i], &agg_ctx)
+               ->Enter(&entering, 1, projected_field(i),
+                       &group.agg_states[i], &agg_ctx)
                .ok()) {
         decode_errors_->Add(1);
         return;
       }
-      entered.push_back(std::move(value));
     }
     if (sub->spec.query.window.kind == window::WindowKind::kCountSliding) {
-      group.recent.push_back(std::move(entered));
+      group.recent.push_back(std::move(projected));
       while (group.recent.size() > sub->spec.query.window.count) {
+        const reservoir::Event* expiring = &group.recent.front();
         for (size_t i = 0; i < sub->aggs.size(); ++i) {
-          (void)sub->aggs[i]->Expire(group.recent.front()[i], event,
+          (void)sub->aggs[i]->Expire(&expiring, 1, projected_field(i),
                                      &group.agg_states[i], &agg_ctx);
         }
         group.recent.pop_front();

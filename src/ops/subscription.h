@@ -101,9 +101,9 @@ class SubscriptionHub {
  private:
   struct GroupState {
     std::vector<std::string> agg_states;  // One blob per AggSpec.
-    // Count-sliding windows: entered values pending expiry, one row per
-    // event (inner vector parallel to the agg list).
-    std::deque<std::vector<reservoir::FieldValue>> recent;
+    // Count-sliding windows: entered events pending expiry, projected
+    // to the aggregated fields (value i feeds aggs[i]).
+    std::deque<reservoir::Event> recent;
   };
 
   struct Subscription {
@@ -120,6 +120,7 @@ class SubscriptionHub {
     std::atomic<bool> stop{false};
     // Aggregator state is touched only by the pump thread.
     std::map<std::string, GroupState> groups;
+    uint64_t arrivals = 0;  // Events folded into metric state so far.
 
     Mutex mu{kRankOpsSubQueue};
     CondVar cv;

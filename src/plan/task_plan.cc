@@ -96,7 +96,6 @@ Status TaskPlan::AddQueryToIsland(const query::QueryDef& query,
   for (const auto& agg_spec : query.aggs) {
     MetricLeaf leaf;
     leaf.metric_id = next_metric_id_++;
-    leaf.kind = agg_spec.kind;
     leaf.field_index = -1;
     if (!agg_spec.field.empty()) {
       leaf.field_index = schema->FieldIndex(agg_spec.field);
@@ -182,8 +181,8 @@ Status TaskPlan::ApplyDelta(const WindowDelta& delta, WindowNode* node) {
       node->spec.kind == WindowKind::kTumbling ? delta.epoch : 0;
   for (auto& fnode : node->filters) {
     // Evaluate the filter once per event, then hand each group node the
-    // accepted run so same-group stretches collapse into columnar
-    // aggregator calls.
+    // accepted events so same-group stretches collapse into one
+    // aggregator call per leaf.
     scratch_filtered_.clear();
     for (const Event* e : delta.entered) {
       if (fnode.expr != nullptr && !fnode.expr->EvalBool(*e)) continue;
@@ -218,38 +217,7 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
     while (j < events.size() && GroupKeyOf(*events[j], *gnode) == group_key) {
       ++j;
     }
-    const size_t n = j - i;
-    if (n == 1) {
-      // Single-event runs take the scalar path; the columnar machinery
-      // only pays off when a state round-trip is amortized over >1 event.
-      for (auto& leaf : gnode->metrics) {
-        RAILGUN_RETURN_IF_ERROR(
-            ApplyEventToLeaf(*events[i], entering, epoch, *gnode, &leaf));
-      }
-      i = j;
-      continue;
-    }
-    scratch_offsets_.clear();
-    for (size_t r = i; r < j; ++r) {
-      scratch_offsets_.push_back(events[r]->offset);
-    }
     for (auto& leaf : gnode->metrics) {
-      // countDistinct aggregates value *identity* (string keys in the
-      // aux column family), which the double column cannot carry.
-      if (leaf.kind == agg::AggKind::kCountDistinct) {
-        for (size_t r = i; r < j; ++r) {
-          RAILGUN_RETURN_IF_ERROR(
-              ApplyEventToLeaf(*events[r], entering, epoch, *gnode, &leaf));
-        }
-        continue;
-      }
-      scratch_values_.clear();
-      for (size_t r = i; r < j; ++r) {
-        scratch_values_.push_back(
-            leaf.field_index >= 0
-                ? events[r]->values[leaf.field_index].ToNumber()
-                : 1.0);
-      }
       const std::string key = StateKey(leaf.metric_id, epoch, group_key);
       std::string state;
       Status s = db_->Get(storage::kDefaultColumnFamily, key, &state);
@@ -258,50 +226,17 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
       ctx.db = db_;
       ctx.aux_cf = aux_cf_;
       ctx.aux_key_prefix = key + "|";
-      if (entering) {
-        RAILGUN_RETURN_IF_ERROR(leaf.aggregator->EnterColumn(
-            scratch_values_.data(), scratch_offsets_.data(), n, &state,
-            &ctx));
-      } else {
-        RAILGUN_RETURN_IF_ERROR(leaf.aggregator->ExpireColumn(
-            scratch_values_.data(), scratch_offsets_.data(), n, &state,
-            &ctx));
-      }
+      RAILGUN_RETURN_IF_ERROR(
+          entering ? leaf.aggregator->Enter(&events[i], j - i,
+                                            leaf.field_index, &state, &ctx)
+                   : leaf.aggregator->Expire(&events[i], j - i,
+                                             leaf.field_index, &state, &ctx));
       RAILGUN_RETURN_IF_ERROR(
           db_->Put(storage::kDefaultColumnFamily, key, state));
     }
     i = j;
   }
   return Status::OK();
-}
-
-Status TaskPlan::ApplyEventToLeaf(const Event& event, bool entering,
-                                  Micros epoch, const GroupNode& group,
-                                  MetricLeaf* leaf) {
-  const std::string group_key = GroupKeyOf(event, group);
-  const std::string key = StateKey(leaf->metric_id, epoch, group_key);
-
-  std::string state;
-  Status s = db_->Get(storage::kDefaultColumnFamily, key, &state);
-  if (!s.ok() && !s.IsNotFound()) return s;
-
-  const FieldValue value =
-      leaf->field_index >= 0 ? event.values[leaf->field_index]
-                             : FieldValue(int64_t{1});
-
-  agg::AggContext ctx;
-  ctx.db = db_;
-  ctx.aux_cf = aux_cf_;
-  ctx.aux_key_prefix = key + "|";
-
-  if (entering) {
-    RAILGUN_RETURN_IF_ERROR(
-        leaf->aggregator->Enter(value, event, &state, &ctx));
-  } else {
-    RAILGUN_RETURN_IF_ERROR(
-        leaf->aggregator->Expire(value, event, &state, &ctx));
-  }
-  return db_->Put(storage::kDefaultColumnFamily, key, state);
 }
 
 std::string TaskPlan::StateKey(uint64_t metric_id, Micros epoch,

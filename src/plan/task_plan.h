@@ -73,7 +73,6 @@ class TaskPlan {
   struct MetricLeaf {
     uint64_t metric_id;
     std::string name;
-    agg::AggKind kind;
     int field_index;  // -1 => count(*) style (value 1).
     std::unique_ptr<agg::Aggregator> aggregator;
   };
@@ -109,14 +108,11 @@ class TaskPlan {
   Status ProcessEventInIsland(const reservoir::Event& event, Island* island,
                               std::vector<MetricResult>* results);
   Status ApplyDelta(const window::WindowDelta& delta, WindowNode* node);
-  // Applies a filter-accepted event list to one group node, batching
-  // runs of consecutive events with the same group key into columnar
-  // EnterColumn/ExpireColumn calls (one state Get/Put per run per leaf).
+  // Applies a filter-accepted event list to one group node: each run of
+  // consecutive events with the same group key becomes one Enter/Expire
+  // call per leaf (one state Get/Put per run per leaf).
   Status ApplyEventRun(const std::vector<const reservoir::Event*>& events,
                        bool entering, Micros epoch, GroupNode* gnode);
-  Status ApplyEventToLeaf(const reservoir::Event& event, bool entering,
-                          Micros epoch, const GroupNode& group,
-                          MetricLeaf* leaf);
 
   // State-store key for a (metric, epoch, entity).
   static std::string StateKey(uint64_t metric_id, Micros epoch,
@@ -133,8 +129,6 @@ class TaskPlan {
 
   // Delta-application scratch, reused across events/batches.
   std::vector<const reservoir::Event*> scratch_filtered_;
-  std::vector<double> scratch_values_;
-  std::vector<uint64_t> scratch_offsets_;
 };
 
 }  // namespace railgun::plan

@@ -94,21 +94,23 @@ Status EventCodec::Decode(Slice* input, Micros base_ts, Event* event) const {
   event->timestamp = base_ts + ts_delta;
   event->id = id;
   event->offset = offset;
+  // Overwrite the value slots in place: a reused event keeps its string
+  // capacity, so decoding into warm scratch allocates nothing.
   const auto& fields = schema_->fields();
-  event->values.clear();
-  event->values.reserve(fields.size());
-  for (const auto& f : fields) {
-    switch (f.type) {
+  event->values.resize(fields.size());
+  for (size_t i = 0; i < fields.size(); ++i) {
+    FieldValue& slot = event->values[i];
+    switch (fields[i].type) {
       case FieldType::kInt64: {
         int64_t v;
         if (!GetVarsint64(input, &v)) return Status::Corruption("bad int");
-        event->values.emplace_back(v);
+        slot.value = v;
         break;
       }
       case FieldType::kDouble: {
         double v;
         if (!GetDouble(input, &v)) return Status::Corruption("bad double");
-        event->values.emplace_back(v);
+        slot.value = v;
         break;
       }
       case FieldType::kString: {
@@ -116,12 +118,16 @@ Status EventCodec::Decode(Slice* input, Micros base_ts, Event* event) const {
         if (!GetLengthPrefixedSlice(input, &v)) {
           return Status::Corruption("bad string");
         }
-        event->values.emplace_back(v.ToString());
+        if (slot.is_string()) {
+          std::get<std::string>(slot.value).assign(v.data(), v.size());
+        } else {
+          slot.value = v.ToString();
+        }
         break;
       }
       case FieldType::kBool: {
         if (input->empty()) return Status::Corruption("bad bool");
-        event->values.emplace_back((*input)[0] != 0);
+        slot.value = (*input)[0] != 0;
         input->remove_prefix(1);
         break;
       }

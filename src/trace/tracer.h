@@ -45,7 +45,7 @@ enum class Stage : uint8_t {
   kBrokerAppend,      // broker.append: partition-log append.
   kBrokerPoll,        // broker.poll: park-to-delivery inside Poll.
   kUnitPoll,          // unit.poll: blocking PollBatch on the unit loop.
-  kUnitDecode,        // unit.decode: columnar envelope decode.
+  kUnitDecode,        // unit.decode: envelope decode pass.
   kUnitProcess,       // unit.process: one TaskProcessor::ProcessBatch.
   kUnitWindowApply,   // unit.window_apply: plan ProcessEvent (per event).
   kUnitPipeline,      // unit.pipeline: operator-chain run (per event).

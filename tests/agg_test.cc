@@ -1,12 +1,14 @@
-// Tests for every aggregator (paper Fig. 4), including expiry semantics
-// and a property sweep comparing the incremental aggregators against
-// brute-force recomputation over a sliding window.
+// Tests for every aggregator (paper Fig. 4), including expiry semantics,
+// a property sweep comparing the incremental aggregators against
+// brute-force recomputation over a sliding window, and a check that
+// results do not depend on how updates split into runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <deque>
 #include <set>
+#include <vector>
 
 #include "agg/aggregator.h"
 #include "common/random.h"
@@ -18,12 +20,29 @@ namespace {
 using reservoir::Event;
 using reservoir::FieldValue;
 
-Event MakeEvent(uint64_t offset) {
+// An event whose field 0 holds `value`.
+Event MakeEvent(uint64_t offset, FieldValue value) {
   Event e;
   e.offset = offset;
   e.id = offset;
   e.timestamp = static_cast<Micros>(offset) * 1000;
+  e.values = {std::move(value)};
   return e;
+}
+
+// One-event updates: a run of length 1 over field 0.
+Status EnterOne(Aggregator* agg, FieldValue value, uint64_t offset,
+                std::string* state, AggContext* ctx = nullptr) {
+  const Event event = MakeEvent(offset, std::move(value));
+  const Event* run = &event;
+  return agg->Enter(&run, 1, /*field=*/0, state, ctx);
+}
+
+Status ExpireOne(Aggregator* agg, FieldValue value, uint64_t offset,
+                 std::string* state, AggContext* ctx = nullptr) {
+  const Event event = MakeEvent(offset, std::move(value));
+  const Event* run = &event;
+  return agg->Expire(&run, 1, /*field=*/0, state, ctx);
 }
 
 double ResultOf(Aggregator* agg, const std::string& state) {
@@ -49,22 +68,20 @@ TEST(CountTest, EnterExpire) {
   auto agg = Aggregator::Create(AggKind::kCount);
   std::string state;
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(
-        agg->Enter(FieldValue(1.0), MakeEvent(i), &state, nullptr).ok());
+    ASSERT_TRUE(EnterOne(agg.get(), FieldValue(1.0), i, &state).ok());
   }
   EXPECT_EQ(ResultOf(agg.get(), state), 5);
-  ASSERT_TRUE(
-      agg->Expire(FieldValue(1.0), MakeEvent(0), &state, nullptr).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue(1.0), 0, &state).ok());
   EXPECT_EQ(ResultOf(agg.get(), state), 4);
 }
 
 TEST(SumTest, EnterExpireWithNegatives) {
   auto agg = Aggregator::Create(AggKind::kSum);
   std::string state;
-  ASSERT_TRUE(agg->Enter(FieldValue(10.5), MakeEvent(1), &state, nullptr).ok());
-  ASSERT_TRUE(agg->Enter(FieldValue(-3.25), MakeEvent(2), &state, nullptr).ok());
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue(10.5), 1, &state).ok());
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue(-3.25), 2, &state).ok());
   EXPECT_DOUBLE_EQ(ResultOf(agg.get(), state), 7.25);
-  ASSERT_TRUE(agg->Expire(FieldValue(10.5), MakeEvent(1), &state, nullptr).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue(10.5), 1, &state).ok());
   EXPECT_DOUBLE_EQ(ResultOf(agg.get(), state), -3.25);
 }
 
@@ -72,10 +89,10 @@ TEST(AvgTest, TracksSumAndCount) {
   auto agg = Aggregator::Create(AggKind::kAvg);
   std::string state;
   for (double v : {2.0, 4.0, 6.0}) {
-    ASSERT_TRUE(agg->Enter(FieldValue(v), MakeEvent(1), &state, nullptr).ok());
+    ASSERT_TRUE(EnterOne(agg.get(), FieldValue(v), 1, &state).ok());
   }
   EXPECT_DOUBLE_EQ(ResultOf(agg.get(), state), 4.0);
-  ASSERT_TRUE(agg->Expire(FieldValue(2.0), MakeEvent(1), &state, nullptr).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue(2.0), 1, &state).ok());
   EXPECT_DOUBLE_EQ(ResultOf(agg.get(), state), 5.0);
 }
 
@@ -83,8 +100,8 @@ TEST(AvgTest, EmptyWindowIsZero) {
   auto agg = Aggregator::Create(AggKind::kAvg);
   std::string state;
   EXPECT_DOUBLE_EQ(ResultOf(agg.get(), state), 0.0);
-  ASSERT_TRUE(agg->Enter(FieldValue(5.0), MakeEvent(1), &state, nullptr).ok());
-  ASSERT_TRUE(agg->Expire(FieldValue(5.0), MakeEvent(1), &state, nullptr).ok());
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue(5.0), 1, &state).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue(5.0), 1, &state).ok());
   EXPECT_DOUBLE_EQ(ResultOf(agg.get(), state), 0.0);
 }
 
@@ -93,7 +110,7 @@ TEST(StdDevTest, MatchesClosedForm) {
   std::string state;
   const double values[] = {2, 4, 4, 4, 5, 5, 7, 9};
   for (double v : values) {
-    ASSERT_TRUE(agg->Enter(FieldValue(v), MakeEvent(1), &state, nullptr).ok());
+    ASSERT_TRUE(EnterOne(agg.get(), FieldValue(v), 1, &state).ok());
   }
   // Sample stddev of this classic set: sqrt(32/7).
   EXPECT_NEAR(ResultOf(agg.get(), state), std::sqrt(32.0 / 7.0), 1e-9);
@@ -104,11 +121,11 @@ TEST(StdDevTest, ExpiryInvertsWelford) {
   std::string state;
   // Enter 1..6, expire 1: result equals stddev of 2..6.
   for (int v = 1; v <= 6; ++v) {
-    ASSERT_TRUE(agg->Enter(FieldValue(static_cast<double>(v)), MakeEvent(1),
-                           &state, nullptr)
-                    .ok());
+    ASSERT_TRUE(
+        EnterOne(agg.get(), FieldValue(static_cast<double>(v)), 1, &state)
+            .ok());
   }
-  ASSERT_TRUE(agg->Expire(FieldValue(1.0), MakeEvent(1), &state, nullptr).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue(1.0), 1, &state).ok());
   // stddev({2,3,4,5,6}) = sqrt(10/4).
   EXPECT_NEAR(ResultOf(agg.get(), state), std::sqrt(10.0 / 4.0), 1e-9);
 }
@@ -120,20 +137,20 @@ TEST(MaxMinTest, MonotonicDequeExactUnderExpiry) {
 
   const double values[] = {5, 3, 8, 1, 8, 2};
   for (uint64_t i = 0; i < 6; ++i) {
-    ASSERT_TRUE(max_agg->Enter(FieldValue(values[i]), MakeEvent(i),
-                               &max_state, nullptr).ok());
-    ASSERT_TRUE(min_agg->Enter(FieldValue(values[i]), MakeEvent(i),
-                               &min_state, nullptr).ok());
+    ASSERT_TRUE(
+        EnterOne(max_agg.get(), FieldValue(values[i]), i, &max_state).ok());
+    ASSERT_TRUE(
+        EnterOne(min_agg.get(), FieldValue(values[i]), i, &min_state).ok());
   }
   EXPECT_DOUBLE_EQ(ResultOf(max_agg.get(), max_state), 8);
   EXPECT_DOUBLE_EQ(ResultOf(min_agg.get(), min_state), 1);
 
   // Expire events 0..3 (FIFO): window = {8, 2}.
   for (uint64_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(max_agg->Expire(FieldValue(values[i]), MakeEvent(i),
-                                &max_state, nullptr).ok());
-    ASSERT_TRUE(min_agg->Expire(FieldValue(values[i]), MakeEvent(i),
-                                &min_state, nullptr).ok());
+    ASSERT_TRUE(
+        ExpireOne(max_agg.get(), FieldValue(values[i]), i, &max_state).ok());
+    ASSERT_TRUE(
+        ExpireOne(min_agg.get(), FieldValue(values[i]), i, &min_state).ok());
   }
   EXPECT_DOUBLE_EQ(ResultOf(max_agg.get(), max_state), 8);
   EXPECT_DOUBLE_EQ(ResultOf(min_agg.get(), min_state), 2);
@@ -144,17 +161,13 @@ TEST(LastPrevTest, TracksRecency) {
   auto prev_agg = Aggregator::Create(AggKind::kPrev);
   std::string last_state, prev_state;
 
-  ASSERT_TRUE(last_agg->Enter(FieldValue(1.0), MakeEvent(1), &last_state,
-                              nullptr).ok());
-  ASSERT_TRUE(prev_agg->Enter(FieldValue(1.0), MakeEvent(1), &prev_state,
-                              nullptr).ok());
+  ASSERT_TRUE(EnterOne(last_agg.get(), FieldValue(1.0), 1, &last_state).ok());
+  ASSERT_TRUE(EnterOne(prev_agg.get(), FieldValue(1.0), 1, &prev_state).ok());
   EXPECT_DOUBLE_EQ(ResultOf(last_agg.get(), last_state), 1.0);
   EXPECT_DOUBLE_EQ(ResultOf(prev_agg.get(), prev_state), 0.0);  // No prev yet.
 
-  ASSERT_TRUE(last_agg->Enter(FieldValue(2.0), MakeEvent(2), &last_state,
-                              nullptr).ok());
-  ASSERT_TRUE(prev_agg->Enter(FieldValue(2.0), MakeEvent(2), &prev_state,
-                              nullptr).ok());
+  ASSERT_TRUE(EnterOne(last_agg.get(), FieldValue(2.0), 2, &last_state).ok());
+  ASSERT_TRUE(EnterOne(prev_agg.get(), FieldValue(2.0), 2, &prev_state).ok());
   EXPECT_DOUBLE_EQ(ResultOf(last_agg.get(), last_state), 2.0);
   EXPECT_DOUBLE_EQ(ResultOf(prev_agg.get(), prev_state), 1.0);
 }
@@ -180,24 +193,23 @@ TEST_F(CountDistinctTest, CountsDistinctWithRefCounts) {
   auto agg = Aggregator::Create(AggKind::kCountDistinct);
   std::string state;
   // addr1, addr2, addr1 => 2 distinct.
-  ASSERT_TRUE(agg->Enter(FieldValue("addr1"), MakeEvent(1), &state, &ctx_).ok());
-  ASSERT_TRUE(agg->Enter(FieldValue("addr2"), MakeEvent(2), &state, &ctx_).ok());
-  ASSERT_TRUE(agg->Enter(FieldValue("addr1"), MakeEvent(3), &state, &ctx_).ok());
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue("addr1"), 1, &state, &ctx_).ok());
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue("addr2"), 2, &state, &ctx_).ok());
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue("addr1"), 3, &state, &ctx_).ok());
   EXPECT_EQ(ResultOf(agg.get(), state), 2);
 
   // Expire one addr1: still 2 distinct (refcount 1 left).
-  ASSERT_TRUE(agg->Expire(FieldValue("addr1"), MakeEvent(1), &state, &ctx_).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue("addr1"), 1, &state, &ctx_).ok());
   EXPECT_EQ(ResultOf(agg.get(), state), 2);
   // Expire the second addr1: down to 1.
-  ASSERT_TRUE(agg->Expire(FieldValue("addr1"), MakeEvent(3), &state, &ctx_).ok());
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue("addr1"), 3, &state, &ctx_).ok());
   EXPECT_EQ(ResultOf(agg.get(), state), 1);
 }
 
 TEST_F(CountDistinctTest, RequiresContext) {
   auto agg = Aggregator::Create(AggKind::kCountDistinct);
   std::string state;
-  EXPECT_FALSE(
-      agg->Enter(FieldValue("x"), MakeEvent(1), &state, nullptr).ok());
+  EXPECT_FALSE(EnterOne(agg.get(), FieldValue("x"), 1, &state).ok());
 }
 
 // Property sweep: every aggregator matches brute-force recomputation
@@ -214,14 +226,12 @@ TEST_P(AggPropertyTest, MatchesBruteForceUnderSlidingWindow) {
   const size_t window_size = 20;
   for (uint64_t i = 0; i < 500; ++i) {
     const double v = std::floor(rng.NextDouble() * 100) / 4.0;
-    ASSERT_TRUE(
-        agg->Enter(FieldValue(v), MakeEvent(i), &state, nullptr).ok());
+    ASSERT_TRUE(EnterOne(agg.get(), FieldValue(v), i, &state).ok());
     window.push_back({i, v});
     if (window.size() > window_size) {
       auto [off, old] = window.front();
       window.pop_front();
-      ASSERT_TRUE(
-          agg->Expire(FieldValue(old), MakeEvent(off), &state, nullptr).ok());
+      ASSERT_TRUE(ExpireOne(agg.get(), FieldValue(old), off, &state).ok());
     }
 
     // Brute force over the window contents.
@@ -279,77 +289,94 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, AggPropertyTest,
                                            AggKind::kMax, AggKind::kMin,
                                            AggKind::kLast));
 
-// The columnar batch entry points must be observationally equivalent to
-// the same values applied one scalar call at a time — the plan layer
-// switches between the two based on run length, so any divergence would
-// make results depend on message batching.
-class AggColumnTest : public ::testing::TestWithParam<AggKind> {};
+// A run is an optimization, not a semantic: the plan applies each run
+// of same-group events in one call, so results must not depend on how a
+// delta splits into runs.
+class AggRunSplitTest : public ::testing::TestWithParam<AggKind> {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(storage::DestroyDB("/tmp/railgun_agg_split_test").ok());
+    ASSERT_TRUE(storage::DB::Open(storage::DBOptions(),
+                                  "/tmp/railgun_agg_split_test", &db_)
+                    .ok());
+    auto cf = db_->CreateColumnFamily("aux");
+    ASSERT_TRUE(cf.ok());
+    for (AggContext* ctx : {&whole_ctx_, &split_ctx_}) {
+      ctx->db = db_.get();
+      ctx->aux_cf = cf.value();
+    }
+    whole_ctx_.aux_key_prefix = "whole|";
+    split_ctx_.aux_key_prefix = "split|";
+  }
 
-TEST_P(AggColumnTest, ColumnCallsMatchScalarLoops) {
+  std::unique_ptr<storage::DB> db_;
+  AggContext whole_ctx_;
+  AggContext split_ctx_;
+};
+
+TEST_P(AggRunSplitTest, OneRunMatchesRandomRuns) {
   const AggKind kind = GetParam();
-  auto scalar = Aggregator::Create(kind);
-  auto column = Aggregator::Create(kind);
-  std::string scalar_state, column_state;
+  auto whole = Aggregator::Create(kind);
+  auto split = Aggregator::Create(kind);
+  std::string whole_state, split_state;
   Random64 rng(static_cast<uint64_t>(kind) + 999);
 
-  std::deque<std::pair<uint64_t, double>> window;  // (offset, value)
+  std::deque<Event> window;
   const size_t window_size = 17;
   uint64_t offset = 0;
-  for (int round = 0; round < 60; ++round) {
-    // Enter a batch of 1..8 values (run lengths vary like real batches).
-    const size_t n = 1 + rng.Uniform(8);
-    std::vector<double> values;
-    std::vector<uint64_t> offsets;
-    for (size_t i = 0; i < n; ++i) {
-      values.push_back(std::floor(rng.NextDouble() * 100) / 4.0);
-      offsets.push_back(offset++);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(scalar
-                      ->Enter(FieldValue(values[i]), MakeEvent(offsets[i]),
-                              &scalar_state, nullptr)
-                      .ok());
-      window.push_back({offsets[i], values[i]});
-    }
-    ASSERT_TRUE(column
-                    ->EnterColumn(values.data(), offsets.data(), n,
-                                  &column_state, nullptr)
+  // Applies `events` to `whole` as one run and to `split` as random runs
+  // of 1 to 8.
+  const auto apply = [&](const std::vector<const Event*>& events,
+                         bool entering) {
+    const auto call = [entering](Aggregator* agg, const Event* const* run,
+                                 size_t n, std::string* state,
+                                 AggContext* ctx) {
+      return entering ? agg->Enter(run, n, /*field=*/0, state, ctx)
+                      : agg->Expire(run, n, /*field=*/0, state, ctx);
+    };
+    ASSERT_TRUE(call(whole.get(), events.data(), events.size(),
+                     &whole_state, &whole_ctx_)
                     .ok());
-
-    // Expire down to the window size, also in one columnar call.
-    std::vector<double> old_values;
-    std::vector<uint64_t> old_offsets;
-    while (window.size() > window_size) {
-      old_values.push_back(window.front().second);
-      old_offsets.push_back(window.front().first);
-      window.pop_front();
-    }
-    for (size_t i = 0; i < old_values.size(); ++i) {
-      ASSERT_TRUE(scalar
-                      ->Expire(FieldValue(old_values[i]),
-                               MakeEvent(old_offsets[i]), &scalar_state,
-                               nullptr)
+    for (size_t i = 0; i < events.size();) {
+      const size_t n = std::min<size_t>(1 + rng.Uniform(8), events.size() - i);
+      ASSERT_TRUE(call(split.get(), events.data() + i, n, &split_state,
+                       &split_ctx_)
                       .ok());
+      i += n;
     }
-    if (!old_values.empty()) {
-      ASSERT_TRUE(column
-                      ->ExpireColumn(old_values.data(), old_offsets.data(),
-                                     old_values.size(), &column_state,
-                                     nullptr)
-                      .ok());
+  };
+  for (int round = 0; round < 60; ++round) {
+    std::vector<const Event*> entering;
+    const size_t n = 1 + rng.Uniform(24);
+    for (size_t i = 0; i < n; ++i) {
+      // Few distinct values, so countDistinct sees repeats.
+      window.push_back(MakeEvent(
+          offset++, FieldValue(std::floor(rng.NextDouble() * 20) / 4.0)));
     }
+    for (size_t i = window.size() - n; i < window.size(); ++i) {
+      entering.push_back(&window[i]);
+    }
+    apply(entering, /*entering=*/true);
 
-    ASSERT_NEAR(ResultOf(column.get(), column_state),
-                ResultOf(scalar.get(), scalar_state), 1e-9)
+    std::vector<const Event*> expiring;
+    for (size_t i = 0; i + window_size < window.size(); ++i) {
+      expiring.push_back(&window[i]);
+    }
+    if (!expiring.empty()) apply(expiring, /*entering=*/false);
+    window.erase(window.begin(), window.begin() + expiring.size());
+
+    ASSERT_NEAR(ResultOf(split.get(), split_state),
+                ResultOf(whole.get(), whole_state), 1e-9)
         << AggKindName(kind) << " diverged at round " << round;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, AggColumnTest,
-                         ::testing::Values(AggKind::kCount, AggKind::kSum,
-                                           AggKind::kAvg, AggKind::kStdDev,
-                                           AggKind::kMax, AggKind::kMin,
-                                           AggKind::kLast, AggKind::kPrev));
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, AggRunSplitTest,
+    ::testing::Values(AggKind::kCount, AggKind::kSum, AggKind::kAvg,
+                      AggKind::kStdDev, AggKind::kMax, AggKind::kMin,
+                      AggKind::kLast, AggKind::kPrev,
+                      AggKind::kCountDistinct));
 
 }  // namespace
 }  // namespace railgun::agg

@@ -9,6 +9,7 @@
 #include "engine/task_processor.h"
 #include "msg/broker.h"
 #include "trace/trace_context.h"
+#include "trace/tracer.h"
 
 namespace railgun::engine {
 namespace {
@@ -176,13 +177,16 @@ class TaskProcessorTest : public ::testing::Test {
     options_.checkpoint_interval_events = 1000000;  // Manual only.
   }
 
+  // Producers encode offset 0; the unit takes the log position instead.
   msg::Message MakeMessage(uint64_t offset, Micros ts, uint64_t id,
-                           const std::string& card, double amount) {
+                           const std::string& card, double amount,
+                           uint64_t encoded_offset = 0) {
     const reservoir::Schema schema(0, stream_.fields);
     EventEnvelope env;
     env.request_id = id;
     env.reply_topic = "replies.x";
     env.event = PaymentEvent(ts, id, card, "m1", amount);
+    env.event.offset = encoded_offset;
     msg::Message m;
     m.topic = "payments.cardId";
     m.partition = 0;
@@ -211,18 +215,16 @@ TEST_F(TaskProcessorTest, ComputesOnlyQueriesRoutedToItsTopic) {
   EXPECT_EQ(reply.request_id, 1u);
 }
 
-TEST_F(TaskProcessorTest, ColumnBatchMatchesTheEnvelopeDecoderRowByRow) {
-  // The columnar decode (ColumnBatch + MaterializeRow) must agree, field
-  // by field, with the scalar reference DecodeEventEnvelope — which the
-  // subscription hub, the remote client and the baseline worker still
-  // use — on plain rows, a traced row and a malformed row.
-  const reservoir::Schema schema(0, stream_.fields);
+TEST_F(TaskProcessorTest, ProcessBatchDecodesTracesAndStampsLogOffsets) {
+  // One batch with plain rows, a traced row and a malformed row. Every
+  // envelope encodes an offset unlike its message's log position.
   std::vector<msg::Message> messages;
   const char* cards[] = {"cardA", "cardA", "cardB", "cardA", "cardB"};
   for (uint64_t i = 0; i < 25; ++i) {
-    messages.push_back(MakeMessage(i, 1000 * static_cast<Micros>(i + 1),
+    messages.push_back(MakeMessage(100 + i, 1000 * static_cast<Micros>(i + 1),
                                    i + 1, cards[i % 5],
-                                   0.25 * static_cast<double>(i)));
+                                   0.25 * static_cast<double>(i),
+                                   /*encoded_offset=*/7000 + i));
   }
   constexpr size_t kTraced = 7;
   trace::TraceContext ctx;
@@ -233,57 +235,49 @@ TEST_F(TaskProcessorTest, ColumnBatchMatchesTheEnvelopeDecoderRowByRow) {
   trace::AppendTraceTrailer(ctx, &messages[kTraced].payload);
   constexpr size_t kMalformed = 12;
   messages[kMalformed].payload.resize(10);  // Cut inside the reply topic.
-
   msg::MessageBatch batch;
   batch.Adopt(messages);
-  ColumnBatch columns;
-  EXPECT_EQ(columns.Decode(batch.views(), schema), messages.size() - 1);
-  reservoir::Event row;
-  for (size_t i = 0; i < messages.size(); ++i) {
-    EventEnvelope ref;
-    Slice rest;
-    const Status decoded = DecodeEventEnvelope(Slice(messages[i].payload),
-                                               schema, &ref, &rest);
-    ASSERT_EQ(columns.row_ok(i), decoded.ok()) << "row " << i;
-    if (!decoded.ok()) {
-      EXPECT_EQ(i, kMalformed);
-      EXPECT_TRUE(decoded.IsCorruption()) << decoded.ToString();
-      continue;
-    }
-    EXPECT_EQ(columns.request_id(i), ref.request_id) << "row " << i;
-    EXPECT_EQ(columns.reply_topic(i).ToString(), ref.reply_topic);
-    EXPECT_EQ(columns.trailer(i).ToString(), rest.ToString()) << "row " << i;
-    columns.MaterializeRow(i, &row);
-    EXPECT_EQ(row.timestamp, ref.event.timestamp) << "row " << i;
-    EXPECT_EQ(row.id, ref.event.id) << "row " << i;
-    // The log position wins over the envelope's encoded offset.
-    EXPECT_EQ(row.offset, messages[i].offset) << "row " << i;
-    ASSERT_EQ(row.values.size(), ref.event.values.size());
-    for (size_t f = 0; f < row.values.size(); ++f) {
-      EXPECT_EQ(row.values[f], ref.event.values[f])
-          << "row " << i << " field " << f << ": "
-          << row.values[f].ToString() << " vs "
-          << ref.event.values[f].ToString();
-    }
-  }
-  const trace::TraceContext carried =
-      trace::ParseTraceTrailer(columns.trailer(kTraced));
-  EXPECT_EQ(carried.trace_hi, ctx.trace_hi);
-  EXPECT_EQ(carried.trace_lo, ctx.trace_lo);
-  EXPECT_EQ(carried.span_id, ctx.span_id);
 
-  // The processor skips exactly the malformed row and counts it.
+  trace::Tracer* tracer = trace::Tracer::Global();
+  tracer->ResetForTest();
+  trace::TracerOptions trace_options;
+  trace_options.sample_every = 1;
+  tracer->Enable(trace_options);
   TaskProcessor proc(options_, dir_, stream_, "payments.cardId");
   ASSERT_TRUE(proc.Open().ok());
   std::vector<ReplyEnvelope> replies;
   size_t failed = 0;
-  ASSERT_TRUE(proc.ProcessBatch(batch.views(), &replies, &failed).ok());
+  const Status processed = proc.ProcessBatch(batch.views(), &replies, &failed);
+  tracer->ResetForTest();
+  ASSERT_TRUE(processed.ok()) << processed.ToString();
+
+  // The malformed row is skipped and counted; the rest are processed.
   EXPECT_EQ(failed, 1u);
   ASSERT_EQ(replies.size(), messages.size());
   EXPECT_EQ(replies[kMalformed].request_id, 0u);
+  EXPECT_EQ(proc.processed_count(), messages.size() - 1);
+
+  // The traced row's context reaches its reply, parented under the
+  // unit's spans; untraced rows stay untraced.
   EXPECT_EQ(replies[kTraced].request_id, kTraced + 1);
   EXPECT_EQ(replies[kTraced].results.size(), 2u);
-  EXPECT_EQ(proc.processed_count(), messages.size() - 1);
+  EXPECT_TRUE(replies[kTraced].trace.valid());
+  EXPECT_EQ(replies[kTraced].trace.trace_hi, ctx.trace_hi);
+  EXPECT_EQ(replies[kTraced].trace.trace_lo, ctx.trace_lo);
+  EXPECT_FALSE(replies[0].trace.valid());
+
+  // The reservoir holds each good event under its log offset, not the
+  // offset its envelope encoded.
+  std::vector<uint64_t> expected;
+  for (size_t i = 0; i < messages.size(); ++i) {
+    if (i != kMalformed) expected.push_back(messages[i].offset);
+  }
+  std::vector<uint64_t> stored;
+  for (auto it = proc.reservoir()->NewIterator(); !it->AtEnd();
+       it->Advance()) {
+    stored.push_back(it->event().offset);
+  }
+  EXPECT_EQ(stored, expected);
 }
 
 TEST_F(TaskProcessorTest, BatchSkipsUndecodableMessagesAndCounts) {

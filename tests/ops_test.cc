@@ -485,13 +485,32 @@ class HubTest : public ::testing::Test {
     };
   }
 
-  void Publish(uint64_t id, const std::string& card, double amount) {
+  // Publishes like a front end does: the envelope encodes offset 0.
+  // A negative partition routes by key.
+  void Publish(uint64_t id, const std::string& card, double amount,
+               int partition = -1) {
     engine::EventEnvelope envelope;
     envelope.event = MakeEvent(id, static_cast<Micros>(id), card, amount);
     std::string payload;
     engine::EncodeEventEnvelope(envelope, reservoir::Schema(0, def_.fields),
                                 &payload);
-    ASSERT_TRUE(bus_.Produce(topic_, card, std::move(payload)).ok());
+    const StatusOr<uint64_t> produced =
+        partition < 0 ? bus_.Produce(topic_, card, std::move(payload))
+                      : bus_.ProduceToPartition(topic_, partition, card,
+                                                std::move(payload));
+    ASSERT_TRUE(produced.ok());
+  }
+
+  // The metric column of each record, in delivery order.
+  static std::vector<double> Column(const std::vector<SubRecord>& records,
+                                    const std::string& name) {
+    std::vector<double> column;
+    for (const auto& record : records) {
+      for (const auto& [field, value] : record.fields) {
+        if (field == name) column.push_back(value.ToNumber());
+      }
+    }
+    return column;
   }
 
   // Long-polls the hub until `count` records arrived (acking as the
@@ -541,6 +560,49 @@ TEST_F(HubTest, SlowSubscriberQueueStaysBoundedWithTypedDrops) {
   // Drop-oldest: what survives is the tail of the flood, with a seq gap
   // where the evicted records were.
   EXPECT_GT(reply.records.front().seq, 1u);
+}
+
+TEST_F(HubTest, SlidingMaxExpiresTheOldestEventNotTheMaximum) {
+  SubscriptionHub hub(&bus_, Lookup(), nullptr);
+  auto created = hub.Create(
+      "SUBSCRIBE SELECT max(amount) FROM payments OVER sliding 3 events");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  // Windows: {1}, {1,5}, {1,5,2}, {5,2,2}. The fourth update expires the
+  // 1, which the deque already dropped, so the 5 must survive.
+  const double amounts[] = {1, 5, 2, 2};
+  for (uint64_t i = 0; i < 4; ++i) Publish(i + 1, "c1", amounts[i]);
+  EXPECT_EQ(Column(FetchAtLeast(&hub, created.value(), 4), "max(amount)"),
+            (std::vector<double>{1, 5, 5, 5}));
+}
+
+TEST_F(HubTest, SlidingMaxMatchesExpiriesAcrossPartitions) {
+  // A stream-wide tail reads every partition, where log offsets repeat:
+  // partition 1's first event shares offset 0 with partition 0's.
+  SubscriptionHub hub(&bus_, Lookup(), nullptr);
+  auto created = hub.Create(
+      "SUBSCRIBE SELECT max(amount) FROM payments OVER sliding 3 events");
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::vector<SubRecord> records;
+  uint64_t acked = 0;
+  // Await each update before the next publish, so the hub sees exactly
+  // this arrival order.
+  const std::pair<int, double> arrivals[] = {{0, 1}, {0, 2}, {1, 9}, {1, 3}};
+  uint64_t id = 0;
+  for (const auto& [partition, amount] : arrivals) {
+    Publish(++id, "c" + std::to_string(partition), amount, partition);
+    SubFetchReply reply;
+    for (int i = 0; i < 50 && reply.records.empty(); ++i) {
+      ASSERT_TRUE(hub.Fetch(created.value(), acked, /*max_records=*/0,
+                            100 * kMicrosPerMilli, &reply)
+                      .ok());
+    }
+    ASSERT_EQ(reply.records.size(), 1u);
+    acked = reply.records.back().seq;
+    records.push_back(reply.records.back());
+  }
+  // The last window is {2, 9, 3}: expiring the 1 must not pop the 9.
+  EXPECT_EQ(Column(records, "max(amount)"),
+            (std::vector<double>{1, 2, 9, 9}));
 }
 
 TEST_F(HubTest, CancelMidStreamYieldsNotFound) {

@@ -3,7 +3,9 @@
 // position checkpoint/restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/env.h"
 #include "plan/task_plan.h"
@@ -154,6 +156,50 @@ TEST_F(TaskPlanTest, CountDistinctExpiresWithWindow) {
   auto r2 = Step(13 * kMicrosPerMinute, "c", "mC", 1);
   EXPECT_DOUBLE_EQ(
       r2["countDistinct(merchantId) over sliding 10m by cardId|c"], 2);
+}
+
+TEST_F(TaskPlanTest, OneArrivalExpiresARunOfSameCardEvents) {
+  AddQuery("SELECT sum(amount), max(amount), countDistinct(merchantId) "
+           "FROM p GROUP BY cardId OVER sliding 10 minutes");
+  struct Row {
+    Micros ts;
+    const char* card;
+    const char* merchant;
+    double amount;
+  };
+  // The first three cA events, the maximum among them, expire together
+  // as one run when the last event arrives.
+  const Row rows[] = {{60, "cA", "mA", 7},     {120, "cA", "mB", 9},
+                      {180, "cA", "mA", 5},    {240, "cB", "mZ", 100},
+                      {300, "cA", "mC", 1},    {360, "cA", "mB", 2},
+                      {810, "cA", "mD", 4}};
+  std::map<std::string, double> r;
+  for (const Row& row : rows) {
+    r = Step(row.ts * kMicrosPerSecond, row.card, row.merchant, row.amount);
+  }
+
+  // Brute force over cA's events in (now - 10m, now].
+  const Micros now = rows[6].ts * kMicrosPerSecond;
+  double sum = 0;
+  double max = 0;
+  std::set<std::string> merchants;
+  size_t expired = 0;
+  for (const Row& row : rows) {
+    if (std::string(row.card) != "cA") continue;
+    if (row.ts * kMicrosPerSecond <= now - 10 * kMicrosPerMinute) {
+      ++expired;
+      continue;
+    }
+    sum += row.amount;
+    max = merchants.empty() ? row.amount : std::max(max, row.amount);
+    merchants.insert(row.merchant);
+  }
+  ASSERT_EQ(expired, 3u);
+  EXPECT_DOUBLE_EQ(r["sum(amount) over sliding 10m by cardId|cA"], sum);
+  EXPECT_DOUBLE_EQ(r["max(amount) over sliding 10m by cardId|cA"], max);
+  EXPECT_DOUBLE_EQ(
+      r["countDistinct(merchantId) over sliding 10m by cardId|cA"],
+      static_cast<double>(merchants.size()));
 }
 
 TEST_F(TaskPlanTest, MultiGroupByKeysConcatenate) {
