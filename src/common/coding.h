@@ -1,5 +1,5 @@
 // Binary encoding primitives: little-endian fixed-width integers and
-// LEB128 varints, shared by the WAL, SSTable and reservoir chunk formats.
+// LEB128 varints, shared by the SSTable, manifest and reservoir chunk formats.
 #ifndef RAILGUN_COMMON_CODING_H_
 #define RAILGUN_COMMON_CODING_H_
 

@@ -1,5 +1,5 @@
-// CRC32C (Castagnoli) checksums, used to verify WAL records, SSTable
-// blocks and reservoir chunks on read.
+// CRC32C (Castagnoli) checksums, used to verify SSTable blocks, state
+// store manifests and reservoir chunks on read.
 #ifndef RAILGUN_COMMON_CRC32C_H_
 #define RAILGUN_COMMON_CRC32C_H_
 

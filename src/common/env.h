@@ -1,4 +1,4 @@
-// POSIX filesystem access used by the LSM store, WAL and event reservoir.
+// POSIX filesystem access used by the LSM state store and event reservoir.
 // Kept behind small interfaces so tests can inject fault wrappers.
 #ifndef RAILGUN_COMMON_ENV_H_
 #define RAILGUN_COMMON_ENV_H_
@@ -13,7 +13,7 @@
 
 namespace railgun {
 
-// Sequential append-only sink (WAL, SSTable and segment writers).
+// Sequential append-only sink (SSTable, manifest and segment writers).
 class WritableFile {
  public:
   virtual ~WritableFile() = default;
@@ -35,7 +35,7 @@ class RandomAccessFile {
   virtual uint64_t Size() const = 0;
 };
 
-// Forward reads (WAL replay).
+// Forward reads (ReadFileToString).
 class SequentialFile {
  public:
   virtual ~SequentialFile() = default;

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "storage/log_reader.h"
-#include "storage/log_writer.h"
 
 namespace railgun::storage {
 
@@ -16,7 +14,7 @@ uint64_t MaxBytesForLevel(const DBOptions& options, int level) {
   return result;
 }
 
-// Parses "000012.log" / "000007.sst" style names.
+// Parses "000007.sst" style names.
 bool ParseFileName(const std::string& name, uint64_t* number,
                    std::string* suffix) {
   const size_t dot = name.find('.');
@@ -42,7 +40,11 @@ DB::DB(const DBOptions& options, std::string dbname)
 
 DB::~DB() {
   MutexLock lock(&mu_);
-  if (log_file_ != nullptr) (void)log_file_->Close();
+  const Status s = FlushLocked();
+  if (!s.ok()) {
+    RAILGUN_LOG(kError, "storage", "flush on close of %s failed: %s",
+                dbname_.c_str(), s.ToString().c_str());
+  }
 }
 
 Status DB::Open(const DBOptions& options, const std::string& path,
@@ -56,97 +58,11 @@ Status DB::Open(const DBOptions& options, const std::string& path,
 Status DB::Recover() {
   MutexLock lock(&mu_);
   RAILGUN_RETURN_IF_ERROR(versions_->Recover(options_.create_if_missing));
-
   for (const auto& [id, cf] : versions_->families()) {
     mems_[id] = std::make_unique<MemTable>();
   }
-
-  // Replay any WAL at or after the manifest's log number, in order.
-  std::vector<std::string> children;
-  RAILGUN_RETURN_IF_ERROR(env_->ListDir(dbname_, &children));
-  std::vector<uint64_t> logs;
-  for (const auto& child : children) {
-    uint64_t number;
-    std::string suffix;
-    if (ParseFileName(child, &number, &suffix) && suffix == "log" &&
-        number >= versions_->log_number()) {
-      logs.push_back(number);
-    }
-  }
-  std::sort(logs.begin(), logs.end());
-  for (uint64_t number : logs) {
-    RAILGUN_RETURN_IF_ERROR(ReplayLog(number));
-  }
-
-  // Start a fresh WAL.
-  log_number_ = versions_->NewFileNumber();
-  RAILGUN_RETURN_IF_ERROR(
-      env_->NewWritableFile(LogFileName(dbname_, log_number_), &log_file_));
-  log_.reset(new log::Writer(log_file_.get()));
-  versions_->SetLogNumber(log_number_);
-
-  // Replayed writes exist only in the pre-recovery WALs, which are
-  // garbage-collected below: persist them to L0 first or a second
-  // recovery would lose them.
-  for (auto& [id, mem] : mems_) {
-    if (!mem->Empty()) {
-      RAILGUN_RETURN_IF_ERROR(FlushMemTable(id, mem.get()));
-      mem = std::make_unique<MemTable>();
-    }
-  }
-
-  RAILGUN_RETURN_IF_ERROR(versions_->LogAndApply());
+  // Tables a crash left half-written are not in the manifest.
   RemoveObsoleteFiles();
-  return Status::OK();
-}
-
-Status DB::ReplayLog(uint64_t log_number) {
-  std::unique_ptr<SequentialFile> file;
-  Status s = env_->NewSequentialFile(LogFileName(dbname_, log_number), &file);
-  if (s.IsNotFound()) return Status::OK();
-  RAILGUN_RETURN_IF_ERROR(s);
-
-  // Applies batch records into the memtables.
-  class Inserter : public WriteBatch::Handler {
-   public:
-    Inserter(std::map<uint32_t, std::unique_ptr<MemTable>>* mems,
-             SequenceNumber seq)
-        : seq_(seq), mems_(mems) {}
-    void Put(uint32_t cf_id, const Slice& key, const Slice& value) override {
-      auto it = mems_->find(cf_id);
-      if (it != mems_->end()) {
-        it->second->Add(seq_, kTypeValue, key, value);
-      }
-      ++seq_;
-    }
-    void Delete(uint32_t cf_id, const Slice& key) override {
-      auto it = mems_->find(cf_id);
-      if (it != mems_->end()) {
-        it->second->Add(seq_, kTypeDeletion, key, Slice());
-      }
-      ++seq_;
-    }
-    SequenceNumber seq_;
-
-   private:
-    std::map<uint32_t, std::unique_ptr<MemTable>>* mems_;
-  };
-
-  log::Reader reader(file.get());
-  Slice record;
-  std::string scratch;
-  SequenceNumber max_seq = versions_->last_sequence();
-  while (reader.ReadRecord(&record, &scratch)) {
-    if (record.size() < 12) continue;
-    WriteBatch batch;
-    batch.SetRep(record.ToString());
-    Inserter inserter(&mems_, batch.Sequence());
-    RAILGUN_RETURN_IF_ERROR(batch.Iterate(&inserter));
-    const SequenceNumber last =
-        batch.Sequence() + static_cast<uint64_t>(batch.Count()) - 1;
-    max_seq = std::max(max_seq, last);
-  }
-  versions_->SetLastSequence(max_seq);
   return Status::OK();
 }
 
@@ -169,11 +85,6 @@ Status DB::Write(WriteBatch* batch) {
 
 Status DB::WriteLocked(WriteBatch* batch) {
   const SequenceNumber seq = versions_->last_sequence() + 1;
-  batch->SetSequence(seq);
-
-  RAILGUN_RETURN_IF_ERROR(log_->AddRecord(Slice(batch->rep())));
-  if (options_.sync_writes) RAILGUN_RETURN_IF_ERROR(log_file_->Sync());
-
   class Inserter : public WriteBatch::Handler {
    public:
     Inserter(DB* db, SequenceNumber seq) : db_(db), seq_(seq) {}
@@ -330,18 +241,7 @@ Status DB::FlushLocked() {
     }
   }
   if (!any) return Status::OK();
-
-  // Rotate the WAL: everything in the old log is now in SSTables.
-  RAILGUN_RETURN_IF_ERROR(log_file_->Close());
-  const uint64_t old_log = log_number_;
-  log_number_ = versions_->NewFileNumber();
-  RAILGUN_RETURN_IF_ERROR(
-      env_->NewWritableFile(LogFileName(dbname_, log_number_), &log_file_));
-  log_.reset(new log::Writer(log_file_.get()));
-  versions_->SetLogNumber(log_number_);
   RAILGUN_RETURN_IF_ERROR(versions_->LogAndApply());
-  // Best effort: an undeleted old log is garbage-collected later.
-  (void)env_->RemoveFile(LogFileName(dbname_, old_log));
 
   // Fresh memtables.
   for (auto& [id, mem] : mems_) {
@@ -587,9 +487,6 @@ void DB::RemoveObsoleteFiles() {
       // Best effort: a survivor is retried on the next GC pass.
       (void)env_->RemoveFile(dbname_ + "/" + child);
       table_cache_.erase(number);
-    }
-    if (suffix == "log" && number < versions_->log_number()) {
-      (void)env_->RemoveFile(dbname_ + "/" + child);
     }
   }
 }

@@ -19,7 +19,6 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "storage/dbformat.h"
-#include "storage/log_writer.h"
 #include "storage/memtable.h"
 #include "storage/table.h"
 #include "storage/table_builder.h"
@@ -40,9 +39,6 @@ struct DBOptions {
   uint64_t target_file_size = 2 * 1024 * 1024;
   size_t block_size = 4096;
   CompressionType compression = kLzCompression;
-  // fdatasync the WAL on every write (off by default: the paper's
-  // durability story is Kafka replay from the last checkpoint).
-  bool sync_writes = false;
   Env* env = nullptr;  // Defaults to Env::Default().
 };
 
@@ -54,6 +50,7 @@ class DB {
   static Status Open(const DBOptions& options, const std::string& path,
                      std::unique_ptr<DB>* db);
 
+  // Flushes the memtables, so a clean close loses nothing.
   ~DB();
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
@@ -68,7 +65,9 @@ class DB {
   // Returns the id, or NotFound.
   StatusOr<uint32_t> FindColumnFamily(const std::string& name);
 
-  // Forces all memtables to SSTables and rotates the WAL.
+  // Forces all memtables to SSTables. There is no write-ahead log: the
+  // store is durable as of its last flush or checkpoint, and the engine
+  // recovers newer state by replaying the message log.
   Status Flush();
 
   // Consistent on-disk snapshot: flush, then copy live files into dir,
@@ -105,7 +104,6 @@ class DB {
   DB(const DBOptions& options, std::string dbname);
 
   Status Recover();
-  Status ReplayLog(uint64_t log_number);
   Status WriteLocked(WriteBatch* batch) REQUIRES(mu_);
   Status MaybeScheduleFlush();
   Status FlushLocked() REQUIRES(mu_);
@@ -126,9 +124,6 @@ class DB {
   Mutex mu_{kRankStorageDb};
   std::map<uint32_t, std::unique_ptr<MemTable>> mems_ GUARDED_BY(mu_);
   std::unique_ptr<VersionSet> versions_ GUARDED_BY(mu_);
-  std::unique_ptr<WritableFile> log_file_ GUARDED_BY(mu_);
-  std::unique_ptr<log::Writer> log_ GUARDED_BY(mu_);
-  uint64_t log_number_ GUARDED_BY(mu_) = 0;
   std::map<uint64_t, std::unique_ptr<Table>> table_cache_ GUARDED_BY(mu_);
   friend class DBIterImpl;
 };

@@ -5,18 +5,13 @@
 #include <cstdio>
 
 #include "common/coding.h"
+#include "common/crc32c.h"
 
 namespace railgun::storage {
 
 std::string SstFileName(const std::string& dbname, uint64_t number) {
   char buf[32];
   snprintf(buf, sizeof(buf), "/%06" PRIu64 ".sst", number);
-  return dbname + buf;
-}
-
-std::string LogFileName(const std::string& dbname, uint64_t number) {
-  char buf[32];
-  snprintf(buf, sizeof(buf), "/%06" PRIu64 ".log", number);
   return dbname + buf;
 }
 
@@ -113,7 +108,6 @@ Status VersionSet::WriteSnapshot(uint64_t manifest_number) {
   std::string rep;
   PutVarint64(&rep, next_file_number_);
   PutVarint64(&rep, last_sequence_);
-  PutVarint64(&rep, log_number_);
   PutVarint32(&rep, next_cf_id_);
   PutVarint32(&rep, static_cast<uint32_t>(families_.size()));
   for (const auto& [id, cf] : families_) {
@@ -129,6 +123,7 @@ Status VersionSet::WriteSnapshot(uint64_t manifest_number) {
       }
     }
   }
+  PutFixed32(&rep, crc32c::Mask(crc32c::Value(rep.data(), rep.size())));
   return WriteStringToFile(env_, rep, ManifestPath(manifest_number),
                            /*sync=*/true);
 }
@@ -136,13 +131,18 @@ Status VersionSet::WriteSnapshot(uint64_t manifest_number) {
 Status VersionSet::ReadSnapshot(const std::string& path) {
   std::string rep;
   RAILGUN_RETURN_IF_ERROR(ReadFileToString(env_, path, &rep));
-  Slice input(rep);
+  if (rep.size() < 4) return Status::Corruption("manifest too short");
+  const size_t body_size = rep.size() - 4;
+  if (crc32c::Unmask(DecodeFixed32(rep.data() + body_size)) !=
+      crc32c::Value(rep.data(), body_size)) {
+    return Status::Corruption("manifest checksum mismatch");
+  }
+  Slice input(rep.data(), body_size);
 
   uint64_t last_seq;
   uint32_t num_families;
   if (!GetVarint64(&input, &next_file_number_) ||
       !GetVarint64(&input, &last_seq) ||
-      !GetVarint64(&input, &log_number_) ||
       !GetVarint32(&input, &next_cf_id_) ||
       !GetVarint32(&input, &num_families)) {
     return Status::Corruption("bad manifest header");
@@ -180,6 +180,7 @@ Status VersionSet::ReadSnapshot(const std::string& path) {
     const uint32_t id = cf.id;
     families_[id] = std::move(cf);
   }
+  if (!input.empty()) return Status::Corruption("manifest trailing bytes");
   return Status::OK();
 }
 

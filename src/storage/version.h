@@ -1,5 +1,6 @@
 // Version state of the LSM tree: per-column-family leveled file lists,
-// persisted as full-snapshot manifests (MANIFEST-N + CURRENT pointer).
+// persisted as full-snapshot manifests (MANIFEST-N + CURRENT pointer),
+// each ending in a masked crc32c of the snapshot.
 // Full-snapshot manifests trade write amplification for simplicity; the
 // state store's table counts are small enough that this is negligible.
 #ifndef RAILGUN_STORAGE_VERSION_H_
@@ -59,9 +60,6 @@ class VersionSet {
   SequenceNumber last_sequence() const { return last_sequence_; }
   void SetLastSequence(SequenceNumber s) { last_sequence_ = s; }
 
-  uint64_t log_number() const { return log_number_; }
-  void SetLogNumber(uint64_t n) { log_number_ = n; }
-
   // Column family registry.
   StatusOr<uint32_t> CreateColumnFamily(const std::string& name);
   const std::map<uint32_t, ColumnFamilyMeta>& families() const {
@@ -86,7 +84,6 @@ class VersionSet {
   Env* env_;
   std::string dbname_;
   uint64_t next_file_number_ = 2;  // 1 is reserved for the first manifest.
-  uint64_t log_number_ = 0;
   SequenceNumber last_sequence_ = 0;
   uint32_t next_cf_id_ = 1;  // 0 = default CF.
   std::map<uint32_t, ColumnFamilyMeta> families_;
@@ -94,7 +91,6 @@ class VersionSet {
 
 // File name helpers.
 std::string SstFileName(const std::string& dbname, uint64_t number);
-std::string LogFileName(const std::string& dbname, uint64_t number);
 std::string CurrentFileName(const std::string& dbname);
 
 }  // namespace railgun::storage

@@ -1,11 +1,12 @@
 #include "storage/write_batch.h"
 
 #include "common/coding.h"
+#include "storage/dbformat.h"
 
 namespace railgun::storage {
 
 namespace {
-constexpr size_t kHeader = 12;  // sequence (8) + count (4).
+constexpr size_t kHeader = 4;  // count (fixed32).
 }  // namespace
 
 WriteBatch::WriteBatch() { Clear(); }
@@ -16,19 +17,11 @@ void WriteBatch::Clear() {
 }
 
 int WriteBatch::Count() const {
-  return static_cast<int>(DecodeFixed32(rep_.data() + 8));
+  return static_cast<int>(DecodeFixed32(rep_.data()));
 }
 
 void WriteBatch::SetCount(int n) {
-  EncodeFixed32(rep_.data() + 8, static_cast<uint32_t>(n));
-}
-
-SequenceNumber WriteBatch::Sequence() const {
-  return DecodeFixed64(rep_.data());
-}
-
-void WriteBatch::SetSequence(SequenceNumber seq) {
-  EncodeFixed64(rep_.data(), seq);
+  EncodeFixed32(rep_.data(), static_cast<uint32_t>(n));
 }
 
 void WriteBatch::Put(uint32_t cf_id, const Slice& key, const Slice& value) {

@@ -1,8 +1,8 @@
 // A WriteBatch groups updates (possibly across column families) that are
-// applied atomically: one WAL record, then memtable inserts.
+// applied to the memtables under one lock, so readers see all or none.
 //
 // Serialized layout:
-//   sequence (fixed64) | count (fixed32) | record*
+//   count (fixed32) | record*
 //   record := kTypeValue    cf (varint32) key (lp) value (lp)
 //           | kTypeDeletion cf (varint32) key (lp)
 #ifndef RAILGUN_STORAGE_WRITE_BATCH_H_
@@ -13,7 +13,6 @@
 
 #include "common/slice.h"
 #include "common/status.h"
-#include "storage/dbformat.h"
 
 namespace railgun::storage {
 
@@ -36,12 +35,6 @@ class WriteBatch {
     virtual void Delete(uint32_t cf_id, const Slice& key) = 0;
   };
   Status Iterate(Handler* handler) const;
-
-  SequenceNumber Sequence() const;
-  void SetSequence(SequenceNumber seq);
-
-  const std::string& rep() const { return rep_; }
-  void SetRep(std::string rep) { rep_ = std::move(rep); }
 
  private:
   void SetCount(int n);

@@ -1,5 +1,5 @@
 // Unit tests for the LSM store's internal layers: arena, skip list,
-// internal keys, write batch, WAL, blocks and tables.
+// internal keys, write batch, blocks and tables.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,8 +12,6 @@
 #include "storage/block.h"
 #include "storage/block_builder.h"
 #include "storage/dbformat.h"
-#include "storage/log_reader.h"
-#include "storage/log_writer.h"
 #include "storage/memtable.h"
 #include "storage/skiplist.h"
 #include "storage/table.h"
@@ -123,106 +121,6 @@ TEST(WriteBatchTest, IterateReplaysInOrder) {
   } collector;
   ASSERT_TRUE(batch.Iterate(&collector).ok());
   EXPECT_EQ(collector.log, "P0a1;D1b;P2c3;");
-}
-
-TEST(WriteBatchTest, SequenceRoundTrip) {
-  WriteBatch batch;
-  batch.SetSequence(777);
-  EXPECT_EQ(batch.Sequence(), 777u);
-}
-
-class WalTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    env_ = Env::Default();
-    path_ = "/tmp/railgun_wal_test.log";
-    (void)env_->RemoveFile(path_);
-  }
-  Env* env_;
-  std::string path_;
-};
-
-TEST_F(WalTest, RoundTripManyRecords) {
-  std::vector<std::string> records;
-  Random64 rng(9);
-  for (int i = 0; i < 300; ++i) {
-    // Sizes straddle block boundaries (including > 32 KiB records).
-    records.push_back(std::string(rng.Uniform(60000) + 1,
-                                  static_cast<char>('a' + i % 26)));
-  }
-  {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile(path_, &file).ok());
-    log::Writer writer(file.get());
-    for (const auto& r : records) ASSERT_TRUE(writer.AddRecord(r).ok());
-    ASSERT_TRUE(file->Close().ok());
-  }
-  {
-    std::unique_ptr<SequentialFile> file;
-    ASSERT_TRUE(env_->NewSequentialFile(path_, &file).ok());
-    log::Reader reader(file.get());
-    Slice record;
-    std::string scratch;
-    for (const auto& expected : records) {
-      ASSERT_TRUE(reader.ReadRecord(&record, &scratch));
-      EXPECT_EQ(record.ToString(), expected);
-    }
-    EXPECT_FALSE(reader.ReadRecord(&record, &scratch));
-    EXPECT_EQ(reader.dropped_records(), 0u);
-  }
-}
-
-TEST_F(WalTest, TornTailIsDiscardedNotFatal) {
-  {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile(path_, &file).ok());
-    log::Writer writer(file.get());
-    ASSERT_TRUE(writer.AddRecord("complete-record").ok());
-    ASSERT_TRUE(writer.AddRecord(std::string(500, 'x')).ok());
-    ASSERT_TRUE(file->Close().ok());
-  }
-  // Truncate mid-second-record (simulates a crash during append).
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(env_, path_, &contents).ok());
-  contents.resize(contents.size() - 300);
-  ASSERT_TRUE(WriteStringToFile(env_, contents, path_).ok());
-
-  std::unique_ptr<SequentialFile> file;
-  ASSERT_TRUE(env_->NewSequentialFile(path_, &file).ok());
-  log::Reader reader(file.get());
-  Slice record;
-  std::string scratch;
-  ASSERT_TRUE(reader.ReadRecord(&record, &scratch));
-  EXPECT_EQ(record.ToString(), "complete-record");
-  EXPECT_FALSE(reader.ReadRecord(&record, &scratch));
-}
-
-TEST_F(WalTest, CorruptRecordSkipped) {
-  // Corruption drops the affected block's remainder (its lengths are
-  // untrustworthy) but records in later blocks still read back. Record 1
-  // spans blocks 0-1; record 2 lives in block 1.
-  const std::string big(static_cast<size_t>(log::kBlockSize) + 500, 'a');
-  {
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env_->NewWritableFile(path_, &file).ok());
-    log::Writer writer(file.get());
-    ASSERT_TRUE(writer.AddRecord(big).ok());
-    ASSERT_TRUE(writer.AddRecord("second").ok());
-    ASSERT_TRUE(file->Close().ok());
-  }
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(env_, path_, &contents).ok());
-  contents[log::kHeaderSize] ^= 0x40;  // Corrupt record 1's first block.
-  ASSERT_TRUE(WriteStringToFile(env_, contents, path_).ok());
-
-  std::unique_ptr<SequentialFile> file;
-  ASSERT_TRUE(env_->NewSequentialFile(path_, &file).ok());
-  log::Reader reader(file.get());
-  Slice record;
-  std::string scratch;
-  ASSERT_TRUE(reader.ReadRecord(&record, &scratch));
-  EXPECT_EQ(record.ToString(), "second");
-  EXPECT_GE(reader.dropped_records(), 1u);
 }
 
 TEST(MemTableTest, AddGetWithVersions) {

@@ -4,12 +4,25 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
+#include "common/env.h"
 #include "common/random.h"
 #include "storage/db.h"
 
 namespace railgun::storage {
 namespace {
+
+// Replaces `to` with a copy of every file in `from`.
+void CopyDir(Env* env, const std::string& from, const std::string& to) {
+  ASSERT_TRUE(env->RemoveDirRecursive(to).ok());
+  ASSERT_TRUE(env->CreateDir(to).ok());
+  std::vector<std::string> children;
+  ASSERT_TRUE(env->ListDir(from, &children).ok());
+  for (const auto& child : children) {
+    ASSERT_TRUE(env->CopyFile(from + "/" + child, to + "/" + child).ok());
+  }
+}
 
 class DBTest : public ::testing::Test {
  protected:
@@ -118,12 +131,12 @@ TEST_F(DBTest, SurvivesFlushAndCompaction) {
   EXPECT_GT(total_files, 0);
 }
 
-TEST_F(DBTest, RecoversFromWalAfterReopen) {
+TEST_F(DBTest, RecoversAfterCleanClose) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(db_->Put(0, "k" + std::to_string(i),
                          "v" + std::to_string(i)).ok());
   }
-  Reopen();  // Destructor closes cleanly; WAL replays buffered tail.
+  Reopen();  // Destructor flushes the unflushed memtable before closing.
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(Get(0, "k" + std::to_string(i)), "v" + std::to_string(i));
   }
@@ -163,6 +176,117 @@ TEST_F(DBTest, CheckpointIsConsistentSnapshot) {
   EXPECT_EQ(value, "post");
   snapshot.reset();
   ASSERT_TRUE(DestroyDB(ckpt_dir).ok());
+}
+
+// There is no write-ahead log: the store is durable as of its last
+// flush or checkpoint. A crash image (the directory copied while the DB
+// is open) holds what was flushed and loses the memtable.
+TEST_F(DBTest, CrashImageHoldsLastFlushOrCheckpoint) {
+  Env* env = Env::Default();
+  auto put_set = [&](const std::string& set) {
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(db_->Put(0, set + std::to_string(i), set).ok());
+    }
+  };
+  put_set("A");
+  ASSERT_TRUE(db_->Flush().ok());
+  put_set("B");
+  const std::string ckpt_dir = dir_ + "_ckpt";
+  ASSERT_TRUE(db_->Checkpoint(ckpt_dir).ok());
+  put_set("C");
+  const std::string image_dir = dir_ + "_crash";
+  CopyDir(env, dir_, image_dir);
+
+  for (const std::string& dir : {image_dir, ckpt_dir}) {
+    std::unique_ptr<DB> db;
+    ASSERT_TRUE(DB::Open(options_, dir, &db).ok()) << dir;
+    for (int i = 0; i < 100; ++i) {
+      std::string value;
+      ASSERT_TRUE(db->Get(0, "A" + std::to_string(i), &value).ok()) << dir;
+      EXPECT_EQ(value, "A");
+      ASSERT_TRUE(db->Get(0, "B" + std::to_string(i), &value).ok()) << dir;
+      EXPECT_EQ(value, "B");
+      EXPECT_TRUE(db->Get(0, "C" + std::to_string(i), &value).IsNotFound())
+          << dir;
+    }
+  }
+
+  for (const std::string& dir : {dir_, image_dir, ckpt_dir}) {
+    std::vector<std::string> children;
+    ASSERT_TRUE(env->ListDir(dir, &children).ok());
+    for (const auto& child : children) {
+      EXPECT_FALSE(child.size() >= 4 &&
+                   child.compare(child.size() - 4, 4, ".log") == 0)
+          << dir << "/" << child;
+    }
+  }
+  ASSERT_TRUE(DestroyDB(image_dir).ok());
+  ASSERT_TRUE(DestroyDB(ckpt_dir).ok());
+}
+
+// Every truncation and every single-bit flip of a real MANIFEST fails
+// DB::Open with Corruption; none may open and drop or misread keys.
+TEST_F(DBTest, CorruptManifestFailsOpen) {
+  Env* env = Env::Default();
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 200; ++i) {
+    const std::string key = "k" + std::to_string(i);
+    model[key] = "v" + std::to_string(i);
+    ASSERT_TRUE(db_->Put(0, key, model[key]).ok());
+  }
+  ASSERT_TRUE(db_->Flush().ok());
+  db_.reset();
+
+  std::string manifest_name;
+  ASSERT_TRUE(
+      ReadFileToString(env, dir_ + "/CURRENT", &manifest_name).ok());
+  while (!manifest_name.empty() && manifest_name.back() == '\n') {
+    manifest_name.pop_back();
+  }
+  std::string manifest;
+  ASSERT_TRUE(
+      ReadFileToString(env, dir_ + "/" + manifest_name, &manifest).ok());
+
+  DBOptions options = options_;
+  options.create_if_missing = false;
+  const std::string work_dir = dir_ + "_corrupt";
+  int cases = 0;
+  int opened = 0;
+  int wrong = 0;
+  auto try_open = [&](const std::string& contents) {
+    ++cases;
+    CopyDir(env, dir_, work_dir);
+    ASSERT_TRUE(
+        WriteStringToFile(env, contents, work_dir + "/" + manifest_name)
+            .ok());
+    std::unique_ptr<DB> db;
+    const Status s = DB::Open(options, work_dir, &db);
+    if (!s.ok()) {
+      EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+      return;
+    }
+    ++opened;
+    for (const auto& [key, value] : model) {
+      std::string got;
+      const Status g = db->Get(0, key, &got);
+      if (g.IsNotFound() || (g.ok() && got != value)) {
+        ++wrong;
+        break;
+      }
+    }
+  };
+  for (size_t len = 0; len < manifest.size(); ++len) {
+    try_open(manifest.substr(0, len));
+  }
+  for (size_t bit = 0; bit < manifest.size() * 8; ++bit) {
+    std::string flipped = manifest;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    try_open(flipped);
+  }
+  EXPECT_EQ(opened, 0) << opened << " of " << cases
+                       << " corrupt manifests opened";
+  EXPECT_EQ(wrong, 0) << wrong << " opened with keys lost or misread";
+  ASSERT_TRUE(DestroyDB(work_dir).ok());
 }
 
 TEST_F(DBTest, IteratorSkipsTombstonesAndOldVersions) {

@@ -30,7 +30,7 @@ class ModelTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   void Open() {
-    db_.reset();  // Close (flushing the WAL) before reopening.
+    db_.reset();  // Close (flushing the memtables) before reopening.
     ASSERT_TRUE(DB::Open(options_, dir_, &db_).ok());
   }
 
@@ -114,7 +114,7 @@ TEST_P(ModelTest, AgreesWithReferenceModelUnderChurn) {
           EXPECT_EQ(value, it->second) << "step " << step;
         }
       }
-    } else {  // Reopen (clean close + WAL replay path).
+    } else {  // Reopen (clean close flushes; recovery reads the manifest).
       Open();
     }
   }
