@@ -68,7 +68,6 @@ const char* RankName(int rank) {
     case kRankMetaWorkerHeartbeat: return "MetaWorkerHeartbeat";
     case kRankMetaWorkerSync: return "MetaWorkerSync";
     case kRankMetaService: return "MetaService";
-    case kRankMetaSweep: return "MetaSweep";
     case kRankApiResult: return "ApiResult";
     case kRankApiClient: return "ApiClient";
     case kRankWorkloadInjector: return "WorkloadInjector";

@@ -99,7 +99,6 @@ enum LockRank : int {
   kRankMetaWorkerSync = 550,     // WorkerNode stream sync (held across
                                  // meta RPCs and node RegisterStream)
   kRankMetaService = 560,        // MetadataService membership/schemas
-  kRankMetaSweep = 565,          // MetadataService sweeper park
 
   // --- api (6xx) ------------------------------------------------------
   kRankApiSubscription = 605,    // api::Subscription stub (held across

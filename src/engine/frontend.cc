@@ -27,13 +27,7 @@ FrontEnd::FrontEnd(const FrontEndOptions& options, std::string node_id,
 FrontEnd::~FrontEnd() { Stop(); }
 
 Status FrontEnd::Start() {
-  Status s = bus_->CreateTopic(reply_topic_, 1);
-  if (!s.ok() && !s.IsAlreadyExists()) return s;
-  // The front end consumes its reply topic through a private group so
-  // its loop can park in a blocking Poll (wake-on-arrival) instead of
-  // fetch-and-sleep polling.
-  RAILGUN_RETURN_IF_ERROR(bus_->Subscribe(consumer_id_, "fe." + node_id_,
-                                          {reply_topic_}, "", nullptr, {}));
+  RAILGUN_RETURN_IF_ERROR(SubscribeReplies());
   {
     // A submit that raced a previous Stop may have left queued
     // submissions whose callbacks were already failed; never publish
@@ -44,6 +38,17 @@ Status FrontEnd::Start() {
   running_ = true;
   thread_ = std::thread([this] { Run(); });
   return Status::OK();
+}
+
+Status FrontEnd::SubscribeReplies() {
+  // (Re-)creating the topic here also restores it on a restarted broker.
+  Status s = bus_->CreateTopic(reply_topic_, 1);
+  if (!s.ok() && !s.IsAlreadyExists()) return s;
+  // The front end consumes its reply topic through a private group so
+  // its loop can park in a blocking Poll (wake-on-arrival) instead of
+  // fetch-and-sleep polling.
+  return bus_->Subscribe(consumer_id_, "fe." + node_id_, {reply_topic_}, "",
+                         nullptr, {});
 }
 
 void FrontEnd::Stop() {
@@ -347,8 +352,11 @@ void FrontEnd::Run() {
     // pooled receive buffer.
     const Status polled =
         bus_->PollBatch(consumer_id_, options_.poll_max, &batch, wait);
-    if (!polled.ok()) {
-      // Error-recovery path (consumer fenced), not the hot loop:
+    // Fenced while alive: rejoin. The bus kept the reply position, so
+    // replies published meanwhile are read on the next poll.
+    const bool rejoined = polled.IsNotFound() && SubscribeReplies().ok();
+    if (!polled.ok() && !rejoined) {
+      // Error-recovery path (transport failure), not the hot loop:
       // bounded backoff, then keep expiring deadlines below.
       batch.Clear();
       clock_->SleepMicros(options_.poll_wait);

@@ -157,6 +157,9 @@ class FrontEnd {
   };
 
   void Run();
+  // Creates the reply topic if missing and joins the private reply
+  // group (Start, and rejoin after a fence or a broker restart).
+  Status SubscribeReplies();
   // Encodes and routes one event against its stream; registers a
   // pending entry when callback is non-null.
   Status Enqueue(const Route& route, const reservoir::Event& event,

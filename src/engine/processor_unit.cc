@@ -135,6 +135,13 @@ void ProcessorUnit::DrainOperationalRequests() {
     }
   }
 
+  if (!Subscribe().ok()) {
+    MutexLock lock(&mu_);
+    ++stats_.poll_errors;
+  }
+}
+
+Status ProcessorUnit::Subscribe() {
   // (Re-)subscribe to the union of all event topics.
   std::vector<std::string> topics;
   {
@@ -161,12 +168,11 @@ void ProcessorUnit::DrainOperationalRequests() {
       unit_id_, kActiveGroup, topics,
       "node=" + node_id_ + ";unit=" + unit_id_, coordinator_,
       std::move(listener));
-  MutexLock lock(&mu_);
   if (subscribed.ok()) {
+    MutexLock lock(&mu_);
     subscribed_ = true;
-  } else {
-    ++stats_.poll_errors;
   }
+  return subscribed;
 }
 
 void ProcessorUnit::HandleAssigned(
@@ -488,7 +494,7 @@ void ProcessorUnit::Run() {
     // the hot path never copies event payloads into per-message strings.
     trace::Tracer* tracer = trace::Tracer::Global();
     const Micros poll_start = tracer->enabled() ? tracer->NowMicros() : 0;
-    const Status poll_status = bus_->PollBatch(
+    Status poll_status = bus_->PollBatch(
         unit_id_, options_.poll_max, &active_batch_, options_.poll_wait);
     if (poll_start != 0 && !active_batch_.empty()) {
       // No context yet at poll time: histogram-only hop (park-to-batch
@@ -496,14 +502,23 @@ void ProcessorUnit::Run() {
       tracer->Record(trace::Stage::kUnitPoll, trace::TraceContext(),
                      poll_start, tracer->NowMicros());
     }
-    if (!poll_status.ok()) {
+    if (poll_status.IsNotFound()) {
+      // The bus fenced this unit while it was still alive (a missed
+      // session, or KillConsumer): its partitions already belong to
+      // other units. Drop them as a revoke would, then rejoin; the
+      // partitions that come back go through HandleAssigned, which
+      // resumes each where its processor stopped.
       {
         MutexLock lock(&mu_);
-        ++stats_.poll_errors;
+        active_tasks_.clear();
       }
-      // A failed poll (e.g. fenced consumer) returns immediately: park
-      // briefly so replica duty continues without hot-spinning.
+      poll_status = Subscribe();
+    }
+    if (!poll_status.ok()) {
+      // A failed poll or rejoin returns immediately: park briefly so
+      // replica duty continues without hot-spinning.
       MutexLock lock(&mu_);
+      ++stats_.poll_errors;
       if (running_) {
         op_cv_.WaitFor(&mu_, options_.poll_wait);
       }

@@ -95,6 +95,9 @@ class ProcessorUnit {
           groups,
       bool active);
   void DrainOperationalRequests();
+  // Joins the active group with the union of the registered streams'
+  // topics (first registration, new streams, and rejoin after a fence).
+  Status Subscribe();
   void SyncReplicaTasks();
   // Publishes pipeline-routed events (fire-and-forget, deterministic
   // derived ids) into their target streams' partitioner topics.

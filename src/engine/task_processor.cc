@@ -246,6 +246,11 @@ Status TaskProcessor::ProcessBatch(
       ++*failed;
     }
   }
+  if (!messages.empty()) {
+    // A unit that gets this task back (rejoin after a fence, replica
+    // promotion) resumes here instead of re-applying what it holds.
+    replay_offset_ = std::max(replay_offset_, messages.back().offset + 1);
+  }
   if (batch_start != 0) {
     tracer->Record(trace::Stage::kUnitProcess, batch_ctx, batch_start,
                    tracer->NowMicros());

@@ -43,8 +43,9 @@ class TaskProcessor {
   TaskProcessor(const TaskProcessor&) = delete;
   TaskProcessor& operator=(const TaskProcessor&) = delete;
 
-  // Opens (or recovers) the processor. On return, replay_offset() is the
-  // first message-log offset to consume.
+  // Opens (or recovers) the processor. replay_offset() is the next
+  // message-log offset to consume: set here, then advanced past every
+  // batch ProcessBatch consumes.
   Status Open();
 
   // Processes messages from the task's partition in arrival order and

@@ -26,7 +26,7 @@ Status Publisher::Start() {
   if (!created.ok() && !created.IsAlreadyExists()) return created;
   running_.store(true);
   // Simulated clocks have no independent time flow; tests drive
-  // PublishOnce() directly (MetadataService::SweepLoop precedent).
+  // PublishOnce() directly.
   if (clock_->IsRealTime()) {
     thread_ = std::thread([this] { Loop(); });
   }

@@ -63,7 +63,6 @@ Status Broker::Start() {
   if (started_) return Status::OK();
   RAILGUN_RETURN_IF_ERROR(cluster_->Start());
   RAILGUN_RETURN_IF_ERROR(server_->Start());
-  RAILGUN_RETURN_IF_ERROR(meta_->Start());
   // Pre-register the built-in internals stream in the schema registry:
   // remote clients EnsureStream("__railgun.internals") like any user
   // stream and can immediately query the engine's own stats.
@@ -76,7 +75,6 @@ Status Broker::Start() {
 void Broker::Stop() {
   if (!started_) return;
   started_ = false;
-  meta_->Stop();
   server_->Stop();
   cluster_->Stop();
 }

@@ -19,8 +19,8 @@ struct NodeAnnouncement {
   // Informational contact string ("host:port" or empty); the data path
   // always flows through the shared bus, so nothing dials this.
   std::string address;
-  // Consumer ids of the node's processor units: the metadata service
-  // fences exactly these on lease expiry.
+  // Consumer ids of the node's processor units (the view counts them;
+  // their liveness is the bus session's).
   std::vector<std::string> unit_ids;
 };
 
@@ -43,7 +43,7 @@ struct ClusterView {
 
 // What Announce returns to the joining node.
 struct AnnounceResult {
-  Micros lease_timeout = 0;  // Heartbeat faster than this or be fenced.
+  Micros lease_timeout = 0;  // Heartbeat faster than this.
   uint64_t generation = 0;
 };
 

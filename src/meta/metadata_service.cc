@@ -1,8 +1,5 @@
 #include "meta/metadata_service.h"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/coding.h"
 #include "msg/remote/wire.h"
 #include "query/ddl.h"
@@ -13,74 +10,29 @@ MetadataService::MetadataService(const MetadataServiceOptions& options,
                                  engine::Cluster* cluster)
     : options_(options),
       cluster_(cluster),
-      bus_(cluster->bus()),
       clock_(cluster->clock()),
       client_(cluster) {}
 
-MetadataService::~MetadataService() { Stop(); }
-
-Status MetadataService::Start() {
-  if (running_.exchange(true)) return Status::OK();
-  // Leases are measured on the bus clock; under a simulated clock there
-  // is no real time to sweep on — tests drive CheckLeases directly.
-  if (clock_->IsRealTime()) {
-    sweep_thread_ = std::thread([this] { SweepLoop(); });
-  }
-  return Status::OK();
-}
-
-void MetadataService::Stop() {
-  if (!running_.exchange(false)) return;
-  {
-    MutexLock lock(&sweep_mu_);
-  }
-  sweep_cv_.NotifyAll();
-  if (sweep_thread_.joinable()) sweep_thread_.join();
-}
-
 // ----- Membership -----------------------------------------------------
 
-void MetadataService::FenceUnits(const std::vector<std::string>& units,
-                                 const std::vector<std::string>& fenced) {
-  // Best effort: a unit that never subscribed answers NotFound, which
-  // is exactly the desired end state.
-  for (const auto& unit : units) (void)bus_->KillConsumer(unit);
-  if (fenced.empty()) return;
-  MutexLock lock(&mu_);
-  for (const auto& node_id : fenced) {
-    auto it = nodes_.find(node_id);
-    if (it != nodes_.end()) it->second.fencing = false;
-  }
-}
-
-int MetadataService::CheckLeasesLocked(Micros now,
-                                       std::vector<std::string>* fence,
-                                       std::vector<std::string>* fenced) {
+void MetadataService::CheckLeasesLocked(Micros now) {
   int expired = 0;
   for (auto it = nodes_.begin(); it != nodes_.end();) {
     NodeRecord& record = it->second;
     if (!record.alive) {
       // Prune old tombstones (workers restart under fresh ids; without
       // a bound the map and every view would grow forever).
-      if (!record.fencing &&
-          now - record.died_at >= options_.dead_node_retention) {
+      if (now - record.died_at >= options_.dead_node_retention) {
         it = nodes_.erase(it);
         continue;
       }
-      ++it;
-      continue;
+    } else if (now - record.last_heartbeat >= options_.lease_timeout) {
+      // Only the listing ages: the node's units keep whatever the bus
+      // session decides for them.
+      record.alive = false;
+      record.died_at = now;
+      ++expired;
     }
-    if (now - record.last_heartbeat < options_.lease_timeout) {
-      ++it;
-      continue;
-    }
-    record.alive = false;
-    record.died_at = now;
-    record.fencing = true;
-    ++expired;
-    fence->insert(fence->end(), record.info.unit_ids.begin(),
-                  record.info.unit_ids.end());
-    fenced->push_back(it->first);
     ++it;
   }
   if (expired > 0) {
@@ -88,83 +40,46 @@ int MetadataService::CheckLeasesLocked(Micros now,
     leases_expired_.fetch_add(static_cast<uint64_t>(expired),
                               std::memory_order_relaxed);
   }
-  return expired;
-}
-
-int MetadataService::CheckLeases() {
-  std::vector<std::string> fence, fenced;
-  int expired;
-  {
-    MutexLock lock(&mu_);
-    expired = CheckLeasesLocked(clock_->NowMicros(), &fence, &fenced);
-  }
-  FenceUnits(fence, fenced);
-  return expired;
 }
 
 StatusOr<AnnounceResult> MetadataService::Announce(
     const NodeAnnouncement& announcement) {
   announces_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::string> fence, fenced;
-  Status status;
-  AnnounceResult result;
-  {
-    MutexLock lock(&mu_);
-    const Micros now = clock_->NowMicros();
-    CheckLeasesLocked(now, &fence, &fenced);
-    if (announcement.node_id.empty()) {
-      status = Status::InvalidArgument("node announcement without an id");
-    } else {
-      auto it = nodes_.find(announcement.node_id);
-      if (it != nodes_.end() && it->second.alive) {
-        status = Status::AlreadyExists("node already announced and alive: " +
-                                       announcement.node_id);
-      } else if (it != nodes_.end() && it->second.fencing) {
-        // A fence for this id's previous incarnation is in flight
-        // outside mu_; admitting the successor now would let that
-        // fence kill its fresh subscriptions. Retry shortly.
-        status = Status::Unavailable(
-            "previous incarnation still being fenced: " +
-            announcement.node_id);
-      } else {
-        NodeRecord record;
-        record.info = announcement;
-        record.last_heartbeat = now;
-        nodes_[announcement.node_id] = std::move(record);
-        ++generation_;
-        result.lease_timeout = options_.lease_timeout;
-        result.generation = generation_;
-      }
-    }
+  if (announcement.node_id.empty()) {
+    return Status::InvalidArgument("node announcement without an id");
   }
-  FenceUnits(fence, fenced);
-  RAILGUN_RETURN_IF_ERROR(status);
+  MutexLock lock(&mu_);
+  const Micros now = clock_->NowMicros();
+  CheckLeasesLocked(now);
+  auto it = nodes_.find(announcement.node_id);
+  if (it != nodes_.end() && it->second.alive) {
+    return Status::AlreadyExists("node already announced and alive: " +
+                                 announcement.node_id);
+  }
+  NodeRecord record;
+  record.info = announcement;
+  record.last_heartbeat = now;
+  nodes_[announcement.node_id] = std::move(record);
+  ++generation_;
+  AnnounceResult result;
+  result.lease_timeout = options_.lease_timeout;
+  result.generation = generation_;
   return result;
 }
 
 StatusOr<uint64_t> MetadataService::Heartbeat(const std::string& node_id) {
   heartbeats_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::string> fence, fenced;
-  Status status;
-  uint64_t generation = 0;
-  {
-    MutexLock lock(&mu_);
-    const Micros now = clock_->NowMicros();
-    CheckLeasesLocked(now, &fence, &fenced);
-    auto it = nodes_.find(node_id);
-    if (it == nodes_.end() || !it->second.alive) {
-      // Expired or never announced: the node must re-announce (and
-      // rebuild its tasks) rather than silently resurrect a fenced
-      // lease.
-      status = Status::NotFound("no live lease for node: " + node_id);
-    } else {
-      it->second.last_heartbeat = now;
-      generation = generation_;
-    }
+  MutexLock lock(&mu_);
+  const Micros now = clock_->NowMicros();
+  CheckLeasesLocked(now);
+  auto it = nodes_.find(node_id);
+  if (it == nodes_.end() || !it->second.alive) {
+    // Expired or never announced: the node must re-announce rather
+    // than silently resurrect an expired listing.
+    return Status::NotFound("no live lease for node: " + node_id);
   }
-  FenceUnits(fence, fenced);
-  RAILGUN_RETURN_IF_ERROR(status);
-  return generation;
+  it->second.last_heartbeat = now;
+  return generation_;
 }
 
 Status MetadataService::Leave(const std::string& node_id) {
@@ -195,8 +110,8 @@ ClusterView MetadataService::View() const {
   view.generation = generation_;
   const Micros now = clock_->NowMicros();
   for (const auto& [node_id, record] : nodes_) {
-    // Present expiry immediately even if no CheckLeases ran yet; the
-    // fencing side effect still belongs to CheckLeases.
+    // Present expiry immediately, before the next Announce/Heartbeat
+    // records it.
     const bool alive =
         record.alive && now - record.last_heartbeat < options_.lease_timeout;
     view.nodes.push_back({node_id, record.info.address,
@@ -253,19 +168,6 @@ Status MetadataService::ExecuteDdl(const std::string& statement) {
   MutexLock lock(&mu_);
   if (engine::FoldDdl(std::move(ddl).value(), &streams_)) ++generation_;
   return executed;
-}
-
-void MetadataService::SweepLoop() {
-  const Micros period =
-      std::max<Micros>(options_.lease_timeout / 4, 10 * kMicrosPerMilli);
-  MutexLock lock(&sweep_mu_);
-  while (running_) {
-    sweep_cv_.WaitFor(&sweep_mu_, period);
-    if (!running_) break;
-    lock.Unlock();
-    CheckLeases();
-    lock.Lock();
-  }
 }
 
 // ----- Wire hook ------------------------------------------------------

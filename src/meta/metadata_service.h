@@ -6,9 +6,11 @@
 // things behind one generation counter:
 //   - membership: worker nodes announce, heartbeat and leave; a node
 //     whose heartbeats stop loses its lease (measured on the *bus
-//     clock*, so simulated-time tests are exact) and its processor
-//     units are fenced through the bus, triggering a rebalance onto the
-//     survivors;
+//     clock*, so simulated-time tests are exact) and is listed dead.
+//     The lease only ages this listing and its tombstones: processing
+//     liveness belongs to the bus session alone, which fences a unit
+//     that stops polling and rebalances its partitions onto the
+//     survivors (a fenced unit that is still running rejoins itself);
 //   - a schema registry of wire-serializable StreamDefs, so any client
 //     or worker can fetch streams it did not declare;
 //   - DDL execution: kMetaExecuteDdl statements are executed through
@@ -26,7 +28,6 @@
 #include <atomic>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "api/client.h"
@@ -34,13 +35,13 @@
 #include "engine/cluster.h"
 #include "engine/stream_def.h"
 #include "meta/cluster_view.h"
-#include "msg/bus.h"
 
 namespace railgun::meta {
 
 struct MetadataServiceOptions {
   // A node missing heartbeats for this long (on the bus clock) loses
-  // its lease: it is marked dead in the view and its units are fenced.
+  // its lease and is marked dead in the view. Its units are left to the
+  // bus session (BusOptions::session_timeout).
   Micros lease_timeout = 5 * kMicrosPerSecond;
   // Dead nodes stay visible in the view this long after leaving or
   // expiring (so operators see recent departures), then their records
@@ -53,33 +54,23 @@ class MetadataService {
  public:
   MetadataService(const MetadataServiceOptions& options,
                   engine::Cluster* cluster);
-  ~MetadataService();
 
   MetadataService(const MetadataService&) = delete;
   MetadataService& operator=(const MetadataService&) = delete;
 
-  Status Start();
-  void Stop();
-
   // ----- Membership ---------------------------------------------------
   // Registers a joining node. AlreadyExists while another holder of the
   // same id is alive and inside its lease; rejoining after a leave or
-  // an expiry succeeds. Bumps the view generation.
+  // an expiry succeeds. Bumps the view generation. Like Heartbeat, it
+  // first records expired leases and prunes old tombstones.
   StatusOr<AnnounceResult> Announce(const NodeAnnouncement& announcement);
   // Renews the lease; returns the current view generation so the node
   // can cheaply detect membership/schema changes. NotFound for unknown
   // or expired nodes — the caller should re-announce.
   StatusOr<uint64_t> Heartbeat(const std::string& node_id);
-  // Graceful departure: the node is marked dead in the view but its
-  // units are NOT fenced (they unsubscribe cleanly themselves).
+  // Graceful departure: the node is marked dead in the view (its units
+  // unsubscribe cleanly themselves).
   Status Leave(const std::string& node_id);
-
-  // Expires leases against the bus clock; fences the units of every
-  // newly expired node through the bus (one rebalance per fenced unit).
-  // Runs inside Announce/Heartbeat and from a background sweeper on
-  // real-time clocks; simulated-time tests call it directly. Returns
-  // the number of nodes expired by this call.
-  int CheckLeases();
 
   // Snapshot: broker-local engine nodes first (address "broker-local"),
   // then announced worker nodes.
@@ -121,32 +112,21 @@ class MetadataService {
                   std::string* result);
 
  private:
+  // One listing entry. unit_ids only feed the view's unit count: the
+  // units themselves live and die by their bus sessions.
   struct NodeRecord {
     NodeAnnouncement info;
     Micros last_heartbeat = 0;
     bool alive = true;
     Micros died_at = 0;  // Leave/expiry time; prunes the tombstone.
-    // True while this node's units are being fenced outside mu_; the
-    // id cannot re-announce until fencing completes, so a fence can
-    // never kill a successor incarnation's fresh subscriptions.
-    bool fencing = false;
   };
 
-  void SweepLoop();
-  // Appends newly expired nodes' unit ids to *fence and their node ids
-  // to *fenced (the caller must hand both to FenceUnits). Also prunes
-  // tombstones past dead_node_retention. Requires mu_.
-  int CheckLeasesLocked(Micros now, std::vector<std::string>* fence,
-                        std::vector<std::string>* fenced) REQUIRES(mu_);
-  // Kills the listed unit consumers on the bus (never under mu_ — the
-  // bus takes its own group lock and may run listeners), then clears
-  // the named nodes' fencing flags, unblocking re-announces.
-  void FenceUnits(const std::vector<std::string>& units,
-                  const std::vector<std::string>& fenced);
+  // Marks nodes whose lease ran out dead (bumping the generation and
+  // leases_expired) and prunes tombstones past dead_node_retention.
+  void CheckLeasesLocked(Micros now) REQUIRES(mu_);
 
   MetadataServiceOptions options_;
   engine::Cluster* cluster_;
-  msg::Bus* bus_;
   Clock* clock_;  // The cluster's (= bus's) clock.
   api::Client client_;  // Attached to the cluster; executes DDL.
 
@@ -163,11 +143,6 @@ class MetadataService {
   std::atomic<uint64_t> heartbeats_{0};
   std::atomic<uint64_t> leases_expired_{0};
   std::atomic<uint64_t> ddl_executed_{0};
-
-  std::atomic<bool> running_{false};
-  std::thread sweep_thread_;
-  Mutex sweep_mu_{kRankMetaSweep};
-  CondVar sweep_cv_;
 };
 
 }  // namespace railgun::meta

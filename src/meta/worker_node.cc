@@ -195,13 +195,6 @@ Status WorkerNode::AnnounceAndSync() {
   RAILGUN_ASSIGN_OR_RETURN(AnnounceResult announced,
                            meta_->Announce(BuildAnnouncement()));
   AdoptLease(announced.lease_timeout);
-  // Force a full re-register: the broker may have fenced our units, so
-  // their group membership needs refreshing regardless of stream
-  // equality.
-  {
-    MutexLock lock(&sync_mu_);
-    registered_.clear();
-  }
   RAILGUN_RETURN_IF_ERROR(SyncStreams());
   // Only now: a failed sync must keep looking out of date so the next
   // heartbeat retries it (the announce itself bumped the generation,

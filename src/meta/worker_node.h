@@ -14,7 +14,9 @@
 //      moves, re-sync streams — this is how DDL executed by any client
 //      reaches every worker process.
 // Stop() leaves gracefully: metadata Leave + clean unit unsubscribe
-// (one rebalance, no lease wait). A crash is the lease-expiry path.
+// (one rebalance, no lease wait). A crash ages out of the listing at
+// lease expiry; its units were already fenced by their bus sessions,
+// and a unit fenced while still running rejoins the group by itself.
 //
 // Replica/donor recovery stays process-local (the Coordinator here is
 // private to this worker): replication_factor > 1 across processes is

@@ -280,6 +280,11 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
     consumer.listener = std::move(listener);
     consumer.last_heartbeat = clock_->NowMicros();
     consumer.alive = true;
+    // A fenced consumer rejoining resumes at its kept positions, which
+    // floor retention again from now on.
+    for (const auto& [tp, pos] : consumer.positions) {
+      RecomputeCommittedFloorLocked(tp);
+    }
 
     Group& g = groups_[group];
     if (g.strategy == nullptr) {
@@ -379,27 +384,32 @@ void InProcessBus::CheckLiveness() {
 
 void InProcessBus::CheckLivenessLocked() {
   const Micros now = clock_->NowMicros();
-  std::vector<std::string> dead;
+  std::set<std::string> groups_to_rebalance;
   for (auto& [id, consumer] : consumers_) {
     if (consumer.alive &&
         now - consumer.last_heartbeat > options_.session_timeout) {
-      consumer.alive = false;
-      dead.push_back(id);
+      FenceLocked(id, &consumer);
+      groups_to_rebalance.insert(consumer.group);
     }
   }
-  std::set<std::string> groups_to_rebalance;
-  for (const auto& id : dead) {
-    ConsumerState& consumer = consumers_[id];
-    for (const auto& [tp, pos] : consumer.positions) {
-      RecomputeCommittedFloorLocked(tp);
-    }
-    auto git = groups_.find(consumer.group);
-    if (git != groups_.end()) {
-      git->second.members.erase(id);
-      groups_to_rebalance.insert(git->first);
-    }
+  for (const auto& g : groups_to_rebalance) {
+    if (groups_.count(g) != 0) RebalanceGroupLocked(g);
   }
-  for (const auto& g : groups_to_rebalance) RebalanceGroupLocked(g);
+}
+
+void InProcessBus::FenceLocked(const std::string& consumer_id,
+                               ConsumerState* consumer) {
+  consumer->alive = false;
+  // Dropping the assignment (but not the positions) lets a consumer that
+  // was fenced while still alive rejoin with a plain Subscribe: every
+  // partition comes back through on_assigned, and each resumes where the
+  // consumer stopped.
+  consumer->assignment.clear();
+  for (const auto& [tp, pos] : consumer->positions) {
+    RecomputeCommittedFloorLocked(tp);
+  }
+  auto git = groups_.find(consumer->group);
+  if (git != groups_.end()) git->second.members.erase(consumer_id);
 }
 
 void InProcessBus::RecomputeCommittedFloorLocked(const TopicPartition& tp) {
@@ -498,7 +508,10 @@ Status InProcessBus::PollOnce(const std::string& consumer_id,
     auto it = consumers_.find(consumer_id);
     if (it == consumers_.end()) return Status::NotFound("no consumer");
     ConsumerState& consumer = it->second;
-    if (!consumer.alive) return Status::Unavailable("consumer fenced");
+    // Fenced: the same answer as for a consumer the bus never knew, so
+    // the caller re-subscribes rather than treating it as a transport
+    // failure.
+    if (!consumer.alive) return Status::NotFound("consumer fenced");
     consumer.last_heartbeat = clock_->NowMicros();
     if (consumer.interrupted) {
       consumer.interrupted = false;
@@ -656,14 +669,9 @@ Status InProcessBus::KillConsumer(const std::string& consumer_id) {
     MutexLock lock(&group_mu_);
     auto it = consumers_.find(consumer_id);
     if (it == consumers_.end()) return Status::NotFound("no consumer");
-    it->second.alive = false;
-    for (const auto& [tp, pos] : it->second.positions) {
-      RecomputeCommittedFloorLocked(tp);
-    }
-    auto git = groups_.find(it->second.group);
-    if (git != groups_.end()) {
-      git->second.members.erase(consumer_id);
-      RebalanceGroupLocked(git->first);
+    FenceLocked(consumer_id, &it->second);
+    if (groups_.count(it->second.group) != 0) {
+      RebalanceGroupLocked(it->second.group);
     }
   }
   NotifyArrival();

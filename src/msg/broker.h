@@ -100,7 +100,11 @@ class InProcessBus : public Bus {
   // Pulls up to max_messages across the consumer's assigned partitions,
   // starting at its committed/next offsets. Acts as the heartbeat.
   // Delivers rebalance callbacks (revoke/assign) synchronously before
-  // returning when the group generation advanced.
+  // returning when the group generation advanced. A consumer that was
+  // fenced (session expiry or KillConsumer) gets NotFound, exactly like
+  // one the bus never knew: the caller re-subscribes, gets every
+  // partition back through on_assigned and resumes at its kept
+  // positions.
   //
   // With max_wait > 0 an empty poll parks on the bus's condition
   // variable (wake-on-arrival) until a message becomes visible, a
@@ -134,7 +138,9 @@ class InProcessBus : public Bus {
   StatusOr<uint64_t> BaseOffset(const TopicPartition& tp) const override;
 
   // Declares a consumer dead immediately (fault injection), as if its
-  // heartbeats timed out.
+  // heartbeats timed out: its partitions go to the rest of the group and
+  // its next poll answers NotFound. A consumer that is still running
+  // rejoins by subscribing again.
   Status KillConsumer(const std::string& consumer_id) override;
 
   // Runs heartbeat expiry checks; called internally on every Poll and
@@ -234,6 +240,10 @@ class InProcessBus : public Bus {
   void RebalanceGroupLocked(const std::string& group_name)
       REQUIRES(group_mu_);
   void CheckLivenessLocked() REQUIRES(group_mu_);
+  // Declares the consumer dead and drops it from its group (the caller
+  // rebalances the group).
+  void FenceLocked(const std::string& consumer_id, ConsumerState* consumer)
+      REQUIRES(group_mu_);
   void RecomputeCommittedFloorLocked(const TopicPartition& tp)
       REQUIRES(group_mu_);
   std::vector<TopicPartition> GroupPartitionsLocked(const Group& group) const

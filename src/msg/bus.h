@@ -92,6 +92,7 @@ class Bus {
   // max_wait > 0 an empty poll blocks (wake-on-arrival) until data, a
   // rebalance, a wake, or the deadline. Views in *out stay valid until
   // the batch is cleared or refilled; MessageView::ToMessage copies out.
+  // NotFound when the consumer is unknown or was fenced: subscribe again.
   virtual Status PollBatch(const std::string& consumer_id,
                            size_t max_messages, MessageBatch* out,
                            Micros max_wait = 0) = 0;

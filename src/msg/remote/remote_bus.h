@@ -20,9 +20,9 @@
 // exponential backoff plus jitter per connection: while a connection is
 // backing off, calls fail fast with Unavailable instead of re-dialing,
 // so a dead broker is not hammered by the engine's high-frequency poll
-// loops. Consumer-group state does not survive a server restart — the
-// engine's poll-error paths (backoff + request deadlines) handle that,
-// exactly as they would a fenced consumer.
+// loops. Consumer-group state does not survive a server restart: the
+// restarted server answers the engine's polls with NotFound, and the
+// engine's consumers rejoin exactly as they would after a fence.
 //
 // Rebalance callbacks arrive piggybacked on poll responses and are
 // invoked synchronously before PollBatch returns, preserving the Bus

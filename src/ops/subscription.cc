@@ -144,9 +144,25 @@ void SubscriptionHub::Pump(Subscription* sub) {
   while (!sub->stop.load(std::memory_order_acquire)) {
     const Status status = bus_->PollBatch(sub->consumer_id, kPumpBatch,
                                           &messages, options_.poll_wait);
+    if (status.IsNotFound()) {
+      // The bus fenced the tail consumer: end the subscription the way
+      // Cancel does, so the client's next Fetch gets the typed NotFound
+      // and resubscribes (a fresh tail never replays history).
+      MutexLock lock(&sub->mu);
+      sub->stop.store(true, std::memory_order_release);
+      sub->cv.NotifyAll();
+      break;
+    }
     if (!status.ok()) {
       if (sub->stop.load(std::memory_order_acquire)) break;
       decode_errors_->Add(1);
+      // Transport failure: back off one quantum (Cancel cuts it short).
+      MutexLock lock(&sub->mu);
+      (void)sub->cv.WaitFor(&sub->mu, options_.poll_wait,
+                            [&]() NO_THREAD_SAFETY_ANALYSIS {
+                              return sub->stop.load(
+                                  std::memory_order_acquire);
+                            });
       continue;
     }
     for (const msg::MessageView& message : messages.views()) {

@@ -5,7 +5,8 @@
 // topic (each event is produced to every partitioner topic, so one
 // topic sees each event exactly once), seeked to the end at attach so a
 // fresh subscription — and a resubscribe after failure — never replays
-// history.
+// history. A tail consumer the bus fences ends its subscription: the
+// next Fetch answers NotFound, the client's signal to resubscribe.
 //
 // Two tail shapes, decided by the statement:
 //  - raw tails (`SELECT *`): every event passing the WHERE filter

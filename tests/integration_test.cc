@@ -1,14 +1,19 @@
 // End-to-end integration tests: full cluster (front-end -> bus ->
 // processor units -> reply), aggregation accuracy against a reference
-// model, node failure + recovery without losing accuracy, and elastic
-// scale-out.
+// model, node failure + recovery without losing accuracy, elastic
+// scale-out, and consumers the bus fenced while still running (a stuck
+// unit, a front end's reply consumer) rejoining by themselves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <mutex>
 
+#include "common/env.h"
 #include "engine/cluster.h"
+#include "engine/coordinator.h"
+#include "engine/task_processor.h"
 
 namespace railgun::engine {
 namespace {
@@ -298,6 +303,157 @@ TEST(IntegrationTest, MultiplePartitionersRouteToBothTopics) {
   // Each event must report Q1's two metrics (card topic) + Q2's one
   // metric (merchant topic).
   EXPECT_EQ(total_metrics.load(), 30 * 3);
+  cluster.Stop();
+}
+
+// Submits paced events through one front end and checks every reply
+// against the exact reference model.
+class ExactSubmitter {
+ public:
+  explicit ExactSubmitter(FrontEnd* frontend)
+      : frontend_(frontend), reference_(5 * kMicrosPerMinute) {}
+
+  void SubmitRange(int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      const std::string card = "card" + std::to_string(i % 16);
+      const Micros ts = static_cast<Micros>(i) * kMicrosPerSecond;
+      const double amount = 1.0 + (i % 5);
+      const auto [sum, count] = reference_.Apply(card, ts, amount);
+      ++submitted_;
+      const Status submitted = frontend_->Submit(
+          "payments", PaymentEvent(ts, static_cast<uint64_t>(i + 1), card,
+                                   amount),
+          [this, sum = sum, count = count](
+              Status s, const std::vector<MetricReply>& results) {
+            bool exact = s.ok();
+            for (const auto& r : results) {
+              if (r.metric_name.rfind("sum", 0) == 0) {
+                exact = exact && std::abs(r.value.ToNumber() - sum) < 1e-6;
+              } else if (r.metric_name.rfind("count", 0) == 0) {
+                exact = exact && static_cast<int64_t>(r.value.ToNumber()) ==
+                                     count;
+              }
+            }
+            ok_ += s.ok() ? 1 : 0;
+            exact_ += exact ? 1 : 0;
+            ++done_;
+          });
+      ASSERT_TRUE(submitted.ok()) << submitted.ToString();
+      MonotonicClock::Default()->SleepMicros(1500);
+    }
+  }
+
+  void AwaitAll() {
+    for (int waited = 0; waited < 2000 && done_ < submitted_; ++waited) {
+      MonotonicClock::Default()->SleepMicros(10000);
+    }
+  }
+
+  int submitted() const { return submitted_; }
+  int done() const { return done_; }
+  int ok() const { return ok_; }
+  int exact() const { return exact_; }
+
+ private:
+  FrontEnd* frontend_;
+  ReferenceModel reference_;
+  int submitted_ = 0;
+  std::atomic<int> done_{0};
+  std::atomic<int> ok_{0};
+  std::atomic<int> exact_{0};
+};
+
+TEST(IntegrationTest, FencedUnitRejoinsAndStaysExact) {
+  // A unit that is stuck past its bus session while its node's heartbeat
+  // lives on: the bus fences it, and it must take partitions back by
+  // itself once it polls again. Small chunks and checkpoints make every
+  // task it gets back hold checkpointed state and persisted chunks, which
+  // a rejoin must not apply a second time.
+  const std::string base_dir = "/tmp/railgun_int_rejoin";
+  ClusterOptions options = FastClusterOptions(base_dir, 2, 1);
+  options.node.num_processor_units = 1;
+  options.node.unit.task.reservoir.chunk_target_bytes = 512;
+  options.node.unit.task.checkpoint_interval_events = 20;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.RegisterStream(PaymentsStream(4)).ok());
+  msg::Bus* bus = cluster.bus();
+  ProcessorUnit* fenced = cluster.node(0)->unit(0);
+  ExactSubmitter submitter(cluster.node(1)->frontend());
+
+  submitter.SubmitRange(0, 1000);
+  submitter.AwaitAll();
+  ASSERT_EQ(submitter.ok(), 1000);
+  const std::vector<msg::TopicPartition> held =
+      bus->AssignmentOf(fenced->unit_id());
+  ASSERT_FALSE(held.empty());
+  for (const auto& tp : held) {
+    TaskProcessor* processor = fenced->FindProcessor(tp);
+    ASSERT_NE(processor, nullptr) << tp.ToString();
+    EXPECT_GT(processor->reservoir()->NumPersistedChunks(), 0u)
+        << tp.ToString();
+    EXPECT_TRUE(Env::Default()->FileExists(
+        base_dir + "/" + cluster.node(0)->id() + "/u0/" +
+        Coordinator::TaskSubdir(tp) + "/ckpt/CURRENT"))
+        << tp.ToString();
+  }
+
+  ASSERT_TRUE(bus->KillConsumer(fenced->unit_id()).ok());
+  const Micros fenced_at = MonotonicClock::Default()->NowMicros();
+  submitter.SubmitRange(1000, 1100);
+
+  while (bus->AssignmentOf(fenced->unit_id()).empty() &&
+         MonotonicClock::Default()->NowMicros() - fenced_at <
+             2 * kMicrosPerSecond) {
+    MonotonicClock::Default()->SleepMicros(1000);
+  }
+  EXPECT_FALSE(bus->AssignmentOf(fenced->unit_id()).empty())
+      << "the fenced unit did not rejoin within 2 s";
+
+  submitter.SubmitRange(1100, 1200);
+  submitter.AwaitAll();
+  EXPECT_EQ(submitter.done(), submitter.submitted());
+  EXPECT_EQ(submitter.ok(), submitter.submitted());
+  EXPECT_EQ(submitter.exact(), submitter.submitted())
+      << "replies diverged from the exact sliding-window reference";
+
+  // Once the rejoin settles, the units' own task lists agree with the
+  // bus: every partition is active on exactly one unit.
+  std::vector<std::string> all, listed;
+  for (const auto& tp : bus->PartitionsOf("payments.cardId")) {
+    all.push_back(tp.ToString());
+  }
+  for (int waited = 0; waited < 200; ++waited) {
+    listed.clear();
+    for (int n = 0; n < cluster.num_nodes(); ++n) {
+      for (const auto& tp : cluster.node(n)->unit(0)->active_tasks()) {
+        listed.push_back(tp.ToString());
+      }
+    }
+    std::sort(listed.begin(), listed.end());
+    if (listed == all) break;
+    MonotonicClock::Default()->SleepMicros(10000);
+  }
+  EXPECT_EQ(listed, all);
+  cluster.Stop();
+}
+
+TEST(IntegrationTest, FencedFrontEndRejoinsItsReplyGroup) {
+  Cluster cluster(FastClusterOptions("/tmp/railgun_int_fe_rejoin", 1, 1));
+  ASSERT_TRUE(cluster.Start().ok());
+  ASSERT_TRUE(cluster.RegisterStream(PaymentsStream(2)).ok());
+  RailgunNode* node = cluster.node(0);
+  ExactSubmitter submitter(node->frontend());
+  submitter.SubmitRange(0, 5);
+  submitter.AwaitAll();
+  ASSERT_EQ(submitter.ok(), 5);
+
+  ASSERT_TRUE(cluster.bus()->KillConsumer("fe." + node->id()).ok());
+  submitter.SubmitRange(5, 15);
+  submitter.AwaitAll();
+  EXPECT_EQ(submitter.done(), 15);
+  EXPECT_EQ(submitter.ok(), 15);
+  EXPECT_EQ(submitter.exact(), 15);
   cluster.Stop();
 }
 

@@ -1,11 +1,11 @@
 // Tests for the membership & metadata subsystem: wire codecs
 // (StreamDef / ClusterView round trips, truncation robustness), the
 // MetadataService's lease lifecycle under a SimulatedClock (expiry
-// after exactly the configured timeout, unit fencing, one rebalance,
-// tasks landing on survivors), DDL absorption into the schema
-// registry and the kMetaExecuteDdl RPC (truncated requests execute
-// nothing; typed errors cross the loopback unchanged), and the full
-// multi-process topology over loopback TCP:
+// after exactly the configured timeout ages only the listing: units that
+// keep polling keep their bus sessions and partitions), DDL absorption
+// into the schema registry and the kMetaExecuteDdl RPC (truncated
+// requests execute nothing; typed errors cross the loopback
+// unchanged), and the full multi-process topology over loopback TCP:
 // broker + worker nodes + remote clients, including a client
 // submitting to a stream it did not create and a graceful node leave
 // that preserves every acked event.
@@ -197,21 +197,18 @@ class MembershipTest : public ::testing::Test {
     options.base_dir = "/tmp/railgun-meta-membership";
     options.clock = &clock_;
     options.bus.delivery_delay = 0;
-    // Only the metadata lease may fence anyone in this test.
-    options.bus.session_timeout = kMicrosPerHour;
+    // Shorter than the lease, as by default: a unit that keeps polling
+    // keeps its session whatever its node's lease does.
+    options.bus.session_timeout = 2 * kMicrosPerSecond;
     cluster_ = std::make_unique<engine::Cluster>(options);
     ASSERT_TRUE(cluster_->Start().ok());
 
     MetadataServiceOptions meta_options;
     meta_options.lease_timeout = kLease;
     meta_ = std::make_unique<MetadataService>(meta_options, cluster_.get());
-    ASSERT_TRUE(meta_->Start().ok());
   }
 
-  void TearDown() override {
-    meta_->Stop();
-    cluster_->Stop();
-  }
+  void TearDown() override { cluster_->Stop(); }
 
   // Registers a fake worker unit in the active group, the way a
   // ProcessorUnit subscribing through a RemoteBus looks to the broker.
@@ -272,55 +269,95 @@ TEST_F(MembershipTest, AnnounceHeartbeatLeaveLifecycle) {
   EXPECT_TRUE(FindNode(meta_->View(), "w1")->alive);
 }
 
-TEST_F(MembershipTest, LeaseExpiresAfterExactlyTheTimeoutAndRebalances) {
-  ASSERT_TRUE(cluster_->bus()->CreateTopic("pay.cardId", 4).ok());
+TEST_F(MembershipTest, LeaseExpiresAfterExactlyTheTimeoutAndLeavesTheBusAlone) {
+  msg::Bus* bus = cluster_->bus();
+  ASSERT_TRUE(bus->CreateTopic("pay.cardId", 4).ok());
   SubscribeUnit("wA", "wA/u0");
   SubscribeUnit("wB", "wB/u0");
   ASSERT_TRUE(Announce("wA", {"wA/u0"}).ok());
   ASSERT_TRUE(Announce("wB", {"wB/u0"}).ok());
-  ASSERT_EQ(cluster_->bus()->AssignmentOf("wA/u0").size(), 2u);
-  ASSERT_EQ(cluster_->bus()->AssignmentOf("wB/u0").size(), 2u);
-  const uint64_t rebalances = cluster_->bus()->rebalance_count();
+  ASSERT_EQ(bus->AssignmentOf("wA/u0").size(), 2u);
+  const uint64_t rebalances = bus->rebalance_count();
 
   // One tick before the lease boundary nothing expires...
   clock_.Advance(kLease - 1);
   ASSERT_TRUE(meta_->Heartbeat("wB").ok());  // B renews, A stays silent.
-  EXPECT_EQ(meta_->CheckLeases(), 0);
   EXPECT_TRUE(FindNode(meta_->View(), "wA")->alive);
+  EXPECT_EQ(meta_->leases_expired(), 0u);
 
-  // ...and exactly at it (virtual time), A's lease is gone: A is dead
-  // in the view, its unit is fenced with one rebalance, and every task
-  // lands on the surviving unit.
+  // ...and exactly at it (virtual time), A is dead in the listing: the
+  // view shows it at once, and B's next heartbeat records the expiry.
   clock_.Advance(1);
-  EXPECT_EQ(meta_->CheckLeases(), 1);
+  EXPECT_FALSE(FindNode(meta_->View(), "wA")->alive);
+  const uint64_t generation = meta_->View().generation;
+  ASSERT_TRUE(meta_->Heartbeat("wB").ok());
+  EXPECT_EQ(meta_->leases_expired(), 1u);
+  EXPECT_GT(meta_->View().generation, generation);
   EXPECT_FALSE(FindNode(meta_->View(), "wA")->alive);
   EXPECT_TRUE(FindNode(meta_->View(), "wB")->alive);
-  EXPECT_EQ(cluster_->bus()->rebalance_count(), rebalances + 1);
-  EXPECT_TRUE(cluster_->bus()->AssignmentOf("wA/u0").empty());
-  EXPECT_EQ(cluster_->bus()->AssignmentOf("wB/u0").size(), 4u);
+  // The lease never touches the bus. Whether A's unit keeps its tasks
+  // is the bus session's call: see
+  // UnitsThatKeepPollingOutliveTheirNodesLease.
+  EXPECT_EQ(bus->rebalance_count(), rebalances);
 
   // The expired node cannot heartbeat its way back; re-announcing
-  // works.
+  // works, and the expiry was counted once.
   EXPECT_TRUE(meta_->Heartbeat("wA").status().IsNotFound());
   EXPECT_TRUE(Announce("wA", {"wA/u0"}).ok());
-  // CheckLeases is idempotent: no double expiry, no extra rebalance.
-  EXPECT_EQ(meta_->CheckLeases(), 0);
-  EXPECT_EQ(cluster_->bus()->rebalance_count(), rebalances + 1);
+  EXPECT_TRUE(FindNode(meta_->View(), "wA")->alive);
+  EXPECT_EQ(meta_->leases_expired(), 1u);
+  EXPECT_EQ(bus->rebalance_count(), rebalances);
+}
+
+TEST_F(MembershipTest, UnitsThatKeepPollingOutliveTheirNodesLease) {
+  // Partial failure: wA's heartbeats stop (its heartbeat thread died)
+  // while its unit keeps polling. The listing ages wA out at the lease;
+  // the unit keeps its bus session and its partitions.
+  msg::Bus* bus = cluster_->bus();
+  ASSERT_TRUE(bus->CreateTopic("pay.cardId", 4).ok());
+  SubscribeUnit("wA", "wA/u0");
+  SubscribeUnit("wB", "wB/u0");
+  ASSERT_TRUE(Announce("wA", {"wA/u0"}).ok());
+  ASSERT_TRUE(Announce("wB", {"wB/u0"}).ok());
+  msg::MessageBatch batch;
+  const auto poll_units = [&] {
+    EXPECT_TRUE(bus->PollBatch("wA/u0", 16, &batch).ok());
+    EXPECT_TRUE(bus->PollBatch("wB/u0", 16, &batch).ok());
+  };
+  poll_units();  // Delivers the initial assignment.
+  const std::vector<msg::TopicPartition> a_tasks = bus->AssignmentOf("wA/u0");
+  ASSERT_EQ(a_tasks.size(), 2u);
+  const uint64_t rebalances = bus->rebalance_count();
+
+  // Both units poll every tenth of the lease; only wB heartbeats, and
+  // its heartbeats run the lease check.
+  for (int step = 0; step < 10; ++step) {
+    clock_.Advance(kLease / 10);
+    poll_units();
+    ASSERT_TRUE(meta_->Heartbeat("wB").ok());
+  }
+  EXPECT_FALSE(FindNode(meta_->View(), "wA")->alive);
+  EXPECT_TRUE(FindNode(meta_->View(), "wB")->alive);
+  EXPECT_EQ(meta_->leases_expired(), 1u);
+
+  poll_units();
+  EXPECT_EQ(bus->AssignmentOf("wA/u0"), a_tasks);
+  EXPECT_EQ(bus->rebalance_count(), rebalances);
 }
 
 TEST_F(MembershipTest, DeadNodeRecordsArePrunedAfterRetention) {
   // Workers restart under fresh generated ids: tombstones must not
-  // accumulate forever.
+  // accumulate forever. Announce and Heartbeat run the pruning.
   ASSERT_TRUE(Announce("w1", {"w1/u0"}).ok());
   ASSERT_TRUE(meta_->Leave("w1").ok());
   EXPECT_NE(FindNode(meta_->View(), "w1"), nullptr);  // Visible tombstone.
 
   clock_.Advance(MetadataServiceOptions{}.dead_node_retention - 1);
-  meta_->CheckLeases();
+  ASSERT_TRUE(Announce("w2", {"w2/u0"}).ok());
   EXPECT_NE(FindNode(meta_->View(), "w1"), nullptr);
 
   clock_.Advance(1);
-  meta_->CheckLeases();
+  ASSERT_TRUE(meta_->Heartbeat("w2").ok());
   EXPECT_EQ(FindNode(meta_->View(), "w1"), nullptr);
 }
 

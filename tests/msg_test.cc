@@ -222,7 +222,20 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
   // Picks up new assignment.
   ASSERT_TRUE(PollMessages(&bus, "alive", 10, &out).ok());
   EXPECT_EQ(bus.AssignmentOf("alive").size(), 2u);
-  EXPECT_TRUE(PollMessages(&bus, "dead", 10, &out).IsUnavailable());
+  // A fenced consumer gets the answer of an unknown one...
+  EXPECT_TRUE(PollMessages(&bus, "dead", 10, &out).IsNotFound());
+
+  // ...and rejoins with a plain Subscribe: its partition comes back
+  // through on_assigned.
+  std::vector<TopicPartition> reassigned;
+  RebalanceListener listener;
+  listener.on_assigned = [&](const std::vector<TopicPartition>& a) {
+    reassigned.insert(reassigned.end(), a.begin(), a.end());
+  };
+  ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(PollMessages(&bus, "dead", 10, &out).ok());
+  EXPECT_EQ(reassigned.size(), 1u);
+  EXPECT_EQ(bus.AssignmentOf("dead"), reassigned);
 }
 
 TEST(GroupTest, KillConsumerRebalancesImmediately) {

@@ -5,7 +5,8 @@
 // counters, end-to-end pipeline registration through api::Client (the
 // routed events materialize in the target stream), and the
 // SubscriptionHub lifecycle: live raw and metric tails, bounded-queue
-// slow-subscriber drops, cancel mid-stream, and hub restart as a typed
+// slow-subscriber drops, cancel mid-stream, a fenced tail consumer
+// ending its subscription without spinning, and hub restart as a typed
 // resubscribe signal that never redelivers acked records.
 #include <gtest/gtest.h>
 
@@ -618,6 +619,33 @@ TEST_F(HubTest, CancelMidStreamYieldsNotFound) {
   EXPECT_TRUE(hub.Fetch(created.value(), 0, 0, 0, &reply).IsNotFound());
   // Cancelling twice is the caller's idempotence problem: typed NotFound.
   EXPECT_TRUE(hub.Cancel(created.value()).IsNotFound());
+}
+
+TEST_F(HubTest, FencedTailEndsTheSubscriptionWithoutSpinning) {
+  introspect::Registry registry;
+  SubscriptionHub hub(&bus_, Lookup(), &registry);
+  auto created = hub.Create("SUBSCRIBE SELECT * FROM payments");
+  ASSERT_TRUE(created.ok());
+  // The hub names each tail consumer after itself and the subscription.
+  const std::string consumer =
+      "__railgun.sub." + std::to_string(reinterpret_cast<uintptr_t>(&hub)) +
+      "." + std::to_string(created.value());
+  ASSERT_TRUE(bus_.KillConsumer(consumer).ok());
+
+  // The client's next fetch gets the typed resubscribe signal promptly.
+  const Micros fenced_at = MonotonicClock::Default()->NowMicros();
+  Status fetched;
+  while (MonotonicClock::Default()->NowMicros() - fenced_at <
+         kMicrosPerSecond) {
+    SubFetchReply reply;
+    fetched = hub.Fetch(created.value(), 0, 0, 100 * kMicrosPerMilli, &reply);
+    if (!fetched.ok()) break;
+  }
+  EXPECT_TRUE(fetched.IsNotFound()) << fetched.ToString();
+  // A pump spinning on failed polls would count thousands by now.
+  MonotonicClock::Default()->SleepMicros(200 * kMicrosPerMilli);
+  EXPECT_LE(registry.counter("subscribe.errors")->value(), 10u);
+  EXPECT_TRUE(hub.Cancel(created.value()).ok());
 }
 
 TEST_F(HubTest, RestartInvalidatesIdsWithoutRedeliveringAckedRecords) {

@@ -699,6 +699,36 @@ TEST_F(RemoteBusTest, RebalanceCallbacksStreamToTheRemoteClient) {
   EXPECT_GT(remote_->rebalance_count(), 0u);
 }
 
+TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
+  ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
+  std::atomic<int> assigned_total{0};
+  RebalanceListener listener;
+  listener.on_assigned = [&](const std::vector<TopicPartition>& a) {
+    assigned_total += static_cast<int>(a.size());
+  };
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, listener).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());  // Assignment.
+  ASSERT_TRUE(remote_->ProduceToPartition("t", 0, "k", "before").ok());
+  ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+
+  // Fenced: NotFound crosses the wire, distinct from a transport
+  // failure's Unavailable.
+  ASSERT_TRUE(remote_->KillConsumer("c").ok());
+  ASSERT_TRUE(remote_->ProduceToPartition("t", 0, "k", "during").ok());
+  EXPECT_TRUE(PollMessages(remote_.get(), "c", 10, &out).IsNotFound());
+
+  // Rejoin: the partition comes back and reading resumes at the kept
+  // position.
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
+  EXPECT_EQ(assigned_total.load(), 2);
+  ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].payload, "during");
+}
+
 TEST_F(RemoteBusTest, ColumnarPollIsZeroCopyAndPoolStabilizes) {
   ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
   ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
