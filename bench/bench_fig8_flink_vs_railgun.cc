@@ -63,7 +63,7 @@ LatencyHistogram RunHopping(Micros hop) {
   (void)Env::Default()->RemoveDirRecursive("/tmp/railgun-bench-fig8-hop");
   msg::BusOptions bus_options;
   bus_options.delivery_delay = 200;
-  msg::MessageBus bus(bus_options);
+  msg::InProcessBus bus(bus_options);
 
   workload::FraudStreamGenerator generator(WorkloadConfig());
   engine::StreamDef stream = MakeStream(generator);
@@ -127,16 +127,14 @@ LatencyHistogram RunHopping(Micros hop) {
         envelope.request_id = next_request++;
         envelope.reply_topic = "replies.injector";
         envelope.event = event;
-        std::string payload;
-        EncodeEventEnvelope(envelope, schema, &payload);
+        std::vector<msg::ProduceRecord> records(1);
+        records[0].key = event.values[0].ToString();
+        EncodeEventEnvelope(envelope, schema, &records[0].payload);
         {
           std::lock_guard<std::mutex> lock(mu);
           pending[envelope.request_id] = std::move(done);
         }
-        return bus
-            .Produce("payments.cardId", event.values[0].ToString(),
-                     std::move(payload))
-            .status();
+        return bus.ProduceBatch("payments.cardId", std::move(records));
       },
       &report));
 

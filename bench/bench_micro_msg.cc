@@ -17,25 +17,30 @@ BusOptions InstantBus() {
   return options;
 }
 
-void BM_Produce(benchmark::State& state) {
-  MessageBus bus(InstantBus());
+// Keyed batches of 64 records of 256 bytes, over 1000 distinct keys.
+void BM_ProduceBatch(benchmark::State& state) {
+  InProcessBus bus(InstantBus());
   RAILGUN_CHECK_OK(bus.CreateTopic("t", static_cast<int>(state.range(0))));
-  std::string payload(256, 'p');
+  const std::string payload(256, 'p');
   uint64_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        bus.Produce("t", "key" + std::to_string(i++ % 1000), payload));
+    std::vector<ProduceRecord> records;
+    for (int r = 0; r < 64; ++r) {
+      records.push_back({"key" + std::to_string(i++ % 1000), payload});
+    }
+    benchmark::DoNotOptimize(bus.ProduceBatch("t", std::move(records)));
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK(BM_Produce)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_ProduceBatch)->Arg(1)->Arg(16)->Arg(64);
 
 void BM_FetchBatch(benchmark::State& state) {
-  MessageBus bus(InstantBus());
+  InProcessBus bus(InstantBus());
   RAILGUN_CHECK_OK(bus.CreateTopic("t", 1));
-  for (int i = 0; i < 100000; ++i) {
-    RAILGUN_CHECK_OK(
-        bus.ProduceToPartition("t", 0, "k", std::string(128, 'm')).status());
+  for (int i = 0; i < 100000; i += 1000) {
+    std::vector<ProduceRecord> records(1000,
+                                       {"k", std::string(128, 'm')});
+    RAILGUN_CHECK_OK(bus.ProduceBatch("t", std::move(records)));
   }
   uint64_t pos = 0;
   std::vector<Message> batch;
@@ -52,7 +57,7 @@ void BM_FetchBatch(benchmark::State& state) {
 BENCHMARK(BM_FetchBatch)->Arg(16)->Arg(256);
 
 void BM_GroupPoll(benchmark::State& state) {
-  MessageBus bus(InstantBus());
+  InProcessBus bus(InstantBus());
   RAILGUN_CHECK_OK(bus.CreateTopic("t", 8));
   RAILGUN_CHECK_OK(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}));
   MessageBatch batch;
@@ -60,9 +65,11 @@ void BM_GroupPoll(benchmark::State& state) {
   uint64_t produced = 0;
   for (auto _ : state) {
     if (produced % 64 == 0) {
+      std::vector<ProduceRecord> records;
       for (int i = 0; i < 64; ++i) {
-        RAILGUN_CHECK_OK(bus.ProduceToPartition("t", i % 8, "k", "m").status());
+        records.push_back({"k" + std::to_string(i), "m"});
       }
+      RAILGUN_CHECK_OK(bus.ProduceBatch("t", std::move(records)));
     }
     produced += 64;
     benchmark::DoNotOptimize(bus.PollBatch("c", 64, &batch));
@@ -74,7 +81,7 @@ void BM_Rebalance(benchmark::State& state) {
   // Cost of a full join/leave cycle at a given member count.
   for (auto _ : state) {
     state.PauseTiming();
-    MessageBus bus(InstantBus());
+    InProcessBus bus(InstantBus());
     RAILGUN_CHECK_OK(bus.CreateTopic("t", static_cast<int>(state.range(0)) * 4));
     state.ResumeTiming();
     for (int m = 0; m < state.range(0); ++m) {

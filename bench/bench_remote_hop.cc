@@ -63,7 +63,7 @@ HopResult DriveHop(Bus* producer_bus, Bus* consumer_bus, int64_t pings,
   // Phase 1: sequential produce -> blocking poll, per-event latency.
   for (int64_t i = 0; i < pings; ++i) {
     const Micros sent = clock->NowMicros();
-    if (!producer_bus->ProduceToPartition(kTopic, 0, "k", "ping").ok()) {
+    if (!producer_bus->ProduceBatch(kTopic, {{"k", "ping"}}).ok()) {
       return result;
     }
     do {

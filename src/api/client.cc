@@ -453,6 +453,24 @@ engine::FrontEnd* Client::PickFrontEnd() {
   return nullptr;
 }
 
+engine::FrontEnd::ReplyCallback Client::CompletionFor(
+    std::shared_ptr<ResultFuture::State> state,
+    const trace::TraceContext& trace_ctx, Micros trace_start,
+    const std::string& stream_name) {
+  return [state = std::move(state), trace_ctx, trace_start, stream_name](
+             Status status, const std::vector<engine::MetricReply>& replies) {
+    EventResult result;
+    result.status = std::move(status);
+    result.metrics.reserve(replies.size());
+    for (const auto& reply : replies) {
+      result.metrics.push_back(
+          {reply.metric_name, reply.group_key, reply.value});
+    }
+    FinishRootSpan(trace_ctx, trace_start, stream_name);
+    ResultFuture::Complete(state, std::move(result));
+  };
+}
+
 ResultFuture Client::Submit(const std::string& stream_name, const Row& row) {
   auto reject = [](Status status) {
     EventResult result;
@@ -481,19 +499,7 @@ ResultFuture Client::Submit(const std::string& stream_name, const Row& row) {
   auto state = std::make_shared<ResultFuture::State>();
   const Status submitted = frontend->Submit(
       stream_name, event_or.value(),
-      [state, trace_ctx, trace_start, stream_name](
-          Status status, const std::vector<engine::MetricReply>& replies) {
-        EventResult result;
-        result.status = std::move(status);
-        result.metrics.reserve(replies.size());
-        for (const auto& reply : replies) {
-          result.metrics.push_back(
-              {reply.metric_name, reply.group_key, reply.value});
-        }
-        FinishRootSpan(trace_ctx, trace_start, stream_name);
-        ResultFuture::Complete(state, std::move(result));
-      },
-      trace_ctx);
+      CompletionFor(state, trace_ctx, trace_start, stream_name), trace_ctx);
   if (!submitted.ok()) return reject(submitted);
   return ResultFuture(std::move(state));
 }
@@ -538,18 +544,7 @@ std::vector<ResultFuture> Client::SubmitBatch(const std::string& stream_name,
     const Micros trace_start = trace_ctx.valid() ? tracer->NowMicros() : 0;
     traces.push_back(trace_ctx);
     callbacks.push_back(
-        [state, trace_ctx, trace_start, stream_name](
-            Status status, const std::vector<engine::MetricReply>& replies) {
-          EventResult result;
-          result.status = std::move(status);
-          result.metrics.reserve(replies.size());
-          for (const auto& reply : replies) {
-            result.metrics.push_back(
-                {reply.metric_name, reply.group_key, reply.value});
-          }
-          FinishRootSpan(trace_ctx, trace_start, stream_name);
-          ResultFuture::Complete(state, std::move(result));
-        });
+        CompletionFor(std::move(state), trace_ctx, trace_start, stream_name));
   }
   if (events.empty()) return futures;
 

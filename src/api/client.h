@@ -37,6 +37,7 @@
 #include "engine/cluster.h"
 #include "introspect/internals.h"
 #include "query/ddl.h"
+#include "trace/trace_context.h"
 
 namespace railgun::msg::remote {
 class RemoteBus;
@@ -231,6 +232,12 @@ class Client {
   StatusOr<reservoir::Event> BindRow(const std::string& stream_name,
                                      const Row& row) const;
   engine::FrontEnd* PickFrontEnd();
+  // The front-end reply callback of one submitted row (Submit and
+  // SubmitBatch): completes the row's future and its root span.
+  static engine::FrontEnd::ReplyCallback CompletionFor(
+      std::shared_ptr<ResultFuture::State> state,
+      const trace::TraceContext& trace_ctx, Micros trace_start,
+      const std::string& stream_name);
   bool remote() const { return remote_bus_ != nullptr; }
 
   ClientOptions options_;

@@ -73,12 +73,13 @@ void BaselineWorker::Run() {
           reply.results.push_back(
               {"count(*)", key,
                reservoir::FieldValue(static_cast<int64_t>(result.count))});
-          std::string encoded;
-          EncodeReplyEnvelope(reply, &encoded);
-          // Baseline comparison harness: a dropped reply shows up as a
-          // client timeout, which is the behavior being measured.
-          (void)bus_->Produce(envelope.reply_topic, message.key,
-                              std::move(encoded));
+          std::vector<msg::ProduceRecord> records(1);
+          records[0].key = message.key;
+          EncodeReplyEnvelope(reply, &records[0].payload);
+          // Baseline comparison harness: one publish per reply; a dropped
+          // reply shows up as a client timeout, which is the behavior
+          // being measured.
+          (void)bus_->ProduceBatch(envelope.reply_topic, std::move(records));
         }
       }
     }

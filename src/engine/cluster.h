@@ -58,7 +58,7 @@ class Cluster {
   // only grows; killed nodes are marked dead, not erased).
   RailgunNode* node(int index) const;
   int num_nodes() const;
-  msg::Bus* bus() { return bus_.get(); }
+  msg::InProcessBus* bus() { return bus_.get(); }
   Coordinator* coordinator() { return coordinator_.get(); }
   // Every layer of this cluster records its metrics here; the publisher
   // streams snapshots into "__railgun.internals". Borrowable by

@@ -247,9 +247,6 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
 
 Status FrontEnd::SubmitNoReply(const std::string& stream_name,
                                const reservoir::Event& event) {
-  if (!running_) {
-    return Status::Unavailable("front end is not running");
-  }
   return SubmitBatch(stream_name, {event}, {});
 }
 

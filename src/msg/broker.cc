@@ -13,11 +13,10 @@ InProcessBus::InProcessBus(const BusOptions& options)
       clock_(options.clock != nullptr ? options.clock
                                       : MonotonicClock::Default()) {}
 
-std::shared_ptr<InProcessBus::Topic> InProcessBus::FindTopic(
-    const std::string& topic) const {
+InProcessBus::Topic* InProcessBus::FindTopic(const std::string& topic) const {
   MutexLock lock(&topics_mu_);
   auto it = topics_.find(topic);
-  return it == topics_.end() ? nullptr : it->second;
+  return it == topics_.end() ? nullptr : it->second.get();
 }
 
 void InProcessBus::NotifyArrival() {
@@ -86,14 +85,6 @@ Status InProcessBus::WakeConsumer(const std::string& consumer_id) {
   return Status::OK();
 }
 
-void InProcessBus::Wake() {
-  {
-    MutexLock lock(&group_mu_);
-    for (auto& [id, consumer] : consumers_) consumer.interrupted = true;
-  }
-  NotifyArrival();
-}
-
 Status InProcessBus::CreateTopic(const std::string& topic, int partitions) {
   if (partitions <= 0) {
     return Status::InvalidArgument("partitions must be positive");
@@ -103,7 +94,7 @@ Status InProcessBus::CreateTopic(const std::string& topic, int partitions) {
     if (topics_.count(topic) > 0) {
       return Status::AlreadyExists("topic exists: " + topic);
     }
-    auto t = std::make_shared<Topic>();
+    auto t = std::make_unique<Topic>();
     for (int p = 0; p < partitions; ++p) {
       t->partitions.push_back(std::make_unique<PartitionLog>());
     }
@@ -126,20 +117,6 @@ Status InProcessBus::CreateTopic(const std::string& topic, int partitions) {
   }
   NotifyArrival();
   return Status::OK();
-}
-
-Status InProcessBus::DeleteTopic(const std::string& topic) {
-  MutexLock lock(&topics_mu_);
-  if (topics_.erase(topic) == 0) {
-    return Status::NotFound("no topic: " + topic);
-  }
-  return Status::OK();
-}
-
-StatusOr<int> InProcessBus::NumPartitions(const std::string& topic) const {
-  auto t = FindTopic(topic);
-  if (t == nullptr) return Status::NotFound("no topic: " + topic);
-  return static_cast<int>(t->partitions.size());
 }
 
 std::vector<TopicPartition> InProcessBus::PartitionsOf(
@@ -185,47 +162,6 @@ void InProcessBus::TruncateLocked(PartitionLog* log) {
     log->messages.pop_front();
     ++log->base_offset;
   }
-}
-
-StatusOr<uint64_t> InProcessBus::Produce(const std::string& topic,
-                                         const std::string& key,
-                                         std::string payload) {
-  auto t = FindTopic(topic);
-  if (t == nullptr) return Status::NotFound("no topic: " + topic);
-  const int partition =
-      static_cast<int>(Hash64(key) % t->partitions.size());
-  PartitionLog* log = t->partitions[static_cast<size_t>(partition)].get();
-  uint64_t offset;
-  {
-    MutexLock lock(&log->mu);
-    AppendLocked(log, topic, partition, key, std::move(payload),
-                 clock_->NowMicros());
-    offset = log->end_offset.load(std::memory_order_relaxed) - 1;
-  }
-  NotifyArrival();
-  return offset;
-}
-
-StatusOr<uint64_t> InProcessBus::ProduceToPartition(const std::string& topic,
-                                                    int partition,
-                                                    std::string key,
-                                                    std::string payload) {
-  auto t = FindTopic(topic);
-  if (t == nullptr) return Status::NotFound("no topic: " + topic);
-  if (partition < 0 ||
-      static_cast<size_t>(partition) >= t->partitions.size()) {
-    return Status::InvalidArgument("bad partition");
-  }
-  PartitionLog* log = t->partitions[static_cast<size_t>(partition)].get();
-  uint64_t offset;
-  {
-    MutexLock lock(&log->mu);
-    AppendLocked(log, topic, partition, std::move(key), std::move(payload),
-                 clock_->NowMicros());
-    offset = log->end_offset.load(std::memory_order_relaxed) - 1;
-  }
-  NotifyArrival();
-  return offset;
 }
 
 Status InProcessBus::ProduceBatch(const std::string& topic,
@@ -375,11 +311,6 @@ void InProcessBus::RebalanceGroupLocked(const std::string& group_name) {
                                          GroupPartitionsLocked(group));
   ++group.generation;
   ++rebalance_count_;
-}
-
-void InProcessBus::CheckLiveness() {
-  MutexLock lock(&group_mu_);
-  CheckLivenessLocked();
 }
 
 void InProcessBus::CheckLivenessLocked() {
@@ -615,16 +546,6 @@ Status InProcessBus::Fetch(const TopicPartition& tp, uint64_t offset,
   return Status::OK();
 }
 
-Status InProcessBus::Commit(const std::string& consumer_id,
-                            const TopicPartition& tp, uint64_t next_offset) {
-  MutexLock lock(&group_mu_);
-  auto it = consumers_.find(consumer_id);
-  if (it == consumers_.end()) return Status::NotFound("no consumer");
-  it->second.positions[tp] = next_offset;
-  RecomputeCommittedFloorLocked(tp);
-  return Status::OK();
-}
-
 Status InProcessBus::Seek(const std::string& consumer_id,
                           const TopicPartition& tp, uint64_t offset) {
   // Clamp forward to the retention-trimmed head, exactly like Fetch: a
@@ -638,7 +559,12 @@ Status InProcessBus::Seek(const std::string& consumer_id,
     MutexLock lock(&log->mu);
     offset = std::max(offset, log->base_offset);
   }
-  return Commit(consumer_id, tp, offset);
+  MutexLock lock(&group_mu_);
+  auto it = consumers_.find(consumer_id);
+  if (it == consumers_.end()) return Status::NotFound("no consumer");
+  it->second.positions[tp] = offset;
+  RecomputeCommittedFloorLocked(tp);
+  return Status::OK();
 }
 
 StatusOr<uint64_t> InProcessBus::EndOffset(const TopicPartition& tp) const {

@@ -12,10 +12,10 @@
 // private mutex, so producers to different partitions never contend;
 // group coordination (membership, assignments, positions, heartbeats)
 // lives behind a separate lock. Consumers may park inside Poll on a
-// condition variable; every produce, rebalance and Wake() call notifies
-// parked consumers, so the engine's hot loops block on arrival instead
-// of sleep-polling. Lock order: group_mu_ -> topics_mu_ -> PartitionLog
-// mutexes (innermost); never the reverse.
+// condition variable; every produce, rebalance and WakeConsumer call
+// notifies parked consumers, so the engine's hot loops block on arrival
+// instead of sleep-polling. Lock order: group_mu_ -> topics_mu_ ->
+// PartitionLog mutexes (innermost); never the reverse.
 #ifndef RAILGUN_MSG_BROKER_H_
 #define RAILGUN_MSG_BROKER_H_
 
@@ -64,17 +64,10 @@ class InProcessBus : public Bus {
 
   // ----- Topic administration -----
   Status CreateTopic(const std::string& topic, int partitions) override;
-  Status DeleteTopic(const std::string& topic) override;
-  StatusOr<int> NumPartitions(const std::string& topic) const override;
   std::vector<TopicPartition> PartitionsOf(
       const std::string& topic) const override;
 
   // ----- Producing -----
-  StatusOr<uint64_t> Produce(const std::string& topic, const std::string& key,
-                             std::string payload) override;
-  StatusOr<uint64_t> ProduceToPartition(const std::string& topic,
-                                        int partition, std::string key,
-                                        std::string payload) override;
   // Publishes a whole batch with one partition-lock acquisition per
   // touched partition and one consumer wake-up.
   Status ProduceBatch(const std::string& topic,
@@ -108,7 +101,7 @@ class InProcessBus : public Bus {
   //
   // With max_wait > 0 an empty poll parks on the bus's condition
   // variable (wake-on-arrival) until a message becomes visible, a
-  // rebalance is delivered, Wake() is called, or max_wait elapses.
+  // rebalance is delivered, WakeConsumer is called, or max_wait elapses.
   // max_wait, like every other duration here, is interpreted in the
   // bus clock's domain: virtual time under a simulated clock, real time
   // under the monotonic clock. The consumer keeps heartbeating and
@@ -122,10 +115,8 @@ class InProcessBus : public Bus {
   Status Fetch(const TopicPartition& tp, uint64_t offset,
                size_t max_messages, std::vector<Message>* out) const override;
 
-  // Commits the consumer's position for a partition.
-  Status Commit(const std::string& consumer_id, const TopicPartition& tp,
-                uint64_t next_offset) override;
-  // Rewinds the consumer's position (recovery replay). Offsets below the
+  // Sets the consumer's position for a partition (recovery replay
+  // rewinds it; the position also floors retention). Offsets below the
   // retention-trimmed log head clamp forward to the earliest retained
   // message — the same rule as Fetch — so a replaying consumer can never
   // be positioned inside truncated data (which would also pin the
@@ -143,10 +134,6 @@ class InProcessBus : public Bus {
   // rejoins by subscribing again.
   Status KillConsumer(const std::string& consumer_id) override;
 
-  // Runs heartbeat expiry checks; called internally on every Poll and
-  // available to tests driving simulated time.
-  void CheckLiveness() override;
-
   // Interrupts a consumer's blocking Poll: its next (or current) Poll
   // returns (possibly empty) instead of waiting out max_wait. The
   // interrupt is level-triggered — a wake issued while the consumer is
@@ -156,8 +143,6 @@ class InProcessBus : public Bus {
   // is the engine's lever for loops that multiplex bus polling with
   // local work (e.g. a front end with queued submissions to fan out).
   Status WakeConsumer(const std::string& consumer_id) override;
-  // Interrupts every consumer (shutdown sweep).
-  void Wake() override;
 
   // Per-topic retention override (introspect: the internals stream is
   // bounded regardless of the broker-wide retention policy, which most
@@ -166,15 +151,15 @@ class InProcessBus : public Bus {
   Status SetTopicRetention(const std::string& topic,
                            uint64_t retention_messages);
 
-  // Introspection.
-  std::vector<TopicPartition> AssignmentOf(
-      const std::string& consumer_id) override;
-  uint64_t rebalance_count() const override { return rebalance_count_; }
+  // Introspection, outside the Bus contract. AssignmentOf is the
+  // consumer's current assignment (empty when unknown).
+  std::vector<TopicPartition> AssignmentOf(const std::string& consumer_id);
+  uint64_t rebalance_count() const { return rebalance_count_; }
   // Sum of (end offset - live read position) over every partition some
   // alive consumer tracks: the broker-side queue depth admission
-  // control and the kPoll response hint report. Uses the in-place poll
-  // positions, not the committed floors — floors only move on Commit
-  // and would overstate backlog for consumers that batch commits.
+  // control and the kPoll response hint report. Uses the live poll
+  // positions, not the committed floors: floors only move on Seek and
+  // would overstate backlog.
   uint64_t BacklogHint() const override;
   // Blocking-poll park/wake-up counts (wake-on-arrival health: parks
   // without wakes means idle, wakes without parks means busy-spinning).
@@ -232,7 +217,9 @@ class InProcessBus : public Bus {
     Assignment current;  // member -> partitions.
   };
 
-  std::shared_ptr<Topic> FindTopic(const std::string& topic) const;
+  // Topics are never deleted, so the pointer stays valid for the bus's
+  // lifetime. nullptr when the topic does not exist.
+  Topic* FindTopic(const std::string& topic) const;
   void AppendLocked(PartitionLog* log, const std::string& topic,
                     int partition, std::string key, std::string payload,
                     Micros now) REQUIRES(log->mu);
@@ -262,10 +249,9 @@ class InProcessBus : public Bus {
   RoundRobinStrategy default_strategy_;
 
   // Guards the topics_ map structure only; per-partition data is behind
-  // each PartitionLog's own mutex. shared_ptr keeps a topic alive for
-  // producers that looked it up concurrently with DeleteTopic.
+  // each PartitionLog's own mutex.
   mutable Mutex topics_mu_{kRankMsgTopics};
-  std::map<std::string, std::shared_ptr<Topic>> topics_ GUARDED_BY(topics_mu_);
+  std::map<std::string, std::unique_ptr<Topic>> topics_ GUARDED_BY(topics_mu_);
 
   // Group-coordination lock: consumers, groups, assignments, positions.
   mutable Mutex group_mu_{kRankMsgGroup};
@@ -283,10 +269,6 @@ class InProcessBus : public Bus {
   std::atomic<uint64_t> poll_parks_{0};
   std::atomic<uint64_t> poll_wakes_{0};
 };
-
-// Historical name of the in-process broker, kept for call sites that
-// construct one directly (tests, benches, the baseline engine).
-using MessageBus = InProcessBus;
 
 }  // namespace railgun::msg
 

@@ -6,8 +6,8 @@
 // wire protocol to a BusServer hosting the broker in another process.
 //
 // Contract highlights every implementation must honor:
-//  - Partitioned, offset-addressed, replayable logs; Produce returns the
-//    assigned offset; per-key order is preserved within ProduceBatch.
+//  - Partitioned, offset-addressed, replayable logs. ProduceBatch is the
+//    one producing call; per-key order is preserved within a batch.
 //  - Consumer groups with exactly-one-active-consumer-per-partition,
 //    heartbeat liveness (PollBatch is the heartbeat) and
 //    coordinator-driven rebalances delivered synchronously inside
@@ -52,21 +52,13 @@ class Bus {
 
   // ----- Topic administration -----
   virtual Status CreateTopic(const std::string& topic, int partitions) = 0;
-  virtual Status DeleteTopic(const std::string& topic) = 0;
-  virtual StatusOr<int> NumPartitions(const std::string& topic) const = 0;
+  // Empty when the topic does not exist.
   virtual std::vector<TopicPartition> PartitionsOf(
       const std::string& topic) const = 0;
 
   // ----- Producing -----
-  // Publishes to partition = Hash(key) % partitions. Returns the offset.
-  virtual StatusOr<uint64_t> Produce(const std::string& topic,
-                                     const std::string& key,
-                                     std::string payload) = 0;
-  virtual StatusOr<uint64_t> ProduceToPartition(const std::string& topic,
-                                                int partition,
-                                                std::string key,
-                                                std::string payload) = 0;
-  // Publishes a whole batch; records with the same key keep their
+  // Publishes a whole batch, each record to partition
+  // Hash(key) % partitions; records with the same key keep their
   // relative order (same key -> same partition, appended in input
   // order).
   virtual Status ProduceBatch(const std::string& topic,
@@ -103,8 +95,6 @@ class Bus {
                        size_t max_messages,
                        std::vector<Message>* out) const = 0;
 
-  virtual Status Commit(const std::string& consumer_id,
-                        const TopicPartition& tp, uint64_t next_offset) = 0;
   // Rewinds the consumer's position (recovery replay). Clamps to the
   // earliest retained offset.
   virtual Status Seek(const std::string& consumer_id,
@@ -117,18 +107,9 @@ class Bus {
   // Declares a consumer dead immediately (fault injection).
   virtual Status KillConsumer(const std::string& consumer_id) = 0;
 
-  // Runs heartbeat expiry checks (tests driving simulated time).
-  virtual void CheckLiveness() = 0;
-
   // Interrupts a consumer's blocking Poll (level-triggered).
   virtual Status WakeConsumer(const std::string& consumer_id) = 0;
-  // Interrupts every consumer (shutdown sweep).
-  virtual void Wake() = 0;
 
-  // Introspection.
-  virtual std::vector<TopicPartition> AssignmentOf(
-      const std::string& consumer_id) = 0;
-  virtual uint64_t rebalance_count() const = 0;
   // Total messages produced but not yet consumed across all partitions —
   // the broker-side queue-depth signal admission control watches.
   // InProcessBus computes it live; RemoteBus reports the hint the last

@@ -24,14 +24,16 @@ Status BusServer::Start() {
 void BusServer::Stop() {
   if (!running_.exchange(false)) return;
   listener_.Close();  // Unblocks the parked accept.
+  std::vector<std::string> consumers;
   {
     MutexLock lock(&mu_);
     for (auto& [id, sock] : conns_) sock->ShutdownBoth();
+    for (const auto& [id, buffer] : rebalances_) consumers.push_back(id);
   }
-  // Unpark server-side blocking Polls so their connection threads notice
-  // the shut-down sockets. The wake is level-triggered and consumed, so
-  // local consumers of the same bus just re-scan once.
-  bus_->Wake();
+  // Unpark the server-side blocking Polls of this server's consumers so
+  // their connection threads notice the shut-down sockets. The wake is
+  // level-triggered, so a poll about to park returns at once too.
+  for (const auto& id : consumers) (void)bus_->WakeConsumer(id);
   if (accept_thread_.joinable()) accept_thread_.join();
   MutexLock lock(&mu_);
   conns_drained_.Wait(&mu_, [this] { return live_connections_ == 0; });
@@ -121,54 +123,10 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       }
       break;
     }
-    case OpCode::kDeleteTopic: {
-      Slice topic;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic))) {
-        status = bus_->DeleteTopic(topic.ToString());
-      }
-      break;
-    }
-    case OpCode::kNumPartitions: {
-      Slice topic;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic))) {
-        auto n = bus_->NumPartitions(topic.ToString());
-        status = n.status();
-        if (n.ok()) PutVarint32(&result, static_cast<uint32_t>(n.value()));
-      }
-      break;
-    }
     case OpCode::kPartitionsOf: {
       Slice topic;
       if ((parsed = GetLengthPrefixedSlice(&in, &topic))) {
         PutTopicPartitionList(&result, bus_->PartitionsOf(topic.ToString()));
-      }
-      break;
-    }
-    case OpCode::kProduce: {
-      Slice topic, key, payload;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic) &&
-                    GetLengthPrefixedSlice(&in, &key) &&
-                    GetLengthPrefixedSlice(&in, &payload))) {
-        auto offset = bus_->Produce(topic.ToString(), key.ToString(),
-                                    payload.ToString());
-        status = offset.status();
-        if (offset.ok()) PutVarint64(&result, offset.value());
-      }
-      break;
-    }
-    case OpCode::kProduceToPartition: {
-      Slice topic, key, payload;
-      uint32_t partition;
-      if ((parsed = GetLengthPrefixedSlice(&in, &topic) &&
-                    GetVarint32(&in, &partition) &&
-                    partition <= static_cast<uint32_t>(INT32_MAX) &&
-                    GetLengthPrefixedSlice(&in, &key) &&
-                    GetLengthPrefixedSlice(&in, &payload))) {
-        auto offset = bus_->ProduceToPartition(
-            topic.ToString(), static_cast<int>(partition), key.ToString(),
-            payload.ToString());
-        status = offset.status();
-        if (offset.ok()) PutVarint64(&result, offset.value());
       }
       break;
     }
@@ -238,13 +196,14 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
                     GetVarint64(&in, &max_messages) &&
                     GetVarsint64(&in, &max_wait))) {
+        // Registered before parking, so Stop() can wake this poll.
+        auto buffer = BufferFor(consumer.ToString());
         MessageBatch batch;
         status = bus_->PollBatch(consumer.ToString(),
                                  static_cast<size_t>(max_messages), &batch,
                                  max_wait);
         if (status.ok()) {
           std::vector<TopicPartition> revoked, assigned;
-          auto buffer = BufferFor(consumer.ToString());
           {
             MutexLock lock(&buffer->mu);
             revoked.swap(buffer->revoked);
@@ -269,7 +228,6 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       }
       break;
     }
-    case OpCode::kCommit:
     case OpCode::kSeek: {
       Slice consumer;
       TopicPartition tp;
@@ -277,9 +235,7 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
                     GetTopicPartition(&in, &tp) &&
                     GetVarint64(&in, &offset))) {
-        status = static_cast<OpCode>(request.opcode) == OpCode::kCommit
-                     ? bus_->Commit(consumer.ToString(), tp, offset)
-                     : bus_->Seek(consumer.ToString(), tp, offset);
+        status = bus_->Seek(consumer.ToString(), tp, offset);
       }
       break;
     }
@@ -309,22 +265,6 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       }
       break;
     }
-    case OpCode::kWake:
-      bus_->Wake();
-      break;
-    case OpCode::kCheckLiveness:
-      bus_->CheckLiveness();
-      break;
-    case OpCode::kAssignmentOf: {
-      Slice consumer;
-      if ((parsed = GetLengthPrefixedSlice(&in, &consumer))) {
-        PutTopicPartitionList(&result, bus_->AssignmentOf(consumer.ToString()));
-      }
-      break;
-    }
-    case OpCode::kRebalanceCount:
-      PutVarint64(&result, bus_->rebalance_count());
-      break;
     case OpCode::kHello: {
       uint32_t version;
       if ((parsed = GetVarint32(&in, &version)) &&

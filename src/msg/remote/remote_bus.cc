@@ -169,25 +169,6 @@ Status RemoteBus::CreateTopic(const std::string& topic, int partitions) {
   return CallControl(OpCode::kCreateTopic, payload, nullptr);
 }
 
-Status RemoteBus::DeleteTopic(const std::string& topic) {
-  std::string payload;
-  PutLengthPrefixedSlice(&payload, topic);
-  return CallControl(OpCode::kDeleteTopic, payload, nullptr);
-}
-
-StatusOr<int> RemoteBus::NumPartitions(const std::string& topic) const {
-  std::string payload, result;
-  PutLengthPrefixedSlice(&payload, topic);
-  RAILGUN_RETURN_IF_ERROR(
-      CallControl(OpCode::kNumPartitions, payload, &result));
-  Slice in(result);
-  uint32_t n;
-  if (!GetVarint32(&in, &n)) {
-    return Status::Corruption("malformed NumPartitions response");
-  }
-  return static_cast<int>(n);
-}
-
 std::vector<TopicPartition> RemoteBus::PartitionsOf(
     const std::string& topic) const {
   std::string payload, result;
@@ -200,44 +181,6 @@ std::vector<TopicPartition> RemoteBus::PartitionsOf(
 }
 
 // --- Producing -------------------------------------------------------
-
-StatusOr<uint64_t> RemoteBus::Produce(const std::string& topic,
-                                      const std::string& key,
-                                      std::string payload_bytes) {
-  std::string payload, result;
-  PutLengthPrefixedSlice(&payload, topic);
-  PutLengthPrefixedSlice(&payload, key);
-  PutLengthPrefixedSlice(&payload, payload_bytes);
-  RAILGUN_RETURN_IF_ERROR(CallControl(OpCode::kProduce, payload, &result));
-  Slice in(result);
-  uint64_t offset;
-  if (!GetVarint64(&in, &offset)) {
-    return Status::Corruption("malformed Produce response");
-  }
-  return offset;
-}
-
-StatusOr<uint64_t> RemoteBus::ProduceToPartition(const std::string& topic,
-                                                 int partition,
-                                                 std::string key,
-                                                 std::string payload_bytes) {
-  // Same contract as the in-process bus: never silently reroute a bad
-  // partition.
-  if (partition < 0) return Status::InvalidArgument("bad partition");
-  std::string payload, result;
-  PutLengthPrefixedSlice(&payload, topic);
-  PutVarint32(&payload, static_cast<uint32_t>(partition));
-  PutLengthPrefixedSlice(&payload, key);
-  PutLengthPrefixedSlice(&payload, payload_bytes);
-  RAILGUN_RETURN_IF_ERROR(
-      CallControl(OpCode::kProduceToPartition, payload, &result));
-  Slice in(result);
-  uint64_t offset;
-  if (!GetVarint64(&in, &offset)) {
-    return Status::Corruption("malformed Produce response");
-  }
-  return offset;
-}
 
 Status RemoteBus::ProduceBatch(const std::string& topic,
                                std::vector<ProduceRecord> records) {
@@ -319,7 +262,7 @@ Status RemoteBus::PollBatch(const std::string& consumer_id,
   PutVarint64(&payload, max_messages);
   PutVarsint64(&payload, max_wait);
   // The dedicated per-consumer connection lets the server park this
-  // poll without stalling control traffic (wakes, produces, commits).
+  // poll without stalling control traffic (wakes, produces, seeks).
   BufferRef buffer;
   Slice in;
   RAILGUN_RETURN_IF_ERROR(
@@ -355,15 +298,6 @@ Status RemoteBus::Fetch(const TopicPartition& tp, uint64_t offset,
     out->push_back(view.ToMessage());
   }
   return Status::OK();
-}
-
-Status RemoteBus::Commit(const std::string& consumer_id,
-                         const TopicPartition& tp, uint64_t next_offset) {
-  std::string payload;
-  PutLengthPrefixedSlice(&payload, consumer_id);
-  PutTopicPartition(&payload, tp);
-  PutVarint64(&payload, next_offset);
-  return CallControl(OpCode::kCommit, payload, nullptr);
 }
 
 Status RemoteBus::Seek(const std::string& consumer_id,
@@ -405,37 +339,10 @@ Status RemoteBus::KillConsumer(const std::string& consumer_id) {
   return CallControl(OpCode::kKillConsumer, payload, nullptr);
 }
 
-void RemoteBus::CheckLiveness() {
-  // Probe only: failure surfaces through the next real call's status.
-  (void)CallControl(OpCode::kCheckLiveness, "", nullptr);
-}
-
 Status RemoteBus::WakeConsumer(const std::string& consumer_id) {
   std::string payload;
   PutLengthPrefixedSlice(&payload, consumer_id);
   return CallControl(OpCode::kWakeConsumer, payload, nullptr);
-}
-
-void RemoteBus::Wake() { (void)CallControl(OpCode::kWake, "", nullptr); }
-
-std::vector<TopicPartition> RemoteBus::AssignmentOf(
-    const std::string& consumer_id) {
-  std::string payload, result;
-  PutLengthPrefixedSlice(&payload, consumer_id);
-  std::vector<TopicPartition> tps;
-  if (!CallControl(OpCode::kAssignmentOf, payload, &result).ok()) return tps;
-  Slice in(result);
-  GetTopicPartitionList(&in, &tps);
-  return tps;
-}
-
-uint64_t RemoteBus::rebalance_count() const {
-  std::string result;
-  if (!CallControl(OpCode::kRebalanceCount, "", &result).ok()) return 0;
-  Slice in(result);
-  uint64_t count = 0;
-  GetVarint64(&in, &count);
-  return count;
 }
 
 }  // namespace railgun::msg::remote

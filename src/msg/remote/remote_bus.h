@@ -6,10 +6,10 @@
 // producer traffic, plus one lazily created connection per key: per
 // consumer for PollBatch, and per caller-chosen key for other blocking
 // RPCs (CallOpcode) — a blocking call parks server-side on its own
-// connection while WakeConsumer/Produce traffic flows on the control
-// connection, mirroring the in-process wake-on-arrival contract. Each
-// connection carries one outstanding request at a time (correlation ids
-// are still checked defensively). Every dialled connection first sends
+// connection while WakeConsumer/ProduceBatch traffic flows on the
+// control connection, mirroring the in-process wake-on-arrival
+// contract. Each connection carries one outstanding request at a time
+// (correlation ids are still checked defensively). Every dialled connection first sends
 // kHello with wire.h's kProtocolVersion; a server speaking another
 // version refuses it, and calls on that connection fail with the typed
 // ProtocolMismatch error instead of exchanging frames neither side can
@@ -74,16 +74,9 @@ class RemoteBus : public Bus {
 
   // --- Bus interface -------------------------------------------------
   Status CreateTopic(const std::string& topic, int partitions) override;
-  Status DeleteTopic(const std::string& topic) override;
-  StatusOr<int> NumPartitions(const std::string& topic) const override;
   std::vector<TopicPartition> PartitionsOf(
       const std::string& topic) const override;
 
-  StatusOr<uint64_t> Produce(const std::string& topic, const std::string& key,
-                             std::string payload) override;
-  StatusOr<uint64_t> ProduceToPartition(const std::string& topic,
-                                        int partition, std::string key,
-                                        std::string payload) override;
   Status ProduceBatch(const std::string& topic,
                       std::vector<ProduceRecord> records) override;
 
@@ -101,8 +94,6 @@ class RemoteBus : public Bus {
   Status Fetch(const TopicPartition& tp, uint64_t offset,
                size_t max_messages, std::vector<Message>* out) const override;
 
-  Status Commit(const std::string& consumer_id, const TopicPartition& tp,
-                uint64_t next_offset) override;
   Status Seek(const std::string& consumer_id, const TopicPartition& tp,
               uint64_t offset) override;
 
@@ -110,13 +101,8 @@ class RemoteBus : public Bus {
   StatusOr<uint64_t> BaseOffset(const TopicPartition& tp) const override;
 
   Status KillConsumer(const std::string& consumer_id) override;
-  void CheckLiveness() override;
   Status WakeConsumer(const std::string& consumer_id) override;
-  void Wake() override;
 
-  std::vector<TopicPartition> AssignmentOf(
-      const std::string& consumer_id) override;
-  uint64_t rebalance_count() const override;
   // Broker queue depth as of the last kPoll response this client saw
   // (the backlog field of wire.h's kPoll). 0 until the first poll.
   uint64_t BacklogHint() const override {

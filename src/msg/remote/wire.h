@@ -44,21 +44,20 @@ constexpr uint8_t kResponseBit = 0x80;
 // frame or payload layout: peers never negotiate formats, they either
 // match or refuse each other at connect time. v2: DDL is the
 // kMetaExecuteDdl RPC (v1 clients published it to a bus topic that no
-// v2 server consumes).
-constexpr uint32_t kProtocolVersion = 2;
+// v2 server consumes). v3: kProduceBatch is the only produce request
+// and the test-only RPCs are gone; the bump refuses a v2 client at
+// connect instead of answering its first row produce NotSupported.
+constexpr uint32_t kProtocolVersion = 3;
 
 // The typed error a kHello with a foreign version gets (and that
 // RemoteBus surfaces from the first call on such a connection). Not a
 // NotSupported: callers read that code as "feature absent".
 Status ProtocolMismatch(const std::string& detail);
 
+// Retired opcode numbers (2, 3, 5, 6, 12, 18-21) are never reused.
 enum class OpCode : uint8_t {
   kCreateTopic = 1,
-  kDeleteTopic = 2,
-  kNumPartitions = 3,
   kPartitionsOf = 4,
-  kProduce = 5,
-  kProduceToPartition = 6,
   // Columnar produce payload (PutColumnarProduceBatch), followed by
   // trace::kTraceTrailerSize checksummed trace-context bytes when the
   // producer traces the request.
@@ -70,16 +69,11 @@ enum class OpCode : uint8_t {
   // PutPollResponse. kFetch responses carry a columnar message list.
   kPoll = 10,
   kFetch = 11,
-  kCommit = 12,
   kSeek = 13,
   kEndOffset = 14,
   kBaseOffset = 15,
   kKillConsumer = 16,
   kWakeConsumer = 17,
-  kWake = 18,
-  kAssignmentOf = 19,
-  kCheckLiveness = 20,
-  kRebalanceCount = 21,
 
   // Connect-time version check: payload [varint32 version]. The server
   // answers OK when the version equals kProtocolVersion and the typed

@@ -1,9 +1,14 @@
 // Tests for the hopping-window and quadratic baselines, including the
 // paper's central accuracy argument: hopping windows miss bursts that a
-// true sliding window catches (Figure 1), regardless of hop size.
+// true sliding window catches (Figure 1), regardless of hop size — and
+// for the BaselineWorker that serves the hopping engine over the bus.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "baseline/hopping_engine.h"
+#include "baseline/worker.h"
+#include "msg/broker.h"
 #include "storage/db.h"
 
 namespace railgun::baseline {
@@ -114,6 +119,79 @@ TEST_F(BaselineTest, KeysAreIndependent) {
   ASSERT_TRUE(engine.ProcessEvent("cardB", 2000, 20.0, &b).ok());
   EXPECT_DOUBLE_EQ(a.sum, 10.0);
   EXPECT_DOUBLE_EQ(b.sum, 20.0);
+}
+
+TEST_F(BaselineTest, WorkerPublishesOneSumCountReplyPerEvent) {
+  msg::BusOptions bus_options;
+  bus_options.delivery_delay = 0;
+  msg::InProcessBus bus(bus_options);
+  engine::StreamDef stream;
+  stream.name = "payments";
+  stream.fields = {{"cardId", reservoir::FieldType::kString},
+                   {"amount", reservoir::FieldType::kDouble}};
+  stream.partitioners = {"cardId"};
+  stream.partitions_per_topic = 2;
+  ASSERT_TRUE(bus.CreateTopic("payments.cardId", 2).ok());
+  ASSERT_TRUE(bus.CreateTopic("replies.test", 1).ok());
+
+  HoppingOptions options;
+  options.window_size = 5 * kMicrosPerMinute;
+  options.hop = kMicrosPerMinute;
+  HoppingEngine engine(options, db_.get());
+  BaselineWorker worker(WorkerOptions{}, &bus, &engine, stream,
+                        "payments.cardId", MonotonicClock::Default());
+  ASSERT_TRUE(worker.Start().ok());
+
+  // Five events of one card inside one window instance: request i
+  // carries amount i, so its reply must read sum 1+..+i and count i.
+  const reservoir::Schema schema(0, stream.fields);
+  std::vector<msg::ProduceRecord> records;
+  for (int i = 1; i <= 5; ++i) {
+    engine::EventEnvelope envelope;
+    envelope.request_id = static_cast<uint64_t>(i);
+    envelope.reply_topic = "replies.test";
+    envelope.event.id = static_cast<uint64_t>(i);
+    envelope.event.timestamp = 10 * kMicrosPerSecond + i * kMicrosPerSecond;
+    envelope.event.values = {reservoir::FieldValue("card1"),
+                             reservoir::FieldValue(1.0 * i)};
+    msg::ProduceRecord record;
+    record.key = "card1";
+    engine::EncodeEventEnvelope(envelope, schema, &record.payload);
+    records.push_back(std::move(record));
+  }
+  ASSERT_TRUE(bus.ProduceBatch("payments.cardId", std::move(records)).ok());
+
+  Clock* clock = MonotonicClock::Default();
+  const Micros deadline = clock->NowMicros() + 5 * kMicrosPerSecond;
+  while (bus.EndOffset({"replies.test", 0}).value() < 5 &&
+         clock->NowMicros() < deadline) {
+    clock->SleepMicros(kMicrosPerMilli);
+  }
+  worker.Stop();
+  EXPECT_EQ(worker.processed(), 5u);
+
+  std::vector<msg::Message> replies;
+  ASSERT_TRUE(bus.Fetch({"replies.test", 0}, 0, 100, &replies).ok());
+  ASSERT_EQ(replies.size(), 5u);  // One reply per event, no more.
+  std::map<uint64_t, engine::ReplyEnvelope> by_request;
+  for (const auto& message : replies) {
+    engine::ReplyEnvelope reply;
+    ASSERT_TRUE(
+        engine::DecodeReplyEnvelope(Slice(message.payload), &reply).ok());
+    EXPECT_EQ(message.key, "card1");
+    by_request[reply.request_id] = reply;
+  }
+  ASSERT_EQ(by_request.size(), 5u);
+  for (const auto& [request_id, reply] : by_request) {
+    const double n = static_cast<double>(request_id);
+    ASSERT_EQ(reply.results.size(), 2u);
+    EXPECT_EQ(reply.results[0].metric_name, "sum(amount)");
+    EXPECT_EQ(reply.results[0].group_key, "card1");
+    EXPECT_DOUBLE_EQ(reply.results[0].value.ToNumber(), n * (n + 1) / 2);
+    EXPECT_EQ(reply.results[1].metric_name, "count(*)");
+    EXPECT_EQ(reply.results[1].value.as_int(),
+              static_cast<int64_t>(request_id));
+  }
 }
 
 // Property: per-event state-store writes scale linearly with ws/hop —

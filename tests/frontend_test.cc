@@ -7,6 +7,7 @@
 
 #include "engine/frontend.h"
 #include "msg/broker.h"
+#include "produce_util.h"
 
 namespace railgun::engine {
 namespace {
@@ -36,7 +37,7 @@ Event SampleEvent() {
 
 // Submission is pipelined: the front-end thread fans queued events out
 // in batches, so tests wait for the publishes to land on the bus.
-uint64_t WaitForTopicTotal(msg::MessageBus* bus, const std::string& topic,
+uint64_t WaitForTopicTotal(msg::InProcessBus* bus, const std::string& topic,
                            uint64_t expected) {
   uint64_t total = 0;
   for (int i = 0; i < 500; ++i) {
@@ -55,7 +56,7 @@ class FrontEndTest : public ::testing::Test {
   void SetUp() override {
     msg::BusOptions bus_options;
     bus_options.delivery_delay = 0;
-    bus_.reset(new msg::MessageBus(bus_options));
+    bus_.reset(new msg::InProcessBus(bus_options));
     FrontEndOptions options;
     options.request_timeout = 300 * kMicrosPerMilli;
     frontend_.reset(new FrontEnd(options, "nodeT", bus_.get(),
@@ -66,7 +67,7 @@ class FrontEndTest : public ::testing::Test {
 
   void TearDown() override { frontend_->Stop(); }
 
-  std::unique_ptr<msg::MessageBus> bus_;
+  std::unique_ptr<msg::InProcessBus> bus_;
   std::unique_ptr<FrontEnd> frontend_;
 };
 
@@ -120,8 +121,9 @@ TEST_F(FrontEndTest, CompletesWhenAllPartitionerRepliesArrive) {
             {"count(*)", "card7", FieldValue(int64_t{1})});
         std::string encoded;
         EncodeReplyEnvelope(reply, &encoded);
-        ASSERT_TRUE(
-            bus_->Produce(env.reply_topic, "k", std::move(encoded)).ok());
+        ASSERT_TRUE(msg::ProduceOne(bus_.get(), env.reply_topic, "k",
+                                    std::move(encoded))
+                        .ok());
       }
     }
   }
@@ -175,8 +177,9 @@ TEST_F(FrontEndTest, LateRepliesAfterTimeoutAreDiscarded) {
   reply.request_id = 12345;  // Unknown/expired id.
   std::string encoded;
   EncodeReplyEnvelope(reply, &encoded);
-  ASSERT_TRUE(
-      bus_->Produce(frontend_->reply_topic(), "k", std::move(encoded)).ok());
+  ASSERT_TRUE(msg::ProduceOne(bus_.get(), frontend_->reply_topic(), "k",
+                              std::move(encoded))
+                  .ok());
   MonotonicClock::Default()->SleepMicros(50000);
   EXPECT_EQ(calls.load(), 1);
 }
@@ -200,7 +203,7 @@ TEST_F(FrontEndTest, StopFailsOutstandingRequests) {
 TEST(FrontEndLifecycleTest, SubmitBeforeStartIsUnavailable) {
   msg::BusOptions bus_options;
   bus_options.delivery_delay = 0;
-  msg::MessageBus bus(bus_options);
+  msg::InProcessBus bus(bus_options);
   FrontEnd frontend(FrontEndOptions{}, "nodeL", &bus,
                     MonotonicClock::Default());
   ASSERT_TRUE(frontend.RegisterStream(TwoPartitionerStream()).ok());

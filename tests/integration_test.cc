@@ -377,7 +377,7 @@ TEST(IntegrationTest, FencedUnitRejoinsAndStaysExact) {
   Cluster cluster(options);
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.RegisterStream(PaymentsStream(4)).ok());
-  msg::Bus* bus = cluster.bus();
+  msg::InProcessBus* bus = cluster.bus();
   ProcessorUnit* fenced = cluster.node(0)->unit(0);
   ExactSubmitter submitter(cluster.node(1)->frontend());
 

@@ -157,7 +157,7 @@ TEST(PublisherTest, SnapshotsAreDeterministicUnderSimulatedClock) {
   msg::BusOptions bus_options;
   bus_options.delivery_delay = 0;
   bus_options.clock = &clock;
-  msg::MessageBus bus(bus_options);
+  msg::InProcessBus bus(bus_options);
 
   Registry registry;
   registry.counter("events")->Add(10);
@@ -273,7 +273,7 @@ reservoir::Event PaymentEvent(uint64_t id) {
 TEST(AdmissionTest, FrontEndShedsAtExactDepthAndReleasesOnDrain) {
   msg::BusOptions bus_options;
   bus_options.delivery_delay = 0;
-  msg::MessageBus bus(bus_options);
+  msg::InProcessBus bus(bus_options);
 
   engine::FrontEndOptions options;
   options.request_timeout = 30 * kMicrosPerMilli;

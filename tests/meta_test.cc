@@ -270,7 +270,7 @@ TEST_F(MembershipTest, AnnounceHeartbeatLeaveLifecycle) {
 }
 
 TEST_F(MembershipTest, LeaseExpiresAfterExactlyTheTimeoutAndLeavesTheBusAlone) {
-  msg::Bus* bus = cluster_->bus();
+  msg::InProcessBus* bus = cluster_->bus();
   ASSERT_TRUE(bus->CreateTopic("pay.cardId", 4).ok());
   SubscribeUnit("wA", "wA/u0");
   SubscribeUnit("wB", "wB/u0");
@@ -313,7 +313,7 @@ TEST_F(MembershipTest, UnitsThatKeepPollingOutliveTheirNodesLease) {
   // Partial failure: wA's heartbeats stop (its heartbeat thread died)
   // while its unit keeps polling. The listing ages wA out at the lease;
   // the unit keeps its bus session and its partitions.
-  msg::Bus* bus = cluster_->bus();
+  msg::InProcessBus* bus = cluster_->bus();
   ASSERT_TRUE(bus->CreateTopic("pay.cardId", 4).ok());
   SubscribeUnit("wA", "wA/u0");
   SubscribeUnit("wB", "wB/u0");

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "msg/broker.h"
+#include "produce_util.h"
 
 namespace railgun::msg {
 namespace {
@@ -37,14 +38,12 @@ BusOptions FastBus(Clock* clock = nullptr) {
 }
 
 TEST(BusTest, TopicAdministration) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 4).ok());
   EXPECT_TRUE(bus.CreateTopic("t", 4).IsAlreadyExists());
   EXPECT_FALSE(bus.CreateTopic("bad", 0).ok());
-  EXPECT_EQ(bus.NumPartitions("t").value(), 4);
   EXPECT_EQ(bus.PartitionsOf("t").size(), 4u);
-  ASSERT_TRUE(bus.DeleteTopic("t").ok());
-  EXPECT_TRUE(bus.NumPartitions("t").status().IsNotFound());
+  EXPECT_TRUE(bus.PartitionsOf("nope").empty());
 }
 
 TEST(BusTest, PinnedGroupStrategySurvivesAnEmptiedGroup) {
@@ -67,7 +66,7 @@ TEST(BusTest, PinnedGroupStrategySurvivesAnEmptiedGroup) {
     }
     std::string name() const override { return "counting"; }
   };
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
   CountingStrategy strategy;
   bus.SetGroupStrategy("g", &strategy);
@@ -85,11 +84,12 @@ TEST(BusTest, PinnedGroupStrategySurvivesAnEmptiedGroup) {
 }
 
 TEST(BusTest, KeyedPartitioningIsStable) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 8).ok());
   // Same key always lands in the same partition.
   for (int round = 0; round < 3; ++round) {
-    ASSERT_TRUE(bus.Produce("t", "card42", "m" + std::to_string(round)).ok());
+    ASSERT_TRUE(
+        ProduceOne(&bus, "t", "card42", "m" + std::to_string(round)).ok());
   }
   int with_data = 0;
   for (const auto& tp : bus.PartitionsOf("t")) {
@@ -103,12 +103,11 @@ TEST(BusTest, KeyedPartitioningIsStable) {
 }
 
 TEST(BusTest, FetchByOffsetSupportsReplay) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   for (int i = 0; i < 10; ++i) {
-    auto off = bus.ProduceToPartition("t", 0, "k", "m" + std::to_string(i));
-    ASSERT_TRUE(off.ok());
-    EXPECT_EQ(off.value(), static_cast<uint64_t>(i));
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", "m" + std::to_string(i)).ok());
+    EXPECT_EQ(bus.EndOffset({"t", 0}).value(), static_cast<uint64_t>(i + 1));
   }
   std::vector<Message> out;
   ASSERT_TRUE(bus.Fetch({"t", 0}, 5, 100, &out).ok());
@@ -125,9 +124,9 @@ TEST(BusTest, DeliveryDelayHidesFreshMessages) {
   BusOptions options;
   options.delivery_delay = 500;
   options.clock = &clock;
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "m").ok());
+  ASSERT_TRUE(ProduceOne(&bus, "t", "k", "m").ok());
 
   std::vector<Message> out;
   ASSERT_TRUE(bus.Fetch({"t", 0}, 0, 10, &out).ok());
@@ -138,7 +137,7 @@ TEST(BusTest, DeliveryDelayHidesFreshMessages) {
 }
 
 TEST(GroupTest, SinglePartitionOwnershipWithinGroup) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 4).ok());
   ASSERT_TRUE(
       bus.Subscribe("c1", "g", {"t"}, "node=a", nullptr, {}).ok());
@@ -159,12 +158,12 @@ TEST(GroupTest, SinglePartitionOwnershipWithinGroup) {
 }
 
 TEST(GroupTest, PollDeliversOnlyAssignedPartitions) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(bus.ProduceToPartition("t", i % 2, "k", "m").ok());
+    ASSERT_TRUE(ProduceOne(&bus, "t", KeyForPartition(i % 2, 2), "m").ok());
   }
   std::vector<Message> from1, from2, batch;
   // First polls deliver the assignment, subsequent polls the messages.
@@ -180,7 +179,7 @@ TEST(GroupTest, PollDeliversOnlyAssignedPartitions) {
 }
 
 TEST(GroupTest, RebalanceCallbacksFireOnMembershipChange) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 4).ok());
 
   std::vector<TopicPartition> assigned1, revoked1;
@@ -206,7 +205,7 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
   SimulatedClock clock(0);
   BusOptions options = FastBus(&clock);
   options.session_timeout = 1000;
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
   ASSERT_TRUE(bus.Subscribe("alive", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", nullptr, {}).ok());
@@ -239,7 +238,7 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
 }
 
 TEST(GroupTest, KillConsumerRebalancesImmediately) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
@@ -253,11 +252,11 @@ TEST(GroupTest, KillConsumerRebalancesImmediately) {
 }
 
 TEST(GroupTest, SeekRewindsConsumption) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
@@ -274,7 +273,7 @@ TEST(GroupTest, PartitionsOnlyAssignedToSubscribedMembers) {
   // just created and only c2 re-subscribed with its topic so far. t2's
   // partitions must never land on c1 — a member that didn't subscribe
   // would consume and drop the messages (offset advances, events lost).
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t1", 2).ok());
   ASSERT_TRUE(bus.CreateTopic("t2", 2).ok());
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t1"}, "", nullptr, {}).ok());
@@ -295,14 +294,14 @@ TEST(GroupTest, PartitionsOnlyAssignedToSubscribedMembers) {
 
   // An event produced into the not-yet-universally-subscribed topic is
   // delivered to the subscribed member, not dropped.
-  ASSERT_TRUE(bus.ProduceToPartition("t2", 0, "k", "first").ok());
+  ASSERT_TRUE(ProduceOne(&bus, "t2", KeyForPartition(0, 2), "first").ok());
   ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].payload, "first");
 }
 
 TEST(GroupTest, UnsubscribeTriggersRebalance) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
   ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
@@ -314,7 +313,7 @@ TEST(GroupTest, UnsubscribeTriggersRebalance) {
 }
 
 TEST(BlockingPollTest, WakesOnProduce) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
@@ -323,7 +322,7 @@ TEST(BlockingPollTest, WakesOnProduce) {
 
   std::thread producer([&bus] {
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
-    EXPECT_TRUE(bus.ProduceToPartition("t", 0, "k", "wake").ok());
+    EXPECT_TRUE(ProduceOne(&bus, "t", "k", "wake").ok());
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
   // Park with a generous deadline: the produce must cut it short.
@@ -336,7 +335,7 @@ TEST(BlockingPollTest, WakesOnProduce) {
 }
 
 TEST(BlockingPollTest, HonorsMaxWaitWhenNothingArrives) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
@@ -351,7 +350,7 @@ TEST(BlockingPollTest, HonorsMaxWaitWhenNothingArrives) {
 }
 
 TEST(BlockingPollTest, WakeInterruptsParkedPoll) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
@@ -360,7 +359,7 @@ TEST(BlockingPollTest, WakeInterruptsParkedPoll) {
 
   std::thread waker([&bus] {
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
-    bus.Wake();
+    EXPECT_TRUE(bus.WakeConsumer("c").ok());
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 5 * kMicrosPerSecond).ok());
@@ -371,7 +370,7 @@ TEST(BlockingPollTest, WakeInterruptsParkedPoll) {
 }
 
 TEST(BlockingPollTest, WakeConsumerIsLevelTriggered) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
@@ -396,7 +395,7 @@ TEST(BlockingPollTest, WakeConsumerIsLevelTriggered) {
 }
 
 TEST(ProduceBatchTest, PreservesPerKeyPartitionOrdering) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 8).ok());
   // Interleave 16 keys, 32 records each, in one batch.
   std::vector<ProduceRecord> records;
@@ -432,13 +431,13 @@ TEST(ProduceBatchTest, PreservesPerKeyPartitionOrdering) {
 }
 
 TEST(ProduceBatchTest, UnknownTopicRejected) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   std::vector<ProduceRecord> records = {{"k", "v"}};
   EXPECT_TRUE(bus.ProduceBatch("nope", std::move(records)).IsNotFound());
 }
 
 TEST(BlockingPollTest, RebalanceWhileParkedDeliversCallbacksExactlyOnce) {
-  MessageBus bus(FastBus());
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 4).ok());
 
   std::atomic<int> revoked_calls{0}, assigned_calls{0};
@@ -485,7 +484,7 @@ TEST(BlockingPollTest, ParkDeadlineFollowsTheBusClockDomain) {
   SimulatedClock clock(0);
   BusOptions options = FastBus(&clock);
   options.session_timeout = kMicrosPerHour;  // Irrelevant here.
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
@@ -517,12 +516,12 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
   options.delivery_delay = kMicrosPerSecond;
   options.session_timeout = kMicrosPerHour;
   options.clock = &clock;
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
-  ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "m").ok());
+  ASSERT_TRUE(ProduceOne(&bus, "t", "k", "m").ok());
 
   std::thread advancer([&clock] {
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
@@ -540,7 +539,7 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
 TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
   BusOptions options = FastBus();
   options.retention_messages = 5;
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
@@ -550,13 +549,14 @@ TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
   // The consumer's committed position pins the log head even past the
   // retention cap: nothing it hasn't read may be dropped.
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
   EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 0u);
 
-  // Once the consumer commits, the next produce trims to the cap.
-  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 20).ok());
-  ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "21st").ok());
+  // Once the consumer's position moves past them, the next produce
+  // trims to the cap.
+  ASSERT_TRUE(bus.Seek("c", {"t", 0}, 20).ok());
+  ASSERT_TRUE(ProduceOne(&bus, "t", "k", "21st").ok());
   const uint64_t base = bus.BaseOffset({"t", 0}).value();
   EXPECT_EQ(base, 21u - 5u);
   // Replay from zero clamps to the earliest retained message.
@@ -568,18 +568,18 @@ TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
 TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
   BusOptions options = FastBus();
   options.retention_messages = 3;
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
-  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 4).ok());
+  ASSERT_TRUE(bus.Seek("c", {"t", 0}, 4).ok());
   for (int i = 10; i < 20; ++i) {
-    ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
   // Cap would allow base 17, but offset 4 is the consumer's floor.
   EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 4u);
@@ -591,17 +591,17 @@ TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
 TEST(RetentionTest, SeekClampsToRetainedBase) {
   BusOptions options = FastBus();
   options.retention_messages = 10;
-  MessageBus bus(options);
+  InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
 
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", std::to_string(i)).ok());
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
-  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 100).ok());
-  ASSERT_TRUE(bus.ProduceToPartition("t", 0, "k", "100").ok());
+  ASSERT_TRUE(bus.Seek("c", {"t", 0}, 100).ok());
+  ASSERT_TRUE(ProduceOne(&bus, "t", "k", "100").ok());
   const uint64_t base = bus.BaseOffset({"t", 0}).value();
   ASSERT_GT(base, 0u);
 

@@ -21,6 +21,7 @@
 #include "ops/pipeline.h"
 #include "ops/sub_wire.h"
 #include "ops/subscription.h"
+#include "produce_util.h"
 #include "query/pipeline.h"
 #include "reservoir/event.h"
 
@@ -487,7 +488,8 @@ class HubTest : public ::testing::Test {
   }
 
   // Publishes like a front end does: the envelope encodes offset 0.
-  // A negative partition routes by key.
+  // A negative partition routes by the card key; otherwise the record
+  // gets a key that hashes to `partition`.
   void Publish(uint64_t id, const std::string& card, double amount,
                int partition = -1) {
     engine::EventEnvelope envelope;
@@ -495,11 +497,12 @@ class HubTest : public ::testing::Test {
     std::string payload;
     engine::EncodeEventEnvelope(envelope, reservoir::Schema(0, def_.fields),
                                 &payload);
-    const StatusOr<uint64_t> produced =
-        partition < 0 ? bus_.Produce(topic_, card, std::move(payload))
-                      : bus_.ProduceToPartition(topic_, partition, card,
-                                                std::move(payload));
-    ASSERT_TRUE(produced.ok());
+    const std::string key =
+        partition < 0
+            ? card
+            : msg::KeyForPartition(partition, def_.partitions_per_topic);
+    ASSERT_TRUE(
+        msg::ProduceOne(&bus_, topic_, key, std::move(payload)).ok());
   }
 
   // The metric column of each record, in delivery order.
@@ -548,12 +551,21 @@ TEST_F(HubTest, SlowSubscriberQueueStaysBoundedWithTypedDrops) {
   // Flood without fetching: the queue must stay at capacity and the
   // overflow must be counted, not buffered.
   for (uint64_t i = 1; i <= 40; ++i) Publish(i, "c1", 1.0 * i);
+  // Fetch (never acking) until the pump has taken all 40 events, each
+  // either dropped or still queued. A non-empty queue answers at once,
+  // so a deadline bounds the loop, not an iteration count.
+  Clock* clock = MonotonicClock::Default();
+  const Micros deadline = clock->NowMicros() + 5 * kMicrosPerSecond;
   SubFetchReply reply;
-  for (int i = 0; i < 50; ++i) {
+  for (;;) {
     ASSERT_TRUE(hub.Fetch(created.value(), 0, 0, 100 * kMicrosPerMilli,
                           &reply)
                     .ok());
-    if (reply.dropped_total + reply.records.size() + reply.lag >= 40) break;
+    const uint64_t pumped =
+        reply.dropped_total + reply.records.size() + reply.lag;
+    if (pumped >= 40) break;
+    ASSERT_LT(clock->NowMicros(), deadline) << "pump took only " << pumped;
+    clock->SleepMicros(kMicrosPerMilli);
   }
   EXPECT_LE(hub.TotalQueueDepth(), 4u);
   EXPECT_GE(reply.dropped_total, 36u);

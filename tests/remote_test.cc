@@ -26,6 +26,7 @@
 #include "msg/remote/socket.h"
 #include "msg/remote/wire.h"
 #include "ops/sub_wire.h"
+#include "produce_util.h"
 #include "trace/trace_context.h"
 #include "trace/tracer.h"
 
@@ -50,10 +51,8 @@ Status PollMessages(Bus* bus, const std::string& consumer_id,
 Frame SampleFrame() {
   Frame frame;
   frame.correlation_id = 0x12345;
-  frame.opcode = static_cast<uint8_t>(OpCode::kProduce);
-  PutLengthPrefixedSlice(&frame.payload, "topic");
-  PutLengthPrefixedSlice(&frame.payload, "key");
-  PutLengthPrefixedSlice(&frame.payload, "payload-bytes");
+  frame.opcode = static_cast<uint8_t>(OpCode::kProduceBatch);
+  PutColumnarProduceBatch(&frame.payload, "topic", {{"key", "payload-bytes"}});
   return frame;
 }
 
@@ -375,19 +374,26 @@ TEST(BusServerTest, UnknownOpcodeReturnsNotSupportedResponse) {
   InProcessBus bus(options);
   BusServer server(BusServerOptions{}, &bus);
 
-  Frame request;
-  request.correlation_id = 7;
-  request.opcode = 99;  // Not a valid OpCode.
-  const Frame response = server.HandleRequest(request);
-  EXPECT_EQ(response.correlation_id, 7u);
-  EXPECT_EQ(response.opcode, 99 | kResponseBit);
-  Slice in(response.payload);
-  Status remote;
-  ASSERT_TRUE(GetStatus(&in, &remote));
-  // A CRC-valid frame with an unimplemented opcode is a typed protocol
-  // mismatch (api::Client::EnsureStream relies on this to distinguish
-  // "broker has no metadata service" from wire corruption).
-  EXPECT_TRUE(remote.IsNotSupported());
+  // 99 was never an OpCode; the rest are the nine v2 bus opcodes that
+  // v3 retired (the row produces, commit, the whole-bus wake and the
+  // test-only RPCs), each sent with a payload shaped like a request.
+  for (const uint8_t opcode : {99, 2, 3, 5, 6, 12, 18, 19, 20, 21}) {
+    Frame request;
+    request.correlation_id = 7;
+    request.opcode = opcode;
+    PutLengthPrefixedSlice(&request.payload, "t");
+    const Frame response = server.HandleRequest(request);
+    EXPECT_EQ(response.correlation_id, 7u);
+    EXPECT_EQ(response.opcode, opcode | kResponseBit);
+    Slice in(response.payload);
+    Status remote;
+    ASSERT_TRUE(GetStatus(&in, &remote));
+    // A CRC-valid frame with an unimplemented opcode is a typed protocol
+    // mismatch (api::Client::EnsureStream relies on this to distinguish
+    // "broker has no metadata service" from wire corruption).
+    EXPECT_TRUE(remote.IsNotSupported())
+        << "opcode " << int{opcode} << ": " << remote.ToString();
+  }
 }
 
 Frame HelloFrame(uint32_t version) {
@@ -409,7 +415,8 @@ TEST(BusServerTest, HelloWithAForeignVersionGetsTheTypedMismatch) {
   auto sock_or = Socket::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(sock_or.ok());
   Socket sock = std::move(sock_or).value();
-  // kProtocolVersion - 1 is a client from before DDL became an RPC.
+  // kProtocolVersion - 1 is the row-produce protocol (v2: kProduce and
+  // the test-only RPCs).
   for (const uint32_t version :
        {kProtocolVersion + 1, kProtocolVersion - 1, kProtocolVersion}) {
     std::string wire;
@@ -499,7 +506,7 @@ TEST(RemoteBusHelloTest, MismatchedServerSurfacesTheTypedErrorOnFirstCall) {
   // Later calls inside the reconnect backoff keep reporting it.
   const Status second = remote.CreateTopic("t", 1);
   EXPECT_TRUE(second.IsInvalidArgument()) << second.ToString();
-  EXPECT_TRUE(bus.NumPartitions("t").status().IsNotFound());
+  EXPECT_TRUE(bus.PartitionsOf("t").empty());
 }
 
 TEST(RemoteBusHelloTest, ServerPredatingHelloIsAMismatchNotNotSupported) {
@@ -595,32 +602,28 @@ class RemoteBusTest : public ::testing::Test {
 TEST_F(RemoteBusTest, TopicAdministrationMirrorsTheHostedBus) {
   ASSERT_TRUE(remote_->CreateTopic("t", 4).ok());
   EXPECT_TRUE(remote_->CreateTopic("t", 4).IsAlreadyExists());
-  EXPECT_EQ(remote_->NumPartitions("t").value(), 4);
   EXPECT_EQ(remote_->PartitionsOf("t").size(), 4u);
-  EXPECT_EQ(bus_->NumPartitions("t").value(), 4);  // Same broker.
-  EXPECT_TRUE(remote_->NumPartitions("nope").status().IsNotFound());
-  ASSERT_TRUE(remote_->DeleteTopic("t").ok());
-  EXPECT_TRUE(remote_->NumPartitions("t").status().IsNotFound());
+  EXPECT_EQ(bus_->PartitionsOf("t").size(), 4u);  // Same broker.
+  EXPECT_TRUE(remote_->PartitionsOf("nope").empty());
 }
 
-TEST_F(RemoteBusTest, ProducePollCommitSeekAcrossTheWire) {
+TEST_F(RemoteBusTest, ProducePollSeekAcrossTheWire) {
   ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
   ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());  // Assignment.
 
   for (int i = 0; i < 5; ++i) {
-    auto offset = remote_->ProduceToPartition("t", 0, "k",
-                                              "m" + std::to_string(i));
-    ASSERT_TRUE(offset.ok());
-    EXPECT_EQ(offset.value(), static_cast<uint64_t>(i));
+    ASSERT_TRUE(
+        ProduceOne(remote_.get(), "t", "k", "m" + std::to_string(i)).ok());
+    EXPECT_EQ(remote_->EndOffset({"t", 0}).value(),
+              static_cast<uint64_t>(i + 1));
   }
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
   ASSERT_EQ(out.size(), 5u);
   EXPECT_EQ(out[0].payload, "m0");
   EXPECT_EQ(out[4].offset, 4u);
 
-  ASSERT_TRUE(remote_->Commit("c", {"t", 0}, 5).ok());
   ASSERT_TRUE(remote_->Seek("c", {"t", 0}, 2).ok());
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
   ASSERT_EQ(out.size(), 3u);
@@ -643,7 +646,7 @@ TEST_F(RemoteBusTest, BlockingPollParksServerSideAndWakesOnArrival) {
   // control connection) while the consumer parks server-side.
   std::thread producer([this] {
     MonotonicClock::Default()->SleepMicros(30 * kMicrosPerMilli);
-    ASSERT_TRUE(remote_->ProduceToPartition("t", 0, "k", "wake").ok());
+    ASSERT_TRUE(ProduceOne(remote_.get(), "t", "k", "wake").ok());
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
   ASSERT_TRUE(
@@ -689,14 +692,14 @@ TEST_F(RemoteBusTest, RebalanceCallbacksStreamToTheRemoteClient) {
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c1", 10, &out).ok());
   EXPECT_EQ(assigned_total.load(), 4);  // Sole member owns everything.
-  EXPECT_EQ(remote_->AssignmentOf("c1").size(), 4u);
+  EXPECT_EQ(bus_->AssignmentOf("c1").size(), 4u);
 
   // A second member (directly on the hosted bus) takes over partitions:
   // the remote consumer sees the revocations on its next poll.
   ASSERT_TRUE(bus_->Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
   ASSERT_TRUE(PollMessages(remote_.get(), "c1", 10, &out).ok());
   EXPECT_EQ(revoked_total.load(), 2);
-  EXPECT_GT(remote_->rebalance_count(), 0u);
+  EXPECT_GT(bus_->rebalance_count(), 0u);
 }
 
 TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
@@ -709,14 +712,14 @@ TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
   ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, listener).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());  // Assignment.
-  ASSERT_TRUE(remote_->ProduceToPartition("t", 0, "k", "before").ok());
+  ASSERT_TRUE(ProduceOne(remote_.get(), "t", "k", "before").ok());
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
   ASSERT_EQ(out.size(), 1u);
 
   // Fenced: NotFound crosses the wire, distinct from a transport
   // failure's Unavailable.
   ASSERT_TRUE(remote_->KillConsumer("c").ok());
-  ASSERT_TRUE(remote_->ProduceToPartition("t", 0, "k", "during").ok());
+  ASSERT_TRUE(ProduceOne(remote_.get(), "t", "k", "during").ok());
   EXPECT_TRUE(PollMessages(remote_.get(), "c", 10, &out).IsNotFound());
 
   // Rejoin: the partition comes back and reading resumes at the kept
@@ -807,7 +810,7 @@ TEST_F(RemoteBusTest, ServerDeathSurfacesUnavailable) {
   server_.reset();
 
   EXPECT_TRUE(remote_->CreateTopic("x", 1).IsUnavailable());
-  EXPECT_TRUE(remote_->Produce("t", "k", "v").status().IsUnavailable());
+  EXPECT_TRUE(ProduceOne(remote_.get(), "t", "k", "v").IsUnavailable());
   std::vector<Message> out;
   EXPECT_TRUE(PollMessages(remote_.get(), "c", 10, &out, kMicrosPerSecond)
                   .IsUnavailable());
@@ -829,19 +832,19 @@ TEST(RemoteBusBackoffTest, DeadBrokerIsNotHammeredByRetryingCallers) {
   // First call dials and fails; the next twenty — the shape of a poll
   // loop retrying every few milliseconds — must fail fast inside the
   // backoff window without touching the network again.
-  EXPECT_TRUE(remote.Produce("t", "k", "v").status().IsUnavailable());
+  EXPECT_TRUE(ProduceOne(&remote, "t", "k", "v").IsUnavailable());
   EXPECT_EQ(remote.dial_attempts(), 1u);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(remote.Produce("t", "k", "v").status().IsUnavailable());
+    EXPECT_TRUE(ProduceOne(&remote, "t", "k", "v").IsUnavailable());
   }
   EXPECT_EQ(remote.dial_attempts(), 1u);
 
   // Once the (capped, jittered) window elapses, exactly one new dial
   // goes out per window.
   clock.Advance(options.reconnect_backoff_max * 2);
-  EXPECT_TRUE(remote.Produce("t", "k", "v").status().IsUnavailable());
+  EXPECT_TRUE(ProduceOne(&remote, "t", "k", "v").IsUnavailable());
   EXPECT_EQ(remote.dial_attempts(), 2u);
-  EXPECT_TRUE(remote.Produce("t", "k", "v").status().IsUnavailable());
+  EXPECT_TRUE(ProduceOne(&remote, "t", "k", "v").IsUnavailable());
   EXPECT_EQ(remote.dial_attempts(), 2u);
 
   // An explicit Connect is user-initiated and skips the window.
@@ -1465,7 +1468,7 @@ TEST(RemoteClientTest, DdlAndSubscribeOnAPlainServerFailFastAndTyped) {
   }
   // The topic DDL travelled on before it became an RPC.
   const std::string legacy_ddl_topic = std::string("__railgun") + ".ddl";
-  EXPECT_TRUE(bus.NumPartitions(legacy_ddl_topic).status().IsNotFound());
+  EXPECT_TRUE(bus.PartitionsOf(legacy_ddl_topic).empty());
   client.Stop();
   server.Stop();
 }
