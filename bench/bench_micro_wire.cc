@@ -28,8 +28,6 @@ std::vector<Message> SampleMessages(int64_t count) {
     m.offset = static_cast<uint64_t>(i);
     m.key = "card" + std::to_string(i % 64);
     m.payload = std::string(120 + (i % 5) * 16, 'e');
-    m.publish_time = 1700000000000000 + i * 250;
-    m.visible_time = m.publish_time + 500;
     messages.push_back(std::move(m));
   }
   return messages;

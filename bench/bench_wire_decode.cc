@@ -46,8 +46,6 @@ std::vector<Message> BuildBatch(int64_t count) {
     m.key = "card" + std::to_string(i % 64);
     // Envelope-sized payload: what a TaskProcessor poll really carries.
     m.payload = std::string(120 + (i % 5) * 16, 'e');
-    m.publish_time = 1700000000000000 + i * 250;
-    m.visible_time = m.publish_time + 500;
     messages.push_back(std::move(m));
   }
   return messages;

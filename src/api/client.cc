@@ -20,6 +20,12 @@ namespace railgun::api {
 
 namespace {
 
+// Remote mode: how long a metadata miss ("unknown stream") is cached
+// before re-asking the broker. Bounds both the RPC rate of a misdirected
+// producer and the lag until a freshly created foreign stream becomes
+// submittable here.
+constexpr Micros kUnknownStreamTtl = kMicrosPerSecond;
+
 // Process-unique id for a client: names its front end's reply topic and
 // salts its event ids, so independent clients (and restarts of the
 // same client) never collide on the shared bus. The per-process
@@ -347,7 +353,7 @@ Status Client::EnsureStream(const std::string& stream) {
          it != unknown_streams_.end();) {
       it = now < it->second ? std::next(it) : unknown_streams_.erase(it);
     }
-    unknown_streams_[stream] = now + options_.unknown_stream_ttl;
+    unknown_streams_[stream] = now + kUnknownStreamTtl;
     return Status::NotFound("unknown stream: " + stream);
   }
   engine::StreamDef def = std::move(def_or).value();

@@ -71,17 +71,11 @@ struct ClientOptions {
   // service answers DDL and schema fetches with NotSupported.
   std::string remote_address;
 
-  // Remote mode: how long a metadata miss ("unknown stream") is cached
-  // before re-asking the broker. Bounds both the RPC rate of a
-  // misdirected producer and the lag until a freshly created foreign
-  // stream becomes submittable here.
-  Micros unknown_stream_ttl = kMicrosPerSecond;
-
-  // Admission-control ceilings (engine/admission.h); all-zero (the
-  // default) disables shedding. Local mode applies them to every owned
-  // node's front end, remote mode to the client's own front end — in
-  // both, a submission past a ceiling completes with a typed
-  // kOverloaded carrying a retry-after hint.
+  // Admission-control ceiling (engine/admission.h); zero (the default)
+  // disables shedding. Local mode applies it to every owned node's
+  // front end, remote mode to the client's own front end — in both, a
+  // submission past the ceiling completes with a typed kOverloaded
+  // carrying a retry-after hint.
   engine::AdmissionOptions admission;
 
   // Client-side pacing of SubmitNoReply: a token bucket that fails fast

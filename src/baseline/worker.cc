@@ -2,6 +2,13 @@
 
 namespace railgun::baseline {
 
+namespace {
+
+// Max messages taken per partition fetch.
+constexpr size_t kPollMax = 256;
+
+}  // namespace
+
 BaselineWorker::BaselineWorker(const WorkerOptions& options,
                                msg::Bus* bus, BaselineEngine* engine,
                                engine::StreamDef stream, std::string topic,
@@ -42,7 +49,7 @@ void BaselineWorker::Run() {
     bool any = false;
     for (auto& [tp, pos] : positions_) {
       batch.clear();
-      if (!bus_->Fetch(tp, pos, options_.poll_max, &batch).ok()) continue;
+      if (!bus_->Fetch(tp, pos, kPollMax, &batch).ok()) continue;
       pos += batch.size();
       for (const auto& message : batch) {
         any = true;

@@ -20,7 +20,6 @@ namespace railgun::baseline {
 struct WorkerOptions {
   std::string key_field = "cardId";
   std::string amount_field = "amount";
-  size_t poll_max = 256;
   Micros idle_sleep = 200;
 };
 

@@ -9,37 +9,18 @@ namespace {
 
 constexpr char kRetryAfterTag[] = "retry_after_us=";
 
-std::string OverloadMessage(const char* signal, uint64_t depth,
-                            uint64_t limit, Micros retry_after) {
-  return std::string(signal) + " depth " + std::to_string(depth) +
-         " >= limit " + std::to_string(limit) + "; " + kRetryAfterTag +
-         std::to_string(retry_after);
-}
-
 }  // namespace
 
-Status AdmissionController::Admit(size_t pending, size_t queue,
-                                  uint64_t backlog) {
-  const char* signal = nullptr;
-  uint64_t depth = 0;
-  uint64_t limit = 0;
-  if (options_.max_pending > 0 && pending >= options_.max_pending) {
-    signal = "pending";
-    depth = pending;
-    limit = options_.max_pending;
-  } else if (options_.max_queue > 0 && queue >= options_.max_queue) {
-    signal = "submit_queue";
-    depth = queue;
-    limit = options_.max_queue;
-  } else if (options_.max_backlog > 0 && backlog >= options_.max_backlog) {
-    signal = "broker_backlog";
-    depth = backlog;
-    limit = options_.max_backlog;
+Status AdmissionController::Admit(size_t pending) {
+  if (options_.max_pending == 0 || pending < options_.max_pending) {
+    return Status::OK();
   }
-  if (signal == nullptr) return Status::OK();
   sheds_.fetch_add(1, std::memory_order_relaxed);
-  return Status::Overloaded(
-      OverloadMessage(signal, depth, limit, options_.retry_after));
+  return Status::Overloaded("pending depth " + std::to_string(pending) +
+                            " >= limit " +
+                            std::to_string(options_.max_pending) + "; " +
+                            kRetryAfterTag +
+                            std::to_string(options_.retry_after));
 }
 
 Micros RetryAfterMicros(const Status& status) {

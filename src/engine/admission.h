@@ -1,19 +1,18 @@
 // Admission control (ROADMAP "self-instrumentation + admission
 // control"): refuse work at the door instead of letting queues grow
 // without bound. The FrontEnd consults an AdmissionController before
-// enqueuing each submission, watching the same signals the introspect
-// registry exports — its own pending-table depth, its submit-queue
-// length, and the broker's queue depth (surfaced by the kPoll response
-// backlog hint, msg::Bus::BacklogHint). A refused request gets a typed
-// kOverloaded status carrying a retry-after hint the client-side
-// TokenBucket honors, so overload degrades to explicit sheds with
-// bounded latency, never to collapse (bench_overload is the proof).
+// enqueuing each submission, watching one signal the introspect
+// registry exports: its own pending-reply table depth
+// (frontend.pending). A refused request gets a typed kOverloaded status
+// carrying a retry-after hint the client-side TokenBucket honors, so
+// overload degrades to explicit sheds with bounded latency, never to
+// collapse (bench_overload is the proof).
 //
 // Backpressure state machine (see DESIGN.md for the diagram):
-//   ACCEPT --[any watched depth >= its limit]--> SHED
-//   SHED   --[all watched depths back under their limits]--> ACCEPT
+//   ACCEPT --[pending >= max_pending]--> SHED
+//   SHED   --[pending back under max_pending]--> ACCEPT
 // SHED is stateless-per-request: every admission decision re-reads the
-// live depths, so draining by one request is enough to let one in.
+// live depth, so draining by one request is enough to let one in.
 #ifndef RAILGUN_ENGINE_ADMISSION_H_
 #define RAILGUN_ENGINE_ADMISSION_H_
 
@@ -28,17 +27,11 @@
 namespace railgun::engine {
 
 struct AdmissionOptions {
-  // Per-signal ceilings; 0 disables that signal. All zero (the default)
-  // disables admission control entirely.
-  size_t max_pending = 0;       // FrontEnd pending-reply table depth.
-  size_t max_queue = 0;         // FrontEnd submit queue length.
-  uint64_t max_backlog = 0;     // Broker unconsumed-message hint.
+  // Ceiling on the FrontEnd pending-reply table depth; 0 (the default)
+  // disables admission control.
+  size_t max_pending = 0;
   // Hint embedded in the kOverloaded message for client retry pacing.
   Micros retry_after = 50 * kMicrosPerMilli;
-
-  bool enabled() const {
-    return max_pending > 0 || max_queue > 0 || max_backlog > 0;
-  }
 };
 
 class AdmissionController {
@@ -46,12 +39,11 @@ class AdmissionController {
   explicit AdmissionController(const AdmissionOptions& options)
       : options_(options) {}
 
-  // OK to admit, or kOverloaded naming the tripped signal with a
-  // "retry_after_us=<n>" suffix. Depths are sampled by the caller so
-  // one call site sees one consistent decision.
-  Status Admit(size_t pending, size_t queue, uint64_t backlog);
+  // OK to admit (always, with max_pending 0), or kOverloaded naming the
+  // depth and limit with a "retry_after_us=<n>" suffix. The caller
+  // samples the depth.
+  Status Admit(size_t pending);
 
-  const AdmissionOptions& options() const { return options_; }
   uint64_t shed_count() const {
     return sheds_.load(std::memory_order_relaxed);
   }

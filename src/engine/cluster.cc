@@ -4,6 +4,15 @@
 
 namespace railgun::engine {
 
+namespace {
+
+// Retention cap for the internals topic, set at Start so the self-stats
+// log stays bounded even when the broker-wide retention is "keep
+// everything for replay".
+constexpr uint64_t kInternalsRetention = 1 << 16;
+
+}  // namespace
+
 Cluster::Cluster(const ClusterOptions& options)
     : options_(options),
       clock_(options.clock != nullptr ? options.clock
@@ -110,10 +119,9 @@ Cluster::~Cluster() {
 }
 
 Status Cluster::Start() {
-  if (options_.wipe_base_dir) {
-    RAILGUN_RETURN_IF_ERROR(
-        Env::Default()->RemoveDirRecursive(options_.base_dir));
-  }
+  // Every start is a fresh cluster: wipe what a previous run left.
+  RAILGUN_RETURN_IF_ERROR(
+      Env::Default()->RemoveDirRecursive(options_.base_dir));
   RAILGUN_RETURN_IF_ERROR(Env::Default()->CreateDir(options_.base_dir));
   {
     MutexLock lock(&mu_);
@@ -131,12 +139,8 @@ Status Cluster::Start() {
                                              &registry_, bus_.get(),
                                              clock_));
   RAILGUN_RETURN_IF_ERROR(publisher_->Start());
-  if (options_.internals_retention > 0) {
-    RAILGUN_RETURN_IF_ERROR(bus_->SetTopicRetention(
-        introspect::InternalsStreamDef().TopicFor("node"),
-        options_.internals_retention));
-  }
-  return Status::OK();
+  return bus_->SetTopicRetention(
+      introspect::InternalsStreamDef().TopicFor("node"), kInternalsRetention);
 }
 
 void Cluster::Stop() {

@@ -24,14 +24,9 @@ struct ClusterOptions {
   msg::BusOptions bus;
   std::string base_dir = "/tmp/railgun-cluster";
   Clock* clock = nullptr;  // Defaults to the monotonic clock.
-  bool wipe_base_dir = true;
   // Self-instrumentation: snapshot period and the `node` label for the
   // cluster's "__railgun.internals" events (introspect/internals.h).
   introspect::PublisherOptions introspect{kMicrosPerSecond, "engine"};
-  // Retention cap for the internals topic, set at Start so the
-  // self-stats log stays bounded even when the broker-wide retention is
-  // "keep everything for replay". 0 = no cap.
-  uint64_t internals_retention = 1 << 16;
 };
 
 class Cluster {

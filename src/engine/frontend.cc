@@ -9,6 +9,17 @@
 
 namespace railgun::engine {
 
+namespace {
+
+// Max real time the front-end thread parks in its blocking reply poll
+// before re-checking deadlines and shutdown. Replies and submissions
+// wake it immediately; this only bounds the idle park.
+constexpr Micros kPollWait = 5 * kMicrosPerMilli;
+// Max replies taken per poll.
+constexpr size_t kPollMax = 1024;
+
+}  // namespace
+
 FrontEnd::FrontEnd(const FrontEndOptions& options, std::string node_id,
                    msg::Bus* bus, Clock* clock)
     : options_(options),
@@ -185,16 +196,9 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
   // before any pending entry or queue slot is taken. The internals
   // stream is exempt so the engine's own health signal stays observable
   // exactly when admission is shedding — the moment it matters most.
-  if (admission_.options().enabled() &&
-      stream_name != introspect::kInternalsStream) {
-    size_t queue_depth;
-    {
-      MutexLock lock(&submit_mu_);
-      queue_depth = submit_queue_.size();
-    }
-    RAILGUN_RETURN_IF_ERROR(admission_.Admit(
-        pending_count_.load(std::memory_order_relaxed), queue_depth,
-        backlog_hint_.load(std::memory_order_relaxed)));
+  if (stream_name != introspect::kInternalsStream) {
+    RAILGUN_RETURN_IF_ERROR(
+        admission_.Admit(pending_count_.load(std::memory_order_relaxed)));
   }
 
   std::vector<Submission> prepared;
@@ -335,11 +339,7 @@ void FrontEnd::Run() {
   while (running_) {
     DrainSubmissions();
 
-    // Refresh the broker-depth admission signal once per cycle: cheap
-    // for RemoteBus (cached hint) and amortized for InProcessBus.
-    backlog_hint_.store(bus_->BacklogHint(), std::memory_order_relaxed);
-
-    Micros wait = options_.poll_wait;
+    Micros wait = kPollWait;
     {
       // Submissions raced in while draining: don't park on them.
       MutexLock lock(&submit_mu_);
@@ -348,7 +348,7 @@ void FrontEnd::Run() {
     // Zero-copy reply poll: views decode straight out of the transport's
     // pooled receive buffer.
     const Status polled =
-        bus_->PollBatch(consumer_id_, options_.poll_max, &batch, wait);
+        bus_->PollBatch(consumer_id_, kPollMax, &batch, wait);
     // Fenced while alive: rejoin. The bus kept the reply position, so
     // replies published meanwhile are read on the next poll.
     const bool rejoined = polled.IsNotFound() && SubscribeReplies().ok();
@@ -356,7 +356,7 @@ void FrontEnd::Run() {
       // Error-recovery path (transport failure), not the hot loop:
       // bounded backoff, then keep expiring deadlines below.
       batch.Clear();
-      clock_->SleepMicros(options_.poll_wait);
+      clock_->SleepMicros(kPollWait);
     }
 
     std::vector<Completion> done;

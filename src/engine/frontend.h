@@ -35,13 +35,8 @@ struct FrontEndOptions {
   // Pending requests older than this complete with what has arrived
   // (late aggregation replies are discarded upstream, paper §5).
   Micros request_timeout = 10 * kMicrosPerSecond;
-  // Max real time the front-end thread parks in its blocking reply poll
-  // before re-checking deadlines and shutdown. Replies and submissions
-  // wake it immediately; this only bounds the idle park.
-  Micros poll_wait = 5 * kMicrosPerMilli;
-  size_t poll_max = 1024;
-  // Admission control ceilings; all-zero (the default) admits
-  // everything. See engine/admission.h.
+  // Admission control ceiling; zero (the default) admits everything.
+  // See engine/admission.h.
   AdmissionOptions admission;
   // Optional metrics sink (borrowed; must outlive the front end). The
   // front end records its submit-latency histogram here; depth-style
@@ -113,10 +108,6 @@ class FrontEnd {
   }
   // Requests refused with kOverloaded by admission control.
   uint64_t shed_count() const { return admission_.shed_count(); }
-  // Broker backlog as sampled by the last run-loop cycle.
-  uint64_t backlog_hint() const {
-    return backlog_hint_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Pending {
@@ -197,11 +188,9 @@ class FrontEnd {
 
   // Admission control state. pending_count_ mirrors the summed shard
   // sizes (maintained at every insert/erase) so admission decisions
-  // never sweep the 16 shard locks; backlog_hint_ caches the broker
-  // depth sampled once per run-loop cycle.
+  // never sweep the 16 shard locks.
   AdmissionController admission_;
   std::atomic<size_t> pending_count_{0};
-  std::atomic<uint64_t> backlog_hint_{0};
   introspect::Histogram* submit_latency_ = nullptr;  // Null without registry.
 };
 

@@ -8,6 +8,13 @@
 
 namespace railgun::engine {
 
+namespace {
+
+// Max messages taken per poll or replica fetch.
+constexpr size_t kPollMax = 256;
+
+}  // namespace
+
 ProcessorUnit::ProcessorUnit(const UnitOptions& options, std::string unit_id,
                              std::string node_id, std::string dir,
                              msg::Bus* bus, Coordinator* coordinator,
@@ -495,7 +502,7 @@ void ProcessorUnit::Run() {
     trace::Tracer* tracer = trace::Tracer::Global();
     const Micros poll_start = tracer->enabled() ? tracer->NowMicros() : 0;
     Status poll_status = bus_->PollBatch(
-        unit_id_, options_.poll_max, &active_batch_, options_.poll_wait);
+        unit_id_, kPollMax, &active_batch_, options_.poll_wait);
     if (poll_start != 0 && !active_batch_.empty()) {
       // No context yet at poll time: histogram-only hop (park-to-batch
       // latency; empty polls are just the idle park, skip them).
@@ -546,7 +553,7 @@ void ProcessorUnit::Run() {
         pos = replay_offset;
       }
       std::vector<msg::Message> batch;
-      const Status fetched = bus_->Fetch(tp, pos, options_.poll_max, &batch);
+      const Status fetched = bus_->Fetch(tp, pos, kPollMax, &batch);
       if (fetched.ok()) {
         // Advance past what was actually read: retention may have
         // clamped the fetch forward of pos (offsets are absolute).

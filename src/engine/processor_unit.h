@@ -25,7 +25,6 @@ namespace railgun::engine {
 
 struct UnitOptions {
   TaskProcessorOptions task;
-  size_t poll_max = 256;
   // Max real time the unit loop parks inside a blocking bus poll before
   // re-checking shutdown, operational requests and replica fetches. The
   // loop wakes immediately when a message arrives (wake-on-arrival);

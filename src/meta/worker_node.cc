@@ -13,6 +13,10 @@ namespace railgun::meta {
 
 namespace {
 
+// Period of this worker's "__railgun.internals" snapshots, published to
+// the broker under node=<node_id>.
+constexpr Micros kIntrospectPeriod = kMicrosPerSecond;
+
 // Process-unique worker id: distinct across hosts' processes and across
 // restarts, so a restarted worker never collides with its own expiring
 // lease under a different incarnation.
@@ -54,9 +58,6 @@ WorkerNode::WorkerNode(const WorkerNodeOptions& options)
   options_.node.unit.registry = &registry_;
   registry_.AddProbe("bus.dial_attempts", [this] {
     return bus_ != nullptr ? static_cast<double>(bus_->dial_attempts()) : 0.0;
-  });
-  registry_.AddProbe("bus.backlog", [this] {
-    return bus_ != nullptr ? static_cast<double>(bus_->BacklogHint()) : 0.0;
   });
   // Client side of the wire hot path: pooled poll-buffer reuse.
   registry_.AddProbe("wire.decode.pool_hit", [this] {
@@ -142,20 +143,19 @@ Status WorkerNode::Start() {
     return abandon(started);
   }
 
-  if (options_.introspect_period > 0) {
-    introspect::PublisherOptions pub_options;
-    pub_options.period = options_.introspect_period;
-    pub_options.node = node_id_;
-    publisher_ = std::make_unique<introspect::Publisher>(
-        pub_options, &registry_, bus_.get(), clock_);
-    started = publisher_->Start();
-    if (!started.ok()) {
-      node_->Stop();
-      return abandon(started);
-    }
+  introspect::PublisherOptions pub_options;
+  pub_options.period = kIntrospectPeriod;
+  pub_options.node = node_id_;
+  publisher_ = std::make_unique<introspect::Publisher>(
+      pub_options, &registry_, bus_.get(), clock_);
+  started = publisher_->Start();
+  if (!started.ok()) {
+    node_->Stop();
+    return abandon(started);
   }
 
-  if (options_.auto_heartbeat && clock_->IsRealTime()) {
+  // Under a simulated clock the caller drives Heartbeat() by hand.
+  if (clock_->IsRealTime()) {
     heartbeat_thread_ = std::thread([this] { HeartbeatLoop(); });
   }
   return Status::OK();

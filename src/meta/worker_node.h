@@ -54,15 +54,8 @@ struct WorkerNodeOptions {
   // Heartbeat cadence; 0 derives lease_timeout / 3 from the broker's
   // announce response.
   Micros heartbeat_period = 0;
-  // Run the heartbeat thread. Tests drive Heartbeat() manually when
-  // false (or when the clock is simulated).
-  bool auto_heartbeat = true;
   engine::NodeOptions node;  // Unit / front-end tuning.
   Clock* clock = nullptr;    // Defaults to the monotonic clock.
-  // Period of this worker's "__railgun.internals" snapshots (published
-  // to the broker under node=<node_id>). 0 disables publication; the
-  // local registry still collects.
-  Micros introspect_period = kMicrosPerSecond;
 };
 
 class WorkerNode {

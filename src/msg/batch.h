@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/slice.h"
 #include "msg/buffer_pool.h"
 #include "msg/message.h"
@@ -23,8 +22,6 @@ struct MessageView {
   uint64_t offset = 0;
   Slice key;
   Slice payload;
-  Micros publish_time = 0;
-  Micros visible_time = 0;
 
   TopicPartition topic_partition() const {
     return TopicPartition{topic.ToString(), partition};
@@ -36,8 +33,6 @@ struct MessageView {
     message.offset = offset;
     message.key = key.ToString();
     message.payload = payload.ToString();
-    message.publish_time = publish_time;
-    message.visible_time = visible_time;
     return message;
   }
 };
@@ -72,8 +67,6 @@ class MessageBatch {
       view.offset = message.offset;
       view.key = Slice(message.key);
       view.payload = Slice(message.payload);
-      view.publish_time = message.publish_time;
-      view.visible_time = message.visible_time;
       views_.push_back(view);
     }
   }

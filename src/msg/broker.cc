@@ -133,17 +133,11 @@ std::vector<TopicPartition> InProcessBus::PartitionsOf(
 void InProcessBus::AppendLocked(PartitionLog* log, const std::string& topic,
                                 int partition, std::string key,
                                 std::string payload, Micros now) {
-  Message m;
-  m.topic = topic;
-  m.partition = partition;
-  m.offset = log->end_offset.load(std::memory_order_relaxed);
-  m.key = std::move(key);
-  m.payload = std::move(payload);
-  m.publish_time = now;
-  m.visible_time = m.publish_time + options_.delivery_delay;
-  log->messages.push_back(std::move(m));
-  log->end_offset.store(log->messages.back().offset + 1,
-                        std::memory_order_release);
+  const uint64_t offset = log->end_offset.load(std::memory_order_relaxed);
+  log->entries.push_back(
+      {Message{topic, partition, offset, std::move(key), std::move(payload)},
+       now + options_.delivery_delay});
+  log->end_offset.store(offset + 1, std::memory_order_release);
   TruncateLocked(log);
 }
 
@@ -152,14 +146,14 @@ void InProcessBus::TruncateLocked(PartitionLog* log) {
                            ? log->retention_override
                            : options_.retention_messages;
   if (cap == 0) return;
-  if (log->messages.size() <= cap) return;
+  if (log->entries.size() <= cap) return;
   const uint64_t cap_base =
       log->end_offset.load(std::memory_order_relaxed) - cap;
   const uint64_t floor =
       log->committed_floor.load(std::memory_order_acquire);
   const uint64_t new_base = std::min(cap_base, floor);
-  while (log->base_offset < new_base && !log->messages.empty()) {
-    log->messages.pop_front();
+  while (log->base_offset < new_base && !log->entries.empty()) {
+    log->entries.pop_front();
     ++log->base_offset;
   }
 }
@@ -498,15 +492,15 @@ Status InProcessBus::PollOnce(const std::string& consumer_id,
         if (pos < log->base_offset) pos = log->base_offset;  // Truncated.
         while (pos < log->end_offset.load(std::memory_order_relaxed) &&
                out->size() < max_messages) {
-          const Message& m = log->messages[pos - log->base_offset];
-          if (m.visible_time > now) {
+          const LogEntry& entry = log->entries[pos - log->base_offset];
+          if (entry.visible_time > now) {
             if (*earliest_visible == 0 ||
-                m.visible_time < *earliest_visible) {
-              *earliest_visible = m.visible_time;
+                entry.visible_time < *earliest_visible) {
+              *earliest_visible = entry.visible_time;
             }
             break;
           }
-          out->push_back(m);
+          out->push_back(entry.message);
           ++pos;
         }
       }
@@ -538,9 +532,9 @@ Status InProcessBus::Fetch(const TopicPartition& tp, uint64_t offset,
   uint64_t pos = std::max(offset, log->base_offset);
   const uint64_t end = log->end_offset.load(std::memory_order_relaxed);
   while (pos < end && out->size() < max_messages) {
-    const Message& m = log->messages[pos - log->base_offset];
-    if (m.visible_time > now) break;
-    out->push_back(m);
+    const LogEntry& entry = log->entries[pos - log->base_offset];
+    if (entry.visible_time > now) break;
+    out->push_back(entry.message);
     ++pos;
   }
   return Status::OK();

@@ -156,11 +156,11 @@ class InProcessBus : public Bus {
   std::vector<TopicPartition> AssignmentOf(const std::string& consumer_id);
   uint64_t rebalance_count() const { return rebalance_count_; }
   // Sum of (end offset - live read position) over every partition some
-  // alive consumer tracks: the broker-side queue depth admission
-  // control and the kPoll response hint report. Uses the live poll
-  // positions, not the committed floors: floors only move on Seek and
-  // would overstate backlog.
-  uint64_t BacklogHint() const override;
+  // alive consumer tracks: the broker-side queue depth (Cluster exports
+  // it as the bus.backlog series). Uses the live poll positions, not the
+  // committed floors: floors only move on Seek and would overstate
+  // backlog.
+  uint64_t BacklogHint() const;
   // Blocking-poll park/wake-up counts (wake-on-arrival health: parks
   // without wakes means idle, wakes without parks means busy-spinning).
   uint64_t poll_park_count() const {
@@ -175,10 +175,16 @@ class InProcessBus : public Bus {
                                 const TopicPartition& tp) const;
 
  private:
+  // A message as the log keeps it: consumers only see it once the
+  // delivery delay has elapsed (visible_time never leaves the broker).
+  struct LogEntry {
+    Message message;
+    Micros visible_time = 0;
+  };
   struct PartitionLog {
     mutable Mutex mu{kRankMsgPartition};
-    // messages.front() is at base_offset.
-    std::deque<Message> messages GUARDED_BY(mu);
+    // entries.front() is at base_offset.
+    std::deque<LogEntry> entries GUARDED_BY(mu);
     uint64_t base_offset GUARDED_BY(mu) = 0;
     std::atomic<uint64_t> end_offset{0};  // Next offset to assign.
     // Minimum committed position across the consumers tracking this

@@ -19,6 +19,10 @@
 //    next poll, never lost.
 //  - Seek/Fetch never position a consumer below the retention-trimmed
 //    log head: offsets inside truncated data clamp forward.
+//  - A delivered message carries topic, partition, offset, key and
+//    payload, nothing more. Broker-side state such as delivery-delay
+//    visibility or the unread backlog stays behind the contract
+//    (InProcessBus exposes the backlog as introspection).
 #ifndef RAILGUN_MSG_BUS_H_
 #define RAILGUN_MSG_BUS_H_
 
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/status.h"
 #include "msg/assignment.h"
 #include "msg/batch.h"
@@ -109,12 +114,6 @@ class Bus {
 
   // Interrupts a consumer's blocking Poll (level-triggered).
   virtual Status WakeConsumer(const std::string& consumer_id) = 0;
-
-  // Total messages produced but not yet consumed across all partitions —
-  // the broker-side queue-depth signal admission control watches.
-  // InProcessBus computes it live; RemoteBus reports the hint the last
-  // kPoll response carried (see wire.h). 0 = empty, or no poll yet.
-  virtual uint64_t BacklogHint() const { return 0; }
 };
 
 }  // namespace railgun::msg

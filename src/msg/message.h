@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/clock.h"
-
 namespace railgun::msg {
 
 struct TopicPartition {
@@ -32,10 +30,6 @@ struct Message {
   uint64_t offset = 0;
   std::string key;
   std::string payload;
-  // Broker-side publish time; consumers only see the message once the
-  // simulated delivery delay has elapsed.
-  Micros publish_time = 0;
-  Micros visible_time = 0;
 };
 
 }  // namespace railgun::msg

@@ -209,8 +209,7 @@ Frame BusServer::HandleRequest(const FrameView& request) {
             revoked.swap(buffer->revoked);
             assigned.swap(buffer->assigned);
           }
-          PutPollResponse(&result, revoked, assigned, batch.views(),
-                          bus_->BacklogHint());
+          PutPollResponse(&result, revoked, assigned, batch.views());
         }
       }
       break;

@@ -268,11 +268,8 @@ Status RemoteBus::PollBatch(const std::string& consumer_id,
   RAILGUN_RETURN_IF_ERROR(
       CallView(ConnFor(consumer_id), OpCode::kPoll, payload, &buffer, &in));
   std::vector<TopicPartition> revoked, assigned;
-  uint64_t backlog = 0;
-  RAILGUN_RETURN_IF_ERROR(
-      GetPollResponse(in, &revoked, &assigned, out, &backlog));
+  RAILGUN_RETURN_IF_ERROR(GetPollResponse(in, &revoked, &assigned, out));
   out->BorrowBuffer(std::move(buffer));
-  backlog_hint_.store(backlog, std::memory_order_relaxed);
   DeliverRebalance(consumer_id, revoked, assigned);
   return Status::OK();
 }

@@ -103,12 +103,6 @@ class RemoteBus : public Bus {
   Status KillConsumer(const std::string& consumer_id) override;
   Status WakeConsumer(const std::string& consumer_id) override;
 
-  // Broker queue depth as of the last kPoll response this client saw
-  // (the backlog field of wire.h's kPoll). 0 until the first poll.
-  uint64_t BacklogHint() const override {
-    return backlog_hint_.load(std::memory_order_relaxed);
-  }
-
   // Total TCP connect attempts across all connections (introspection
   // for tests and operators watching reconnect churn).
   uint64_t dial_attempts() const {
@@ -187,7 +181,6 @@ class RemoteBus : public Bus {
   int port_ = 0;
   Status address_status_;  // Result of parsing options_.address.
   mutable std::atomic<uint64_t> dial_attempts_{0};
-  std::atomic<uint64_t> backlog_hint_{0};
   // Receive buffers shared by all connections (BufferPool is internally
   // synchronized).
   mutable BufferPool pool_;

@@ -206,16 +206,6 @@ void PutColumnarMessageList(std::string* out, const std::vector<M>& messages) {
       PutVarsint64(out, static_cast<int64_t>(messages[i].offset) -
                             static_cast<int64_t>(messages[i - 1].offset));
     }
-    PutVarsint64(out, messages[start].publish_time);
-    for (size_t i = start + 1; i < end; ++i) {
-      PutVarsint64(out,
-                   messages[i].publish_time - messages[i - 1].publish_time);
-    }
-    PutVarsint64(out, messages[start].visible_time);
-    for (size_t i = start + 1; i < end; ++i) {
-      PutVarsint64(out,
-                   messages[i].visible_time - messages[i - 1].visible_time);
-    }
     for (size_t i = start; i < end; ++i) {
       PutVarint32(out, static_cast<uint32_t>(messages[i].key.size()));
     }
@@ -254,7 +244,6 @@ bool GetColumnarMessageList(Slice* in, MessageBatch* out) {
       return false;
     }
     uint64_t offset;
-    Micros publish = 0, visible = 0;
     if (!GetVarint64(in, &offset)) return false;
     std::vector<MessageView> group(n);
     group[0].offset = offset;
@@ -263,22 +252,6 @@ bool GetColumnarMessageList(Slice* in, MessageBatch* out) {
       if (!GetVarsint64(in, &delta)) return false;
       offset = static_cast<uint64_t>(static_cast<int64_t>(offset) + delta);
       group[i].offset = offset;
-    }
-    if (!GetVarsint64(in, &publish)) return false;
-    group[0].publish_time = publish;
-    for (uint32_t i = 1; i < n; ++i) {
-      int64_t delta;
-      if (!GetVarsint64(in, &delta)) return false;
-      publish += delta;
-      group[i].publish_time = publish;
-    }
-    if (!GetVarsint64(in, &visible)) return false;
-    group[0].visible_time = visible;
-    for (uint32_t i = 1; i < n; ++i) {
-      int64_t delta;
-      if (!GetVarsint64(in, &delta)) return false;
-      visible += delta;
-      group[i].visible_time = visible;
     }
     if (!GetByteColumn(in, n, &keys)) return false;
     if (!GetByteColumn(in, n, &payloads)) return false;
@@ -334,21 +307,18 @@ bool GetColumnarProduceBatch(Slice* in, std::string* topic,
 void PutPollResponse(std::string* out,
                      const std::vector<TopicPartition>& revoked,
                      const std::vector<TopicPartition>& assigned,
-                     const std::vector<MessageView>& messages,
-                     uint64_t backlog) {
+                     const std::vector<MessageView>& messages) {
   PutTopicPartitionList(out, revoked);
   PutTopicPartitionList(out, assigned);
   PutColumnarMessageList(out, messages);
-  PutVarint64(out, backlog);
 }
 
 Status GetPollResponse(Slice in, std::vector<TopicPartition>* revoked,
                        std::vector<TopicPartition>* assigned,
-                       MessageBatch* messages, uint64_t* backlog) {
+                       MessageBatch* messages) {
   if (!GetTopicPartitionList(&in, revoked) ||
       !GetTopicPartitionList(&in, assigned) ||
-      !GetColumnarMessageList(&in, messages) || !GetVarint64(&in, backlog) ||
-      !in.empty()) {
+      !GetColumnarMessageList(&in, messages) || !in.empty()) {
     messages->Clear();
     return Status::Corruption("malformed Poll response");
   }

@@ -46,8 +46,10 @@ constexpr uint8_t kResponseBit = 0x80;
 // kMetaExecuteDdl RPC (v1 clients published it to a bus topic that no
 // v2 server consumes). v3: kProduceBatch is the only produce request
 // and the test-only RPCs are gone; the bump refuses a v2 client at
-// connect instead of answering its first row produce NotSupported.
-constexpr uint32_t kProtocolVersion = 3;
+// connect instead of answering its first row produce NotSupported. v4:
+// kPoll responses lose their backlog trailer and columnar message groups
+// their publish/visible time columns.
+constexpr uint32_t kProtocolVersion = 4;
 
 // The typed error a kHello with a foreign version gets (and that
 // RemoteBus surfaces from the first call on such a connection). Not a
@@ -65,8 +67,8 @@ enum class OpCode : uint8_t {
   kSubscribe = 8,
   kUnsubscribe = 9,
   // kPoll responses carry [revoked tps][assigned tps][columnar message
-  // list][varint64 backlog hint (Bus::BacklogHint at the server)]; see
-  // PutPollResponse. kFetch responses carry a columnar message list.
+  // list]; see PutPollResponse. kFetch responses carry a columnar
+  // message list.
   kPoll = 10,
   kFetch = 11,
   kSeek = 13,
@@ -166,8 +168,6 @@ bool GetTopicPartitionList(Slice* in, std::vector<TopicPartition>* tps);
 //   varint32 ngroups
 //   per group: [len-prefixed topic][varint32 partition][varint32 n]
 //     [varint64 offset_0][(n-1) x varsint64 offset delta]
-//     [varsint64 publish_0][(n-1) x varsint64 delta]
-//     [varsint64 visible_0][(n-1) x varsint64 delta]
 //     [n x varint32 key_len][concatenated key bytes]
 //     [n x varint32 payload_len][concatenated payload bytes]
 //
@@ -189,17 +189,16 @@ bool GetColumnarProduceBatch(Slice* in, std::string* topic,
                              std::vector<ProduceRecord>* records);
 
 // kPoll response fields (after the status):
-//   [revoked tps][assigned tps][columnar message list][varint64 backlog]
+//   [revoked tps][assigned tps][columnar message list]
 void PutPollResponse(std::string* out,
                      const std::vector<TopicPartition>& revoked,
                      const std::vector<TopicPartition>& assigned,
-                     const std::vector<MessageView>& messages,
-                     uint64_t backlog);
+                     const std::vector<MessageView>& messages);
 // Appends zero-copy message views into *messages (storage behind `in`
 // must outlive them). Corruption unless the whole input parses.
 Status GetPollResponse(Slice in, std::vector<TopicPartition>* revoked,
                        std::vector<TopicPartition>* assigned,
-                       MessageBatch* messages, uint64_t* backlog);
+                       MessageBatch* messages);
 
 }  // namespace railgun::msg::remote
 

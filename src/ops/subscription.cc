@@ -10,6 +10,8 @@ namespace railgun::ops {
 namespace {
 
 constexpr size_t kPumpBatch = 256;
+// Server-side cap on one Fetch long-poll.
+constexpr Micros kMaxFetchWait = 2 * kMicrosPerSecond;
 
 // Joins group-key field values with a separator no ToString produces.
 constexpr char kKeySep = '\x1f';
@@ -305,7 +307,7 @@ Status SubscriptionHub::Fetch(uint64_t sub_id, uint64_t acked_seq,
   while (!sub->queue.empty() && sub->queue.front().seq <= acked_seq) {
     sub->queue.pop_front();
   }
-  const Micros wait = std::min(max_wait, options_.max_fetch_wait);
+  const Micros wait = std::min(max_wait, kMaxFetchWait);
   if (sub->queue.empty() && wait > 0) {
     (void)sub->cv.WaitFor(&sub->mu, wait, [&]() NO_THREAD_SAFETY_ANALYSIS {
       return !sub->queue.empty() ||

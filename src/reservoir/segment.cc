@@ -12,6 +12,22 @@ namespace railgun::reservoir {
 namespace {
 constexpr size_t kRecordHeaderSize = 4 + 4 + 8;  // size + crc + seq.
 
+// Validates one whole record (header and payload) read off disk and
+// points *payload into it.
+Status CheckRecord(const Slice& record, Slice* payload) {
+  const uint32_t size = DecodeFixed32(record.data());
+  if (record.size() != kRecordHeaderSize + size) {
+    return Status::Corruption("chunk record size mismatch");
+  }
+  const uint32_t crc = crc32c::Unmask(DecodeFixed32(record.data() + 4));
+  // The checksum starts at the seq field, 8 bytes into the header.
+  if (crc32c::Value(record.data() + 8, record.size() - 8) != crc) {
+    return Status::Corruption("chunk record checksum mismatch");
+  }
+  *payload = Slice(record.data() + kRecordHeaderSize, size);
+  return Status::OK();
+}
+
 // Decodes the uncompressed chunk header fields from a serialized payload
 // (everything before the compressed event data).
 Status PeekChunkHeader(Slice payload, ChunkLocation* loc) {
@@ -46,10 +62,16 @@ Status SegmentWriter::Open(uint64_t last_file_number,
   RAILGUN_RETURN_IF_ERROR(env_->CreateDir(dir_));
   file_number_ = last_file_number;
   file_size_ = last_file_size;
-  if (file_number_ == 0 || file_size_ >= max_file_bytes_) {
+  const std::string last_file = SegmentFileName(dir_, file_number_);
+  uint64_t physical_size = 0;
+  // A torn tail stays where it is: records appended behind it would sit
+  // at offsets the scan never reaches, so start a new file instead.
+  if (file_number_ == 0 || file_size_ >= max_file_bytes_ ||
+      !env_->GetFileSize(last_file, &physical_size).ok() ||
+      physical_size != file_size_) {
     return RollFile();
   }
-  return env_->NewAppendableFile(SegmentFileName(dir_, file_number_), &file_);
+  return env_->NewAppendableFile(last_file, &file_);
 }
 
 Status SegmentWriter::RollFile() {
@@ -77,11 +99,14 @@ Status SegmentWriter::Append(const Chunk& chunk, const std::string& payload,
   location->num_events = static_cast<uint32_t>(chunk.num_events());
   location->max_offset = chunk.max_offset();
 
+  std::string seq;
+  PutFixed64(&seq, chunk.seq());
   std::string header;
   PutFixed32(&header, static_cast<uint32_t>(payload.size()));
-  PutFixed32(&header,
-             crc32c::Mask(crc32c::Value(payload.data(), payload.size())));
-  PutFixed64(&header, chunk.seq());
+  PutFixed32(&header, crc32c::Mask(crc32c::Extend(
+                          crc32c::Value(seq.data(), seq.size()),
+                          payload.data(), payload.size())));
+  header.append(seq);
 
   RAILGUN_RETURN_IF_ERROR(file_->Append(header));
   RAILGUN_RETURN_IF_ERROR(file_->Append(payload));
@@ -111,17 +136,12 @@ Status SegmentReader::ReadChunkPayload(const ChunkLocation& location,
   if (record.size() != kRecordHeaderSize + location.size) {
     return Status::Corruption("truncated chunk record");
   }
-
-  const uint32_t stored_size = DecodeFixed32(record.data());
-  const uint32_t stored_crc = crc32c::Unmask(DecodeFixed32(record.data() + 4));
-  if (stored_size != location.size) {
-    return Status::Corruption("chunk record size mismatch");
+  Slice data;
+  RAILGUN_RETURN_IF_ERROR(CheckRecord(record, &data));
+  if (DecodeFixed64(record.data() + 8) != location.seq) {
+    return Status::Corruption("chunk record seq mismatch");
   }
-  const char* data = record.data() + kRecordHeaderSize;
-  if (crc32c::Value(data, stored_size) != stored_crc) {
-    return Status::Corruption("chunk record checksum mismatch");
-  }
-  payload->assign(data, stored_size);
+  payload->assign(data.data(), data.size());
   return Status::OK();
 }
 
@@ -152,6 +172,7 @@ Status SegmentReader::ScanAll(std::vector<ChunkLocation>* locations,
     RAILGUN_RETURN_IF_ERROR(env_->NewRandomAccessFile(path, &file));
     const uint64_t file_size = file->Size();
     uint64_t pos = 0;
+    std::string buf;
     while (pos + kRecordHeaderSize <= file_size) {
       char header_buf[kRecordHeaderSize];
       Slice header;
@@ -159,26 +180,20 @@ Status SegmentReader::ScanAll(std::vector<ChunkLocation>* locations,
           file->Read(pos, kRecordHeaderSize, &header, header_buf));
       if (header.size() < kRecordHeaderSize) break;
       const uint32_t payload_size = DecodeFixed32(header.data());
-      const uint64_t chunk_seq = DecodeFixed64(header.data() + 8);
-      if (pos + kRecordHeaderSize + payload_size > file_size) {
-        // Torn tail from a crash mid-append: ignore the partial record.
-        break;
-      }
-      // Read just the uncompressed chunk-header prefix (64 bytes covers
-      // five varints comfortably).
-      const size_t peek = std::min<size_t>(payload_size, 64);
-      std::unique_ptr<char[]> peek_buf(new char[peek]);
-      Slice peek_slice;
-      RAILGUN_RETURN_IF_ERROR(file->Read(pos + kRecordHeaderSize, peek,
-                                         &peek_slice, peek_buf.get()));
+      const uint64_t record_size = kRecordHeaderSize + payload_size;
+      if (pos + record_size > file_size) break;  // Torn tail.
+      buf.resize(record_size);
+      Slice record, payload;
+      RAILGUN_RETURN_IF_ERROR(file->Read(pos, record_size, &record, &buf[0]));
+      RAILGUN_RETURN_IF_ERROR(CheckRecord(record, &payload));
       ChunkLocation loc;
-      loc.seq = chunk_seq;
+      loc.seq = DecodeFixed64(record.data() + 8);
       loc.file_number = number;
       loc.offset = pos;
       loc.size = payload_size;
-      RAILGUN_RETURN_IF_ERROR(PeekChunkHeader(peek_slice, &loc));
+      RAILGUN_RETURN_IF_ERROR(PeekChunkHeader(payload, &loc));
       locations->push_back(loc);
-      pos += kRecordHeaderSize + payload_size;
+      pos += record_size;
     }
     *last_file_number = number;
     *last_file_size = pos;

@@ -4,6 +4,10 @@
 //
 // Record framing: payload_size (fixed32) | masked crc32c (fixed32)
 //                 | chunk_seq (fixed64) | payload.
+// The checksum covers chunk_seq and payload. A record that runs past
+// the end of its file is a torn tail (a crash mid-append): the scan
+// drops it whole and its events replay from the message log. Any other
+// damage reads back as Corruption.
 #ifndef RAILGUN_RESERVOIR_SEGMENT_H_
 #define RAILGUN_RESERVOIR_SEGMENT_H_
 
@@ -37,7 +41,9 @@ class SegmentWriter {
  public:
   SegmentWriter(Env* env, std::string dir, uint64_t max_file_bytes);
 
-  // Resumes after the given file number (next file = number + 1).
+  // Resumes file `last_file_number` at `last_file_size` (where ScanAll
+  // found its last whole record ends), or starts the next file when that
+  // one is full or ends in a torn tail.
   Status Open(uint64_t last_file_number, uint64_t last_file_size);
 
   // Appends a serialized chunk; fills *location.
@@ -62,13 +68,15 @@ class SegmentReader {
  public:
   SegmentReader(Env* env, std::string dir);
 
-  // Reads the payload of the chunk at the given location.
+  // Reads the payload of the chunk at the given location. Corruption
+  // unless the record there is whole, checksums and holds that chunk.
   Status ReadChunkPayload(const ChunkLocation& location,
                           std::string* payload) const;
 
   // Scans every segment file in the directory in file order and returns
-  // the chunk locations (header-only scan: payloads are not
-  // decompressed). Used on recovery.
+  // the chunk locations (every record's checksum is verified; payloads
+  // are not decompressed). Used on recovery. *last_file_size is where
+  // the newest file's last whole record ends.
   Status ScanAll(std::vector<ChunkLocation>* locations,
                  uint64_t* last_file_number, uint64_t* last_file_size) const;
 

@@ -8,6 +8,9 @@ namespace railgun::storage {
 
 namespace {
 
+// Number of L0 files that triggers an L0->L1 compaction.
+constexpr size_t kL0CompactionTrigger = 4;
+
 uint64_t MaxBytesForLevel(const DBOptions& options, int level) {
   uint64_t result = options.max_bytes_for_level_base;
   for (int i = 1; i < level; ++i) result *= 10;
@@ -296,8 +299,7 @@ Status DB::MaybeCompact(uint32_t cf_id) {
     ColumnFamilyMeta* cf = versions_->GetFamily(cf_id);
 
     // L0 -> L1 when too many overlapping L0 files accumulate.
-    if (static_cast<int>(cf->levels[0].size()) >=
-        options_.l0_compaction_trigger) {
+    if (cf->levels[0].size() >= kL0CompactionTrigger) {
       std::vector<FileMetaData> l0_inputs = cf->levels[0];
       // All L1 files overlapping the union of L0 ranges participate.
       std::string smallest, largest;

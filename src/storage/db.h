@@ -31,8 +31,6 @@ struct DBOptions {
   bool create_if_missing = true;
   // Total memtable bytes (across column families) that trigger a flush.
   size_t write_buffer_size = 4 * 1024 * 1024;
-  // Number of L0 files that triggers an L0->L1 compaction.
-  int l0_compaction_trigger = 4;
   // Max bytes for L1; each further level is 10x larger.
   uint64_t max_bytes_for_level_base = 10 * 1024 * 1024;
   // Target size of one compaction output file.

@@ -217,8 +217,8 @@ TEST(AdmissionTest, RetryAfterHintRoundTrips) {
   options.max_pending = 2;
   options.retry_after = 75 * kMicrosPerMilli;
   engine::AdmissionController controller(options);
-  EXPECT_TRUE(controller.Admit(1, 0, 0).ok());
-  const Status shed = controller.Admit(2, 0, 0);
+  EXPECT_TRUE(controller.Admit(1).ok());
+  const Status shed = controller.Admit(2);
   ASSERT_TRUE(shed.IsOverloaded());
   EXPECT_EQ(engine::RetryAfterMicros(shed), 75 * kMicrosPerMilli);
   EXPECT_EQ(controller.shed_count(), 1u);

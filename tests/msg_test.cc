@@ -251,6 +251,35 @@ TEST(GroupTest, KillConsumerRebalancesImmediately) {
   EXPECT_EQ(bus.AssignmentOf("c1").size(), 2u);
 }
 
+TEST(GroupTest, BacklogHintCountsWhatLiveConsumersHaveNotRead) {
+  // Cluster exports this value as the bus.backlog series.
+  constexpr uint64_t kProduced = 10;
+  constexpr uint64_t kRead = 4;
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
+  for (uint64_t i = 0; i < kProduced; ++i) {
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
+  }
+  EXPECT_EQ(bus.BacklogHint(), 0u);  // Nobody tracks the partition yet.
+
+  ASSERT_TRUE(bus.Subscribe("a", "g", {"t"}, "", nullptr, {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(&bus, "a", 10, &out).ok());  // Assignment.
+  EXPECT_EQ(bus.BacklogHint(), kProduced);
+  ASSERT_TRUE(PollMessages(&bus, "a", kRead, &out).ok());
+  ASSERT_EQ(out.size(), kRead);
+  EXPECT_EQ(bus.BacklogHint(), kProduced - kRead);
+
+  // A second group's member that has read nothing holds the partition's
+  // minimum position back at 0...
+  ASSERT_TRUE(bus.Subscribe("b", "h", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(PollMessages(&bus, "b", 10, &out).ok());  // Assignment.
+  EXPECT_EQ(bus.BacklogHint(), kProduced);
+  // ...until it is fenced: a dead consumer's positions stop counting.
+  ASSERT_TRUE(bus.KillConsumer("b").ok());
+  EXPECT_EQ(bus.BacklogHint(), kProduced - kRead);
+}
+
 TEST(GroupTest, SeekRewindsConsumption) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());

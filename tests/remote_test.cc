@@ -121,8 +121,6 @@ std::vector<Message> SampleColumnarMessages() {
     m.offset = static_cast<uint64_t>(1000 + i * 3);
     m.key = i == 2 ? "" : "key" + std::to_string(i);
     m.payload = std::string(static_cast<size_t>(i) * 11, 'p');
-    m.publish_time = 500000 + i * 7;
-    m.visible_time = 500100 + i * 7;
     messages.push_back(std::move(m));
   }
   return messages;
@@ -145,8 +143,6 @@ TEST(WireTest, ColumnarMessageListRoundTripPreservesOrder) {
     EXPECT_EQ(v.offset, messages[i].offset) << i;
     EXPECT_EQ(v.key.ToString(), messages[i].key) << i;
     EXPECT_EQ(v.payload.ToString(), messages[i].payload) << i;
-    EXPECT_EQ(v.publish_time, messages[i].publish_time) << i;
-    EXPECT_EQ(v.visible_time, messages[i].visible_time) << i;
   }
 }
 
@@ -196,10 +192,6 @@ TEST(WireTest, ColumnarColumnLengthMismatchIsRejected) {
   PutVarint32(&enc, 2);  // n
   PutVarint64(&enc, 100);
   PutVarsint64(&enc, 1);  // offsets
-  PutVarsint64(&enc, 10);
-  PutVarsint64(&enc, 0);  // publish
-  PutVarsint64(&enc, 11);
-  PutVarsint64(&enc, 0);  // visible
   PutVarint32(&enc, 3);
   PutVarint32(&enc, 1u << 30);  // key lens: second overruns everything.
   enc.append("abcdefgh");
@@ -262,16 +254,14 @@ TEST(WireTest, ColumnarProduceBatchRoundTrip) {
   }
 }
 
-// A full kPoll response: every field present and non-empty, a
-// multi-byte backlog hint last.
+// A full kPoll response: every field present and non-empty.
 std::string SamplePollResponse() {
   const std::vector<TopicPartition> revoked = {{"alpha", 3}};
   const std::vector<TopicPartition> assigned = {{"alpha", 0}, {"beta", 1}};
   MessageBatch messages;
   messages.Adopt(SampleColumnarMessages());
   std::string encoded;
-  PutPollResponse(&encoded, revoked, assigned, messages.views(),
-                  /*backlog=*/300);
+  PutPollResponse(&encoded, revoked, assigned, messages.views());
   return encoded;
 }
 
@@ -279,10 +269,8 @@ TEST(WireTest, PollResponseRoundTrip) {
   const std::string encoded = SamplePollResponse();
   std::vector<TopicPartition> revoked, assigned;
   MessageBatch batch;
-  uint64_t backlog = 0;
   ASSERT_TRUE(
-      GetPollResponse(Slice(encoded), &revoked, &assigned, &batch, &backlog)
-          .ok());
+      GetPollResponse(Slice(encoded), &revoked, &assigned, &batch).ok());
   ASSERT_EQ(revoked.size(), 1u);
   EXPECT_EQ(revoked[0].partition, 3);
   ASSERT_EQ(assigned.size(), 2u);
@@ -290,22 +278,22 @@ TEST(WireTest, PollResponseRoundTrip) {
   const std::vector<Message> messages = SampleColumnarMessages();
   ASSERT_EQ(batch.size(), messages.size());
   for (size_t i = 0; i < messages.size(); ++i) {
+    EXPECT_EQ(batch[i].offset, messages[i].offset) << i;
     EXPECT_EQ(batch[i].payload.ToString(), messages[i].payload) << i;
   }
-  EXPECT_EQ(backlog, 300u);
 }
 
 TEST(WireTest, EveryPollResponseTruncationIsCorruption) {
-  // The backlog hint is required: cutting anywhere — down to dropping
-  // just the hint's last byte — fails the decode with a typed status.
+  // The message list ends the response: cutting anywhere — down to
+  // dropping just the last payload byte — fails the decode with a typed
+  // status.
   const std::string encoded = SamplePollResponse();
   for (size_t len = 0; len < encoded.size(); ++len) {
     const std::string prefix = encoded.substr(0, len);
     std::vector<TopicPartition> revoked, assigned;
     MessageBatch batch;
-    uint64_t backlog = 0;
-    const Status status = GetPollResponse(Slice(prefix), &revoked,
-                                          &assigned, &batch, &backlog);
+    const Status status =
+        GetPollResponse(Slice(prefix), &revoked, &assigned, &batch);
     EXPECT_TRUE(status.IsCorruption()) << "prefix length " << len;
     EXPECT_TRUE(batch.empty()) << "prefix length " << len;
   }
@@ -318,9 +306,8 @@ TEST(WireTest, PollResponseBitFlipsNeverEscapeTheBuffer) {
     mutated[i] = static_cast<char>(mutated[i] ^ (1 << (i % 8)));
     std::vector<TopicPartition> revoked, assigned;
     MessageBatch batch;
-    uint64_t backlog = 0;
-    const Status status = GetPollResponse(Slice(mutated), &revoked,
-                                          &assigned, &batch, &backlog);
+    const Status status =
+        GetPollResponse(Slice(mutated), &revoked, &assigned, &batch);
     if (!status.ok()) {
       EXPECT_TRUE(status.IsCorruption()) << "byte " << i;
       continue;
@@ -415,8 +402,9 @@ TEST(BusServerTest, HelloWithAForeignVersionGetsTheTypedMismatch) {
   auto sock_or = Socket::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(sock_or.ok());
   Socket sock = std::move(sock_or).value();
-  // kProtocolVersion - 1 is the row-produce protocol (v2: kProduce and
-  // the test-only RPCs).
+  // kProtocolVersion - 1 is v3, whose kPoll responses end in a backlog
+  // trailer and whose message groups carry publish/visible columns.
+  ASSERT_EQ(kProtocolVersion, 4u);
   for (const uint32_t version :
        {kProtocolVersion + 1, kProtocolVersion - 1, kProtocolVersion}) {
     std::string wire;
