@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the embedded LSM state store:
-// point writes, read-modify-write (the aggregation-update pattern),
-// point reads across levels, and checkpointing.
+// point writes, read-modify-write (the aggregation-update pattern, over
+// uniform and Zipf-skewed keys), point reads across levels, and
+// checkpointing.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_micro_main.h"
@@ -59,6 +60,37 @@ void BM_StateStoreReadModifyWrite(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StateStoreReadModifyWrite);
+
+void BM_StateStoreZipfReadModifyWrite(benchmark::State& state) {
+  // The engine's aggregation-state pattern: ~10k (metric, entity) keys,
+  // Zipf-skewed, each read, bumped and written back many times, under
+  // the default write buffer.
+  const std::string dir = "/tmp/railgun-bench-micro-zipf-rmw";
+  (void)DestroyDB(dir);
+  std::unique_ptr<DB> db;
+  if (!DB::Open(DBOptions(), dir, &db).ok()) {
+    state.SkipWithError("open failed");
+    return;
+  }
+  ZipfGenerator keys(10000, 0.99, 5);
+  char key[32];
+  for (auto _ : state) {
+    snprintf(key, sizeof(key), "m1|card%08llu",
+             static_cast<unsigned long long>(keys.Next()));
+    std::string value;
+    double sum = 0;
+    Status s = db->Get(0, key, &value);
+    if (s.ok()) {
+      Slice in(value);
+      GetDouble(&in, &sum);
+    }
+    value.clear();
+    PutDouble(&value, sum + 1.5);
+    benchmark::DoNotOptimize(db->Put(0, key, value));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_StateStoreZipfReadModifyWrite);
 
 void BM_StateStoreGetAcrossLevels(benchmark::State& state) {
   static std::unique_ptr<DB> db;

@@ -118,7 +118,9 @@ Client::Client(const ClientOptions& options)
     // stream — the broker pre-registers it in the metadata service —
     // so the client's front end learns the routing too.
     engine::StreamDef internals = introspect::InternalsStreamDef();
+    MutexLock lock(&mu_);
     streams_.emplace(internals.name, std::move(internals));
+    CacheSchemaLocked(introspect::kInternalsStream);
   }
   if (options_.noreply_tokens_per_sec > 0) {
     noreply_bucket_ = std::make_unique<engine::TokenBucket>(
@@ -138,7 +140,9 @@ Client::Client(engine::Cluster* cluster)
   client_id_ = RandomClientId();
   event_id_base_ = Hash64(client_id_);
   engine::StreamDef internals = introspect::InternalsStreamDef();
+  MutexLock lock(&mu_);
   streams_.emplace(internals.name, std::move(internals));
+  CacheSchemaLocked(introspect::kInternalsStream);
 }
 
 Client::~Client() { Stop(); }
@@ -221,6 +225,7 @@ Status Client::RunDdl(const std::string& statement,
     // from dropping each other's additions.
     RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(updated));
     engine::FoldDdl(std::move(ddl), &streams_);
+    CacheSchemaLocked(updated.name);
     lock.Unlock();
     return WaitForRegistration(options_.request_timeout);
   }
@@ -240,6 +245,7 @@ Status Client::RunDdl(const std::string& statement,
   }
   lock.Lock();
   engine::FoldDdl(std::move(ddl), &streams_);
+  CacheSchemaLocked(updated.name);
   return executed;
 }
 
@@ -360,6 +366,7 @@ Status Client::EnsureStream(const std::string& stream) {
   RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(def));
   MutexLock lock(&mu_);
   streams_.emplace(def.name, std::move(def));
+  CacheSchemaLocked(stream);
   unknown_streams_.erase(stream);
   return Status::OK();
 }
@@ -413,28 +420,35 @@ std::vector<std::string> Client::ListStreams() const {
 StatusOr<reservoir::Schema> Client::GetSchema(const std::string& stream) {
   if (remote()) RAILGUN_RETURN_IF_ERROR(EnsureStream(stream));
   MutexLock lock(&mu_);
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) {
+  auto it = schemas_.find(stream);
+  if (it == schemas_.end()) {
     return Status::NotFound("unknown stream: " + stream);
   }
-  return reservoir::Schema(0, it->second.fields);
+  return *it->second;
+}
+
+void Client::CacheSchemaLocked(const std::string& stream) {
+  if (schemas_.count(stream) > 0) return;
+  auto it = streams_.find(stream);
+  if (it == streams_.end()) return;
+  schemas_.emplace(stream, std::make_shared<const reservoir::Schema>(
+                               0, it->second.fields));
 }
 
 // --- Event submission ------------------------------------------------
 
 StatusOr<reservoir::Event> Client::BindRow(const std::string& stream_name,
                                            const Row& row) const {
-  std::vector<reservoir::SchemaField> fields;
+  std::shared_ptr<const reservoir::Schema> schema;
   {
     MutexLock lock(&mu_);
-    auto it = streams_.find(stream_name);
-    if (it == streams_.end()) {
+    auto it = schemas_.find(stream_name);
+    if (it == schemas_.end()) {
       return Status::NotFound("unknown stream: " + stream_name);
     }
-    fields = it->second.fields;
+    schema = it->second;
   }
-  const reservoir::Schema schema(0, std::move(fields));
-  RAILGUN_ASSIGN_OR_RETURN(reservoir::Event event, row.Bind(schema));
+  RAILGUN_ASSIGN_OR_RETURN(reservoir::Event event, row.Bind(*schema));
   event.timestamp =
       row.has_timestamp() ? row.timestamp() : clock_->NowMicros();
   // Wrapping add: the counter walks a contiguous range from the

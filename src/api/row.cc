@@ -37,8 +37,14 @@ StatusOr<reservoir::Event> Row::Bind(const reservoir::Schema& schema) const {
   event.values.resize(schema.num_fields());
   std::vector<bool> seen(schema.num_fields(), false);
 
+  // Rows usually set fields in schema order: try the position after
+  // the last bound field before the linear name lookup.
+  size_t next = 0;
   for (const auto& [name, value] : values_) {
-    const int index = schema.FieldIndex(name);
+    int index = static_cast<int>(next);
+    if (next >= schema.num_fields() || schema.fields()[next].name != name) {
+      index = schema.FieldIndex(name);
+    }
     if (index < 0) {
       return Status::InvalidArgument("unknown field: " + name);
     }
@@ -49,6 +55,7 @@ StatusOr<reservoir::Event> Row::Bind(const reservoir::Schema& schema) const {
     RAILGUN_ASSIGN_OR_RETURN(
         event.values[i], CoerceTo(value, schema.fields()[i].type, name));
     seen[i] = true;
+    next = i + 1;
   }
 
   for (size_t i = 0; i < seen.size(); ++i) {

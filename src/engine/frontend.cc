@@ -99,15 +99,15 @@ Status FrontEnd::RegisterStream(const StreamDef& stream) {
         bus_->CreateTopic(stream.TopicFor(p), stream.partitions_per_topic);
     if (!s.ok() && !s.IsAlreadyExists()) return s;
   }
-  Route route;
-  route.stream = stream;
-  route.schema = reservoir::Schema(0, stream.fields);
+  auto route = std::make_shared<Route>();
+  route->stream = stream;
+  route->schema = reservoir::Schema(0, stream.fields);
   for (const auto& p : stream.partitioners) {
-    const int field = route.schema.FieldIndex(p);
+    const int field = route->schema.FieldIndex(p);
     if (field < 0) {
       return Status::InvalidArgument("partitioner not in schema: " + p);
     }
-    route.targets.push_back({stream.TopicFor(p), field});
+    route->targets.push_back({stream.TopicFor(p), field});
   }
   MutexLock lock(&mu_);
   routes_[stream.name] = std::move(route);
@@ -182,7 +182,7 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
   if (!running_) {
     return Status::Unavailable("front end is not running");
   }
-  Route route;
+  std::shared_ptr<const Route> route;
   {
     MutexLock lock(&mu_);
     auto it = routes_.find(stream_name);
@@ -207,7 +207,7 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
     ReplyCallback callback =
         i < callbacks.size() ? std::move(callbacks[i]) : nullptr;
     const Status s = Enqueue(
-        route, events[i], std::move(callback),
+        *route, events[i], std::move(callback),
         i < traces.size() ? traces[i] : trace::TraceContext{}, &prepared);
     if (!s.ok()) {
       // Roll back this batch's already-registered pendings: the caller
@@ -336,6 +336,7 @@ void FrontEnd::DrainSubmissions() {
 
 void FrontEnd::Run() {
   msg::MessageBatch batch;
+  Micros next_sweep = 0;
   while (running_) {
     DrainSubmissions();
 
@@ -404,25 +405,30 @@ void FrontEnd::Run() {
 
     // Expire overdue requests: the callback fires with a typed error
     // and whatever partial results arrived (late aggregation replies
-    // are discarded upstream, paper §5).
+    // are discarded upstream, paper §5). The sweep walks every pending
+    // entry, so it runs once per kPollWait, not on every cycle: a
+    // request completes at most kPollWait past its deadline.
     const Micros now = clock_->NowMicros();
-    for (auto& shard : pending_) {
-      MutexLock lock(&shard.mu);
-      for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-        if (it->second.deadline <= now) {
-          Pending& pending = it->second;
-          done.push_back({std::move(pending.callback),
-                          std::move(pending.results),
-                          Status::Unavailable(
-                              "request timed out: " +
-                              std::to_string(pending.received) + "/" +
-                              std::to_string(pending.expected) +
-                              " partitioner replies arrived")});
-          it = shard.entries.erase(it);
-          pending_count_.fetch_sub(1, std::memory_order_relaxed);
-          ++timed_out_;
-        } else {
-          ++it;
+    if (now >= next_sweep) {
+      next_sweep = now + kPollWait;
+      for (auto& shard : pending_) {
+        MutexLock lock(&shard.mu);
+        for (auto it = shard.entries.begin(); it != shard.entries.end();) {
+          if (it->second.deadline <= now) {
+            Pending& pending = it->second;
+            done.push_back({std::move(pending.callback),
+                            std::move(pending.results),
+                            Status::Unavailable(
+                                "request timed out: " +
+                                std::to_string(pending.received) + "/" +
+                                std::to_string(pending.expected) +
+                                " partitioner replies arrived")});
+            it = shard.entries.erase(it);
+            pending_count_.fetch_sub(1, std::memory_order_relaxed);
+            ++timed_out_;
+          } else {
+            ++it;
+          }
         }
       }
     }

@@ -175,7 +175,9 @@ class FrontEnd {
   std::atomic<bool> running_{false};
 
   mutable Mutex mu_{kRankEngineFrontEnd};
-  std::map<std::string, Route> routes_ GUARDED_BY(mu_);
+  // Shared so a submit copies a pointer, not the stream definition.
+  std::map<std::string, std::shared_ptr<const Route>> routes_
+      GUARDED_BY(mu_);
 
   Mutex submit_mu_{kRankEngineFrontEndSubmit};
   std::vector<Submission> submit_queue_ GUARDED_BY(submit_mu_);

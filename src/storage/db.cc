@@ -132,12 +132,12 @@ Status DB::Get(uint32_t cf, const Slice& key, std::string* value) {
   if (it == mems_.end()) {
     return Status::InvalidArgument("unknown column family");
   }
-  const LookupKey lkey(key, versions_->last_sequence());
   bool is_deleted = false;
-  if (it->second->Get(lkey, value, &is_deleted)) {
+  if (it->second->Get(key, value, &is_deleted)) {
     return is_deleted ? Status::NotFound("deleted") : Status::OK();
   }
-  return GetFromTables(cf, lkey, value);
+  return GetFromTables(cf, LookupKey(key, versions_->last_sequence()),
+                       value);
 }
 
 Status DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,

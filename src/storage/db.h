@@ -53,6 +53,9 @@ class DB {
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
 
+  // Reads always see the newest write: the store keeps no snapshots, so
+  // the memtable holds one entry per key and a flush writes one entry
+  // per key.
   Status Put(uint32_t cf, const Slice& key, const Slice& value);
   Status Delete(uint32_t cf, const Slice& key);
   Status Write(WriteBatch* batch);
@@ -73,9 +76,10 @@ class DB {
   Status Checkpoint(const std::string& dir);
 
   // Scan iterator over one column family (user keys, newest versions,
-  // tombstones elided). Snapshot semantics: operates over the files and
-  // memtable present at creation; concurrent writes to the same DB from
-  // other threads are not reflected.
+  // tombstones elided). It reads the files present at creation and the
+  // live memtable, so a later write to the same DB may show through it,
+  // and a write that flushes retires the memtable under it. Finish with
+  // an iterator before writing to its DB again, on the same thread.
   class Iterator {
    public:
     virtual ~Iterator() = default;

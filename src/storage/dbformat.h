@@ -69,29 +69,19 @@ struct InternalKeyComparator {
   int operator()(const Slice& a, const Slice& b) const { return Compare(a, b); }
 };
 
-// A lookup key bundles the encodings needed to probe the memtable and
-// tables for a user key at a snapshot sequence.
+// A lookup key is the internal key that probes the tables for a user
+// key at a sequence.
 class LookupKey {
  public:
   LookupKey(const Slice& user_key, SequenceNumber seq) {
-    PutVarint32(&rep_, static_cast<uint32_t>(user_key.size() + 8));
-    key_offset_ = rep_.size();
     AppendInternalKey(&rep_, user_key, seq, kTypeValue);
   }
 
-  // Suitable for probing the memtable (length-prefixed internal key).
-  Slice memtable_key() const { return Slice(rep_); }
-  // The internal key itself.
-  Slice internal_key() const {
-    return Slice(rep_.data() + key_offset_, rep_.size() - key_offset_);
-  }
-  Slice user_key() const {
-    return Slice(rep_.data() + key_offset_, rep_.size() - key_offset_ - 8);
-  }
+  Slice internal_key() const { return Slice(rep_); }
+  Slice user_key() const { return ExtractUserKey(Slice(rep_)); }
 
  private:
   std::string rep_;
-  size_t key_offset_ = 0;
 };
 
 }  // namespace railgun::storage

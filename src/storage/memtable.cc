@@ -1,5 +1,7 @@
 #include "storage/memtable.h"
 
+#include <cstring>
+
 #include "common/coding.h"
 
 namespace railgun::storage {
@@ -23,51 +25,51 @@ int MemTableKeyComparator::operator()(const char* a, const char* b) const {
 
 MemTable::MemTable() : table_(MemTableKeyComparator(), &arena_) {}
 
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
-                   const Slice& value) {
-  // Layout: klen | internal_key | vlen | value.
-  const size_t key_size = key.size();
-  const size_t val_size = value.size();
-  const size_t internal_key_size = key_size + 8;
-  const size_t encoded_len = VarintLength(internal_key_size) +
-                             internal_key_size + VarintLength(val_size) +
-                             val_size;
-  char* buf = arena_.Allocate(encoded_len);
-  std::string tmp;
-  tmp.reserve(encoded_len);
-  PutVarint32(&tmp, static_cast<uint32_t>(internal_key_size));
-  tmp.append(key.data(), key_size);
-  PutFixed64(&tmp, PackSequenceAndType(seq, type));
-  PutVarint32(&tmp, static_cast<uint32_t>(val_size));
-  tmp.append(value.data(), val_size);
-  memcpy(buf, tmp.data(), encoded_len);
-  table_.Insert(buf);
-  empty_ = false;
+size_t MemTable::ApproximateMemoryUsage() const {
+  // An index node holds the (key, slot) pair, the chain's next pointer
+  // and the cached hash.
+  constexpr size_t kNodeBytes =
+      sizeof(Index::value_type) + 2 * sizeof(void*);
+  return arena_.MemoryUsage() + index_.size() * kNodeBytes +
+         index_.bucket_count() * sizeof(void*) + value_bytes_;
 }
 
-bool MemTable::Get(const LookupKey& lkey, std::string* found_value,
-                   bool* is_deleted) {
-  SkipList<const char*, MemTableKeyComparator>::Iterator iter(&table_);
-  iter.Seek(lkey.memtable_key().data());
-  if (!iter.Valid()) return false;
+void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
+                   const Slice& value) {
+  const uint64_t tag = PackSequenceAndType(seq, type);
+  auto it = index_.find(std::string_view(key.data(), key.size()));
+  Slot* slot = it == index_.end() ? Insert(key, tag) : &it->second;
+  EncodeFixed64(slot->tag, tag);
+  value_bytes_ = value_bytes_ - slot->value.size() + value.size();
+  slot->value.assign(value.data(), value.size());
+}
 
-  // The seek landed at the first entry >= (user_key, seq). Verify the
-  // user key matches.
-  const char* entry = iter.key();
-  uint32_t klen = 0;
-  const char* key_ptr = GetVarint32Ptr(entry, entry + 5, &klen);
-  const Slice found_user_key(key_ptr, klen - 8);
-  if (found_user_key != lkey.user_key()) return false;
+MemTable::Slot* MemTable::Insert(const Slice& key, uint64_t tag) {
+  // Record: klen (varint32) | user key | tag (fixed64) | Slot*.
+  std::string klen;
+  PutVarint32(&klen, static_cast<uint32_t>(key.size() + 8));
+  char* record =
+      arena_.Allocate(klen.size() + key.size() + 8 + sizeof(Slot*));
+  memcpy(record, klen.data(), klen.size());
+  char* user_key = record + klen.size();
+  memcpy(user_key, key.data(), key.size());
+  char* tag_ptr = user_key + key.size();
+  EncodeFixed64(tag_ptr, tag);
+  const auto it = index_.emplace(std::string_view(user_key, key.size()),
+                                 Slot{tag_ptr, std::string()});
+  Slot* slot = &it.first->second;
+  memcpy(tag_ptr + 8, &slot, sizeof(slot));
+  table_.Insert(record);
+  return slot;
+}
 
-  const uint64_t tag = DecodeFixed64(key_ptr + klen - 8);
-  const ValueType type = static_cast<ValueType>(tag & 0xff);
-  if (type == kTypeDeletion) {
-    *is_deleted = true;
-    return true;
-  }
-  *is_deleted = false;
-  const Slice value = GetLengthPrefixed(key_ptr + klen);
-  found_value->assign(value.data(), value.size());
+bool MemTable::Get(const Slice& user_key, std::string* found_value,
+                   bool* is_deleted) const {
+  auto it = index_.find(std::string_view(user_key.data(), user_key.size()));
+  if (it == index_.end()) return false;
+  const Slot& slot = it->second;
+  *is_deleted = (DecodeFixed64(slot.tag) & 0xff) == kTypeDeletion;
+  if (!*is_deleted) *found_value = slot.value;
   return true;
 }
 
@@ -84,7 +86,9 @@ Slice MemTable::Iterator::internal_key() const {
 
 Slice MemTable::Iterator::value() const {
   const Slice k = internal_key();
-  return GetLengthPrefixed(k.data() + k.size());
+  const Slot* slot = nullptr;
+  memcpy(&slot, k.data() + k.size(), sizeof(slot));
+  return Slice(slot->value);
 }
 
 }  // namespace railgun::storage

@@ -1,10 +1,19 @@
-// In-memory sorted buffer of recent writes for one column family, backed
-// by an arena-allocated skip list over internal keys.
+// In-memory buffer of recent writes for one column family, holding one
+// entry per user key. A hash index from user key to slot answers a
+// point read with one probe, and a write to a key already present
+// updates its slot in place; the arena-allocated skip list only orders
+// the keys for flush and iteration, so it takes one insert per new key.
+//
+// Keeping only the newest version is safe because the store has no
+// snapshots: reads are always at the newest sequence, and flush and the
+// DB iterator only want the newest version of each key (a deletion stays
+// as a tombstone, which still shadows older tables).
 #ifndef RAILGUN_STORAGE_MEMTABLE_H_
 #define RAILGUN_STORAGE_MEMTABLE_H_
 
-#include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/arena.h"
 #include "common/slice.h"
@@ -26,18 +35,23 @@ class MemTable {
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
+  // Replaces the key's entry (a deletion leaves a tombstone).
   void Add(SequenceNumber seq, ValueType type, const Slice& key,
            const Slice& value);
 
   // If the user key exists: returns true and sets *found_value /
   // *is_deleted. Returns false if the memtable has no entry for the key.
-  bool Get(const LookupKey& lkey, std::string* found_value, bool* is_deleted);
+  bool Get(const Slice& user_key, std::string* found_value,
+           bool* is_deleted) const;
 
-  size_t ApproximateMemoryUsage() const { return arena_.MemoryUsage(); }
-  bool Empty() const { return empty_; }
+  // Arena plus index nodes and values: grows with distinct keys, not
+  // with overwrites, so write_buffer_size bounds the key count.
+  size_t ApproximateMemoryUsage() const;
+  bool Empty() const { return index_.empty(); }
 
-  // Iterates entries in internal-key order. Entry layout in the skip
-  // list: klen (varint32) internal_key vlen (varint32) value.
+  // Iterates entries in internal-key order, one per user key. Skip-list
+  // record of a key: klen (varint32) internal_key Slot*, where the
+  // internal key's tag is the newest (sequence, type) written to it.
   class Iterator {
    public:
     explicit Iterator(const MemTable* mem) : iter_(&mem->table_) {}
@@ -57,9 +71,23 @@ class MemTable {
  private:
   friend class Iterator;
 
+  // The newest version of one key: `tag` points at the tag inside the
+  // key's arena record and is rewritten in place on every write.
+  struct Slot {
+    char* tag = nullptr;
+    std::string value;
+  };
+  // Keys view the user-key bytes of the arena records.
+  using Index = std::unordered_map<std::string_view, Slot>;
+
+  // Allocates the record of a new key, indexes it and links it into
+  // the skip list.
+  Slot* Insert(const Slice& key, uint64_t tag);
+
   Arena arena_;
   SkipList<const char*, MemTableKeyComparator> table_;
-  bool empty_ = true;
+  Index index_;
+  size_t value_bytes_ = 0;
 };
 
 }  // namespace railgun::storage

@@ -391,5 +391,52 @@ TEST(RowTest, BindsBySchemaOrderWithCoercion) {
                    .ok());
 }
 
+TEST(RowTest, BindKeepsTypedErrorsOffTheSchemaOrderPath) {
+  const reservoir::Schema schema(0, {{"a", FieldType::kInt64},
+                                     {"b", FieldType::kDouble},
+                                     {"c", FieldType::kString}});
+  // Out of schema order still binds by name.
+  auto event = Row()
+                   .Set("c", "x")
+                   .Set("a", int64_t{1})
+                   .Set("b", 2.0)
+                   .Bind(schema);
+  ASSERT_TRUE(event.ok()) << event.status().ToString();
+  EXPECT_EQ(event->values[0].as_int(), 1);
+  EXPECT_DOUBLE_EQ(event->values[1].as_double(), 2.0);
+  EXPECT_EQ(event->values[2].as_string(), "x");
+
+  auto missing = Row().Set("a", int64_t{1}).Set("c", "x").Bind(schema);
+  EXPECT_TRUE(missing.status().IsInvalidArgument());
+  EXPECT_EQ(missing.status().message(), "missing field: b");
+
+  auto unknown = Row()
+                     .Set("a", int64_t{1})
+                     .Set("b", 2.0)
+                     .Set("bogus", 3.0)
+                     .Set("c", "x")
+                     .Bind(schema);
+  EXPECT_TRUE(unknown.status().IsInvalidArgument());
+  EXPECT_EQ(unknown.status().message(), "unknown field: bogus");
+
+  // The in-order guess for the field after "a" is "b"; a repeated "a"
+  // must still be caught.
+  auto twice = Row()
+                   .Set("a", int64_t{1})
+                   .Set("a", int64_t{2})
+                   .Set("b", 2.0)
+                   .Set("c", "x")
+                   .Bind(schema);
+  EXPECT_TRUE(twice.status().IsInvalidArgument());
+  EXPECT_EQ(twice.status().message(), "field set twice: a");
+  auto twice_last = Row()
+                        .Set("a", int64_t{1})
+                        .Set("b", 2.0)
+                        .Set("c", "x")
+                        .Set("c", "y")
+                        .Bind(schema);
+  EXPECT_EQ(twice_last.status().message(), "field set twice: c");
+}
+
 }  // namespace
 }  // namespace railgun::api

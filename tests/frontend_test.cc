@@ -158,6 +158,35 @@ TEST_F(FrontEndTest, TimesOutWithTypedStatusAndPartialResults) {
   EXPECT_EQ(frontend_->timed_out_requests(), 1u);
 }
 
+TEST_F(FrontEndTest, OverdueRequestTimesOutWhileTheLoopIsBusy) {
+  // The deadline sweep runs once per poll wait, not every cycle: a
+  // steady stream of submissions keeps the loop cycling and must not
+  // starve it.
+  std::atomic<int> calls{0};
+  std::atomic<bool> unavailable{false};
+  const Micros start = MonotonicClock::Default()->NowMicros();
+  std::atomic<Micros> completed_at{0};
+  ASSERT_TRUE(frontend_
+                  ->Submit("payments", SampleEvent(),
+                           [&](Status s, const std::vector<MetricReply>&) {
+                             unavailable = s.IsUnavailable() &&
+                                           s.message().rfind(
+                                               "request timed out", 0) == 0;
+                             completed_at =
+                                 MonotonicClock::Default()->NowMicros();
+                             ++calls;
+                           })
+                  .ok());
+  for (int i = 0; i < 15000 && calls == 0; ++i) {
+    ASSERT_TRUE(frontend_->SubmitNoReply("payments", SampleEvent()).ok());
+    MonotonicClock::Default()->SleepMicros(200);
+  }
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_TRUE(unavailable.load());
+  EXPECT_GE(completed_at.load() - start, 300 * kMicrosPerMilli);
+  EXPECT_EQ(frontend_->timed_out_requests(), 1u);
+}
+
 TEST_F(FrontEndTest, LateRepliesAfterTimeoutAreDiscarded) {
   std::atomic<int> calls{0};
   ASSERT_TRUE(frontend_

@@ -132,18 +132,17 @@ TEST(MemTableTest, AddGetWithVersions) {
 
   std::string value;
   bool deleted = false;
-  // Snapshot at seq 2 sees v2; at seq 1 sees v1.
-  ASSERT_TRUE(mem.Get(LookupKey("k", 2), &value, &deleted));
+  // The memtable keeps the newest version only (the store reads at the
+  // newest sequence).
+  ASSERT_TRUE(mem.Get("k", &value, &deleted));
   EXPECT_FALSE(deleted);
   EXPECT_EQ(value, "v2");
-  ASSERT_TRUE(mem.Get(LookupKey("k", 1), &value, &deleted));
-  EXPECT_EQ(value, "v1");
 
   mem.Add(3, kTypeDeletion, "k", "");
-  ASSERT_TRUE(mem.Get(LookupKey("k", 3), &value, &deleted));
+  ASSERT_TRUE(mem.Get("k", &value, &deleted));
   EXPECT_TRUE(deleted);
 
-  EXPECT_FALSE(mem.Get(LookupKey("other", 3), &value, &deleted));
+  EXPECT_FALSE(mem.Get("other", &value, &deleted));
 }
 
 TEST(BlockTest, BuildAndIterate) {

@@ -347,6 +347,129 @@ TEST_F(DBTest, ManyColumnFamiliesUnderChurn) {
   }
 }
 
+// --- One memtable entry per key -------------------------------------
+
+TEST_F(DBTest, OverwriteKeepsOneEntryWithTheNewestValue) {
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(db_->Put(0, "k", "v" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(Get(0, "k"), "v99");
+  auto iter = db_->NewIterator(0);
+  int entries = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++entries;
+  EXPECT_EQ(entries, 1);
+}
+
+TEST_F(DBTest, DeletedThenPutAgainReadsTheNewValue) {
+  ASSERT_TRUE(db_->Put(0, "k", "old").ok());
+  ASSERT_TRUE(db_->Delete(0, "k").ok());
+  EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
+  ASSERT_TRUE(db_->Put(0, "k", "new").ok());
+  EXPECT_EQ(Get(0, "k"), "new");
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(Get(0, "k"), "new");
+}
+
+TEST_F(DBTest, MemtableTombstoneShadowsAnOlderTable) {
+  ASSERT_TRUE(db_->Put(0, "k", "in-table").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+  ASSERT_TRUE(db_->Delete(0, "k").ok());
+  EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
+  auto iter = db_->NewIterator(0);
+  iter->SeekToFirst();
+  EXPECT_FALSE(iter->Valid());
+  // The flushed tombstone still shadows the older table.
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
+}
+
+TEST(MemTableOneEntryTest, IteratorYieldsUserKeysInOrderWithNewestTag) {
+  MemTable mem;
+  mem.Add(1, kTypeValue, "b", "b1");
+  mem.Add(2, kTypeValue, "a", "a1");
+  mem.Add(3, kTypeValue, "c", "c1");
+  mem.Add(4, kTypeValue, "b", "b2");
+  mem.Add(5, kTypeDeletion, "a", "");
+  mem.Add(6, kTypeValue, "c", "c2");
+
+  std::string scanned;
+  MemTable::Iterator iter(&mem);
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
+    ParsedInternalKey parsed;
+    ASSERT_TRUE(ParseInternalKey(iter.internal_key(), &parsed));
+    scanned += parsed.user_key.ToString() + "@" +
+               std::to_string(parsed.sequence);
+    scanned += parsed.type == kTypeDeletion
+                   ? "D;"
+                   : "=" + iter.value().ToString() + ";";
+  }
+  EXPECT_EQ(scanned, "a@5D;b@4=b2;c@6=c2;");
+
+  std::string target;
+  AppendInternalKey(&target, "b", kMaxSequenceNumber, kTypeValue);
+  iter.Seek(target);
+  ASSERT_TRUE(iter.Valid());
+  EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "b");
+}
+
+TEST(MemTableOneEntryTest, MemoryGrowsWithDistinctKeysNotOverwrites) {
+  MemTable mem;
+  const std::string value(32, 'v');
+  for (int i = 0; i < 100; ++i) {
+    mem.Add(static_cast<SequenceNumber>(i + 1), kTypeValue,
+            "key" + std::to_string(i), value);
+  }
+  const size_t after_inserts = mem.ApproximateMemoryUsage();
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      mem.Add(static_cast<SequenceNumber>(1000 + round * 100 + i),
+              kTypeValue, "key" + std::to_string(i), value);
+    }
+  }
+  EXPECT_EQ(mem.ApproximateMemoryUsage(), after_inserts);
+  for (int i = 100; i < 200; ++i) {
+    mem.Add(static_cast<SequenceNumber>(10000 + i), kTypeValue,
+            "key" + std::to_string(i), value);
+  }
+  EXPECT_GT(mem.ApproximateMemoryUsage(), after_inserts);
+}
+
+TEST_F(DBTest, FlushedTableHoldsOneEntryPerKey) {
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db_->Put(0, "key" + std::to_string(i),
+                           std::to_string(round))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(db_->Delete(0, "key3").ok());
+  ASSERT_TRUE(db_->Flush().ok());
+
+  Env* env = Env::Default();
+  std::vector<std::string> children;
+  ASSERT_TRUE(env->ListDir(dir_, &children).ok());
+  std::vector<std::string> tables;
+  for (const auto& child : children) {
+    if (child.size() > 4 && child.compare(child.size() - 4, 4, ".sst") == 0) {
+      tables.push_back(child);
+    }
+  }
+  ASSERT_EQ(tables.size(), 1u);
+  std::unique_ptr<RandomAccessFile> file;
+  ASSERT_TRUE(env->NewRandomAccessFile(dir_ + "/" + tables[0], &file).ok());
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(Table::Open(std::move(file), &table).ok());
+  Table::Iterator iter(table.get());
+  std::map<std::string, int> versions;
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
+    ++versions[ExtractUserKey(iter.key()).ToString()];
+  }
+  ASSERT_EQ(versions.size(), 10u);  // The tombstone of key3 included.
+  for (const auto& [key, count] : versions) EXPECT_EQ(count, 1) << key;
+  EXPECT_EQ(Get(0, "key3"), "NOT_FOUND");
+  EXPECT_EQ(Get(0, "key7"), "19");
+}
+
 TEST(DBOpenTest, MissingDbFailsWithoutCreateIfMissing) {
   DBOptions options;
   options.create_if_missing = false;

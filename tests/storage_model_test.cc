@@ -136,6 +136,63 @@ TEST_P(ModelTest, AgreesWithReferenceModelUnderChurn) {
   }
 }
 
+// The engine's pattern: few keys, each read, modified and written again
+// many times (Zipf-skewed), with flushes and reopens in between, so most
+// writes overwrite a memtable entry in place.
+TEST_P(ModelTest, AgreesWithReferenceModelUnderOverwriteHeavyZipf) {
+  Random64 rng(GetParam());
+  ZipfGenerator keys(64, 0.99, GetParam());
+  std::map<std::string, std::string> model;
+  auto check = [&](const std::string& key, int step) {
+    std::string value;
+    const Status s = db_->Get(kDefaultColumnFamily, key, &value);
+    auto it = model.find(key);
+    if (it == model.end()) {
+      EXPECT_TRUE(s.IsNotFound()) << "step " << step << " key " << key;
+    } else {
+      ASSERT_TRUE(s.ok()) << "step " << step << " key " << key << ": "
+                          << s.ToString();
+      EXPECT_EQ(value, it->second) << "step " << step << " key " << key;
+    }
+  };
+
+  for (int step = 0; step < 20000; ++step) {
+    const std::string key = "zkey" + std::to_string(keys.Next());
+    const int action = static_cast<int>(rng.Uniform(1000));
+    if (action < 900) {  // Read-modify-write.
+      check(key, step);
+      const std::string value =
+          "v" + std::to_string(step) + std::string(rng.Uniform(48), 'z');
+      ASSERT_TRUE(db_->Put(kDefaultColumnFamily, key, value).ok());
+      model[key] = value;
+    } else if (action < 960) {  // Delete.
+      ASSERT_TRUE(db_->Delete(kDefaultColumnFamily, key).ok());
+      model.erase(key);
+    } else if (action < 994) {  // Probe.
+      check(key, step);
+    } else if (action < 998) {  // Flush.
+      ASSERT_TRUE(db_->Flush().ok());
+    } else {  // Reopen.
+      Open();
+    }
+  }
+
+  for (uint64_t k = 0; k < keys.n(); ++k) {
+    check("zkey" + std::to_string(k), -1);
+  }
+  auto iter = db_->NewIterator(kDefaultColumnFamily);
+  auto expected = model.begin();
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+    ASSERT_NE(expected, model.end()) << "store iterates beyond the model "
+                                        "at key "
+                                     << iter->key().ToString();
+    EXPECT_EQ(iter->key().ToString(), expected->first);
+    EXPECT_EQ(iter->value().ToString(), expected->second);
+    ++expected;
+  }
+  EXPECT_EQ(expected, model.end()) << "model has keys the store's scan missed";
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelTest,
                          ::testing::Values(1, 7, 42, 1234));
 
