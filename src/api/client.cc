@@ -118,9 +118,7 @@ Client::Client(const ClientOptions& options)
     // stream — the broker pre-registers it in the metadata service —
     // so the client's front end learns the routing too.
     engine::StreamDef internals = introspect::InternalsStreamDef();
-    MutexLock lock(&mu_);
     streams_.emplace(internals.name, std::move(internals));
-    CacheSchemaLocked(introspect::kInternalsStream);
   }
   if (options_.noreply_tokens_per_sec > 0) {
     noreply_bucket_ = std::make_unique<engine::TokenBucket>(
@@ -140,9 +138,7 @@ Client::Client(engine::Cluster* cluster)
   client_id_ = RandomClientId();
   event_id_base_ = Hash64(client_id_);
   engine::StreamDef internals = introspect::InternalsStreamDef();
-  MutexLock lock(&mu_);
   streams_.emplace(internals.name, std::move(internals));
-  CacheSchemaLocked(introspect::kInternalsStream);
 }
 
 Client::~Client() { Stop(); }
@@ -225,7 +221,6 @@ Status Client::RunDdl(const std::string& statement,
     // from dropping each other's additions.
     RAILGUN_RETURN_IF_ERROR(cluster_->RegisterStream(updated));
     engine::FoldDdl(std::move(ddl), &streams_);
-    CacheSchemaLocked(updated.name);
     lock.Unlock();
     return WaitForRegistration(options_.request_timeout);
   }
@@ -245,7 +240,6 @@ Status Client::RunDdl(const std::string& statement,
   }
   lock.Lock();
   engine::FoldDdl(std::move(ddl), &streams_);
-  CacheSchemaLocked(updated.name);
   return executed;
 }
 
@@ -366,7 +360,6 @@ Status Client::EnsureStream(const std::string& stream) {
   RAILGUN_RETURN_IF_ERROR(remote_frontend_->RegisterStream(def));
   MutexLock lock(&mu_);
   streams_.emplace(def.name, std::move(def));
-  CacheSchemaLocked(stream);
   unknown_streams_.erase(stream);
   return Status::OK();
 }
@@ -420,19 +413,21 @@ std::vector<std::string> Client::ListStreams() const {
 StatusOr<reservoir::Schema> Client::GetSchema(const std::string& stream) {
   if (remote()) RAILGUN_RETURN_IF_ERROR(EnsureStream(stream));
   MutexLock lock(&mu_);
-  auto it = schemas_.find(stream);
-  if (it == schemas_.end()) {
-    return Status::NotFound("unknown stream: " + stream);
-  }
-  return *it->second;
+  auto schema = SchemaLocked(stream);
+  if (schema == nullptr) return Status::NotFound("unknown stream: " + stream);
+  return *schema;
 }
 
-void Client::CacheSchemaLocked(const std::string& stream) {
-  if (schemas_.count(stream) > 0) return;
+std::shared_ptr<const reservoir::Schema> Client::SchemaLocked(
+    const std::string& stream) const {
+  auto cached = schemas_.find(stream);
+  if (cached != schemas_.end()) return cached->second;
   auto it = streams_.find(stream);
-  if (it == streams_.end()) return;
-  schemas_.emplace(stream, std::make_shared<const reservoir::Schema>(
-                               0, it->second.fields));
+  if (it == streams_.end()) return nullptr;
+  auto schema =
+      std::make_shared<const reservoir::Schema>(0, it->second.fields);
+  schemas_.emplace(stream, schema);
+  return schema;
 }
 
 // --- Event submission ------------------------------------------------
@@ -442,11 +437,10 @@ StatusOr<reservoir::Event> Client::BindRow(const std::string& stream_name,
   std::shared_ptr<const reservoir::Schema> schema;
   {
     MutexLock lock(&mu_);
-    auto it = schemas_.find(stream_name);
-    if (it == schemas_.end()) {
-      return Status::NotFound("unknown stream: " + stream_name);
-    }
-    schema = it->second;
+    schema = SchemaLocked(stream_name);
+  }
+  if (schema == nullptr) {
+    return Status::NotFound("unknown stream: " + stream_name);
   }
   RAILGUN_ASSIGN_OR_RETURN(reservoir::Event event, row.Bind(*schema));
   event.timestamp =

@@ -223,8 +223,10 @@ class Client {
   // neither side knows the stream; NotSupported when the broker has no
   // metadata service.
   Status EnsureStream(const std::string& stream);
-  // Builds schemas_[stream] from streams_ if it is not there yet.
-  void CacheSchemaLocked(const std::string& stream) REQUIRES(mu_);
+  // The stream's schema, built from streams_ on first use; null for an
+  // unknown stream.
+  std::shared_ptr<const reservoir::Schema> SchemaLocked(
+      const std::string& stream) const REQUIRES(mu_);
   StatusOr<reservoir::Event> BindRow(const std::string& stream_name,
                                      const Row& row) const;
   engine::FrontEnd* PickFrontEnd();
@@ -255,11 +257,10 @@ class Client {
 
   mutable Mutex mu_{kRankApiClient};
   std::map<std::string, engine::StreamDef> streams_ GUARDED_BY(mu_);
-  // Each stream's schema, built once when its definition is folded into
-  // streams_ (a stream's fields never change), so binding a row copies
-  // a pointer rather than the field list.
-  std::map<std::string, std::shared_ptr<const reservoir::Schema>> schemas_
-      GUARDED_BY(mu_);
+  // Schemas built by SchemaLocked (a stream's fields never change), so
+  // binding a row copies a pointer rather than the field list.
+  mutable std::map<std::string, std::shared_ptr<const reservoir::Schema>>
+      schemas_ GUARDED_BY(mu_);
   // Stream name -> cache-entry expiry on clock_ (see EnsureStream).
   std::map<std::string, Micros> unknown_streams_ GUARDED_BY(mu_);
   // Auto-minted event ids count up from a random per-client base (see

@@ -77,9 +77,10 @@ class DB {
 
   // Scan iterator over one column family (user keys, newest versions,
   // tombstones elided). It reads the files present at creation and the
-  // live memtable, so a later write to the same DB may show through it,
-  // and a write that flushes retires the memtable under it. Finish with
-  // an iterator before writing to its DB again, on the same thread.
+  // keys the live memtable held then, so a later write to one of those
+  // keys may show through it, and a write that flushes retires the
+  // memtable under it. Finish with an iterator before writing to its DB
+  // again, on the same thread.
   class Iterator {
    public:
     virtual ~Iterator() = default;

@@ -1,94 +1,86 @@
 #include "storage/memtable.h"
 
+#include <algorithm>
 #include <cstring>
-
-#include "common/coding.h"
 
 namespace railgun::storage {
 
 namespace {
 
-// Decodes the length-prefixed slice starting at p.
-Slice GetLengthPrefixed(const char* p) {
-  uint32_t len = 0;
-  const char* q = GetVarint32Ptr(p, p + 5, &len);
-  return Slice(q, len);
+// Bytes a string holds outside its inline (short-string) buffer.
+size_t HeapBytes(const std::string& s) {
+  static const size_t kInlineCapacity = std::string().capacity();
+  return s.capacity() > kInlineCapacity ? s.capacity() + 1 : 0;
 }
 
 }  // namespace
 
-int MemTableKeyComparator::operator()(const char* a, const char* b) const {
-  const Slice ka = GetLengthPrefixed(a);
-  const Slice kb = GetLengthPrefixed(b);
-  return InternalKeyComparator().Compare(ka, kb);
-}
-
-MemTable::MemTable() : table_(MemTableKeyComparator(), &arena_) {}
-
 size_t MemTable::ApproximateMemoryUsage() const {
-  // An index node holds the (key, slot) pair, the chain's next pointer
-  // and the cached hash.
+  // A node holds the (key, slot) pair, the chain's next pointer and the
+  // cached hash.
   constexpr size_t kNodeBytes =
       sizeof(Index::value_type) + 2 * sizeof(void*);
   return arena_.MemoryUsage() + index_.size() * kNodeBytes +
-         index_.bucket_count() * sizeof(void*) + value_bytes_;
+         index_.bucket_count() * sizeof(void*) + value_heap_bytes_;
 }
 
 void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
                    const Slice& value) {
-  const uint64_t tag = PackSequenceAndType(seq, type);
-  auto it = index_.find(std::string_view(key.data(), key.size()));
-  Slot* slot = it == index_.end() ? Insert(key, tag) : &it->second;
-  EncodeFixed64(slot->tag, tag);
-  value_bytes_ = value_bytes_ - slot->value.size() + value.size();
-  slot->value.assign(value.data(), value.size());
-}
-
-MemTable::Slot* MemTable::Insert(const Slice& key, uint64_t tag) {
-  // Record: klen (varint32) | user key | tag (fixed64) | Slot*.
-  std::string klen;
-  PutVarint32(&klen, static_cast<uint32_t>(key.size() + 8));
-  char* record =
-      arena_.Allocate(klen.size() + key.size() + 8 + sizeof(Slot*));
-  memcpy(record, klen.data(), klen.size());
-  char* user_key = record + klen.size();
-  memcpy(user_key, key.data(), key.size());
-  char* tag_ptr = user_key + key.size();
-  EncodeFixed64(tag_ptr, tag);
-  const auto it = index_.emplace(std::string_view(user_key, key.size()),
-                                 Slot{tag_ptr, std::string()});
-  Slot* slot = &it.first->second;
-  memcpy(tag_ptr + 8, &slot, sizeof(slot));
-  table_.Insert(record);
-  return slot;
+  auto it = index_.find(key.ToView());
+  if (it == index_.end()) {
+    char* bytes = arena_.Allocate(key.size() + 1);  // Never 0 bytes.
+    memcpy(bytes, key.data(), key.size());
+    it = index_.emplace(std::string_view(bytes, key.size()), Slot()).first;
+  }
+  Slot& slot = it->second;
+  slot.tag = PackSequenceAndType(seq, type);
+  value_heap_bytes_ -= HeapBytes(slot.value);
+  slot.value.assign(value.data(), value.size());
+  value_heap_bytes_ += HeapBytes(slot.value);
 }
 
 bool MemTable::Get(const Slice& user_key, std::string* found_value,
                    bool* is_deleted) const {
-  auto it = index_.find(std::string_view(user_key.data(), user_key.size()));
+  auto it = index_.find(user_key.ToView());
   if (it == index_.end()) return false;
   const Slot& slot = it->second;
-  *is_deleted = (DecodeFixed64(slot.tag) & 0xff) == kTypeDeletion;
+  *is_deleted = (slot.tag & 0xff) == kTypeDeletion;
   if (!*is_deleted) *found_value = slot.value;
   return true;
 }
 
+MemTable::Iterator::Iterator(const MemTable* mem) {
+  entries_.reserve(mem->index_.size());
+  for (const auto& entry : mem->index_) entries_.push_back(&entry);
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Index::value_type* a, const Index::value_type* b) {
+              return a->first < b->first;
+            });
+  pos_ = entries_.size();
+}
+
+void MemTable::Iterator::Position(size_t pos) {
+  pos_ = pos;
+  if (!Valid()) return;
+  key_.assign(entries_[pos_]->first);
+  PutFixed64(&key_, entries_[pos_]->second.tag);
+}
+
 void MemTable::Iterator::Seek(const Slice& internal_key) {
-  seek_buf_.clear();
-  PutVarint32(&seek_buf_, static_cast<uint32_t>(internal_key.size()));
-  seek_buf_.append(internal_key.data(), internal_key.size());
-  iter_.Seek(seek_buf_.data());
-}
-
-Slice MemTable::Iterator::internal_key() const {
-  return GetLengthPrefixed(iter_.key());
-}
-
-Slice MemTable::Iterator::value() const {
-  const Slice k = internal_key();
-  const Slot* slot = nullptr;
-  memcpy(&slot, k.data() + k.size(), sizeof(slot));
-  return Slice(slot->value);
+  const Slice user_key = ExtractUserKey(internal_key);
+  const uint64_t tag =
+      DecodeFixed64(internal_key.data() + internal_key.size() - 8);
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), user_key,
+      [](const Index::value_type* e, const Slice& k) {
+        return Slice(e->first).compare(k) < 0;
+      });
+  // An equal user key sorts after the target if its tag is newer.
+  if (it != entries_.end() && (*it)->first == user_key.ToView() &&
+      (*it)->second.tag > tag) {
+    ++it;
+  }
+  Position(static_cast<size_t>(it - entries_.begin()));
 }
 
 }  // namespace railgun::storage

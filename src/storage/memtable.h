@@ -1,8 +1,7 @@
 // In-memory buffer of recent writes for one column family, holding one
-// entry per user key. A hash index from user key to slot answers a
-// point read with one probe, and a write to a key already present
-// updates its slot in place; the arena-allocated skip list only orders
-// the keys for flush and iteration, so it takes one insert per new key.
+// entry per user key in a hash index: a point read is one probe and a
+// write to a key already present replaces its entry in place. Keys are
+// sorted only when an iterator is created (flush and DB::Iterator).
 //
 // Keeping only the newest version is safe because the store has no
 // snapshots: reads are always at the newest sequence, and flush and the
@@ -14,24 +13,17 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/arena.h"
 #include "common/slice.h"
-#include "common/status.h"
 #include "storage/dbformat.h"
-#include "storage/skiplist.h"
 
 namespace railgun::storage {
 
-// Compares length-prefixed internal keys stored in the skip list.
-class MemTableKeyComparator {
- public:
-  int operator()(const char* a, const char* b) const;
-};
-
 class MemTable {
  public:
-  MemTable();
+  MemTable() = default;
   MemTable(const MemTable&) = delete;
   MemTable& operator=(const MemTable&) = delete;
 
@@ -44,50 +36,51 @@ class MemTable {
   bool Get(const Slice& user_key, std::string* found_value,
            bool* is_deleted) const;
 
-  // Arena plus index nodes and values: grows with distinct keys, not
-  // with overwrites, so write_buffer_size bounds the key count.
+  // Key bytes, index nodes and the value bytes held outside the strings'
+  // inline buffers. It grows with distinct keys, not with overwrites, so
+  // write_buffer_size bounds the key count.
   size_t ApproximateMemoryUsage() const;
   bool Empty() const { return index_.empty(); }
 
-  // Iterates entries in internal-key order, one per user key. Skip-list
-  // record of a key: klen (varint32) internal_key Slot*, where the
-  // internal key's tag is the newest (sequence, type) written to it.
-  class Iterator {
-   public:
-    explicit Iterator(const MemTable* mem) : iter_(&mem->table_) {}
-
-    bool Valid() const { return iter_.Valid(); }
-    void SeekToFirst() { iter_.SeekToFirst(); }
-    void Seek(const Slice& internal_key);
-    void Next() { iter_.Next(); }
-    Slice internal_key() const;
-    Slice value() const;
-
-   private:
-    std::string seek_buf_;
-    SkipList<const char*, MemTableKeyComparator>::Iterator iter_;
-  };
+  class Iterator;
 
  private:
-  friend class Iterator;
-
-  // The newest version of one key: `tag` points at the tag inside the
-  // key's arena record and is rewritten in place on every write.
+  // The newest version of one key: tag packs its (sequence, type).
   struct Slot {
-    char* tag = nullptr;
+    uint64_t tag = 0;
     std::string value;
   };
-  // Keys view the user-key bytes of the arena records.
+  // Keys view their bytes in arena_, so a lookup needs no copy of the
+  // key.
   using Index = std::unordered_map<std::string_view, Slot>;
 
-  // Allocates the record of a new key, indexes it and links it into
-  // the skip list.
-  Slot* Insert(const Slice& key, uint64_t tag);
-
   Arena arena_;
-  SkipList<const char*, MemTableKeyComparator> table_;
   Index index_;
-  size_t value_bytes_ = 0;
+  // Value bytes allocated outside the strings' inline buffers.
+  size_t value_heap_bytes_ = 0;
+};
+
+// Iterates entries in internal-key order, one per user key, whose tag is
+// the newest (sequence, type) written to it. The key set is sorted at
+// construction: keys added later are not visited, while a later write
+// to a visited key shows through.
+class MemTable::Iterator {
+ public:
+  explicit Iterator(const MemTable* mem);
+
+  bool Valid() const { return pos_ < entries_.size(); }
+  void SeekToFirst() { Position(0); }
+  void Seek(const Slice& internal_key);
+  void Next() { Position(pos_ + 1); }
+  Slice internal_key() const { return Slice(key_); }
+  Slice value() const { return Slice(entries_[pos_]->second.value); }
+
+ private:
+  void Position(size_t pos);
+
+  std::vector<const Index::value_type*> entries_;
+  size_t pos_ = 0;
+  std::string key_;  // Internal key of entries_[pos_].
 };
 
 }  // namespace railgun::storage

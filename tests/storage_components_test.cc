@@ -1,19 +1,16 @@
-// Unit tests for the LSM store's internal layers: arena, skip list,
+// Unit tests for the LSM store's internal layers: arena, memtable,
 // internal keys, write batch, blocks and tables.
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
 #include <string>
 
 #include "common/arena.h"
 #include "common/env.h"
-#include "common/random.h"
 #include "storage/block.h"
 #include "storage/block_builder.h"
 #include "storage/dbformat.h"
 #include "storage/memtable.h"
-#include "storage/skiplist.h"
 #include "storage/table.h"
 #include "storage/table_builder.h"
 #include "storage/write_batch.h"
@@ -39,46 +36,6 @@ TEST(ArenaTest, AlignedAllocations) {
   arena.Allocate(1);  // Misalign the bump pointer.
   char* p = arena.AllocateAligned(64);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % sizeof(void*), 0u);
-}
-
-struct IntComparator {
-  int operator()(const int& a, const int& b) const {
-    return a < b ? -1 : (a > b ? 1 : 0);
-  }
-};
-
-TEST(SkipListTest, InsertLookupAndOrderedIteration) {
-  Arena arena;
-  SkipList<int, IntComparator> list(IntComparator(), &arena);
-  Random64 rng(3);
-  std::set<int> inserted;
-  for (int i = 0; i < 2000; ++i) {
-    const int key = static_cast<int>(rng.Uniform(10000));
-    if (inserted.insert(key).second) list.Insert(key);
-  }
-  for (int key : inserted) EXPECT_TRUE(list.Contains(key));
-  EXPECT_FALSE(list.Contains(10001));
-
-  SkipList<int, IntComparator>::Iterator iter(&list);
-  iter.SeekToFirst();
-  auto expected = inserted.begin();
-  while (iter.Valid()) {
-    ASSERT_NE(expected, inserted.end());
-    EXPECT_EQ(iter.key(), *expected);
-    ++expected;
-    iter.Next();
-  }
-  EXPECT_EQ(expected, inserted.end());
-
-  // Seek semantics: first key >= target.
-  iter.Seek(5000);
-  auto lb = inserted.lower_bound(5000);
-  if (lb == inserted.end()) {
-    EXPECT_FALSE(iter.Valid());
-  } else {
-    ASSERT_TRUE(iter.Valid());
-    EXPECT_EQ(iter.key(), *lb);
-  }
 }
 
 TEST(DbFormatTest, InternalKeyOrdering) {

@@ -410,6 +410,21 @@ TEST(MemTableOneEntryTest, IteratorYieldsUserKeysInOrderWithNewestTag) {
   iter.Seek(target);
   ASSERT_TRUE(iter.Valid());
   EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "b");
+  // b@4 is newer than the target b@3, so it sorts before it.
+  target.clear();
+  AppendInternalKey(&target, "b", 3, kTypeValue);
+  iter.Seek(target);
+  ASSERT_TRUE(iter.Valid());
+  EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "c");
+  target.clear();
+  AppendInternalKey(&target, "bb", kMaxSequenceNumber, kTypeValue);
+  iter.Seek(target);
+  ASSERT_TRUE(iter.Valid());
+  EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "c");
+  target.clear();
+  AppendInternalKey(&target, "d", kMaxSequenceNumber, kTypeValue);
+  iter.Seek(target);
+  EXPECT_FALSE(iter.Valid());
 }
 
 TEST(MemTableOneEntryTest, MemoryGrowsWithDistinctKeysNotOverwrites) {
