@@ -177,8 +177,8 @@ class Client {
   EventResult SubmitSync(const std::string& stream, const Row& row);
 
   // Fire-and-forget path for throughput-oriented callers: no reply is
-  // requested or collected; the event is pipelined through the
-  // front-end submission queue, so this never waits on the broker.
+  // requested or collected. The call returns once the event is
+  // published to every partitioner topic.
   Status SubmitNoReply(const std::string& stream, const Row& row);
 
   // --- Introspection -------------------------------------------------

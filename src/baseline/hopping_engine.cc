@@ -136,7 +136,6 @@ Status QuadraticSlidingEngine::ProcessEvent(const std::string& key,
     result->sum += a;
     result->count += 1;
   }
-  iter.reset();  // An iterator must not outlive a write to its DB.
   for (const auto& k : expired) {
     RAILGUN_RETURN_IF_ERROR(db_->Delete(storage::kDefaultColumnFamily, k));
   }

@@ -62,7 +62,6 @@ const char* RankName(int rank) {
     case kRankEngineAdmission: return "EngineAdmission";
     case kRankEngineUnit: return "EngineUnit";
     case kRankEngineFrontEndPending: return "EngineFrontEndPending";
-    case kRankEngineFrontEndSubmit: return "EngineFrontEndSubmit";
     case kRankEngineFrontEnd: return "EngineFrontEnd";
     case kRankEngineCluster: return "EngineCluster";
     case kRankMetaWorkerHeartbeat: return "MetaWorkerHeartbeat";

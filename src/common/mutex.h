@@ -87,7 +87,6 @@ enum LockRank : int {
   kRankEngineAdmission = 405,    // engine::TokenBucket::mu_
   kRankEngineUnit = 430,         // engine::ProcessorUnit::mu_
   kRankEngineFrontEndPending = 440,  // FrontEnd pending-reply shards
-  kRankEngineFrontEndSubmit = 445,   // FrontEnd submit queue
   kRankEngineFrontEnd = 450,     // FrontEnd routes/streams
   kRankOpsSubscriptionHub = 460, // ops::SubscriptionHub table (held
                                  // across bus Subscribe/Leave calls)

@@ -1,7 +1,7 @@
 // Admission control (ROADMAP "self-instrumentation + admission
 // control"): refuse work at the door instead of letting queues grow
 // without bound. The FrontEnd consults an AdmissionController before
-// enqueuing each submission, watching one signal the introspect
+// accepting each submission, watching one signal the introspect
 // registry exports: its own pending-reply table depth
 // (frontend.pending). A refused request gets a typed kOverloaded status
 // carrying a retry-after hint the client-side TokenBucket honors, so

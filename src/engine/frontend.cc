@@ -1,7 +1,5 @@
 #include "engine/frontend.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 #include "common/logging.h"
 #include "introspect/internals.h"
@@ -12,8 +10,8 @@ namespace railgun::engine {
 namespace {
 
 // Max real time the front-end thread parks in its blocking reply poll
-// before re-checking deadlines and shutdown. Replies and submissions
-// wake it immediately; this only bounds the idle park.
+// before re-checking deadlines and shutdown. Replies wake it
+// immediately; this only bounds the idle park.
 constexpr Micros kPollWait = 5 * kMicrosPerMilli;
 // Max replies taken per poll.
 constexpr size_t kPollMax = 1024;
@@ -39,13 +37,6 @@ FrontEnd::~FrontEnd() { Stop(); }
 
 Status FrontEnd::Start() {
   RAILGUN_RETURN_IF_ERROR(SubscribeReplies());
-  {
-    // A submit that raced a previous Stop may have left queued
-    // submissions whose callbacks were already failed; never publish
-    // them on restart.
-    MutexLock lock(&submit_mu_);
-    submit_queue_.clear();
-  }
   running_ = true;
   thread_ = std::thread([this] { Run(); });
   return Status::OK();
@@ -68,12 +59,8 @@ void FrontEnd::Stop() {
   if (thread_.joinable()) thread_.join();
   // NotFound when never started: fine.
   (void)bus_->Unsubscribe(consumer_id_);
-  // Drop queued submissions and fail outstanding requests so no caller
-  // blocks on a reply that can never arrive.
-  {
-    MutexLock lock(&submit_mu_);
-    submit_queue_.clear();
-  }
+  // Fail outstanding requests so no caller blocks on a reply that can
+  // never arrive.
   std::vector<Completion> orphaned;
   for (auto& shard : pending_) {
     MutexLock lock(&shard.mu);
@@ -116,17 +103,13 @@ Status FrontEnd::RegisterStream(const StreamDef& stream) {
 
 Status FrontEnd::Enqueue(const Route& route, const reservoir::Event& event,
                          ReplyCallback callback,
-                         const trace::TraceContext& trace_ctx,
-                         std::vector<Submission>* out) {
+                         const trace::TraceContext& trace_ctx, Outbox* out) {
   trace::Tracer* tracer = trace::Tracer::Global();
   const Micros trace_start = trace_ctx.valid() ? tracer->NowMicros() : 0;
-  Submission submission;
-  submission.targets.reserve(route.targets.size());
   for (const auto& [topic, field] : route.targets) {
     if (static_cast<size_t>(field) >= event.values.size()) {
       return Status::InvalidArgument("event is missing partitioner field");
     }
-    submission.targets.push_back({topic, event.values[field].ToString()});
   }
 
   EventEnvelope envelope;
@@ -136,7 +119,7 @@ Status FrontEnd::Enqueue(const Route& route, const reservoir::Event& event,
         (Hash64(node_id_) & 0xffff000000000000ull) |
         (next_request_id_.fetch_add(1) & 0x0000ffffffffffffull);
     if (request_id == 0) request_id = next_request_id_.fetch_add(1);
-    submission.request_id = request_id;
+    out->request_ids.push_back(request_id);
     envelope.request_id = request_id;
     envelope.reply_topic = reply_topic_;
 
@@ -151,16 +134,24 @@ Status FrontEnd::Enqueue(const Route& route, const reservoir::Event& event,
     pending_count_.fetch_add(1, std::memory_order_relaxed);
   }
   envelope.event = event;
-  EncodeEventEnvelope(envelope, route.schema, &submission.payload);
+  std::string payload;
+  EncodeEventEnvelope(envelope, route.schema, &payload);
   if (trace_ctx.valid()) {
     // Record the enqueue hop and ship the advanced context in the
-    // envelope trailer: every downstream hop parents under it.
-    submission.trace =
+    // envelope trailer: every downstream hop parents under it. The
+    // batch's produce hop records under its first traced event.
+    const trace::TraceContext advanced =
         tracer->Record(trace::Stage::kFrontendEnqueue, trace_ctx,
                        trace_start, tracer->NowMicros());
-    trace::AppendTraceTrailer(submission.trace, &submission.payload);
+    trace::AppendTraceTrailer(advanced, &payload);
+    if (!out->trace.valid()) out->trace = advanced;
   }
-  out->push_back(std::move(submission));
+  for (size_t t = 0; t < route.targets.size(); ++t) {
+    std::string key = event.values[route.targets[t].second].ToString();
+    out->records[t].push_back(
+        {std::move(key),
+         t + 1 == route.targets.size() ? std::move(payload) : payload});
+  }
   return Status::OK();
 }
 
@@ -193,30 +184,30 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
   }
 
   // Admission control: refuse at the door, synchronously and typed,
-  // before any pending entry or queue slot is taken. The internals
-  // stream is exempt so the engine's own health signal stays observable
-  // exactly when admission is shedding — the moment it matters most.
+  // before any pending entry is taken. The internals stream is exempt
+  // so the engine's own health signal stays observable exactly when
+  // admission is shedding — the moment it matters most.
   if (stream_name != introspect::kInternalsStream) {
     RAILGUN_RETURN_IF_ERROR(
         admission_.Admit(pending_count_.load(std::memory_order_relaxed)));
   }
 
-  std::vector<Submission> prepared;
-  prepared.reserve(events.size());
+  Outbox out;
+  out.records.resize(route->targets.size());
+  for (auto& records : out.records) records.reserve(events.size());
   for (size_t i = 0; i < events.size(); ++i) {
     ReplyCallback callback =
         i < callbacks.size() ? std::move(callbacks[i]) : nullptr;
     const Status s = Enqueue(
         *route, events[i], std::move(callback),
-        i < traces.size() ? traces[i] : trace::TraceContext{}, &prepared);
+        i < traces.size() ? traces[i] : trace::TraceContext{}, &out);
     if (!s.ok()) {
       // Roll back this batch's already-registered pendings: the caller
       // sees the typed error synchronously, so no callback may fire.
-      for (const auto& submission : prepared) {
-        if (submission.request_id == 0) continue;
-        PendingShard& shard = ShardFor(submission.request_id);
+      for (uint64_t request_id : out.request_ids) {
+        PendingShard& shard = ShardFor(request_id);
         MutexLock lock(&shard.mu);
-        if (shard.entries.erase(submission.request_id) > 0) {
+        if (shard.entries.erase(request_id) > 0) {
           pending_count_.fetch_sub(1, std::memory_order_relaxed);
         }
       }
@@ -224,26 +215,40 @@ Status FrontEnd::SubmitBatch(const std::string& stream_name,
     }
   }
 
-  {
-    MutexLock lock(&submit_mu_);
-    submit_queue_.insert(submit_queue_.end(),
-                         std::make_move_iterator(prepared.begin()),
-                         std::make_move_iterator(prepared.end()));
+  // Step 2 of Figure 3: replicate the batch to every partitioner topic,
+  // one ProduceBatch per topic.
+  trace::Tracer* tracer = trace::Tracer::Global();
+  for (size_t t = 0; t < route->targets.size(); ++t) {
+    const std::string& topic = route->targets[t].first;
+    const Micros trace_start = out.trace.valid() ? tracer->NowMicros() : 0;
+    Status published;
+    {
+      // Ambient context: the broker (in-process or via the remote bus's
+      // wire trailer) records its append span under the produce hop.
+      trace::ScopedTraceContext scope(out.trace);
+      published = bus_->ProduceBatch(topic, std::move(out.records[t]));
+    }
+    if (out.trace.valid()) {
+      tracer->Record(trace::Stage::kFrontendProduce, out.trace, trace_start,
+                     tracer->NowMicros());
+    }
+    if (published.ok()) continue;
+    ++publish_errors_;
+    RAILGUN_LOG(kWarn, "frontend", "publish to %s failed: %s",
+                topic.c_str(), published.ToString().c_str());
+    // Every request of the batch fanned out to this topic: fail them
+    // all; their other topics' late replies are discarded (the pending
+    // entry is gone).
+    for (uint64_t request_id : out.request_ids) {
+      FailPending(request_id, published);
+    }
   }
-  // One wake-up per batch: the front-end thread drains the queue and
-  // fans out one ProduceBatch per partitioner topic. Level-triggered,
-  // so a wake landing between the thread's queue check and its park is
-  // consumed by the next Poll, not lost.
-  (void)bus_->WakeConsumer(consumer_id_);
   if (!running_) {
-    // Stopped while enqueueing: the run thread may already have drained
-    // its last cycle, so complete the stragglers here (FailPending is
+    // Stopped while publishing: Stop may already have failed its
+    // pending set, so complete the stragglers here (FailPending is
     // exactly-once under the shard lock).
-    for (const auto& submission : prepared) {
-      if (submission.request_id != 0) {
-        FailPending(submission.request_id,
-                    Status::Unavailable("front end stopped"));
-      }
+    for (uint64_t request_id : out.request_ids) {
+      FailPending(request_id, Status::Unavailable("front end stopped"));
     }
   }
   return Status::OK();
@@ -271,85 +276,14 @@ void FrontEnd::FailPending(uint64_t request_id, const Status& status) {
   }
 }
 
-void FrontEnd::DrainSubmissions() {
-  std::vector<Submission> drained;
-  {
-    MutexLock lock(&submit_mu_);
-    drained.swap(submit_queue_);
-  }
-  if (drained.empty()) return;
-
-  // Step 2 of Figure 3, batched: replicate every queued event to its
-  // partitioner topics with one ProduceBatch per topic per cycle.
-  std::map<std::string, std::vector<msg::ProduceRecord>> batches;
-  std::map<std::string, std::vector<uint64_t>> requests_by_topic;
-  // First traced submission per topic: the produce hop records under
-  // it (a batch shares one wire call, so it shares one span).
-  std::map<std::string, trace::TraceContext> trace_by_topic;
-  for (auto& submission : drained) {
-    for (size_t t = 0; t < submission.targets.size(); ++t) {
-      auto& [topic, key] = submission.targets[t];
-      const bool last_target = t + 1 == submission.targets.size();
-      if (submission.trace.valid() && trace_by_topic.count(topic) == 0) {
-        trace_by_topic[topic] = submission.trace;
-      }
-      batches[topic].push_back(
-          {std::move(key), last_target ? std::move(submission.payload)
-                                       : submission.payload});
-      if (submission.request_id != 0) {
-        requests_by_topic[topic].push_back(submission.request_id);
-      }
-    }
-  }
-  trace::Tracer* tracer = trace::Tracer::Global();
-  for (auto& [topic, records] : batches) {
-    trace::TraceContext produce_ctx;
-    if (auto it = trace_by_topic.find(topic); it != trace_by_topic.end()) {
-      produce_ctx = it->second;
-    }
-    const Micros trace_start =
-        produce_ctx.valid() ? tracer->NowMicros() : 0;
-    Status published;
-    {
-      // Ambient context: the broker (in-process or via the remote bus's
-      // wire trailer) records its append span under the produce hop.
-      trace::ScopedTraceContext scope(produce_ctx);
-      published = bus_->ProduceBatch(topic, std::move(records));
-    }
-    if (produce_ctx.valid()) {
-      tracer->Record(trace::Stage::kFrontendProduce, produce_ctx,
-                     trace_start, tracer->NowMicros());
-    }
-    if (published.ok()) continue;
-    ++publish_errors_;
-    RAILGUN_LOG(kWarn, "frontend", "publish to %s failed: %s",
-                topic.c_str(), published.ToString().c_str());
-    // Fail every request that fanned out to this topic; their other
-    // topics' late replies are discarded (the pending entry is gone).
-    auto it = requests_by_topic.find(topic);
-    if (it == requests_by_topic.end()) continue;
-    for (uint64_t request_id : it->second) {
-      FailPending(request_id, published);
-    }
-  }
-}
-
 void FrontEnd::Run() {
   msg::MessageBatch batch;
   Micros next_sweep = 0;
   while (running_) {
-    DrainSubmissions();
-
-    Micros wait = kPollWait;
-    {
-      // Submissions raced in while draining: don't park on them.
-      MutexLock lock(&submit_mu_);
-      if (!submit_queue_.empty()) wait = 0;
-    }
     // Zero-copy reply poll: views decode straight out of the transport's
     // pooled receive buffer.
     const Status polled =
-        bus_->PollBatch(consumer_id_, kPollMax, &batch, wait);
+        bus_->PollBatch(consumer_id_, kPollMax, &batch, kPollWait);
     // Fenced while alive: rejoin. The bus kept the reply position, so
     // replies published meanwhile are read on the next poll.
     const bool rejoined = polled.IsNotFound() && SubscribeReplies().ok();

@@ -3,12 +3,13 @@
 // aggregation replies from its dedicated reply topic, and completes the
 // client request with all computed metrics in a single response.
 //
-// The data path is batched and wake-on-arrival: Submit/SubmitBatch
-// encode the event on the caller's thread and enqueue it; the front-end
-// thread drains the queue into one ProduceBatch per partitioner topic
-// per cycle, then parks in a blocking bus Poll on its reply topic until
-// replies or new submissions arrive. The pending-request table is
-// sharded so concurrent submitters don't contend with reply collection.
+// Submission runs on the caller's thread: Submit/SubmitBatch encode the
+// events, register their pending entries and publish them with one
+// ProduceBatch per partitioner topic before returning. The front-end
+// thread only collects replies: it parks in a blocking bus Poll on its
+// reply topic, completes requests and expires overdue ones. The
+// pending-request table is sharded so concurrent submitters don't
+// contend with reply collection.
 #ifndef RAILGUN_ENGINE_FRONTEND_H_
 #define RAILGUN_ENGINE_FRONTEND_H_
 
@@ -67,14 +68,15 @@ class FrontEnd {
   // precomputes the fan-out routing (per-partitioner topic + key field).
   Status RegisterStream(const StreamDef& stream);
 
-  // Step 1-2 of Figure 3: queue the event for publication to every
-  // partitioner topic. Returns NotFound for unregistered streams,
+  // Step 1-2 of Figure 3: publish the event to every partitioner topic
+  // on the caller's thread. Returns NotFound for unregistered streams,
   // InvalidArgument for events that don't match the schema, and
   // Unavailable when the front end is not running (the callback never
   // fires for any of these). Once accepted, the callback fires on the
   // front-end thread with OK when all expected replies arrived, or with
-  // Unavailable and the partial set on timeout, publish failure or Stop
-  // — every accepted request completes exactly once.
+  // Unavailable and the partial set on timeout or Stop. When a publish
+  // fails, it fires with the bus's error on the caller's thread before
+  // Submit returns. Every accepted request completes exactly once.
   // trace_ctx (optional) is the root context minted by api::Client: the
   // enqueue hop records under it and the advanced context travels in
   // the event envelope's trailer.
@@ -82,19 +84,18 @@ class FrontEnd {
                 const reservoir::Event& event, ReplyCallback callback,
                 const trace::TraceContext& trace_ctx = {});
 
-  // Batch submission: accepts all events under one queue lock and one
-  // wake-up. callbacks[i] belongs to events[i] and follows the same
-  // exactly-once contract; with fewer callbacks than events the
-  // remainder are fire-and-forget. traces[i] (optional) is events[i]'s
-  // trace context.
+  // Batch submission: publishes all events with one ProduceBatch per
+  // partitioner topic. callbacks[i] belongs to events[i] and follows
+  // the same exactly-once contract; with fewer callbacks than events
+  // the remainder are fire-and-forget. traces[i] (optional) is
+  // events[i]'s trace context.
   Status SubmitBatch(const std::string& stream_name,
                      const std::vector<reservoir::Event>& events,
                      std::vector<ReplyCallback> callbacks,
                      const std::vector<trace::TraceContext>& traces = {});
 
-  // Fire-and-forget fast path: the event is pipelined through the same
-  // submission queue (no reply requested), so callers never wait on the
-  // messaging hop.
+  // Fire-and-forget path: the event is published like Submit's, but no
+  // reply is requested or collected.
   Status SubmitNoReply(const std::string& stream_name,
                        const reservoir::Event& event);
 
@@ -132,13 +133,14 @@ class FrontEnd {
     reservoir::Schema schema;
     std::vector<std::pair<std::string, int>> targets;
   };
-  // One encoded, routed event waiting for the fan-out cycle.
-  struct Submission {
-    uint64_t request_id = 0;  // 0 = fire-and-forget.
-    std::string payload;
-    std::vector<std::pair<std::string, std::string>> targets;  // topic,key
-    // Context after the enqueue span (invalid when untraced); the
-    // produce hop parents under it.
+  // One SubmitBatch call's publication.
+  struct Outbox {
+    // records[t] goes to Route::targets[t].
+    std::vector<std::vector<msg::ProduceRecord>> records;
+    // The batch's pending entries (fire-and-forget events have none).
+    std::vector<uint64_t> request_ids;
+    // The first traced event's context after its enqueue span (invalid
+    // when untraced); the produce hops parent under it.
     trace::TraceContext trace;
   };
   struct Completion {
@@ -151,14 +153,11 @@ class FrontEnd {
   // Creates the reply topic if missing and joins the private reply
   // group (Start, and rejoin after a fence or a broker restart).
   Status SubscribeReplies();
-  // Encodes and routes one event against its stream; registers a
-  // pending entry when callback is non-null.
+  // Encodes and routes one event against its stream into out;
+  // registers a pending entry when callback is non-null.
   Status Enqueue(const Route& route, const reservoir::Event& event,
                  ReplyCallback callback,
-                 const trace::TraceContext& trace_ctx,
-                 std::vector<Submission>* out);
-  // Publishes every queued submission, one ProduceBatch per topic.
-  void DrainSubmissions();
+                 const trace::TraceContext& trace_ctx, Outbox* out);
   void FailPending(uint64_t request_id, const Status& status);
   PendingShard& ShardFor(uint64_t request_id) {
     return pending_[request_id % kPendingShards];
@@ -178,9 +177,6 @@ class FrontEnd {
   // Shared so a submit copies a pointer, not the stream definition.
   std::map<std::string, std::shared_ptr<const Route>> routes_
       GUARDED_BY(mu_);
-
-  Mutex submit_mu_{kRankEngineFrontEndSubmit};
-  std::vector<Submission> submit_queue_ GUARDED_BY(submit_mu_);
 
   std::array<PendingShard, kPendingShards> pending_;
   std::atomic<uint64_t> next_request_id_{1};

@@ -141,7 +141,8 @@ class InProcessBus : public Bus {
   // notifications from producers are internal — a parked consumer
   // re-scans and re-parks if the message was not for it — whereas this
   // is the engine's lever for loops that multiplex bus polling with
-  // local work (e.g. a front end with queued submissions to fan out).
+  // local work (e.g. a processor unit with a stream registration to
+  // apply, or a front end being stopped).
   Status WakeConsumer(const std::string& consumer_id) override;
 
   // Per-topic retention override (introspect: the internals stream is

@@ -52,7 +52,7 @@ struct ReservoirOptions {
   // Eagerly prefetch the successor chunk when an iterator crosses a
   // chunk boundary (paper §4.1.1). Disable only for the ablation bench.
   bool enable_prefetch = true;
-  // Size of the recent-id window used for deduplication probes.
+  // File system for the segment files; null means Env::Default().
   Env* env = nullptr;
   std::vector<SchemaField> schema_fields;
 };

@@ -62,7 +62,7 @@ Status DB::Recover() {
   MutexLock lock(&mu_);
   RAILGUN_RETURN_IF_ERROR(versions_->Recover(options_.create_if_missing));
   for (const auto& [id, cf] : versions_->families()) {
-    mems_[id] = std::make_unique<MemTable>();
+    mems_[id] = std::make_shared<MemTable>();
   }
   // Tables a crash left half-written are not in the manifest.
   RemoveObsoleteFiles();
@@ -154,7 +154,8 @@ Status DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,
         user_key.compare(ExtractUserKey(Slice(f.largest))) > 0) {
       return Status::NotFound("");
     }
-    RAILGUN_ASSIGN_OR_RETURN(Table * table, GetTable(f.number));
+    RAILGUN_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
+                             GetTable(f.number));
     std::string found_key, found_value;
     Status s =
         table->InternalGet(lkey.internal_key(), &found_key, &found_value);
@@ -202,24 +203,24 @@ Status DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,
   return Status::NotFound("");
 }
 
-StatusOr<Table*> DB::GetTable(uint64_t file_number) {
+StatusOr<std::shared_ptr<Table>> DB::GetTable(uint64_t file_number) {
   auto it = table_cache_.find(file_number);
-  if (it != table_cache_.end()) return it->second.get();
+  if (it != table_cache_.end()) return it->second;
 
   std::unique_ptr<RandomAccessFile> file;
   RAILGUN_RETURN_IF_ERROR(
       env_->NewRandomAccessFile(SstFileName(dbname_, file_number), &file));
   std::unique_ptr<Table> table;
   RAILGUN_RETURN_IF_ERROR(Table::Open(std::move(file), &table));
-  Table* raw = table.get();
-  table_cache_[file_number] = std::move(table);
-  return raw;
+  std::shared_ptr<Table> shared = std::move(table);
+  table_cache_[file_number] = shared;
+  return shared;
 }
 
 StatusOr<uint32_t> DB::CreateColumnFamily(const std::string& name) {
   MutexLock lock(&mu_);
   RAILGUN_ASSIGN_OR_RETURN(uint32_t id, versions_->CreateColumnFamily(name));
-  mems_[id] = std::make_unique<MemTable>();
+  mems_[id] = std::make_shared<MemTable>();
   return id;
 }
 
@@ -248,7 +249,7 @@ Status DB::FlushLocked() {
 
   // Fresh memtables.
   for (auto& [id, mem] : mems_) {
-    mem = std::make_unique<MemTable>();
+    mem = std::make_shared<MemTable>();
   }
 
   for (auto& [id, mem] : mems_) {
@@ -366,13 +367,13 @@ Status DB::CompactRange(uint32_t cf_id, int level,
   // Open iterators over every input table.
   std::vector<std::unique_ptr<Table::Iterator>> iters;
   for (const auto& f : inputs_level) {
-    RAILGUN_ASSIGN_OR_RETURN(Table * t, GetTable(f.number));
-    iters.emplace_back(new Table::Iterator(t));
+    RAILGUN_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(f.number));
+    iters.emplace_back(new Table::Iterator(t.get()));
     iters.back()->SeekToFirst();
   }
   for (const auto& f : inputs_next) {
-    RAILGUN_ASSIGN_OR_RETURN(Table * t, GetTable(f.number));
-    iters.emplace_back(new Table::Iterator(t));
+    RAILGUN_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(f.number));
+    iters.emplace_back(new Table::Iterator(t.get()));
     iters.back()->SeekToFirst();
   }
 
@@ -544,11 +545,12 @@ uint64_t DB::TotalSstBytes() {
 
 class DBIterImpl : public DB::Iterator {
  public:
-  DBIterImpl(DB* db, uint32_t cf_id) : db_(db) {
+  DBIterImpl(DB* db, uint32_t cf_id) {
     MutexLock lock(&db->mu_);
     auto mem_it = db->mems_.find(cf_id);
     if (mem_it != db->mems_.end()) {
-      mem_iter_.reset(new MemTable::Iterator(mem_it->second.get()));
+      mem_ = mem_it->second;
+      mem_iter_.reset(new MemTable::Iterator(mem_.get()));
     }
     ColumnFamilyMeta* cf = db->versions_->GetFamily(cf_id);
     if (cf != nullptr) {
@@ -556,8 +558,9 @@ class DBIterImpl : public DB::Iterator {
         for (const auto& f : level) {
           auto table_or = db->GetTable(f.number);
           if (table_or.ok()) {
+            tables_.push_back(std::move(table_or).value());
             table_iters_.emplace_back(
-                new Table::Iterator(table_or.value()));
+                new Table::Iterator(tables_.back().get()));
           }
         }
       }
@@ -667,7 +670,9 @@ class DBIterImpl : public DB::Iterator {
     }
   }
 
-  DB* db_;
+  // Held so a flush or compaction after creation frees nothing read.
+  std::shared_ptr<MemTable> mem_;
+  std::vector<std::shared_ptr<Table>> tables_;
   std::unique_ptr<MemTable::Iterator> mem_iter_;
   std::vector<std::unique_ptr<Table::Iterator>> table_iters_;
   bool valid_ = false;

@@ -77,10 +77,10 @@ class DB {
 
   // Scan iterator over one column family (user keys, newest versions,
   // tombstones elided). It reads the files present at creation and the
-  // keys the live memtable held then, so a later write to one of those
-  // keys may show through it, and a write that flushes retires the
-  // memtable under it. Finish with an iterator before writing to its DB
-  // again, on the same thread.
+  // keys the live memtable held then, and keeps that memtable and those
+  // tables alive, so later flushes and compactions leave it readable; a
+  // later write to one of those keys may show through it. Use it on the
+  // thread that writes to its DB.
   class Iterator {
    public:
     virtual ~Iterator() = default;
@@ -115,7 +115,7 @@ class DB {
   Status CompactRange(uint32_t cf_id, int level,
                       const std::vector<FileMetaData>& inputs_level,
                       const std::vector<FileMetaData>& inputs_next);
-  StatusOr<Table*> GetTable(uint64_t file_number);
+  StatusOr<std::shared_ptr<Table>> GetTable(uint64_t file_number);
   Status GetFromTables(uint32_t cf_id, const LookupKey& lkey,
                        std::string* value);
   void RemoveObsoleteFiles();
@@ -125,9 +125,10 @@ class DB {
   Env* env_;
 
   Mutex mu_{kRankStorageDb};
-  std::map<uint32_t, std::unique_ptr<MemTable>> mems_ GUARDED_BY(mu_);
+  // Shared with the DB iterators reading them.
+  std::map<uint32_t, std::shared_ptr<MemTable>> mems_ GUARDED_BY(mu_);
   std::unique_ptr<VersionSet> versions_ GUARDED_BY(mu_);
-  std::map<uint64_t, std::unique_ptr<Table>> table_cache_ GUARDED_BY(mu_);
+  std::map<uint64_t, std::shared_ptr<Table>> table_cache_ GUARDED_BY(mu_);
   friend class DBIterImpl;
 };
 

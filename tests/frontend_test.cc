@@ -1,9 +1,12 @@
 // Tests for the front-end layer in isolation: event routing to
-// partitioner topics, reply collection and completion, and the timeout
-// path for replies that never arrive.
+// partitioner topics, reply collection and completion, the timeout path
+// for replies that never arrive, publish failures and submitters racing
+// Stop.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <thread>
+#include <vector>
 
 #include "engine/frontend.h"
 #include "msg/broker.h"
@@ -35,18 +38,11 @@ Event SampleEvent() {
   return e;
 }
 
-// Submission is pipelined: the front-end thread fans queued events out
-// in batches, so tests wait for the publishes to land on the bus.
-uint64_t WaitForTopicTotal(msg::InProcessBus* bus, const std::string& topic,
-                           uint64_t expected) {
+// Messages published to a topic so far, over all its partitions.
+uint64_t TopicTotal(msg::InProcessBus* bus, const std::string& topic) {
   uint64_t total = 0;
-  for (int i = 0; i < 500; ++i) {
-    total = 0;
-    for (const auto& tp : bus->PartitionsOf(topic)) {
-      total += bus->EndOffset(tp).value();
-    }
-    if (total >= expected) break;
-    MonotonicClock::Default()->SleepMicros(1000);
+  for (const auto& tp : bus->PartitionsOf(topic)) {
+    total += bus->EndOffset(tp).value();
   }
   return total;
 }
@@ -71,10 +67,12 @@ class FrontEndTest : public ::testing::Test {
   std::unique_ptr<FrontEnd> frontend_;
 };
 
-TEST_F(FrontEndTest, RoutesEventToEveryPartitionerTopic) {
+TEST_F(FrontEndTest, SubmitReturnsWithTheEventOnEveryPartitionerTopic) {
+  // Submission publishes on the caller's thread: once the call returns,
+  // every partitioner topic holds the event.
   ASSERT_TRUE(frontend_->SubmitNoReply("payments", SampleEvent()).ok());
-  EXPECT_EQ(WaitForTopicTotal(bus_.get(), "payments.cardId", 1), 1u);
-  EXPECT_EQ(WaitForTopicTotal(bus_.get(), "payments.merchantId", 1), 1u);
+  EXPECT_EQ(TopicTotal(bus_.get(), "payments.cardId"), 1u);
+  EXPECT_EQ(TopicTotal(bus_.get(), "payments.merchantId"), 1u);
 }
 
 TEST_F(FrontEndTest, UnknownStreamRejected) {
@@ -101,8 +99,8 @@ TEST_F(FrontEndTest, CompletesWhenAllPartitionerRepliesArrive) {
 
   // Simulate the two task processors answering: read the envelopes to
   // learn the request id, then produce replies to the reply topic.
-  ASSERT_EQ(WaitForTopicTotal(bus_.get(), "payments.cardId", 1), 1u);
-  ASSERT_EQ(WaitForTopicTotal(bus_.get(), "payments.merchantId", 1), 1u);
+  ASSERT_EQ(TopicTotal(bus_.get(), "payments.cardId"), 1u);
+  ASSERT_EQ(TopicTotal(bus_.get(), "payments.merchantId"), 1u);
   std::vector<msg::Message> batch;
   uint64_t request_id = 0;
   for (const auto& topic : {"payments.cardId", "payments.merchantId"}) {
@@ -227,6 +225,93 @@ TEST_F(FrontEndTest, StopFailsOutstandingRequests) {
   // Every accepted request completes exactly once, with a typed error.
   EXPECT_EQ(calls.load(), 1);
   EXPECT_TRUE(unavailable.load());
+}
+
+TEST_F(FrontEndTest, SubmittersRacingStopCompleteEveryAcceptedRequestOnce) {
+  // Nobody replies: every accepted request completes through Stop or,
+  // for a submit that registered after Stop's sweep, on its own thread.
+  std::atomic<int> accepted{0};
+  std::atomic<int> completions{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < 4; ++t) {
+    submitters.emplace_back([&] {
+      while (true) {
+        const Status s = frontend_->Submit(
+            "payments", SampleEvent(),
+            [&](Status status, const std::vector<MetricReply>&) {
+              EXPECT_TRUE(status.IsUnavailable());
+              ++completions;
+            });
+        if (!s.ok()) {
+          EXPECT_TRUE(s.IsUnavailable());
+          return;
+        }
+        ++accepted;
+      }
+    });
+  }
+  for (int i = 0; i < 1000 && accepted < 400; ++i) {
+    MonotonicClock::Default()->SleepMicros(1000);
+  }
+  frontend_->Stop();
+  for (auto& submitter : submitters) submitter.join();
+  EXPECT_GT(accepted.load(), 0);
+  EXPECT_EQ(completions.load(), accepted.load());
+  EXPECT_EQ(frontend_->pending_count(), 0u);
+}
+
+// Fails every publish to one topic.
+class FailingBus : public msg::InProcessBus {
+ public:
+  FailingBus(const msg::BusOptions& options, std::string failing_topic)
+      : msg::InProcessBus(options), failing_topic_(std::move(failing_topic)) {}
+
+  Status ProduceBatch(const std::string& topic,
+                      std::vector<msg::ProduceRecord> records) override {
+    if (topic == failing_topic_) return Status::IOError("injected failure");
+    return msg::InProcessBus::ProduceBatch(topic, std::move(records));
+  }
+
+ private:
+  const std::string failing_topic_;
+};
+
+TEST(FrontEndPublishFailureTest, FailsEachRequestOnceOnTheCallingThread) {
+  msg::BusOptions bus_options;
+  bus_options.delivery_delay = 0;
+  FailingBus bus(bus_options, "payments.merchantId");
+  FrontEnd frontend(FrontEndOptions{}, "nodeF", &bus,
+                    MonotonicClock::Default());
+  ASSERT_TRUE(frontend.Start().ok());
+  ASSERT_TRUE(frontend.RegisterStream(TwoPartitionerStream()).ok());
+
+  std::atomic<int> calls[3] = {0, 0, 0};
+  std::atomic<int> io_errors{0};
+  std::atomic<int> off_thread{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<FrontEnd::ReplyCallback> callbacks;
+  for (int i = 0; i < 3; ++i) {
+    callbacks.push_back([&, i](Status s, const std::vector<MetricReply>&) {
+      if (s.IsIOError()) ++io_errors;
+      if (std::this_thread::get_id() != caller) ++off_thread;
+      ++calls[i];
+    });
+  }
+  ASSERT_TRUE(frontend
+                  .SubmitBatch("payments",
+                               {SampleEvent(), SampleEvent(), SampleEvent()},
+                               std::move(callbacks))
+                  .ok());
+  // Every request completed with the bus's error before the call
+  // returned.
+  for (const auto& call : calls) EXPECT_EQ(call.load(), 1);
+  EXPECT_EQ(io_errors.load(), 3);
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(frontend.publish_errors(), 1u);
+  EXPECT_EQ(frontend.pending_count(), 0u);
+
+  frontend.Stop();  // Completes nothing twice.
+  for (const auto& call : calls) EXPECT_EQ(call.load(), 1);
 }
 
 TEST(FrontEndLifecycleTest, SubmitBeforeStartIsUnavailable) {

@@ -322,6 +322,45 @@ TEST_F(DBTest, IteratorSeekPositionsAtLowerBound) {
   EXPECT_FALSE(iter->Valid());
 }
 
+TEST_F(DBTest, IteratorStaysReadableAcrossFlushAndCompaction) {
+  // Half the scanned keys in a table, half in the memtable.
+  for (int i = 0; i < 100; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "a%03d", i);
+    ASSERT_TRUE(db_->Put(0, key, "v" + std::to_string(i)).ok());
+    if (i == 49) {
+      ASSERT_TRUE(db_->Flush().ok());
+    }
+  }
+  auto iter = db_->NewIterator(0);
+  iter->SeekToFirst();
+
+  // Writes past the iterator's keys that flush its memtable many times
+  // over and compact its table away.
+  const std::string big(1024, 'x');
+  for (int i = 0; i < 3000; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "z%04d", i);
+    ASSERT_TRUE(db_->Put(0, key, big).ok());
+  }
+  int deeper_files = 0;
+  const auto stats = db_->GetLevelStats(0);
+  for (size_t level = 1; level < stats.size(); ++level) {
+    deeper_files += stats[level].num_files;
+  }
+  EXPECT_GT(deeper_files, 0);
+
+  int scanned = 0;
+  for (; iter->Valid(); iter->Next()) {
+    char key[16];
+    snprintf(key, sizeof(key), "a%03d", scanned);
+    ASSERT_EQ(iter->key().ToString(), key);
+    ASSERT_EQ(iter->value().ToString(), "v" + std::to_string(scanned));
+    ++scanned;
+  }
+  EXPECT_EQ(scanned, 100);
+}
+
 TEST_F(DBTest, LargeValuesRoundTrip) {
   const std::string big(512 * 1024, 'B');
   ASSERT_TRUE(db_->Put(0, "big", big).ok());
