@@ -135,23 +135,6 @@ void BM_StateStoreCheckpoint(benchmark::State& state) {
 }
 BENCHMARK(BM_StateStoreCheckpoint)->Unit(benchmark::kMillisecond);
 
-void BM_WriteBatchCommit(benchmark::State& state) {
-  auto db = OpenFresh("/tmp/railgun-bench-micro-batch");
-  Random64 rng(4);
-  for (auto _ : state) {
-    WriteBatch batch;
-    for (int i = 0; i < state.range(0); ++i) {
-      char key[32];
-      snprintf(key, sizeof(key), "k%08llu",
-               static_cast<unsigned long long>(rng.Uniform(100000)));
-      batch.Put(0, key, "v");
-    }
-    benchmark::DoNotOptimize(db->Write(&batch));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_WriteBatchCommit)->Arg(1)->Arg(16)->Arg(128);
-
 }  // namespace
 
 RAILGUN_BENCH_MICRO_MAIN("bench_micro_statestore")

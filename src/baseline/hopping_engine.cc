@@ -1,6 +1,5 @@
 #include "baseline/hopping_engine.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 #include "common/coding.h"
@@ -85,60 +84,6 @@ Status HoppingEngine::ProcessEvent(const std::string& key, Micros timestamp,
   // oldest live instance (covers the most history).
   result->sum = oldest_sum;
   result->count = oldest_count;
-  return Status::OK();
-}
-
-QuadraticSlidingEngine::QuadraticSlidingEngine(Micros window_size,
-                                               storage::DB* db)
-    : window_size_(window_size), db_(db) {}
-
-std::string QuadraticSlidingEngine::EventKey(const std::string& key,
-                                             Micros timestamp,
-                                             uint64_t seq) const {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "|%020lld|%012" PRIu64,
-           static_cast<long long>(timestamp), seq);
-  return "q|" + key + buf;
-}
-
-Status QuadraticSlidingEngine::ProcessEvent(const std::string& key,
-                                            Micros timestamp, double amount,
-                                            BaselineResult* result) {
-  // Store the event tuple.
-  std::string value;
-  PutDouble(&value, amount);
-  RAILGUN_RETURN_IF_ERROR(db_->Put(storage::kDefaultColumnFamily,
-                                   EventKey(key, timestamp, seq_++), value));
-
-  // Recompute from scratch by scanning the key's stored events.
-  result->sum = 0;
-  result->count = 0;
-  const std::string prefix = "q|" + key + "|";
-  const Micros low = timestamp - window_size_;
-  auto iter = db_->NewIterator(storage::kDefaultColumnFamily);
-  std::vector<std::string> expired;
-  for (iter->Seek(prefix); iter->Valid(); iter->Next()) {
-    const Slice k = iter->key();
-    if (!k.starts_with(Slice(prefix))) break;
-    // Key layout: q|key|<20-digit ts>|<seq>.
-    const std::string ts_str =
-        std::string(k.data() + prefix.size(), 20);
-    const Micros ts = static_cast<Micros>(strtoll(ts_str.c_str(), nullptr,
-                                                  10));
-    if (ts <= low) {
-      expired.push_back(k.ToString());  // Flink would GC via TTL; we do it
-      continue;                         // inline, also at per-event cost.
-    }
-    if (ts > timestamp) break;
-    Slice v = iter->value();
-    double a;
-    if (!GetDouble(&v, &a)) return Status::Corruption("bad stored event");
-    result->sum += a;
-    result->count += 1;
-  }
-  for (const auto& k : expired) {
-    RAILGUN_RETURN_IF_ERROR(db_->Delete(storage::kDefaultColumnFamily, k));
-  }
   return Status::OK();
 }
 

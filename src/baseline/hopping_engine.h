@@ -9,9 +9,7 @@
 #ifndef RAILGUN_BASELINE_HOPPING_ENGINE_H_
 #define RAILGUN_BASELINE_HOPPING_ENGINE_H_
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/clock.h"
 #include "common/status.h"
@@ -24,31 +22,22 @@ struct BaselineResult {
   int64_t count = 0;
 };
 
-// Common interface so benches can swap engines.
-class BaselineEngine {
- public:
-  virtual ~BaselineEngine() = default;
-  // Processes one (key, timestamp, amount) event and reports the
-  // engine's best available sum/count for the key's trailing window.
-  virtual Status ProcessEvent(const std::string& key, Micros timestamp,
-                              double amount, BaselineResult* result) = 0;
-  virtual std::string name() const = 0;
-};
-
 struct HoppingOptions {
   Micros window_size = 60 * kMicrosPerMinute;
   Micros hop = 5 * kMicrosPerMinute;
 };
 
-class HoppingEngine : public BaselineEngine {
+class HoppingEngine {
  public:
   // Borrows the store; uses its default column family with a
   // "h|" key prefix.
   HoppingEngine(const HoppingOptions& options, storage::DB* db);
 
+  // Processes one (key, timestamp, amount) event and reports the best
+  // available sum/count for the key's trailing window.
   Status ProcessEvent(const std::string& key, Micros timestamp,
-                      double amount, BaselineResult* result) override;
-  std::string name() const override;
+                      double amount, BaselineResult* result);
+  std::string name() const;
 
   // Number of live window states an event touches (= windowSize/hop).
   int64_t states_per_event() const { return states_per_event_; }
@@ -59,27 +48,6 @@ class HoppingEngine : public BaselineEngine {
   HoppingOptions options_;
   storage::DB* db_;
   int64_t states_per_event_;
-};
-
-// The "custom Flink solution" for accurate sliding windows [21]: store
-// every event in the state store and, for each arriving event, recompute
-// the aggregation by scanning all stored events of the key inside the
-// window. Quadratic in per-key event count; accurate but slow.
-class QuadraticSlidingEngine : public BaselineEngine {
- public:
-  QuadraticSlidingEngine(Micros window_size, storage::DB* db);
-
-  Status ProcessEvent(const std::string& key, Micros timestamp,
-                      double amount, BaselineResult* result) override;
-  std::string name() const override { return "flink-custom-quadratic"; }
-
- private:
-  std::string EventKey(const std::string& key, Micros timestamp,
-                       uint64_t seq) const;
-
-  Micros window_size_;
-  storage::DB* db_;
-  uint64_t seq_ = 0;
 };
 
 }  // namespace railgun::baseline

@@ -10,7 +10,7 @@ constexpr size_t kPollMax = 256;
 }  // namespace
 
 BaselineWorker::BaselineWorker(const WorkerOptions& options,
-                               msg::Bus* bus, BaselineEngine* engine,
+                               msg::Bus* bus, HoppingEngine* engine,
                                engine::StreamDef stream, std::string topic,
                                Clock* clock)
     : options_(options),

@@ -1,4 +1,4 @@
-// BaselineWorker: drives a BaselineEngine over the message bus with the
+// BaselineWorker: drives a HoppingEngine over the message bus with the
 // same end-to-end path as a Railgun node (consume event topic -> compute
 // -> produce reply), so Figure 8 compares engines, not plumbing.
 #ifndef RAILGUN_BASELINE_WORKER_H_
@@ -27,7 +27,7 @@ class BaselineWorker {
  public:
   // Borrows the bus and engine. Consumes every partition of `topic`.
   BaselineWorker(const WorkerOptions& options, msg::Bus* bus,
-                 BaselineEngine* engine, engine::StreamDef stream,
+                 HoppingEngine* engine, engine::StreamDef stream,
                  std::string topic, Clock* clock);
   ~BaselineWorker();
 
@@ -41,7 +41,7 @@ class BaselineWorker {
 
   WorkerOptions options_;
   msg::Bus* bus_;
-  BaselineEngine* engine_;
+  HoppingEngine* engine_;
   engine::StreamDef stream_;
   std::string topic_;
   Clock* clock_;

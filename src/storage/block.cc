@@ -8,14 +8,19 @@ Block::Block(std::string contents) : data_(std::move(contents)) {}
 
 Block::Iter::Iter(const Block* block) : block_(block) {
   const std::string& data = block_->data_;
+  num_restarts_ = 0;
+  restarts_offset_ = current_ = next_offset_ = 0;
   if (data.size() < sizeof(uint32_t)) {
-    num_restarts_ = 0;
-    restarts_offset_ = 0;
-    current_ = next_offset_ = 0;
     status_ = Status::Corruption("block too small");
     return;
   }
-  num_restarts_ = DecodeFixed32(data.data() + data.size() - sizeof(uint32_t));
+  const uint32_t num_restarts =
+      DecodeFixed32(data.data() + data.size() - sizeof(uint32_t));
+  if (num_restarts > (data.size() - sizeof(uint32_t)) / sizeof(uint32_t)) {
+    status_ = Status::Corruption("bad block restart count");
+    return;
+  }
+  num_restarts_ = num_restarts;
   restarts_offset_ = static_cast<uint32_t>(
       data.size() - (1 + num_restarts_) * sizeof(uint32_t));
   current_ = restarts_offset_;  // Invalid until positioned.
@@ -48,7 +53,8 @@ bool Block::Iter::ParseNextEntry() {
   if (p == nullptr) goto corrupt;
   p = GetVarint32Ptr(p, limit, &value_len);
   if (p == nullptr) goto corrupt;
-  if (p + non_shared + value_len > limit || shared > key_.size()) {
+  if (uint64_t{non_shared} + value_len > static_cast<uint64_t>(limit - p) ||
+      shared > key_.size()) {
     goto corrupt;
   }
 

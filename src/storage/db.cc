@@ -62,7 +62,7 @@ Status DB::Recover() {
   MutexLock lock(&mu_);
   RAILGUN_RETURN_IF_ERROR(versions_->Recover(options_.create_if_missing));
   for (const auto& [id, cf] : versions_->families()) {
-    mems_[id] = std::make_shared<MemTable>();
+    mems_[id] = std::make_unique<MemTable>();
   }
   // Tables a crash left half-written are not in the manifest.
   RemoveObsoleteFiles();
@@ -70,50 +70,24 @@ Status DB::Recover() {
 }
 
 Status DB::Put(uint32_t cf, const Slice& key, const Slice& value) {
-  WriteBatch batch;
-  batch.Put(cf, key, value);
-  return Write(&batch);
+  MutexLock lock(&mu_);
+  return AddLocked(cf, kTypeValue, key, value);
 }
 
 Status DB::Delete(uint32_t cf, const Slice& key) {
-  WriteBatch batch;
-  batch.Delete(cf, key);
-  return Write(&batch);
-}
-
-Status DB::Write(WriteBatch* batch) {
   MutexLock lock(&mu_);
-  return WriteLocked(batch);
+  return AddLocked(cf, kTypeDeletion, key, Slice());
 }
 
-Status DB::WriteLocked(WriteBatch* batch) {
+Status DB::AddLocked(uint32_t cf, ValueType type, const Slice& key,
+                     const Slice& value) {
+  auto it = mems_.find(cf);
+  if (it == mems_.end()) {
+    return Status::InvalidArgument("unknown column family");
+  }
   const SequenceNumber seq = versions_->last_sequence() + 1;
-  class Inserter : public WriteBatch::Handler {
-   public:
-    Inserter(DB* db, SequenceNumber seq) : db_(db), seq_(seq) {}
-    void Put(uint32_t cf_id, const Slice& key, const Slice& value) override {
-      auto it = db_->mems_.find(cf_id);
-      if (it != db_->mems_.end()) {
-        it->second->Add(seq_, kTypeValue, key, value);
-      }
-      ++seq_;
-    }
-    void Delete(uint32_t cf_id, const Slice& key) override {
-      auto it = db_->mems_.find(cf_id);
-      if (it != db_->mems_.end()) {
-        it->second->Add(seq_, kTypeDeletion, key, Slice());
-      }
-      ++seq_;
-    }
-
-   private:
-    DB* db_;
-    SequenceNumber seq_;
-  };
-  Inserter inserter(this, seq);
-  RAILGUN_RETURN_IF_ERROR(batch->Iterate(&inserter));
-  versions_->SetLastSequence(seq + static_cast<uint64_t>(batch->Count()) - 1);
-
+  it->second->Add(seq, type, key, value);
+  versions_->SetLastSequence(seq);
   return MaybeScheduleFlush();
 }
 
@@ -134,40 +108,41 @@ Status DB::Get(uint32_t cf, const Slice& key, std::string* value) {
   }
   bool is_deleted = false;
   if (it->second->Get(key, value, &is_deleted)) {
-    return is_deleted ? Status::NotFound("deleted") : Status::OK();
+    return is_deleted ? Status::NotFound("") : Status::OK();
   }
-  return GetFromTables(cf, LookupKey(key, versions_->last_sequence()),
-                       value);
+  RAILGUN_ASSIGN_OR_RETURN(
+      const Lookup lookup,
+      GetFromTables(cf, LookupKey(key, versions_->last_sequence()), value));
+  return lookup == Lookup::kFound ? Status::OK() : Status::NotFound("");
 }
 
-Status DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,
-                         std::string* value) {
+StatusOr<DB::Lookup> DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,
+                                       std::string* value) {
   ColumnFamilyMeta* cf = versions_->GetFamily(cf_id);
   if (cf == nullptr) return Status::InvalidArgument("unknown column family");
 
   const Slice user_key = lkey.user_key();
-  const InternalKeyComparator icmp;
 
-  auto check_file = [&](const FileMetaData& f) -> Status {
+  auto check_file = [&](const FileMetaData& f) -> StatusOr<Lookup> {
     // Quick range reject on user keys.
     if (user_key.compare(ExtractUserKey(Slice(f.smallest))) < 0 ||
         user_key.compare(ExtractUserKey(Slice(f.largest))) > 0) {
-      return Status::NotFound("");
+      return Lookup::kAbsent;
     }
-    RAILGUN_ASSIGN_OR_RETURN(std::shared_ptr<Table> table,
-                             GetTable(f.number));
+    RAILGUN_ASSIGN_OR_RETURN(Table * table, GetTable(f.number));
     std::string found_key, found_value;
     Status s =
         table->InternalGet(lkey.internal_key(), &found_key, &found_value);
+    if (s.IsNotFound()) return Lookup::kAbsent;
     if (!s.ok()) return s;
     ParsedInternalKey parsed;
     if (!ParseInternalKey(Slice(found_key), &parsed)) {
       return Status::Corruption("bad internal key in table");
     }
-    if (parsed.user_key != user_key) return Status::NotFound("");
-    if (parsed.type == kTypeDeletion) return Status::NotFound("deleted");
+    if (parsed.user_key != user_key) return Lookup::kAbsent;
+    if (parsed.type == kTypeDeletion) return Lookup::kDeleted;
     *value = std::move(found_value);
-    return Status::OK();
+    return Lookup::kFound;
   };
 
   // L0: newest file first (files may overlap).
@@ -178,49 +153,44 @@ Status DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,
               return a->number > b->number;
             });
   for (const FileMetaData* f : l0) {
-    Status s = check_file(*f);
-    if (!s.IsNotFound() || s.message() == "deleted") {
-      if (s.message() == "deleted") return Status::NotFound("deleted");
-      if (!s.IsNotFound()) return s;
-    }
+    RAILGUN_ASSIGN_OR_RETURN(Lookup lookup, check_file(*f));
+    if (lookup != Lookup::kAbsent) return lookup;
   }
 
   // L1+: files are non-overlapping and sorted; binary search by range.
   for (int level = 1; level < kNumLevels; ++level) {
     const auto& files = cf->levels[level];
-    if (files.empty()) continue;
     // Find the first file whose largest user key >= user_key.
     auto iter = std::lower_bound(
         files.begin(), files.end(), user_key,
-        [&icmp](const FileMetaData& f, const Slice& k) {
+        [](const FileMetaData& f, const Slice& k) {
           return ExtractUserKey(Slice(f.largest)).compare(k) < 0;
         });
     if (iter == files.end()) continue;
-    Status s = check_file(*iter);
-    if (s.message() == "deleted") return Status::NotFound("deleted");
-    if (!s.IsNotFound()) return s;
+    RAILGUN_ASSIGN_OR_RETURN(Lookup lookup, check_file(*iter));
+    if (lookup != Lookup::kAbsent) return lookup;
   }
-  return Status::NotFound("");
+  return Lookup::kAbsent;
 }
 
-StatusOr<std::shared_ptr<Table>> DB::GetTable(uint64_t file_number) {
+StatusOr<Table*> DB::GetTable(uint64_t file_number) {
   auto it = table_cache_.find(file_number);
-  if (it != table_cache_.end()) return it->second;
+  if (it != table_cache_.end()) return it->second.get();
 
   std::unique_ptr<RandomAccessFile> file;
   RAILGUN_RETURN_IF_ERROR(
       env_->NewRandomAccessFile(SstFileName(dbname_, file_number), &file));
   std::unique_ptr<Table> table;
   RAILGUN_RETURN_IF_ERROR(Table::Open(std::move(file), &table));
-  std::shared_ptr<Table> shared = std::move(table);
-  table_cache_[file_number] = shared;
-  return shared;
+  Table* raw = table.get();
+  table_cache_[file_number] = std::move(table);
+  return raw;
 }
 
 StatusOr<uint32_t> DB::CreateColumnFamily(const std::string& name) {
   MutexLock lock(&mu_);
   RAILGUN_ASSIGN_OR_RETURN(uint32_t id, versions_->CreateColumnFamily(name));
-  mems_[id] = std::make_shared<MemTable>();
+  mems_[id] = std::make_unique<MemTable>();
   return id;
 }
 
@@ -249,7 +219,7 @@ Status DB::FlushLocked() {
 
   // Fresh memtables.
   for (auto& [id, mem] : mems_) {
-    mem = std::make_shared<MemTable>();
+    mem = std::make_unique<MemTable>();
   }
 
   for (auto& [id, mem] : mems_) {
@@ -366,15 +336,12 @@ Status DB::CompactRange(uint32_t cf_id, int level,
 
   // Open iterators over every input table.
   std::vector<std::unique_ptr<Table::Iterator>> iters;
-  for (const auto& f : inputs_level) {
-    RAILGUN_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(f.number));
-    iters.emplace_back(new Table::Iterator(t.get()));
-    iters.back()->SeekToFirst();
-  }
-  for (const auto& f : inputs_next) {
-    RAILGUN_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, GetTable(f.number));
-    iters.emplace_back(new Table::Iterator(t.get()));
-    iters.back()->SeekToFirst();
+  for (const auto* inputs : {&inputs_level, &inputs_next}) {
+    for (const auto& f : *inputs) {
+      RAILGUN_ASSIGN_OR_RETURN(Table * t, GetTable(f.number));
+      iters.emplace_back(new Table::Iterator(t));
+      iters.back()->SeekToFirst();
+    }
   }
 
   const InternalKeyComparator icmp;
@@ -458,6 +425,15 @@ Status DB::CompactRange(uint32_t cf_id, int level,
     }
     it->Next();
   }
+  // An input whose block read failed ended early: installing the merge
+  // would lose that block's keys, so the inputs and the manifest stay.
+  for (const auto& it : iters) {
+    if (!it->status().ok()) {
+      if (out_file != nullptr) (void)out_file->Close();
+      RemoveObsoleteFiles();  // The outputs written so far.
+      return it->status();
+    }
+  }
   RAILGUN_RETURN_IF_ERROR(close_output());
 
   // Install: remove inputs, add outputs.
@@ -537,151 +513,6 @@ uint64_t DB::TotalSstBytes() {
     }
   }
   return total;
-}
-
-// ---------------------------------------------------------------------
-// DB iterator: merges the memtable with every table of the family and
-// exposes user keys with newest-version / tombstone semantics.
-
-class DBIterImpl : public DB::Iterator {
- public:
-  DBIterImpl(DB* db, uint32_t cf_id) {
-    MutexLock lock(&db->mu_);
-    auto mem_it = db->mems_.find(cf_id);
-    if (mem_it != db->mems_.end()) {
-      mem_ = mem_it->second;
-      mem_iter_.reset(new MemTable::Iterator(mem_.get()));
-    }
-    ColumnFamilyMeta* cf = db->versions_->GetFamily(cf_id);
-    if (cf != nullptr) {
-      for (const auto& level : cf->levels) {
-        for (const auto& f : level) {
-          auto table_or = db->GetTable(f.number);
-          if (table_or.ok()) {
-            tables_.push_back(std::move(table_or).value());
-            table_iters_.emplace_back(
-                new Table::Iterator(tables_.back().get()));
-          }
-        }
-      }
-    }
-  }
-
-  bool Valid() const override { return valid_; }
-
-  void SeekToFirst() override {
-    if (mem_iter_ != nullptr) mem_iter_->SeekToFirst();
-    for (auto& it : table_iters_) it->SeekToFirst();
-    FindNextUserKey(/*skip_current=*/false);
-  }
-
-  void Seek(const Slice& user_key) override {
-    std::string target;
-    AppendInternalKey(&target, user_key, kMaxSequenceNumber, kTypeValue);
-    if (mem_iter_ != nullptr) mem_iter_->Seek(Slice(target));
-    for (auto& it : table_iters_) it->Seek(Slice(target));
-    FindNextUserKey(/*skip_current=*/false);
-  }
-
-  void Next() override { FindNextUserKey(/*skip_current=*/true); }
-
-  Slice key() const override { return Slice(key_); }
-  Slice value() const override { return Slice(value_); }
-
- private:
-  // Positions at the next visible user key. If skip_current is true, all
-  // versions of key_ are skipped first.
-  void FindNextUserKey(bool skip_current) {
-    const InternalKeyComparator icmp;
-    std::string prev_key = skip_current ? key_ : std::string();
-    bool have_prev = skip_current;
-
-    while (true) {
-      // Find the child with the smallest internal key.
-      Slice best;
-      bool found = false;
-      if (mem_iter_ != nullptr && mem_iter_->Valid()) {
-        best = mem_iter_->internal_key();
-        found = true;
-      }
-      for (auto& it : table_iters_) {
-        if (!it->Valid()) continue;
-        if (!found || icmp.Compare(it->key(), best) < 0) {
-          best = it->key();
-          found = true;
-        }
-      }
-      if (!found) {
-        valid_ = false;
-        return;
-      }
-
-      ParsedInternalKey parsed;
-      if (!ParseInternalKey(best, &parsed)) {
-        valid_ = false;
-        return;
-      }
-      const std::string user_key = parsed.user_key.ToString();
-
-      if (have_prev && user_key == prev_key) {
-        AdvancePast(best);
-        continue;
-      }
-
-      // This is the newest version of user_key (internal order puts the
-      // highest sequence first).
-      if (parsed.type == kTypeDeletion) {
-        prev_key = user_key;
-        have_prev = true;
-        AdvancePast(best);
-        continue;
-      }
-
-      key_ = user_key;
-      value_ = CurrentValueFor(best);
-      valid_ = true;
-      AdvancePast(best);
-      return;
-    }
-  }
-
-  std::string CurrentValueFor(const Slice& internal_key) {
-    if (mem_iter_ != nullptr && mem_iter_->Valid() &&
-        mem_iter_->internal_key() == internal_key) {
-      return mem_iter_->value().ToString();
-    }
-    for (auto& it : table_iters_) {
-      if (it->Valid() && it->key() == internal_key) {
-        return it->value().ToString();
-      }
-    }
-    return std::string();
-  }
-
-  // Advances every child positioned exactly at internal_key.
-  void AdvancePast(const Slice& internal_key) {
-    const std::string snapshot = internal_key.ToString();
-    if (mem_iter_ != nullptr && mem_iter_->Valid() &&
-        mem_iter_->internal_key() == Slice(snapshot)) {
-      mem_iter_->Next();
-    }
-    for (auto& it : table_iters_) {
-      if (it->Valid() && it->key() == Slice(snapshot)) it->Next();
-    }
-  }
-
-  // Held so a flush or compaction after creation frees nothing read.
-  std::shared_ptr<MemTable> mem_;
-  std::vector<std::shared_ptr<Table>> tables_;
-  std::unique_ptr<MemTable::Iterator> mem_iter_;
-  std::vector<std::unique_ptr<Table::Iterator>> table_iters_;
-  bool valid_ = false;
-  std::string key_;
-  std::string value_;
-};
-
-std::unique_ptr<DB::Iterator> DB::NewIterator(uint32_t cf) {
-  return std::make_unique<DBIterImpl>(this, cf);
 }
 
 Status DestroyDB(const std::string& path, Env* env) {

@@ -1,5 +1,8 @@
 // Embedded LSM key-value store: Railgun's metric state store substrate
-// (the role RocksDB plays in the paper, built from scratch here).
+// (the role RocksDB plays in the paper, built from scratch here). It is a
+// point store: task processors read and overwrite aggregation state by
+// key, so the API is Put/Delete/Get per key, with no write batches and
+// no scans.
 //
 // Concurrency model: a coarse mutex guards all state. Flushes and
 // compactions run synchronously on the writing thread — Railgun task
@@ -23,7 +26,6 @@
 #include "storage/table.h"
 #include "storage/table_builder.h"
 #include "storage/version.h"
-#include "storage/write_batch.h"
 
 namespace railgun::storage {
 
@@ -53,12 +55,14 @@ class DB {
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
 
-  // Reads always see the newest write: the store keeps no snapshots, so
-  // the memtable holds one entry per key and a flush writes one entry
-  // per key.
+  // Each write takes one sequence number and replaces the key's entry in
+  // the family's memtable. An unknown column family answers
+  // InvalidArgument.
   Status Put(uint32_t cf, const Slice& key, const Slice& value);
   Status Delete(uint32_t cf, const Slice& key);
-  Status Write(WriteBatch* batch);
+  // Reads always see the newest write: the store keeps no snapshots, so
+  // the memtable holds one entry per key and a flush writes one entry
+  // per key. NotFound for an absent or deleted key.
   Status Get(uint32_t cf, const Slice& key, std::string* value);
 
   // Column families.
@@ -75,24 +79,6 @@ class DB {
   // which can be opened as a regular database.
   Status Checkpoint(const std::string& dir);
 
-  // Scan iterator over one column family (user keys, newest versions,
-  // tombstones elided). It reads the files present at creation and the
-  // keys the live memtable held then, and keeps that memtable and those
-  // tables alive, so later flushes and compactions leave it readable; a
-  // later write to one of those keys may show through it. Use it on the
-  // thread that writes to its DB.
-  class Iterator {
-   public:
-    virtual ~Iterator() = default;
-    virtual bool Valid() const = 0;
-    virtual void SeekToFirst() = 0;
-    virtual void Seek(const Slice& user_key) = 0;
-    virtual void Next() = 0;
-    virtual Slice key() const = 0;
-    virtual Slice value() const = 0;
-  };
-  std::unique_ptr<Iterator> NewIterator(uint32_t cf);
-
   // Introspection for tests/benchmarks.
   struct LevelStats {
     int num_files = 0;
@@ -107,17 +93,21 @@ class DB {
   DB(const DBOptions& options, std::string dbname);
 
   Status Recover();
-  Status WriteLocked(WriteBatch* batch) REQUIRES(mu_);
-  Status MaybeScheduleFlush();
+  Status AddLocked(uint32_t cf, ValueType type, const Slice& key,
+                   const Slice& value) REQUIRES(mu_);
+  Status MaybeScheduleFlush() REQUIRES(mu_);
   Status FlushLocked() REQUIRES(mu_);
   Status FlushMemTable(uint32_t cf_id, MemTable* mem);
   Status MaybeCompact(uint32_t cf_id);
   Status CompactRange(uint32_t cf_id, int level,
                       const std::vector<FileMetaData>& inputs_level,
                       const std::vector<FileMetaData>& inputs_next);
-  StatusOr<std::shared_ptr<Table>> GetTable(uint64_t file_number);
-  Status GetFromTables(uint32_t cf_id, const LookupKey& lkey,
-                       std::string* value);
+  // The table stays owned by table_cache_ until its file is removed.
+  StatusOr<Table*> GetTable(uint64_t file_number);
+  // Outcome of a lookup past the memtable.
+  enum class Lookup { kFound, kDeleted, kAbsent };
+  StatusOr<Lookup> GetFromTables(uint32_t cf_id, const LookupKey& lkey,
+                                 std::string* value);
   void RemoveObsoleteFiles();
 
   DBOptions options_;
@@ -125,11 +115,9 @@ class DB {
   Env* env_;
 
   Mutex mu_{kRankStorageDb};
-  // Shared with the DB iterators reading them.
-  std::map<uint32_t, std::shared_ptr<MemTable>> mems_ GUARDED_BY(mu_);
+  std::map<uint32_t, std::unique_ptr<MemTable>> mems_ GUARDED_BY(mu_);
   std::unique_ptr<VersionSet> versions_ GUARDED_BY(mu_);
-  std::map<uint64_t, std::shared_ptr<Table>> table_cache_ GUARDED_BY(mu_);
-  friend class DBIterImpl;
+  std::map<uint64_t, std::unique_ptr<Table>> table_cache_ GUARDED_BY(mu_);
 };
 
 // Removes the database directory and all its contents.

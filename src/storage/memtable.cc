@@ -66,21 +66,4 @@ void MemTable::Iterator::Position(size_t pos) {
   PutFixed64(&key_, entries_[pos_]->second.tag);
 }
 
-void MemTable::Iterator::Seek(const Slice& internal_key) {
-  const Slice user_key = ExtractUserKey(internal_key);
-  const uint64_t tag =
-      DecodeFixed64(internal_key.data() + internal_key.size() - 8);
-  auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), user_key,
-      [](const Index::value_type* e, const Slice& k) {
-        return Slice(e->first).compare(k) < 0;
-      });
-  // An equal user key sorts after the target if its tag is newer.
-  if (it != entries_.end() && (*it)->first == user_key.ToView() &&
-      (*it)->second.tag > tag) {
-    ++it;
-  }
-  Position(static_cast<size_t>(it - entries_.begin()));
-}
-
 }  // namespace railgun::storage

@@ -1,12 +1,12 @@
 // In-memory buffer of recent writes for one column family, holding one
 // entry per user key in a hash index: a point read is one probe and a
 // write to a key already present replaces its entry in place. Keys are
-// sorted only when an iterator is created (flush and DB::Iterator).
+// sorted only when a flush iterates them.
 //
 // Keeping only the newest version is safe because the store has no
-// snapshots: reads are always at the newest sequence, and flush and the
-// DB iterator only want the newest version of each key (a deletion stays
-// as a tombstone, which still shadows older tables).
+// snapshots: reads are always at the newest sequence, and a flush only
+// wants the newest version of each key (a deletion stays as a
+// tombstone, which still shadows older tables).
 #ifndef RAILGUN_STORAGE_MEMTABLE_H_
 #define RAILGUN_STORAGE_MEMTABLE_H_
 
@@ -62,15 +62,13 @@ class MemTable {
 
 // Iterates entries in internal-key order, one per user key, whose tag is
 // the newest (sequence, type) written to it. The key set is sorted at
-// construction: keys added later are not visited, while a later write
-// to a visited key shows through.
+// construction, so the memtable must not change while it is in use.
 class MemTable::Iterator {
  public:
   explicit Iterator(const MemTable* mem);
 
   bool Valid() const { return pos_ < entries_.size(); }
   void SeekToFirst() { Position(0); }
-  void Seek(const Slice& internal_key);
   void Next() { Position(pos_ + 1); }
   Slice internal_key() const { return Slice(key_); }
   Slice value() const { return Slice(entries_[pos_]->second.value); }

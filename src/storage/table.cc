@@ -57,13 +57,19 @@ Status Table::InternalGet(const Slice& target, std::string* found_internal_key,
                           std::string* found_value) {
   Block::Iter index_iter(index_block_.get());
   index_iter.Seek(target);
-  if (!index_iter.Valid()) return Status::NotFound("past last block");
+  if (!index_iter.Valid()) {
+    RAILGUN_RETURN_IF_ERROR(index_iter.status());
+    return Status::NotFound("past last block");
+  }
 
   std::shared_ptr<Block> block;
   RAILGUN_RETURN_IF_ERROR(ReadDataBlock(index_iter.value(), &block));
   Block::Iter data_iter(block.get());
   data_iter.Seek(target);
-  if (!data_iter.Valid()) return Status::NotFound("past last entry");
+  if (!data_iter.Valid()) {
+    RAILGUN_RETURN_IF_ERROR(data_iter.status());
+    return Status::NotFound("past last entry");
+  }
 
   found_internal_key->assign(data_iter.key().data(), data_iter.key().size());
   found_value->assign(data_iter.value().data(), data_iter.value().size());
@@ -90,14 +96,17 @@ void Table::Iterator::InitDataBlock() {
   data_iter_.reset(new Block::Iter(data_block_.get()));
 }
 
+// Advances through the index until the data iterator holds an entry,
+// stopping at the end of the table or at the first failed block.
 void Table::Iterator::SkipEmptyBlocks() {
-  while ((data_iter_ == nullptr || !data_iter_->Valid()) &&
-         index_iter_->Valid()) {
-    index_iter_->Next();
-    if (!index_iter_->Valid()) {
+  while (!Valid()) {
+    if (data_iter_ != nullptr) status_ = data_iter_->status();
+    if (status_.ok()) status_ = index_iter_->status();
+    if (!status_.ok() || !index_iter_->Valid()) {
       data_iter_.reset();
       return;
     }
+    index_iter_->Next();
     InitDataBlock();
     if (data_iter_ != nullptr) data_iter_->SeekToFirst();
   }
@@ -107,13 +116,6 @@ void Table::Iterator::SeekToFirst() {
   index_iter_->SeekToFirst();
   InitDataBlock();
   if (data_iter_ != nullptr) data_iter_->SeekToFirst();
-  SkipEmptyBlocks();
-}
-
-void Table::Iterator::Seek(const Slice& internal_key) {
-  index_iter_->Seek(internal_key);
-  InitDataBlock();
-  if (data_iter_ != nullptr) data_iter_->Seek(internal_key);
   SkipEmptyBlocks();
 }
 

@@ -26,21 +26,23 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  // Point lookup: finds the first entry with internal key >= target and
-  // invokes the callback-free result contract below.
-  // Returns NotFound if no entry in this table can match.
+  // Point lookup: copies out the first entry whose internal key is >=
+  // target; the caller checks its user key and type. Returns NotFound if
+  // the table has no such entry.
   Status InternalGet(const Slice& target_internal_key,
                      std::string* found_internal_key,
                      std::string* found_value);
 
-  // Forward iterator over all entries.
+  // Forward iterator over all entries, in internal-key order. It stops
+  // at the first block that fails to read or decode, and status() then
+  // holds the error, so a scan that ends with an OK status saw every
+  // entry.
   class Iterator {
    public:
     explicit Iterator(Table* table);
 
     bool Valid() const;
     void SeekToFirst();
-    void Seek(const Slice& internal_key);
     void Next();
     Slice key() const;
     Slice value() const;

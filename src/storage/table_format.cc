@@ -41,6 +41,14 @@ Status Footer::DecodeFrom(Slice* input) {
 
 Status ReadBlockContents(RandomAccessFile* file, const BlockHandle& handle,
                          std::string* contents) {
+  // The footer carries no checksum, so a handle can state any extent:
+  // bound it by the file before allocating (written to not overflow).
+  const uint64_t file_size = file->Size();
+  if (handle.offset > file_size ||
+      handle.size > file_size - handle.offset ||
+      kBlockTrailerSize > file_size - handle.offset - handle.size) {
+    return Status::Corruption("block handle past end of file");
+  }
   const size_t n = static_cast<size_t>(handle.size);
   std::unique_ptr<char[]> buf(new char[n + kBlockTrailerSize]);
   Slice block;

@@ -1,7 +1,7 @@
-// Tests for the hopping-window and quadratic baselines, including the
-// paper's central accuracy argument: hopping windows miss bursts that a
-// true sliding window catches (Figure 1), regardless of hop size — and
-// for the BaselineWorker that serves the hopping engine over the bus.
+// Tests for the hopping-window baseline, including the paper's central
+// accuracy argument: hopping windows miss bursts that a true sliding
+// window catches (Figure 1), regardless of hop size — and for the
+// BaselineWorker that serves the hopping engine over the bus.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -79,34 +79,6 @@ TEST_F(BaselineTest, Figure1HoppingMissesTheBurst) {
   // The rule "count in last 5 min > 4" should fire (5 events within
   // 4.5 minutes) but hopping reports fewer.
   EXPECT_LT(result.count, 5);
-}
-
-TEST_F(BaselineTest, QuadraticEngineIsAccurateOnTheFigure1Burst) {
-  QuadraticSlidingEngine engine(5 * kMicrosPerMinute, db_.get());
-  const double minutes[] = {0.9, 1.9, 2.9, 3.9, 5.4};
-  BaselineResult result;
-  for (double m : minutes) {
-    ASSERT_TRUE(engine
-                    .ProcessEvent("card1",
-                                  static_cast<Micros>(m * kMicrosPerMinute),
-                                  1.0, &result)
-                    .ok());
-  }
-  EXPECT_EQ(result.count, 5);  // Accurate, unlike hopping...
-  EXPECT_DOUBLE_EQ(result.sum, 5.0);
-}
-
-TEST_F(BaselineTest, QuadraticEngineExpiresOldEvents) {
-  QuadraticSlidingEngine engine(kMicrosPerMinute, db_.get());
-  BaselineResult result;
-  ASSERT_TRUE(engine.ProcessEvent("c", 0, 1.0, &result).ok());
-  ASSERT_TRUE(engine.ProcessEvent("c", 30 * kMicrosPerSecond, 1.0, &result)
-                  .ok());
-  EXPECT_EQ(result.count, 2);
-  // 90 s later: the first two are out of the 60 s window.
-  ASSERT_TRUE(engine.ProcessEvent("c", 120 * kMicrosPerSecond, 1.0, &result)
-                  .ok());
-  EXPECT_EQ(result.count, 1);
 }
 
 TEST_F(BaselineTest, KeysAreIndependent) {

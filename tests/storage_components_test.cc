@@ -1,7 +1,9 @@
 // Unit tests for the LSM store's internal layers: arena, memtable,
-// internal keys, write batch, blocks and tables.
+// internal keys, blocks and tables.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <string>
 
@@ -13,7 +15,7 @@
 #include "storage/memtable.h"
 #include "storage/table.h"
 #include "storage/table_builder.h"
-#include "storage/write_batch.h"
+#include "storage/table_format.h"
 
 namespace railgun::storage {
 namespace {
@@ -58,26 +60,6 @@ TEST(DbFormatTest, ParseRoundTrip) {
   EXPECT_EQ(parsed.user_key.ToString(), "user_key");
   EXPECT_EQ(parsed.sequence, 42u);
   EXPECT_EQ(parsed.type, kTypeDeletion);
-}
-
-TEST(WriteBatchTest, IterateReplaysInOrder) {
-  WriteBatch batch;
-  batch.Put(0, "a", "1");
-  batch.Delete(1, "b");
-  batch.Put(2, "c", "3");
-  EXPECT_EQ(batch.Count(), 3);
-
-  struct Collector : public WriteBatch::Handler {
-    std::string log;
-    void Put(uint32_t cf, const Slice& k, const Slice& v) override {
-      log += "P" + std::to_string(cf) + k.ToString() + v.ToString() + ";";
-    }
-    void Delete(uint32_t cf, const Slice& k) override {
-      log += "D" + std::to_string(cf) + k.ToString() + ";";
-    }
-  } collector;
-  ASSERT_TRUE(batch.Iterate(&collector).ok());
-  EXPECT_EQ(collector.log, "P0a1;D1b;P2c3;");
 }
 
 TEST(MemTableTest, AddGetWithVersions) {
@@ -139,6 +121,18 @@ TEST(BlockTest, BuildAndIterate) {
   iter.Seek(between);
   ASSERT_TRUE(iter.Valid());
   EXPECT_EQ(iter.value().ToString(), "value100");  // First key >= target.
+}
+
+// A restart count larger than the block fits fails as Corruption
+// instead of reading restart offsets past the block.
+TEST(BlockTest, RestartCountPastTheBlockIsCorruption) {
+  std::string contents(4, '\0');
+  PutFixed32(&contents, 1000);
+  Block block(contents);
+  Block::Iter iter(&block);
+  iter.SeekToFirst();
+  EXPECT_FALSE(iter.Valid());
+  EXPECT_TRUE(iter.status().IsCorruption()) << iter.status().ToString();
 }
 
 TEST(TableTest, BuildWriteReadBack) {
@@ -208,6 +202,142 @@ TEST(TableTest, OpenRejectsGarbage) {
   std::unique_ptr<Table> table;
   EXPECT_FALSE(Table::Open(std::move(file), &table).ok());
   (void)env->RemoveFile(path);
+}
+
+// A table file held in memory.
+class StringFile : public RandomAccessFile {
+ public:
+  explicit StringFile(std::string contents) : contents_(std::move(contents)) {}
+
+  Status Read(uint64_t offset, size_t n, Slice* result,
+              char* scratch) const override {
+    if (offset >= contents_.size()) {
+      *result = Slice(scratch, 0);
+      return Status::OK();
+    }
+    n = std::min<uint64_t>(n, contents_.size() - offset);
+    memcpy(scratch, contents_.data() + offset, n);
+    *result = Slice(scratch, n);
+    return Status::OK();
+  }
+  uint64_t Size() const override { return contents_.size(); }
+
+ private:
+  std::string contents_;
+};
+
+Status OpenTable(const std::string& contents, std::unique_ptr<Table>* table) {
+  return Table::Open(std::make_unique<StringFile>(contents), table);
+}
+
+// The footer carries no checksum: an index handle stating more bytes
+// than the file holds must fail as Corruption before anything is
+// allocated, including a size whose trailer arithmetic would wrap.
+TEST(TableTest, OpenRejectsAnIndexHandlePastTheFile) {
+  for (const uint64_t size :
+       {uint64_t{1000000000000}, ~uint64_t{0} - kBlockTrailerSize + 3}) {
+    std::string contents(100, 'd');
+    Footer footer;
+    footer.index_handle.offset = 0;
+    footer.index_handle.size = size;
+    footer.EncodeTo(&contents);
+    std::unique_ptr<Table> table;
+    const Status s = OpenTable(contents, &table);
+    EXPECT_TRUE(s.IsCorruption()) << size << ": " << s.ToString();
+  }
+}
+
+// Every truncation and every single-bit flip of a several-block table:
+// Open, a full scan and a lookup of every key each return the original
+// entries or Corruption, never a wrong or missing entry.
+class TableCorruptionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    Env* env = Env::Default();
+    const std::string path = "/tmp/railgun_table_corruption_test.sst";
+    std::unique_ptr<WritableFile> file;
+    ASSERT_TRUE(env->NewWritableFile(path, &file).ok());
+    TableBuilderOptions opts;
+    opts.block_size = 128;
+    TableBuilder builder(opts, file.get());
+    for (int i = 0; i < 40; ++i) {
+      char key[16];
+      snprintf(key, sizeof(key), "key%04d", i);
+      std::string ikey;
+      AppendInternalKey(&ikey, key, 7, i % 5 == 0 ? kTypeDeletion : kTypeValue);
+      const std::string value = "value-" + std::to_string(i * 7);
+      builder.Add(ikey, value);
+      entries_.emplace(ikey, value);
+    }
+    ASSERT_TRUE(builder.Finish().ok());
+    ASSERT_TRUE(file->Close().ok());
+    ASSERT_TRUE(ReadFileToString(env, path, &contents_).ok());
+    ASSERT_TRUE(env->RemoveFile(path).ok());
+  }
+
+  // The first way `contents` departs from the contract, or "".
+  std::string Check(const std::string& contents) {
+    std::unique_ptr<Table> table;
+    const Status open = OpenTable(contents, &table);
+    if (!open.ok()) {
+      return open.IsCorruption() ? "" : "open: " + open.ToString();
+    }
+    Table::Iterator iter(table.get());
+    auto expected = entries_.begin();
+    for (iter.SeekToFirst(); iter.Valid(); iter.Next(), ++expected) {
+      if (expected == entries_.end()) return "scan: extra entry";
+      if (iter.key() != Slice(expected->first) ||
+          iter.value() != Slice(expected->second)) {
+        return "scan: wrong entry";
+      }
+    }
+    if (iter.status().ok() && expected != entries_.end()) {
+      return "scan: entries missing with an OK status";
+    }
+    if (!iter.status().ok() && !iter.status().IsCorruption()) {
+      return "scan: " + iter.status().ToString();
+    }
+    for (const auto& [ikey, value] : entries_) {
+      std::string found_key, found_value;
+      const Status s = table->InternalGet(ikey, &found_key, &found_value);
+      if (s.ok() && (found_key != ikey || found_value != value)) {
+        return "get: wrong entry";
+      }
+      if (!s.ok() && !s.IsCorruption()) return "get: " + s.ToString();
+    }
+    return "";
+  }
+
+  std::map<std::string, std::string> entries_;
+  std::string contents_;
+};
+
+TEST_F(TableCorruptionTest, IntactTableReadsBack) {
+  EXPECT_EQ(Check(contents_), "");
+  // Several data blocks, so a damaged block leaves others readable.
+  EXPECT_GT(contents_.size(), 4 * 128u);
+}
+
+TEST_F(TableCorruptionTest, EveryTruncationIsCorruption) {
+  for (size_t len = 0; len < contents_.size(); ++len) {
+    std::unique_ptr<Table> table;
+    const Status s = OpenTable(contents_.substr(0, len), &table);
+    EXPECT_TRUE(s.IsCorruption()) << "length " << len << ": " << s.ToString();
+  }
+}
+
+TEST_F(TableCorruptionTest, EverySingleBitFlipReadsBackOrIsCorruption) {
+  int failures = 0;
+  std::string first;
+  for (size_t bit = 0; bit < contents_.size() * 8; ++bit) {
+    std::string flipped = contents_;
+    flipped[bit / 8] = static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+    const std::string problem = Check(flipped);
+    if (!problem.empty() && failures++ == 0) {
+      first = "bit " + std::to_string(bit) + ": " + problem;
+    }
+  }
+  EXPECT_EQ(failures, 0) << "first: " << first;
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the full LSM store: put/get/delete, column families, flush,
-// compaction, recovery, checkpoints and iterators.
+// compaction, recovery, checkpoints and corruption handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -49,6 +50,40 @@ class DBTest : public ::testing::Test {
     return value;
   }
 
+  // The database's table files, oldest first.
+  std::vector<std::string> TableFiles() {
+    std::vector<std::string> children;
+    EXPECT_TRUE(Env::Default()->ListDir(dir_, &children).ok());
+    std::vector<std::string> tables;
+    for (const auto& child : children) {
+      if (child.size() > 4 &&
+          child.compare(child.size() - 4, 4, ".sst") == 0) {
+        tables.push_back(dir_ + "/" + child);
+      }
+    }
+    std::sort(tables.begin(), tables.end());
+    return tables;
+  }
+
+  // Entries per user key across every table file.
+  std::map<std::string, int> VersionsInTables() {
+    std::map<std::string, int> versions;
+    for (const auto& path : TableFiles()) {
+      std::unique_ptr<RandomAccessFile> file;
+      EXPECT_TRUE(Env::Default()->NewRandomAccessFile(path, &file).ok());
+      std::unique_ptr<Table> table;
+      EXPECT_TRUE(Table::Open(std::move(file), &table).ok()) << path;
+      if (table == nullptr) continue;
+      Table::Iterator iter(table.get());
+      for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
+        ++versions[ExtractUserKey(iter.key()).ToString()];
+      }
+      EXPECT_TRUE(iter.status().ok()) << path << ": "
+                                      << iter.status().ToString();
+    }
+    return versions;
+  }
+
   DBOptions options_;
   std::string dir_;
   std::unique_ptr<DB> db_;
@@ -90,14 +125,13 @@ TEST_F(DBTest, ColumnFamiliesAreIsolated) {
   EXPECT_TRUE(db_->FindColumnFamily("nope").status().IsNotFound());
 }
 
-TEST_F(DBTest, WriteBatchIsAtomicallyVisible) {
-  WriteBatch batch;
-  batch.Put(0, "a", "1");
-  batch.Put(0, "b", "2");
-  batch.Delete(0, "a");
-  ASSERT_TRUE(db_->Write(&batch).ok());
-  EXPECT_EQ(Get(0, "a"), "NOT_FOUND");
-  EXPECT_EQ(Get(0, "b"), "2");
+TEST_F(DBTest, UnknownColumnFamilyIsInvalidArgument) {
+  constexpr uint32_t kUnknown = 77;
+  std::string value;
+  EXPECT_TRUE(db_->Put(kUnknown, "k", "v").IsInvalidArgument());
+  EXPECT_TRUE(db_->Delete(kUnknown, "k").IsInvalidArgument());
+  EXPECT_TRUE(db_->Get(kUnknown, "k", &value).IsInvalidArgument());
+  EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
 }
 
 TEST_F(DBTest, SurvivesFlushAndCompaction) {
@@ -289,76 +323,68 @@ TEST_F(DBTest, CorruptManifestFailsOpen) {
   ASSERT_TRUE(DestroyDB(work_dir).ok());
 }
 
-TEST_F(DBTest, IteratorSkipsTombstonesAndOldVersions) {
-  ASSERT_TRUE(db_->Put(0, "a", "1").ok());
-  ASSERT_TRUE(db_->Put(0, "b", "old").ok());
-  ASSERT_TRUE(db_->Flush().ok());
-  ASSERT_TRUE(db_->Put(0, "b", "new").ok());
-  ASSERT_TRUE(db_->Put(0, "c", "3").ok());
-  ASSERT_TRUE(db_->Delete(0, "a").ok());
-
-  auto iter = db_->NewIterator(0);
-  std::string scanned;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-    scanned += iter->key().ToString() + "=" + iter->value().ToString() + ";";
-  }
-  EXPECT_EQ(scanned, "b=new;c=3;");
-}
-
-TEST_F(DBTest, IteratorSeekPositionsAtLowerBound) {
-  for (int i = 0; i < 100; i += 2) {
-    char key[16];
-    snprintf(key, sizeof(key), "k%03d", i);
-    ASSERT_TRUE(db_->Put(0, key, std::to_string(i)).ok());
-  }
-  auto iter = db_->NewIterator(0);
-  iter->Seek("k051");  // Odd: between k050 and k052.
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "k052");
-  iter->Seek("k050");
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "k050");
-  iter->Seek("k999");
-  EXPECT_FALSE(iter->Valid());
-}
-
-TEST_F(DBTest, IteratorStaysReadableAcrossFlushAndCompaction) {
-  // Half the scanned keys in a table, half in the memtable.
-  for (int i = 0; i < 100; ++i) {
-    char key[16];
-    snprintf(key, sizeof(key), "a%03d", i);
-    ASSERT_TRUE(db_->Put(0, key, "v" + std::to_string(i)).ok());
-    if (i == 49) {
-      ASSERT_TRUE(db_->Flush().ok());
+// A data block that fails its checksum during compaction fails the
+// compaction: the inputs and the manifest stay, so every key of the
+// damaged table still answers its value or Corruption, never NotFound.
+TEST_F(DBTest, CompactionOfACorruptBlockKeepsItsInputs) {
+  auto key = [](int table, int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "t%d-key%04d", table, i);
+    return std::string(buf);
+  };
+  auto value = [](int table, int i) {
+    return "value-" + std::to_string(table) + "-" + std::to_string(i) +
+           std::string(24, 'x');
+  };
+  constexpr int kKeys = 300;
+  options_.write_buffer_size = DBOptions().write_buffer_size;  // Flush below.
+  Reopen();
+  for (int table = 0; table < 3; ++table) {
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(db_->Put(0, key(table, i), value(table, i)).ok());
     }
+    ASSERT_TRUE(db_->Flush().ok());
   }
-  auto iter = db_->NewIterator(0);
-  iter->SeekToFirst();
+  db_.reset();
 
-  // Writes past the iterator's keys that flush its memtable many times
-  // over and compact its table away.
-  const std::string big(1024, 'x');
-  for (int i = 0; i < 3000; ++i) {
-    char key[16];
-    snprintf(key, sizeof(key), "z%04d", i);
-    ASSERT_TRUE(db_->Put(0, key, big).ok());
-  }
-  int deeper_files = 0;
-  const auto stats = db_->GetLevelStats(0);
-  for (size_t level = 1; level < stats.size(); ++level) {
-    deeper_files += stats[level].num_files;
-  }
-  EXPECT_GT(deeper_files, 0);
+  const std::vector<std::string> tables = TableFiles();
+  ASSERT_EQ(tables.size(), 3u);
+  Env* env = Env::Default();
+  std::string contents;
+  ASSERT_TRUE(ReadFileToString(env, tables[0], &contents).ok());
+  contents[16] = static_cast<char>(contents[16] ^ 0x40);  // First block.
+  ASSERT_TRUE(WriteStringToFile(env, contents, tables[0]).ok());
+  Open();
+  std::string got;
+  EXPECT_TRUE(db_->Get(0, key(0, 0), &got).IsCorruption());
 
-  int scanned = 0;
-  for (; iter->Valid(); iter->Next()) {
-    char key[16];
-    snprintf(key, sizeof(key), "a%03d", scanned);
-    ASSERT_EQ(iter->key().ToString(), key);
-    ASSERT_EQ(iter->value().ToString(), "v" + std::to_string(scanned));
-    ++scanned;
+  // The fourth L0 table triggers the compaction that reads the block.
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(db_->Put(0, key(3, i), value(3, i)).ok());
   }
-  EXPECT_EQ(scanned, 100);
+  EXPECT_TRUE(db_->Flush().IsCorruption());
+  EXPECT_EQ(db_->GetLevelStats(0)[0].num_files, 4);
+
+  for (bool reopened : {false, true}) {
+    int corrupt = 0;
+    for (int table = 0; table < 4; ++table) {
+      for (int i = 0; i < kKeys; ++i) {
+        const Status s = db_->Get(0, key(table, i), &got);
+        if (table == 0 && s.IsCorruption()) {
+          ++corrupt;
+          continue;
+        }
+        ASSERT_TRUE(s.ok()) << key(table, i) << " reopened=" << reopened
+                            << ": " << s.ToString();
+        EXPECT_EQ(got, value(table, i));
+      }
+    }
+    EXPECT_GT(corrupt, 0);
+    EXPECT_LT(corrupt, kKeys);
+    // The failed compaction left the manifest as it was.
+    db_.reset();
+    Open();
+  }
 }
 
 TEST_F(DBTest, LargeValuesRoundTrip) {
@@ -393,10 +419,11 @@ TEST_F(DBTest, OverwriteKeepsOneEntryWithTheNewestValue) {
     ASSERT_TRUE(db_->Put(0, "k", "v" + std::to_string(i)).ok());
   }
   EXPECT_EQ(Get(0, "k"), "v99");
-  auto iter = db_->NewIterator(0);
-  int entries = 0;
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) ++entries;
-  EXPECT_EQ(entries, 1);
+  ASSERT_TRUE(db_->Flush().ok());
+  EXPECT_EQ(Get(0, "k"), "v99");
+  const std::map<std::string, int> versions = VersionsInTables();
+  ASSERT_EQ(versions.size(), 1u);
+  EXPECT_EQ(versions.at("k"), 1);
 }
 
 TEST_F(DBTest, DeletedThenPutAgainReadsTheNewValue) {
@@ -414,9 +441,6 @@ TEST_F(DBTest, MemtableTombstoneShadowsAnOlderTable) {
   ASSERT_TRUE(db_->Flush().ok());
   ASSERT_TRUE(db_->Delete(0, "k").ok());
   EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
-  auto iter = db_->NewIterator(0);
-  iter->SeekToFirst();
-  EXPECT_FALSE(iter->Valid());
   // The flushed tombstone still shadows the older table.
   ASSERT_TRUE(db_->Flush().ok());
   EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
@@ -443,27 +467,6 @@ TEST(MemTableOneEntryTest, IteratorYieldsUserKeysInOrderWithNewestTag) {
                    : "=" + iter.value().ToString() + ";";
   }
   EXPECT_EQ(scanned, "a@5D;b@4=b2;c@6=c2;");
-
-  std::string target;
-  AppendInternalKey(&target, "b", kMaxSequenceNumber, kTypeValue);
-  iter.Seek(target);
-  ASSERT_TRUE(iter.Valid());
-  EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "b");
-  // b@4 is newer than the target b@3, so it sorts before it.
-  target.clear();
-  AppendInternalKey(&target, "b", 3, kTypeValue);
-  iter.Seek(target);
-  ASSERT_TRUE(iter.Valid());
-  EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "c");
-  target.clear();
-  AppendInternalKey(&target, "bb", kMaxSequenceNumber, kTypeValue);
-  iter.Seek(target);
-  ASSERT_TRUE(iter.Valid());
-  EXPECT_EQ(ExtractUserKey(iter.internal_key()).ToString(), "c");
-  target.clear();
-  AppendInternalKey(&target, "d", kMaxSequenceNumber, kTypeValue);
-  iter.Seek(target);
-  EXPECT_FALSE(iter.Valid());
 }
 
 TEST(MemTableOneEntryTest, MemoryGrowsWithDistinctKeysNotOverwrites) {
@@ -499,25 +502,7 @@ TEST_F(DBTest, FlushedTableHoldsOneEntryPerKey) {
   ASSERT_TRUE(db_->Delete(0, "key3").ok());
   ASSERT_TRUE(db_->Flush().ok());
 
-  Env* env = Env::Default();
-  std::vector<std::string> children;
-  ASSERT_TRUE(env->ListDir(dir_, &children).ok());
-  std::vector<std::string> tables;
-  for (const auto& child : children) {
-    if (child.size() > 4 && child.compare(child.size() - 4, 4, ".sst") == 0) {
-      tables.push_back(child);
-    }
-  }
-  ASSERT_EQ(tables.size(), 1u);
-  std::unique_ptr<RandomAccessFile> file;
-  ASSERT_TRUE(env->NewRandomAccessFile(dir_ + "/" + tables[0], &file).ok());
-  std::unique_ptr<Table> table;
-  ASSERT_TRUE(Table::Open(std::move(file), &table).ok());
-  Table::Iterator iter(table.get());
-  std::map<std::string, int> versions;
-  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
-    ++versions[ExtractUserKey(iter.key()).ToString()];
-  }
+  const std::map<std::string, int> versions = VersionsInTables();
   ASSERT_EQ(versions.size(), 10u);  // The tombstone of key3 included.
   for (const auto& [key, count] : versions) EXPECT_EQ(count, 1) << key;
   EXPECT_EQ(Get(0, "key3"), "NOT_FOUND");
