@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the embedded LSM state store:
 // point writes, read-modify-write (the aggregation-update pattern, over
 // uniform and Zipf-skewed keys), point reads across levels, and
-// checkpointing.
+// checkpointing. Every call's status is checked, so a broken store
+// aborts the run instead of timing its error path.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_micro_main.h"
@@ -15,24 +16,48 @@ using namespace railgun::storage;
 
 namespace {
 
-std::unique_ptr<DB> OpenFresh(const std::string& dir) {
+constexpr size_t kLargeBuffer = 8 * 1024 * 1024;
+
+std::unique_ptr<DB> OpenFresh(const std::string& dir,
+                              size_t write_buffer_size) {
   (void)DestroyDB(dir);
   DBOptions options;
-  options.write_buffer_size = 8 * 1024 * 1024;
+  options.write_buffer_size = write_buffer_size;
   std::unique_ptr<DB> db;
-  if (!DB::Open(options, dir, &db).ok()) return nullptr;
+  RAILGUN_CHECK_OK(DB::Open(options, dir, &db));
   return db;
 }
 
+// Reads the key's state: true when found, false when absent. Any other
+// answer aborts.
+bool GetState(DB* db, const char* key, std::string* value) {
+  const Status s = db->Get(kDefaultColumnFamily, key, value);
+  if (!s.IsNotFound()) RAILGUN_CHECK_OK(s);
+  return s.ok();
+}
+
+// The aggregation update: read the key's sum, bump it, write it back.
+void ReadModifyWrite(DB* db, const char* key) {
+  std::string value;
+  double sum = 0;
+  if (GetState(db, key, &value)) {
+    Slice in(value);
+    RAILGUN_CHECK(GetDouble(&in, &sum));
+  }
+  value.clear();
+  PutDouble(&value, sum + 1.5);
+  RAILGUN_CHECK_OK(db->Put(kDefaultColumnFamily, key, value));
+}
+
 void BM_StateStorePut(benchmark::State& state) {
-  auto db = OpenFresh("/tmp/railgun-bench-micro-put");
+  auto db = OpenFresh("/tmp/railgun-bench-micro-put", kLargeBuffer);
   Random64 rng(1);
   char key[32];
   std::string value(static_cast<size_t>(state.range(0)), 'v');
   for (auto _ : state) {
     snprintf(key, sizeof(key), "m1|card%08llu",
              static_cast<unsigned long long>(rng.Uniform(100000)));
-    benchmark::DoNotOptimize(db->Put(0, key, value));
+    RAILGUN_CHECK_OK(db->Put(kDefaultColumnFamily, key, value));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -40,22 +65,13 @@ BENCHMARK(BM_StateStorePut)->Arg(16)->Arg(128);
 
 void BM_StateStoreReadModifyWrite(benchmark::State& state) {
   // The aggregation-update pattern: Get state, decode, bump, Put.
-  auto db = OpenFresh("/tmp/railgun-bench-micro-rmw");
+  auto db = OpenFresh("/tmp/railgun-bench-micro-rmw", kLargeBuffer);
   Random64 rng(2);
   char key[32];
   for (auto _ : state) {
     snprintf(key, sizeof(key), "m1|card%08llu",
              static_cast<unsigned long long>(rng.Uniform(50000)));
-    std::string value;
-    double sum = 0;
-    Status s = db->Get(0, key, &value);
-    if (s.ok()) {
-      Slice in(value);
-      GetDouble(&in, &sum);
-    }
-    value.clear();
-    PutDouble(&value, sum + 1.5);
-    benchmark::DoNotOptimize(db->Put(0, key, value));
+    ReadModifyWrite(db.get(), key);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -65,28 +81,14 @@ void BM_StateStoreZipfReadModifyWrite(benchmark::State& state) {
   // The engine's aggregation-state pattern: ~10k (metric, entity) keys,
   // Zipf-skewed, each read, bumped and written back many times, under
   // the default write buffer.
-  const std::string dir = "/tmp/railgun-bench-micro-zipf-rmw";
-  (void)DestroyDB(dir);
-  std::unique_ptr<DB> db;
-  if (!DB::Open(DBOptions(), dir, &db).ok()) {
-    state.SkipWithError("open failed");
-    return;
-  }
+  auto db = OpenFresh("/tmp/railgun-bench-micro-zipf-rmw",
+                      DBOptions().write_buffer_size);
   ZipfGenerator keys(10000, 0.99, 5);
   char key[32];
   for (auto _ : state) {
     snprintf(key, sizeof(key), "m1|card%08llu",
              static_cast<unsigned long long>(keys.Next()));
-    std::string value;
-    double sum = 0;
-    Status s = db->Get(0, key, &value);
-    if (s.ok()) {
-      Slice in(value);
-      GetDouble(&in, &sum);
-    }
-    value.clear();
-    PutDouble(&value, sum + 1.5);
-    benchmark::DoNotOptimize(db->Put(0, key, value));
+    ReadModifyWrite(db.get(), key);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -95,41 +97,41 @@ BENCHMARK(BM_StateStoreZipfReadModifyWrite);
 void BM_StateStoreGetAcrossLevels(benchmark::State& state) {
   static std::unique_ptr<DB> db;
   if (db == nullptr) {
-    (void)DestroyDB("/tmp/railgun-bench-micro-get");
-    DBOptions options;
-    options.write_buffer_size = 256 * 1024;  // Force many tables.
-    if (!DB::Open(options, "/tmp/railgun-bench-micro-get", &db).ok()) {
-      state.SkipWithError("open failed");
-      return;
-    }
+    // A small buffer forces many tables.
+    db = OpenFresh("/tmp/railgun-bench-micro-get", 256 * 1024);
     char key[32];
     for (int i = 0; i < 200000; ++i) {
       snprintf(key, sizeof(key), "k%08d", i);
-      RAILGUN_CHECK_OK(db->Put(0, key, "value-" + std::to_string(i)));
+      RAILGUN_CHECK_OK(db->Put(kDefaultColumnFamily, key,
+                               "value-" + std::to_string(i)));
     }
   }
   Random64 rng(3);
   char key[32];
+  char want[32];
+  std::string value;
   for (auto _ : state) {
-    snprintf(key, sizeof(key), "k%08llu",
-             static_cast<unsigned long long>(rng.Uniform(200000)));
-    std::string value;
-    benchmark::DoNotOptimize(db->Get(0, key, &value));
+    const auto i = static_cast<unsigned long long>(rng.Uniform(200000));
+    snprintf(key, sizeof(key), "k%08llu", i);
+    // Every key was written, so each read must find its value.
+    RAILGUN_CHECK(GetState(db.get(), key, &value));
+    snprintf(want, sizeof(want), "value-%llu", i);
+    RAILGUN_CHECK(value == want);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StateStoreGetAcrossLevels);
 
 void BM_StateStoreCheckpoint(benchmark::State& state) {
-  auto db = OpenFresh("/tmp/railgun-bench-micro-ckpt");
+  auto db = OpenFresh("/tmp/railgun-bench-micro-ckpt", kLargeBuffer);
   char key[32];
   for (int i = 0; i < 20000; ++i) {
     snprintf(key, sizeof(key), "k%08d", i);
-    RAILGUN_CHECK_OK(db->Put(0, key, "v"));
+    RAILGUN_CHECK_OK(db->Put(kDefaultColumnFamily, key, "v"));
   }
   int round = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(db->Checkpoint(
+    RAILGUN_CHECK_OK(db->Checkpoint(
         "/tmp/railgun-bench-micro-ckpt-out" + std::to_string(round++ % 2)));
   }
 }

@@ -83,14 +83,13 @@ void Block::Iter::Seek(const Slice& target) {
   if (num_restarts_ == 0) return;
   // Binary search over restart points for the last restart whose key is
   // < target.
-  const InternalKeyComparator cmp;
   uint32_t left = 0;
   uint32_t right = num_restarts_ - 1;
   while (left < right) {
     const uint32_t mid = (left + right + 1) / 2;
     SeekToRestartPoint(mid);
     if (!ParseNextEntry()) return;
-    if (cmp.Compare(Slice(key_), target) < 0) {
+    if (Slice(key_).compare(target) < 0) {
       left = mid;
     } else {
       right = mid - 1;
@@ -98,7 +97,7 @@ void Block::Iter::Seek(const Slice& target) {
   }
   SeekToRestartPoint(left);
   while (ParseNextEntry()) {
-    if (cmp.Compare(Slice(key_), target) >= 0) return;
+    if (Slice(key_).compare(target) >= 0) return;
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include "common/slice.h"
 #include "common/status.h"
-#include "storage/dbformat.h"
 
 namespace railgun::storage {
 
@@ -29,7 +28,7 @@ class Block {
 
     bool Valid() const { return current_ < restarts_offset_; }
     void SeekToFirst();
-    // Positions at the first entry with internal key >= target.
+    // Positions at the first entry whose key is >= target, bytewise.
     void Seek(const Slice& target);
     void Next();
     Slice key() const { return Slice(key_); }

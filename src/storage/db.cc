@@ -81,13 +81,12 @@ Status DB::Delete(uint32_t cf, const Slice& key) {
 
 Status DB::AddLocked(uint32_t cf, ValueType type, const Slice& key,
                      const Slice& value) {
+  if (!bg_error_.ok()) return bg_error_;
   auto it = mems_.find(cf);
   if (it == mems_.end()) {
     return Status::InvalidArgument("unknown column family");
   }
-  const SequenceNumber seq = versions_->last_sequence() + 1;
-  it->second->Add(seq, type, key, value);
-  versions_->SetLastSequence(seq);
+  it->second->Add(type, key, value);
   return MaybeScheduleFlush();
 }
 
@@ -106,65 +105,40 @@ Status DB::Get(uint32_t cf, const Slice& key, std::string* value) {
   if (it == mems_.end()) {
     return Status::InvalidArgument("unknown column family");
   }
-  bool is_deleted = false;
-  if (it->second->Get(key, value, &is_deleted)) {
-    return is_deleted ? Status::NotFound("") : Status::OK();
+  Lookup lookup = it->second->Get(key, value);
+  if (lookup == Lookup::kAbsent) {
+    RAILGUN_ASSIGN_OR_RETURN(lookup, GetFromTables(cf, key, value));
   }
-  RAILGUN_ASSIGN_OR_RETURN(
-      const Lookup lookup,
-      GetFromTables(cf, LookupKey(key, versions_->last_sequence()), value));
   return lookup == Lookup::kFound ? Status::OK() : Status::NotFound("");
 }
 
-StatusOr<DB::Lookup> DB::GetFromTables(uint32_t cf_id, const LookupKey& lkey,
-                                       std::string* value) {
+StatusOr<Lookup> DB::GetFromTables(uint32_t cf_id, const Slice& key,
+                                   std::string* value) {
   ColumnFamilyMeta* cf = versions_->GetFamily(cf_id);
   if (cf == nullptr) return Status::InvalidArgument("unknown column family");
 
-  const Slice user_key = lkey.user_key();
-
   auto check_file = [&](const FileMetaData& f) -> StatusOr<Lookup> {
-    // Quick range reject on user keys.
-    if (user_key.compare(ExtractUserKey(Slice(f.smallest))) < 0 ||
-        user_key.compare(ExtractUserKey(Slice(f.largest))) > 0) {
+    if (key.compare(f.smallest) < 0 || key.compare(f.largest) > 0) {
       return Lookup::kAbsent;
     }
     RAILGUN_ASSIGN_OR_RETURN(Table * table, GetTable(f.number));
-    std::string found_key, found_value;
-    Status s =
-        table->InternalGet(lkey.internal_key(), &found_key, &found_value);
-    if (s.IsNotFound()) return Lookup::kAbsent;
-    if (!s.ok()) return s;
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(Slice(found_key), &parsed)) {
-      return Status::Corruption("bad internal key in table");
-    }
-    if (parsed.user_key != user_key) return Lookup::kAbsent;
-    if (parsed.type == kTypeDeletion) return Lookup::kDeleted;
-    *value = std::move(found_value);
-    return Lookup::kFound;
+    return table->Get(key, value);
   };
 
-  // L0: newest file first (files may overlap).
-  std::vector<const FileMetaData*> l0;
-  for (const auto& f : cf->levels[0]) l0.push_back(&f);
-  std::sort(l0.begin(), l0.end(),
-            [](const FileMetaData* a, const FileMetaData* b) {
-              return a->number > b->number;
-            });
-  for (const FileMetaData* f : l0) {
-    RAILGUN_ASSIGN_OR_RETURN(Lookup lookup, check_file(*f));
+  // L0 files may overlap and are kept newest first.
+  for (const FileMetaData& f : cf->levels[0]) {
+    RAILGUN_ASSIGN_OR_RETURN(Lookup lookup, check_file(f));
     if (lookup != Lookup::kAbsent) return lookup;
   }
 
   // L1+: files are non-overlapping and sorted; binary search by range.
   for (int level = 1; level < kNumLevels; ++level) {
     const auto& files = cf->levels[level];
-    // Find the first file whose largest user key >= user_key.
+    // Find the first file whose largest key >= key.
     auto iter = std::lower_bound(
-        files.begin(), files.end(), user_key,
+        files.begin(), files.end(), key,
         [](const FileMetaData& f, const Slice& k) {
-          return ExtractUserKey(Slice(f.largest)).compare(k) < 0;
+          return Slice(f.largest).compare(k) < 0;
         });
     if (iter == files.end()) continue;
     RAILGUN_ASSIGN_OR_RETURN(Lookup lookup, check_file(*iter));
@@ -207,6 +181,7 @@ Status DB::Flush() {
 }
 
 Status DB::FlushLocked() {
+  if (!bg_error_.ok()) return bg_error_;
   bool any = false;
   for (auto& [id, mem] : mems_) {
     if (!mem->Empty()) {
@@ -222,8 +197,11 @@ Status DB::FlushLocked() {
     mem = std::make_unique<MemTable>();
   }
 
+  // A failed compaction is not retried: its inputs would fail again,
+  // and L0 would grow with every flush.
   for (auto& [id, mem] : mems_) {
-    RAILGUN_RETURN_IF_ERROR(MaybeCompact(id));
+    bg_error_ = MaybeCompact(id);
+    RAILGUN_RETURN_IF_ERROR(bg_error_);
   }
   return Status::OK();
 }
@@ -244,17 +222,10 @@ Status DB::FlushMemTable(uint32_t cf_id, MemTable* mem) {
   meta.number = file_number;
 
   MemTable::Iterator iter(mem);
-  iter.SeekToFirst();
-  bool first = true;
-  while (iter.Valid()) {
-    const Slice key = iter.internal_key();
-    if (first) {
-      meta.smallest = key.ToString();
-      first = false;
-    }
-    meta.largest = key.ToString();
-    builder.Add(key, iter.value());
-    iter.Next();
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
+    if (builder.NumEntries() == 0) meta.smallest = iter.key().ToString();
+    meta.largest = iter.key().ToString();
+    builder.Add(iter.key(), iter.type(), iter.value());
   }
   RAILGUN_RETURN_IF_ERROR(builder.Finish());
   RAILGUN_RETURN_IF_ERROR(file->Sync());
@@ -271,25 +242,18 @@ Status DB::MaybeCompact(uint32_t cf_id) {
 
     // L0 -> L1 when too many overlapping L0 files accumulate.
     if (cf->levels[0].size() >= kL0CompactionTrigger) {
+      // Newest first, which ranks them for the merge.
       std::vector<FileMetaData> l0_inputs = cf->levels[0];
       // All L1 files overlapping the union of L0 ranges participate.
-      std::string smallest, largest;
+      std::string smallest = l0_inputs[0].smallest;
+      std::string largest = l0_inputs[0].largest;
       for (const auto& f : l0_inputs) {
-        if (smallest.empty() ||
-            ExtractUserKey(Slice(f.smallest))
-                    .compare(ExtractUserKey(Slice(smallest))) < 0) {
-          smallest = f.smallest;
-        }
-        if (largest.empty() ||
-            ExtractUserKey(Slice(f.largest))
-                    .compare(ExtractUserKey(Slice(largest))) > 0) {
-          largest = f.largest;
-        }
+        smallest = std::min(smallest, f.smallest);
+        largest = std::max(largest, f.largest);
       }
       std::vector<FileMetaData> l1_inputs;
-      for (const FileMetaData* f : cf->OverlappingFiles(
-               1, ExtractUserKey(Slice(smallest)),
-               ExtractUserKey(Slice(largest)))) {
+      for (const FileMetaData* f :
+           cf->OverlappingFiles(1, smallest, largest)) {
         l1_inputs.push_back(*f);
       }
       RAILGUN_RETURN_IF_ERROR(CompactRange(cf_id, 0, l0_inputs, l1_inputs));
@@ -304,8 +268,7 @@ Status DB::MaybeCompact(uint32_t cf_id) {
         const FileMetaData input = cf->levels[level][0];
         std::vector<FileMetaData> next_inputs;
         for (const FileMetaData* f : cf->OverlappingFiles(
-                 level + 1, ExtractUserKey(Slice(input.smallest)),
-                 ExtractUserKey(Slice(input.largest)))) {
+                 level + 1, input.smallest, input.largest)) {
           next_inputs.push_back(*f);
         }
         RAILGUN_RETURN_IF_ERROR(
@@ -344,19 +307,20 @@ Status DB::CompactRange(uint32_t cf_id, int level,
     }
   }
 
-  const InternalKeyComparator icmp;
+  // The smallest key; on a tie the first-ranked input, which holds the
+  // newest copy.
   auto pick_min = [&]() -> Table::Iterator* {
     Table::Iterator* best = nullptr;
     for (auto& it : iters) {
       if (!it->Valid()) continue;
-      if (best == nullptr || icmp.Compare(it->key(), best->key()) < 0) {
+      if (best == nullptr || it->key().compare(best->key()) < 0) {
         best = it.get();
       }
     }
     return best;
   };
 
-  // Merge, keeping the newest version of each user key.
+  // Merge, keeping the newest copy of each key.
   std::vector<FileMetaData> outputs;
   std::unique_ptr<WritableFile> out_file;
   std::unique_ptr<TableBuilder> builder;
@@ -396,28 +360,20 @@ Status DB::CompactRange(uint32_t cf_id, int level,
     return Status::OK();
   };
 
-  std::string last_user_key;
+  std::string last_key;
   bool has_last = false;
   while (Table::Iterator* it = pick_min()) {
-    const Slice ikey = it->key();
-    ParsedInternalKey parsed;
-    if (!ParseInternalKey(ikey, &parsed)) {
-      return Status::Corruption("bad key during compaction");
-    }
-    const bool shadowed =
-        has_last && parsed.user_key == Slice(last_user_key);
+    const Slice key = it->key();
+    const bool shadowed = has_last && key == Slice(last_key);
     if (!shadowed) {
-      last_user_key.assign(parsed.user_key.data(), parsed.user_key.size());
+      last_key.assign(key.data(), key.size());
       has_last = true;
-      const bool drop_tombstone =
-          parsed.type == kTypeDeletion && !deeper_data;
+      const bool drop_tombstone = it->type() == kTypeDeletion && !deeper_data;
       if (!drop_tombstone) {
         if (builder == nullptr) RAILGUN_RETURN_IF_ERROR(open_output());
-        if (current_out.smallest.empty()) {
-          current_out.smallest = ikey.ToString();
-        }
-        current_out.largest = ikey.ToString();
-        builder->Add(ikey, it->value());
+        if (builder->NumEntries() == 0) current_out.smallest = key.ToString();
+        current_out.largest = key.ToString();
+        builder->Add(key, it->type(), it->value());
         if (builder->FileSize() >= options_.target_file_size) {
           RAILGUN_RETURN_IF_ERROR(close_output());
         }
@@ -425,8 +381,9 @@ Status DB::CompactRange(uint32_t cf_id, int level,
     }
     it->Next();
   }
-  // An input whose block read failed ended early: installing the merge
-  // would lose that block's keys, so the inputs and the manifest stay.
+  // An input whose block read or entry decode failed ended early:
+  // installing the merge would lose that block's keys, so the inputs and
+  // the manifest stay.
   for (const auto& it : iters) {
     if (!it->status().ok()) {
       if (out_file != nullptr) (void)out_file->Close();

@@ -4,6 +4,15 @@
 // key, so the API is Put/Delete/Get per key, with no write batches and
 // no scans.
 //
+// One entry per user key, in memory and on disk: a write replaces the
+// key's memtable entry, and a table entry is the user key plus a value
+// whose first byte is its type (dbformat.h). No entry carries a sequence
+// number; the newest copy of a key is the first one found in the order
+// memtable, L0 newest first, L1, L2, ... (version.h).
+//
+// The first compaction error is kept: every later write, flush or
+// checkpoint returns it without touching the files, while reads go on.
+//
 // Concurrency model: a coarse mutex guards all state. Flushes and
 // compactions run synchronously on the writing thread — Railgun task
 // processors are single-threaded by design (paper §3.2), so background
@@ -55,14 +64,14 @@ class DB {
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
 
-  // Each write takes one sequence number and replaces the key's entry in
-  // the family's memtable. An unknown column family answers
-  // InvalidArgument.
+  // Each write replaces the key's entry in the family's memtable. An
+  // unknown column family answers InvalidArgument.
   Status Put(uint32_t cf, const Slice& key, const Slice& value);
   Status Delete(uint32_t cf, const Slice& key);
   // Reads always see the newest write: the store keeps no snapshots, so
   // the memtable holds one entry per key and a flush writes one entry
-  // per key. NotFound for an absent or deleted key.
+  // per key. NotFound for an absent or deleted key. Reads keep answering
+  // after a compaction error.
   Status Get(uint32_t cf, const Slice& key, std::string* value);
 
   // Column families.
@@ -99,14 +108,15 @@ class DB {
   Status FlushLocked() REQUIRES(mu_);
   Status FlushMemTable(uint32_t cf_id, MemTable* mem);
   Status MaybeCompact(uint32_t cf_id);
+  // Merges the inputs into level + 1. Each key keeps the copy of the
+  // first-ranked input holding it: inputs_level in order (L0 newest
+  // first), then inputs_next.
   Status CompactRange(uint32_t cf_id, int level,
                       const std::vector<FileMetaData>& inputs_level,
                       const std::vector<FileMetaData>& inputs_next);
   // The table stays owned by table_cache_ until its file is removed.
   StatusOr<Table*> GetTable(uint64_t file_number);
-  // Outcome of a lookup past the memtable.
-  enum class Lookup { kFound, kDeleted, kAbsent };
-  StatusOr<Lookup> GetFromTables(uint32_t cf_id, const LookupKey& lkey,
+  StatusOr<Lookup> GetFromTables(uint32_t cf_id, const Slice& key,
                                  std::string* value);
   void RemoveObsoleteFiles();
 
@@ -118,6 +128,8 @@ class DB {
   std::map<uint32_t, std::unique_ptr<MemTable>> mems_ GUARDED_BY(mu_);
   std::unique_ptr<VersionSet> versions_ GUARDED_BY(mu_);
   std::map<uint64_t, std::unique_ptr<Table>> table_cache_ GUARDED_BY(mu_);
+  // The first compaction error; once set, writes and flushes return it.
+  Status bg_error_ GUARDED_BY(mu_);
 };
 
 // Removes the database directory and all its contents.

@@ -1,88 +1,41 @@
-// Internal key format of the LSM store. An internal key is the user key
-// followed by an 8-byte tag packing (sequence << 8 | value_type). Keys
-// order by user key ascending, then by sequence descending so the newest
-// version of a key is seen first.
+// Entry format of the LSM store. Memtables and tables hold one entry per
+// user key: the key itself, and a value whose first byte is the entry's
+// type (a value or a tombstone). Entries carry no sequence number: which
+// copy of a key is newest follows from where it lives — the memtable,
+// then L0 tables newest first, then each deeper level in turn.
 #ifndef RAILGUN_STORAGE_DBFORMAT_H_
 #define RAILGUN_STORAGE_DBFORMAT_H_
 
 #include <cstdint>
-#include <string>
 
-#include "common/coding.h"
 #include "common/slice.h"
+#include "common/status.h"
 
 namespace railgun::storage {
-
-using SequenceNumber = uint64_t;
 
 enum ValueType : uint8_t {
   kTypeDeletion = 0,
   kTypeValue = 1,
 };
 
-constexpr SequenceNumber kMaxSequenceNumber = (uint64_t{1} << 56) - 1;
-
-inline uint64_t PackSequenceAndType(SequenceNumber seq, ValueType t) {
-  return (seq << 8) | t;
-}
-
-inline void AppendInternalKey(std::string* result, const Slice& user_key,
-                              SequenceNumber seq, ValueType t) {
-  result->append(user_key.data(), user_key.size());
-  PutFixed64(result, PackSequenceAndType(seq, t));
-}
-
-// Parsed view over an internal key.
-struct ParsedInternalKey {
-  Slice user_key;
-  SequenceNumber sequence = 0;
-  ValueType type = kTypeValue;
-};
-
-inline bool ParseInternalKey(const Slice& internal_key,
-                             ParsedInternalKey* result) {
-  if (internal_key.size() < 8) return false;
-  const uint64_t tag = DecodeFixed64(internal_key.data() +
-                                     internal_key.size() - 8);
-  result->user_key = Slice(internal_key.data(), internal_key.size() - 8);
-  result->sequence = tag >> 8;
-  result->type = static_cast<ValueType>(tag & 0xff);
-  return result->type <= kTypeValue;
-}
-
-inline Slice ExtractUserKey(const Slice& internal_key) {
-  return Slice(internal_key.data(), internal_key.size() - 8);
-}
-
-// Orders internal keys: user key ascending, then tag (sequence)
-// descending.
-struct InternalKeyComparator {
-  int Compare(const Slice& a, const Slice& b) const {
-    const int r = ExtractUserKey(a).compare(ExtractUserKey(b));
-    if (r != 0) return r;
-    const uint64_t atag = DecodeFixed64(a.data() + a.size() - 8);
-    const uint64_t btag = DecodeFixed64(b.data() + b.size() - 8);
-    if (atag > btag) return -1;
-    if (atag < btag) return +1;
-    return 0;
+// Splits a stored entry value into its type and the user value.
+// Corruption for an empty slot or a type byte that is neither a value nor
+// a tombstone.
+inline Status DecodeEntryValue(const Slice& stored, ValueType* type,
+                               Slice* value) {
+  if (stored.empty()) return Status::Corruption("empty entry value");
+  const uint8_t t = static_cast<uint8_t>(stored[0]);
+  if (t != kTypeDeletion && t != kTypeValue) {
+    return Status::Corruption("bad entry type");
   }
-  int operator()(const Slice& a, const Slice& b) const { return Compare(a, b); }
-};
+  *type = static_cast<ValueType>(t);
+  *value = Slice(stored.data() + 1, stored.size() - 1);
+  return Status::OK();
+}
 
-// A lookup key is the internal key that probes the tables for a user
-// key at a sequence.
-class LookupKey {
- public:
-  LookupKey(const Slice& user_key, SequenceNumber seq) {
-    AppendInternalKey(&rep_, user_key, seq, kTypeValue);
-  }
-
-  Slice internal_key() const { return Slice(rep_); }
-  Slice user_key() const { return ExtractUserKey(Slice(rep_)); }
-
- private:
-  std::string rep_;
-};
+// Outcome of a point lookup in one memtable or table, or below the
+// memtable.
+enum class Lookup { kFound, kDeleted, kAbsent };
 
 }  // namespace railgun::storage
 

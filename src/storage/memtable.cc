@@ -24,8 +24,7 @@ size_t MemTable::ApproximateMemoryUsage() const {
          index_.bucket_count() * sizeof(void*) + value_heap_bytes_;
 }
 
-void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
-                   const Slice& value) {
+void MemTable::Add(ValueType type, const Slice& key, const Slice& value) {
   auto it = index_.find(key.ToView());
   if (it == index_.end()) {
     char* bytes = arena_.Allocate(key.size() + 1);  // Never 0 bytes.
@@ -33,20 +32,19 @@ void MemTable::Add(SequenceNumber seq, ValueType type, const Slice& key,
     it = index_.emplace(std::string_view(bytes, key.size()), Slot()).first;
   }
   Slot& slot = it->second;
-  slot.tag = PackSequenceAndType(seq, type);
+  slot.type = type;
   value_heap_bytes_ -= HeapBytes(slot.value);
   slot.value.assign(value.data(), value.size());
   value_heap_bytes_ += HeapBytes(slot.value);
 }
 
-bool MemTable::Get(const Slice& user_key, std::string* found_value,
-                   bool* is_deleted) const {
-  auto it = index_.find(user_key.ToView());
-  if (it == index_.end()) return false;
+Lookup MemTable::Get(const Slice& key, std::string* value) const {
+  auto it = index_.find(key.ToView());
+  if (it == index_.end()) return Lookup::kAbsent;
   const Slot& slot = it->second;
-  *is_deleted = (slot.tag & 0xff) == kTypeDeletion;
-  if (!*is_deleted) *found_value = slot.value;
-  return true;
+  if (slot.type == kTypeDeletion) return Lookup::kDeleted;
+  *value = slot.value;
+  return Lookup::kFound;
 }
 
 MemTable::Iterator::Iterator(const MemTable* mem) {
@@ -57,13 +55,6 @@ MemTable::Iterator::Iterator(const MemTable* mem) {
               return a->first < b->first;
             });
   pos_ = entries_.size();
-}
-
-void MemTable::Iterator::Position(size_t pos) {
-  pos_ = pos;
-  if (!Valid()) return;
-  key_.assign(entries_[pos_]->first);
-  PutFixed64(&key_, entries_[pos_]->second.tag);
 }
 
 }  // namespace railgun::storage

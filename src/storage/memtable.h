@@ -3,10 +3,10 @@
 // write to a key already present replaces its entry in place. Keys are
 // sorted only when a flush iterates them.
 //
-// Keeping only the newest version is safe because the store has no
-// snapshots: reads are always at the newest sequence, and a flush only
-// wants the newest version of each key (a deletion stays as a
-// tombstone, which still shadows older tables).
+// Keeping only the newest write is safe because the store has no
+// snapshots: reads always want the newest state, and a flush only wants
+// the newest entry of each key (a deletion stays as a tombstone, which
+// still shadows older tables).
 #ifndef RAILGUN_STORAGE_MEMTABLE_H_
 #define RAILGUN_STORAGE_MEMTABLE_H_
 
@@ -28,13 +28,11 @@ class MemTable {
   MemTable& operator=(const MemTable&) = delete;
 
   // Replaces the key's entry (a deletion leaves a tombstone).
-  void Add(SequenceNumber seq, ValueType type, const Slice& key,
-           const Slice& value);
+  void Add(ValueType type, const Slice& key, const Slice& value);
 
-  // If the user key exists: returns true and sets *found_value /
-  // *is_deleted. Returns false if the memtable has no entry for the key.
-  bool Get(const Slice& user_key, std::string* found_value,
-           bool* is_deleted) const;
+  // kFound sets *value; kDeleted for a tombstone; kAbsent when the
+  // memtable has no entry for the key.
+  Lookup Get(const Slice& key, std::string* value) const;
 
   // Key bytes, index nodes and the value bytes held outside the strings'
   // inline buffers. It grows with distinct keys, not with overwrites, so
@@ -45,9 +43,9 @@ class MemTable {
   class Iterator;
 
  private:
-  // The newest version of one key: tag packs its (sequence, type).
+  // The newest write to one key.
   struct Slot {
-    uint64_t tag = 0;
+    ValueType type = kTypeValue;
     std::string value;
   };
   // Keys view their bytes in arena_, so a lookup needs no copy of the
@@ -60,25 +58,23 @@ class MemTable {
   size_t value_heap_bytes_ = 0;
 };
 
-// Iterates entries in internal-key order, one per user key, whose tag is
-// the newest (sequence, type) written to it. The key set is sorted at
-// construction, so the memtable must not change while it is in use.
+// Iterates entries in user-key order, one per key, holding the newest
+// write to it. The key set is sorted at construction, so the memtable
+// must not change while it is in use.
 class MemTable::Iterator {
  public:
   explicit Iterator(const MemTable* mem);
 
   bool Valid() const { return pos_ < entries_.size(); }
-  void SeekToFirst() { Position(0); }
-  void Next() { Position(pos_ + 1); }
-  Slice internal_key() const { return Slice(key_); }
+  void SeekToFirst() { pos_ = 0; }
+  void Next() { ++pos_; }
+  Slice key() const { return Slice(entries_[pos_]->first); }
+  ValueType type() const { return entries_[pos_]->second.type; }
   Slice value() const { return Slice(entries_[pos_]->second.value); }
 
  private:
-  void Position(size_t pos);
-
   std::vector<const Index::value_type*> entries_;
   size_t pos_ = 0;
-  std::string key_;  // Internal key of entries_[pos_].
 };
 
 }  // namespace railgun::storage

@@ -53,27 +53,30 @@ Status Table::ReadDataBlock(const Slice& index_value,
   return Status::OK();
 }
 
-Status Table::InternalGet(const Slice& target, std::string* found_internal_key,
-                          std::string* found_value) {
+StatusOr<Lookup> Table::Get(const Slice& key, std::string* value) {
   Block::Iter index_iter(index_block_.get());
-  index_iter.Seek(target);
+  index_iter.Seek(key);
   if (!index_iter.Valid()) {
     RAILGUN_RETURN_IF_ERROR(index_iter.status());
-    return Status::NotFound("past last block");
+    return Lookup::kAbsent;  // Past the last block.
   }
 
   std::shared_ptr<Block> block;
   RAILGUN_RETURN_IF_ERROR(ReadDataBlock(index_iter.value(), &block));
   Block::Iter data_iter(block.get());
-  data_iter.Seek(target);
+  data_iter.Seek(key);
   if (!data_iter.Valid()) {
     RAILGUN_RETURN_IF_ERROR(data_iter.status());
-    return Status::NotFound("past last entry");
+    return Lookup::kAbsent;
   }
+  if (data_iter.key() != key) return Lookup::kAbsent;
 
-  found_internal_key->assign(data_iter.key().data(), data_iter.key().size());
-  found_value->assign(data_iter.value().data(), data_iter.value().size());
-  return Status::OK();
+  ValueType type;
+  Slice found;
+  RAILGUN_RETURN_IF_ERROR(DecodeEntryValue(data_iter.value(), &type, &found));
+  if (type == kTypeDeletion) return Lookup::kDeleted;
+  value->assign(found.data(), found.size());
+  return Lookup::kFound;
 }
 
 Table::Iterator::Iterator(Table* table)
@@ -112,19 +115,23 @@ void Table::Iterator::SkipEmptyBlocks() {
   }
 }
 
+void Table::Iterator::Settle() {
+  SkipEmptyBlocks();
+  if (!Valid()) return;
+  status_ = DecodeEntryValue(data_iter_->value(), &type_, &value_);
+  if (!status_.ok()) data_iter_.reset();
+}
+
 void Table::Iterator::SeekToFirst() {
   index_iter_->SeekToFirst();
   InitDataBlock();
   if (data_iter_ != nullptr) data_iter_->SeekToFirst();
-  SkipEmptyBlocks();
+  Settle();
 }
 
 void Table::Iterator::Next() {
   if (data_iter_ != nullptr) data_iter_->Next();
-  SkipEmptyBlocks();
+  Settle();
 }
-
-Slice Table::Iterator::key() const { return data_iter_->key(); }
-Slice Table::Iterator::value() const { return data_iter_->value(); }
 
 }  // namespace railgun::storage

@@ -1,6 +1,9 @@
 // Read side of an SSTable: index lookup + block fetch with an LRU-free
 // simple per-table block cache (tables are small in the state store; the
 // index is kept resident and data blocks are cached by offset).
+//
+// A table holds one entry per user key, in bytewise key order; each
+// entry's value starts with its type byte (see dbformat.h).
 #ifndef RAILGUN_STORAGE_TABLE_H_
 #define RAILGUN_STORAGE_TABLE_H_
 
@@ -13,6 +16,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "storage/block.h"
+#include "storage/dbformat.h"
 #include "storage/table_format.h"
 
 namespace railgun::storage {
@@ -26,17 +30,14 @@ class Table {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  // Point lookup: copies out the first entry whose internal key is >=
-  // target; the caller checks its user key and type. Returns NotFound if
-  // the table has no such entry.
-  Status InternalGet(const Slice& target_internal_key,
-                     std::string* found_internal_key,
-                     std::string* found_value);
+  // Point lookup of a user key: kFound sets *value, kDeleted is a
+  // tombstone, kAbsent means the table holds no entry for the key.
+  StatusOr<Lookup> Get(const Slice& key, std::string* value);
 
-  // Forward iterator over all entries, in internal-key order. It stops
-  // at the first block that fails to read or decode, and status() then
-  // holds the error, so a scan that ends with an OK status saw every
-  // entry.
+  // Forward iterator over all entries, in key order. It stops at the
+  // first block that fails to read or decode, or at the first entry whose
+  // type is bad, and status() then holds the error, so a scan that ends
+  // with an OK status saw every entry.
   class Iterator {
    public:
     explicit Iterator(Table* table);
@@ -44,18 +45,24 @@ class Table {
     bool Valid() const;
     void SeekToFirst();
     void Next();
-    Slice key() const;
-    Slice value() const;
+    Slice key() const { return data_iter_->key(); }
+    ValueType type() const { return type_; }
+    // The user value; empty for a tombstone.
+    Slice value() const { return value_; }
     Status status() const { return status_; }
 
    private:
     void InitDataBlock();
     void SkipEmptyBlocks();
+    // Skips empty blocks, then decodes the entry it lands on.
+    void Settle();
 
     Table* table_;
     std::unique_ptr<Block::Iter> index_iter_;
     std::shared_ptr<Block> data_block_;
     std::unique_ptr<Block::Iter> data_iter_;
+    ValueType type_ = kTypeValue;
+    Slice value_;
     Status status_;
   };
 

@@ -10,7 +10,8 @@ TableBuilder::TableBuilder(const TableBuilderOptions& options,
                            WritableFile* file)
     : options_(options), file_(file) {}
 
-void TableBuilder::Add(const Slice& internal_key, const Slice& value) {
+void TableBuilder::Add(const Slice& key, ValueType type,
+                       const Slice& value) {
   if (!status_.ok()) return;
 
   if (pending_index_entry_) {
@@ -22,8 +23,10 @@ void TableBuilder::Add(const Slice& internal_key, const Slice& value) {
     pending_index_entry_ = false;
   }
 
-  last_key_.assign(internal_key.data(), internal_key.size());
-  data_block_.Add(internal_key, value);
+  last_key_.assign(key.data(), key.size());
+  entry_.assign(1, static_cast<char>(type));
+  entry_.append(value.data(), value.size());
+  data_block_.Add(key, Slice(entry_));
   ++num_entries_;
 
   if (data_block_.CurrentSizeEstimate() >= options_.block_size) {

@@ -1,4 +1,6 @@
-// Writes an SSTable file from keys added in sorted (internal-key) order.
+// Writes an SSTable file from user keys added in bytewise order, one
+// entry per key. An entry's stored value is its type byte followed by
+// the value.
 #ifndef RAILGUN_STORAGE_TABLE_BUILDER_H_
 #define RAILGUN_STORAGE_TABLE_BUILDER_H_
 
@@ -10,6 +12,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "storage/block_builder.h"
+#include "storage/dbformat.h"
 #include "storage/table_format.h"
 
 namespace railgun::storage {
@@ -26,8 +29,8 @@ class TableBuilder {
   TableBuilder(const TableBuilder&) = delete;
   TableBuilder& operator=(const TableBuilder&) = delete;
 
-  // REQUIRES: internal keys added in strictly increasing order.
-  void Add(const Slice& internal_key, const Slice& value);
+  // REQUIRES: keys added in strictly increasing order.
+  void Add(const Slice& key, ValueType type, const Slice& value);
 
   Status Finish();
 
@@ -47,6 +50,7 @@ class TableBuilder {
   BlockBuilder data_block_;
   BlockBuilder index_block_;
   std::string last_key_;
+  std::string entry_;  // Stored value of the entry being added.
   bool pending_index_entry_ = false;
   BlockHandle pending_handle_;
   std::string compress_buf_;

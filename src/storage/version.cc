@@ -9,6 +9,16 @@
 
 namespace railgun::storage {
 
+namespace {
+
+// Leads every manifest snapshot. The first layout had no format number:
+// it began with the next file number, which is at least 3, so a manifest
+// of that layout (internal keys with sequence numbers, and a last
+// sequence field) never reads as this one.
+constexpr uint32_t kManifestFormat = 2;
+
+}  // namespace
+
 std::string SstFileName(const std::string& dbname, uint64_t number) {
   char buf[32];
   snprintf(buf, sizeof(buf), "/%06" PRIu64 ".sst", number);
@@ -32,21 +42,13 @@ uint64_t ColumnFamilyMeta::LevelBytes(int level) const {
 }
 
 std::vector<const FileMetaData*> ColumnFamilyMeta::OverlappingFiles(
-    int level, const Slice& smallest_user_key,
-    const Slice& largest_user_key) const {
+    int level, const Slice& smallest, const Slice& largest) const {
   std::vector<const FileMetaData*> result;
   for (const auto& f : levels[level]) {
-    const Slice file_smallest = ExtractUserKey(Slice(f.smallest));
-    const Slice file_largest = ExtractUserKey(Slice(f.largest));
-    if (!smallest_user_key.empty() &&
-        file_largest.compare(smallest_user_key) < 0) {
-      continue;
+    if (Slice(f.largest).compare(smallest) >= 0 &&
+        Slice(f.smallest).compare(largest) <= 0) {
+      result.push_back(&f);
     }
-    if (!largest_user_key.empty() &&
-        file_smallest.compare(largest_user_key) > 0) {
-      continue;
-    }
-    result.push_back(&f);
   }
   return result;
 }
@@ -106,8 +108,8 @@ Status VersionSet::LogAndApply() {
 
 Status VersionSet::WriteSnapshot(uint64_t manifest_number) {
   std::string rep;
+  PutVarint32(&rep, kManifestFormat);
   PutVarint64(&rep, next_file_number_);
-  PutVarint64(&rep, last_sequence_);
   PutVarint32(&rep, next_cf_id_);
   PutVarint32(&rep, static_cast<uint32_t>(families_.size()));
   for (const auto& [id, cf] : families_) {
@@ -139,15 +141,16 @@ Status VersionSet::ReadSnapshot(const std::string& path) {
   }
   Slice input(rep.data(), body_size);
 
-  uint64_t last_seq;
+  uint32_t format;
+  if (!GetVarint32(&input, &format) || format != kManifestFormat) {
+    return Status::Corruption("unsupported manifest format");
+  }
   uint32_t num_families;
   if (!GetVarint64(&input, &next_file_number_) ||
-      !GetVarint64(&input, &last_seq) ||
       !GetVarint32(&input, &next_cf_id_) ||
       !GetVarint32(&input, &num_families)) {
     return Status::Corruption("bad manifest header");
   }
-  last_sequence_ = last_seq;
 
   families_.clear();
   for (uint32_t i = 0; i < num_families; ++i) {
@@ -211,16 +214,14 @@ const ColumnFamilyMeta* VersionSet::FindFamilyByName(
 }
 
 void VersionSet::AddFile(uint32_t cf_id, int level, FileMetaData meta) {
-  auto* cf = GetFamily(cf_id);
-  cf->levels[level].push_back(std::move(meta));
-  if (level > 0) {
-    // Non-L0 levels stay sorted by smallest key and non-overlapping.
-    std::sort(cf->levels[level].begin(), cf->levels[level].end(),
-              [](const FileMetaData& a, const FileMetaData& b) {
-                return InternalKeyComparator().Compare(
-                           Slice(a.smallest), Slice(b.smallest)) < 0;
-              });
-  }
+  auto& files = GetFamily(cf_id)->levels[level];
+  files.push_back(std::move(meta));
+  std::sort(files.begin(), files.end(),
+            [level](const FileMetaData& a, const FileMetaData& b) {
+              return level == 0
+                         ? a.number > b.number
+                         : Slice(a.smallest).compare(b.smallest) < 0;
+            });
 }
 
 void VersionSet::RemoveFile(uint32_t cf_id, int level, uint64_t number) {

@@ -18,6 +18,7 @@
 
 #include "api/client.h"
 #include "common/clock.h"
+#include "common/coding.h"
 #include "engine/cluster.h"
 #include "meta/broker.h"
 #include "msg/broker.h"

@@ -1,13 +1,15 @@
 // Unit tests for the LSM store's internal layers: arena, memtable,
-// internal keys, blocks and tables.
+// entry values, blocks and tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/arena.h"
+#include "common/coding.h"
 #include "common/env.h"
 #include "storage/block.h"
 #include "storage/block_builder.h"
@@ -40,48 +42,44 @@ TEST(ArenaTest, AlignedAllocations) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % sizeof(void*), 0u);
 }
 
-TEST(DbFormatTest, InternalKeyOrdering) {
-  // Same user key: higher sequence sorts first.
-  std::string k1, k2, k3;
-  AppendInternalKey(&k1, "apple", 10, kTypeValue);
-  AppendInternalKey(&k2, "apple", 5, kTypeValue);
-  AppendInternalKey(&k3, "banana", 1, kTypeValue);
-  InternalKeyComparator cmp;
-  EXPECT_LT(cmp.Compare(k1, k2), 0);
-  EXPECT_LT(cmp.Compare(k2, k3), 0);
-  EXPECT_GT(cmp.Compare(k3, k1), 0);
+TEST(DbFormatTest, DecodesValuesAndTombstones) {
+  ValueType type;
+  Slice value;
+  ASSERT_TRUE(DecodeEntryValue(Slice("\x01payload", 8), &type, &value).ok());
+  EXPECT_EQ(type, kTypeValue);
+  EXPECT_EQ(value.ToString(), "payload");
+  ASSERT_TRUE(DecodeEntryValue(Slice("\x00", 1), &type, &value).ok());
+  EXPECT_EQ(type, kTypeDeletion);
+  EXPECT_TRUE(value.empty());
 }
 
-TEST(DbFormatTest, ParseRoundTrip) {
-  std::string key;
-  AppendInternalKey(&key, "user_key", 42, kTypeDeletion);
-  ParsedInternalKey parsed;
-  ASSERT_TRUE(ParseInternalKey(key, &parsed));
-  EXPECT_EQ(parsed.user_key.ToString(), "user_key");
-  EXPECT_EQ(parsed.sequence, 42u);
-  EXPECT_EQ(parsed.type, kTypeDeletion);
+TEST(DbFormatTest, EmptySlotAndBadTypeAreCorruption) {
+  ValueType type;
+  Slice value;
+  EXPECT_TRUE(DecodeEntryValue(Slice(), &type, &value).IsCorruption());
+  for (const char bad : {'\x02', '\x7f', '\xff'}) {
+    const std::string stored = std::string(1, bad) + "v";
+    EXPECT_TRUE(DecodeEntryValue(stored, &type, &value).IsCorruption())
+        << static_cast<int>(bad);
+  }
 }
 
-TEST(MemTableTest, AddGetWithVersions) {
+TEST(MemTableTest, AddGetKeepsTheNewestWrite) {
   MemTable mem;
   EXPECT_TRUE(mem.Empty());
-  mem.Add(1, kTypeValue, "k", "v1");
-  mem.Add(2, kTypeValue, "k", "v2");
+  mem.Add(kTypeValue, "k", "v1");
+  mem.Add(kTypeValue, "k", "v2");
   EXPECT_FALSE(mem.Empty());
 
   std::string value;
-  bool deleted = false;
-  // The memtable keeps the newest version only (the store reads at the
-  // newest sequence).
-  ASSERT_TRUE(mem.Get("k", &value, &deleted));
-  EXPECT_FALSE(deleted);
+  // The memtable keeps the newest write only (the store has no
+  // snapshots).
+  ASSERT_EQ(mem.Get("k", &value), Lookup::kFound);
   EXPECT_EQ(value, "v2");
 
-  mem.Add(3, kTypeDeletion, "k", "");
-  ASSERT_TRUE(mem.Get("k", &value, &deleted));
-  EXPECT_TRUE(deleted);
-
-  EXPECT_FALSE(mem.Get("other", &value, &deleted));
+  mem.Add(kTypeDeletion, "k", "");
+  EXPECT_EQ(mem.Get("k", &value), Lookup::kDeleted);
+  EXPECT_EQ(mem.Get("other", &value), Lookup::kAbsent);
 }
 
 TEST(BlockTest, BuildAndIterate) {
@@ -90,10 +88,8 @@ TEST(BlockTest, BuildAndIterate) {
   for (int i = 0; i < 200; ++i) {
     char key[32];
     snprintf(key, sizeof(key), "key%06d", i);
-    std::string ikey;
-    AppendInternalKey(&ikey, key, 1, kTypeValue);
-    builder.Add(ikey, "value" + std::to_string(i));
-    entries[ikey] = "value" + std::to_string(i);
+    builder.Add(key, "value" + std::to_string(i));
+    entries[key] = "value" + std::to_string(i);
   }
   Block block(builder.Finish().ToString());
   Block::Iter iter(&block);
@@ -110,15 +106,11 @@ TEST(BlockTest, BuildAndIterate) {
   EXPECT_EQ(expected, entries.end());
 
   // Seek to an existing key and to a key between entries.
-  std::string target;
-  AppendInternalKey(&target, "key000100", 1, kTypeValue);
-  iter.Seek(target);
+  iter.Seek("key000100");
   ASSERT_TRUE(iter.Valid());
   EXPECT_EQ(iter.value().ToString(), "value100");
 
-  std::string between;
-  AppendInternalKey(&between, "key0000995", kMaxSequenceNumber, kTypeValue);
-  iter.Seek(between);
+  iter.Seek("key0000995");
   ASSERT_TRUE(iter.Valid());
   EXPECT_EQ(iter.value().ToString(), "value100");  // First key >= target.
 }
@@ -150,11 +142,9 @@ TEST(TableTest, BuildWriteReadBack) {
     for (int i = 0; i < 1000; ++i) {
       char key[32];
       snprintf(key, sizeof(key), "key%06d", i);
-      std::string ikey;
-      AppendInternalKey(&ikey, key, 7, kTypeValue);
       const std::string value = "payload-" + std::to_string(i * 3);
-      builder.Add(ikey, value);
-      entries[ikey] = value;
+      builder.Add(key, kTypeValue, value);
+      entries[key] = value;
     }
     ASSERT_TRUE(builder.Finish().ok());
     EXPECT_EQ(builder.NumEntries(), 1000u);
@@ -166,15 +156,21 @@ TEST(TableTest, BuildWriteReadBack) {
   std::unique_ptr<Table> table;
   ASSERT_TRUE(Table::Open(std::move(file), &table).ok());
 
-  // Point lookups.
+  // Point lookups, including keys before, between and after entries.
   for (int i : {0, 1, 499, 998, 999}) {
     char key[32];
     snprintf(key, sizeof(key), "key%06d", i);
-    std::string target;
-    AppendInternalKey(&target, key, kMaxSequenceNumber, kTypeValue);
-    std::string found_key, found_value;
-    ASSERT_TRUE(table->InternalGet(target, &found_key, &found_value).ok());
-    EXPECT_EQ(found_value, "payload-" + std::to_string(i * 3));
+    std::string value;
+    auto found = table->Get(key, &value);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found.value(), Lookup::kFound);
+    EXPECT_EQ(value, "payload-" + std::to_string(i * 3));
+  }
+  for (const char* absent : {"a", "key0004995", "key001000", "z"}) {
+    std::string value;
+    auto found = table->Get(absent, &value);
+    ASSERT_TRUE(found.ok()) << found.status().ToString();
+    EXPECT_EQ(found.value(), Lookup::kAbsent) << absent;
   }
 
   // Full scan matches insertion order.
@@ -184,11 +180,13 @@ TEST(TableTest, BuildWriteReadBack) {
   while (iter.Valid()) {
     ASSERT_NE(expected, entries.end());
     EXPECT_EQ(iter.key().ToString(), expected->first);
+    EXPECT_EQ(iter.type(), kTypeValue);
     EXPECT_EQ(iter.value().ToString(), expected->second);
     ++expected;
     iter.Next();
   }
   EXPECT_EQ(expected, entries.end());
+  EXPECT_TRUE(iter.status().ok()) << iter.status().ToString();
   (void)env->RemoveFile(path);
 }
 
@@ -230,6 +228,55 @@ Status OpenTable(const std::string& contents, std::unique_ptr<Table>* table) {
   return Table::Open(std::make_unique<StringFile>(contents), table);
 }
 
+// A writable file held in memory.
+class StringSink : public WritableFile {
+ public:
+  Status Append(const Slice& data) override {
+    contents_.append(data.data(), data.size());
+    return Status::OK();
+  }
+  Status Flush() override { return Status::OK(); }
+  Status Sync() override { return Status::OK(); }
+  Status Close() override { return Status::OK(); }
+  uint64_t Size() const override { return contents_.size(); }
+  const std::string& contents() const { return contents_; }
+
+ private:
+  std::string contents_;
+};
+
+struct Entry {
+  std::string key;
+  ValueType type;
+  std::string value;
+};
+
+// The bytes of a table of `entries` (sorted by key) with small blocks.
+std::string BuildTable(const std::vector<Entry>& entries) {
+  StringSink sink;
+  TableBuilderOptions opts;
+  opts.block_size = 128;
+  TableBuilder builder(opts, &sink);
+  for (const Entry& e : entries) builder.Add(e.key, e.type, e.value);
+  EXPECT_TRUE(builder.Finish().ok());
+  return sink.contents();
+}
+
+// The fixture's 40 keys: every fifth a tombstone, the rest values.
+std::vector<Entry> CorruptionTestEntries() {
+  std::vector<Entry> entries;
+  for (int i = 0; i < 40; ++i) {
+    char key[16];
+    snprintf(key, sizeof(key), "key%04d", i);
+    if (i % 5 == 0) {
+      entries.push_back({key, kTypeDeletion, ""});
+    } else {
+      entries.push_back({key, kTypeValue, "value-" + std::to_string(i * 7)});
+    }
+  }
+  return entries;
+}
+
 // The footer carries no checksum: an index handle stating more bytes
 // than the file holds must fail as Corruption before anything is
 // allocated, including a size whose trailer arithmetic would wrap.
@@ -253,26 +300,8 @@ TEST(TableTest, OpenRejectsAnIndexHandlePastTheFile) {
 class TableCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    Env* env = Env::Default();
-    const std::string path = "/tmp/railgun_table_corruption_test.sst";
-    std::unique_ptr<WritableFile> file;
-    ASSERT_TRUE(env->NewWritableFile(path, &file).ok());
-    TableBuilderOptions opts;
-    opts.block_size = 128;
-    TableBuilder builder(opts, file.get());
-    for (int i = 0; i < 40; ++i) {
-      char key[16];
-      snprintf(key, sizeof(key), "key%04d", i);
-      std::string ikey;
-      AppendInternalKey(&ikey, key, 7, i % 5 == 0 ? kTypeDeletion : kTypeValue);
-      const std::string value = "value-" + std::to_string(i * 7);
-      builder.Add(ikey, value);
-      entries_.emplace(ikey, value);
-    }
-    ASSERT_TRUE(builder.Finish().ok());
-    ASSERT_TRUE(file->Close().ok());
-    ASSERT_TRUE(ReadFileToString(env, path, &contents_).ok());
-    ASSERT_TRUE(env->RemoveFile(path).ok());
+    entries_ = CorruptionTestEntries();
+    contents_ = BuildTable(entries_);
   }
 
   // The first way `contents` departs from the contract, or "".
@@ -286,8 +315,9 @@ class TableCorruptionTest : public ::testing::Test {
     auto expected = entries_.begin();
     for (iter.SeekToFirst(); iter.Valid(); iter.Next(), ++expected) {
       if (expected == entries_.end()) return "scan: extra entry";
-      if (iter.key() != Slice(expected->first) ||
-          iter.value() != Slice(expected->second)) {
+      if (iter.key() != Slice(expected->key) ||
+          iter.type() != expected->type ||
+          iter.value() != Slice(expected->value)) {
         return "scan: wrong entry";
       }
     }
@@ -297,25 +327,49 @@ class TableCorruptionTest : public ::testing::Test {
     if (!iter.status().ok() && !iter.status().IsCorruption()) {
       return "scan: " + iter.status().ToString();
     }
-    for (const auto& [ikey, value] : entries_) {
-      std::string found_key, found_value;
-      const Status s = table->InternalGet(ikey, &found_key, &found_value);
-      if (s.ok() && (found_key != ikey || found_value != value)) {
+    for (const Entry& e : entries_) {
+      std::string value;
+      const StatusOr<Lookup> found = table->Get(e.key, &value);
+      if (!found.ok()) {
+        if (!found.status().IsCorruption()) {
+          return "get: " + found.status().ToString();
+        }
+        continue;
+      }
+      const Lookup want =
+          e.type == kTypeDeletion ? Lookup::kDeleted : Lookup::kFound;
+      if (found.value() != want ||
+          (want == Lookup::kFound && value != e.value)) {
         return "get: wrong entry";
       }
-      if (!s.ok() && !s.IsCorruption()) return "get: " + s.ToString();
     }
     return "";
   }
 
-  std::map<std::string, std::string> entries_;
+  std::vector<Entry> entries_;
   std::string contents_;
 };
+
+// Entries in a table's index block: one per data block.
+int DataBlocks(const std::string& contents) {
+  Slice footer_input(contents.data() + contents.size() - Footer::kEncodedLength,
+                     Footer::kEncodedLength);
+  Footer footer;
+  EXPECT_TRUE(footer.DecodeFrom(&footer_input).ok());
+  StringFile file(contents);
+  std::string index;
+  EXPECT_TRUE(ReadBlockContents(&file, footer.index_handle, &index).ok());
+  Block block(std::move(index));
+  Block::Iter iter(&block);
+  int blocks = 0;
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) ++blocks;
+  return blocks;
+}
 
 TEST_F(TableCorruptionTest, IntactTableReadsBack) {
   EXPECT_EQ(Check(contents_), "");
   // Several data blocks, so a damaged block leaves others readable.
-  EXPECT_GT(contents_.size(), 4 * 128u);
+  EXPECT_GE(DataBlocks(contents_), 4);
 }
 
 TEST_F(TableCorruptionTest, EveryTruncationIsCorruption) {
@@ -338,6 +392,34 @@ TEST_F(TableCorruptionTest, EverySingleBitFlipReadsBackOrIsCorruption) {
     }
   }
   EXPECT_EQ(failures, 0) << "first: " << first;
+}
+
+// A block whose checksum holds but whose entry has a type byte that is
+// neither a value nor a tombstone: the scan stops there with Corruption,
+// a lookup of that key answers Corruption, and keys in other blocks
+// still read back.
+TEST_F(TableCorruptionTest, BadTypeByteInAValidBlockIsCorruption) {
+  constexpr size_t kBad = 33;  // Past the first block.
+  std::vector<Entry> entries = entries_;
+  entries[kBad].type = static_cast<ValueType>(7);
+  std::unique_ptr<Table> table;
+  ASSERT_TRUE(OpenTable(BuildTable(entries), &table).ok());
+
+  Table::Iterator iter(table.get());
+  size_t scanned = 0;
+  for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
+    EXPECT_EQ(iter.key().ToString(), entries[scanned].key);
+    ++scanned;
+  }
+  EXPECT_EQ(scanned, kBad);
+  EXPECT_TRUE(iter.status().IsCorruption()) << iter.status().ToString();
+
+  std::string value;
+  EXPECT_TRUE(table->Get(entries[kBad].key, &value).status().IsCorruption());
+  const StatusOr<Lookup> first = table->Get(entries[1].key, &value);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value(), Lookup::kFound);
+  EXPECT_EQ(value, entries[1].value);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "storage/db.h"
@@ -76,12 +78,48 @@ class DBTest : public ::testing::Test {
       if (table == nullptr) continue;
       Table::Iterator iter(table.get());
       for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
-        ++versions[ExtractUserKey(iter.key()).ToString()];
+        ++versions[iter.key().ToString()];
       }
       EXPECT_TRUE(iter.status().ok()) << path << ": "
                                       << iter.status().ToString();
     }
     return versions;
+  }
+
+  // The corrupt-compaction cases: kKeys keys per L0 table.
+  static constexpr int kKeys = 300;
+  static std::string TableKey(int table, int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "t%d-key%04d", table, i);
+    return std::string(buf);
+  }
+  static std::string TableValue(int table, int i) {
+    return "value-" + std::to_string(table) + "-" + std::to_string(i) +
+           std::string(24, 'x');
+  }
+
+  // Writes tables 0-2 as three L0 tables, then flips one byte in the
+  // oldest table's first data block.
+  void WriteThreeTablesAndDamageTheOldest() {
+    options_.write_buffer_size = DBOptions().write_buffer_size;  // Flush below.
+    Reopen();
+    for (int table = 0; table < 3; ++table) {
+      for (int i = 0; i < kKeys; ++i) {
+        ASSERT_TRUE(
+            db_->Put(0, TableKey(table, i), TableValue(table, i)).ok());
+      }
+      ASSERT_TRUE(db_->Flush().ok());
+    }
+    db_.reset();
+
+    const std::vector<std::string> tables = TableFiles();
+    ASSERT_EQ(tables.size(), 3u);
+    Env* env = Env::Default();
+    std::string contents;
+    ASSERT_TRUE(ReadFileToString(env, tables[0], &contents).ok());
+    contents[16] = static_cast<char>(contents[16] ^ 0x40);  // First block.
+    ASSERT_TRUE(WriteStringToFile(env, contents, tables[0]).ok());
+    Open();
   }
 
   DBOptions options_;
@@ -105,6 +143,18 @@ TEST_F(DBTest, EmptyValueAndBinaryKeys) {
   const std::string binary_key("\x00\x01\xff\x7f", 4);
   ASSERT_TRUE(db_->Put(0, binary_key, "bin").ok());
   EXPECT_EQ(Get(0, binary_key), "bin");
+  ASSERT_TRUE(db_->Put(0, "", "empty-key").ok());
+  EXPECT_EQ(Get(0, ""), "empty-key");
+
+  // The same keys from tables, before and after an L0 -> L1 compaction.
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(db_->Put(0, "filler" + std::to_string(i), "f").ok());
+    ASSERT_TRUE(db_->Flush().ok());
+    EXPECT_EQ(Get(0, "empty"), "");
+    EXPECT_EQ(Get(0, binary_key), "bin");
+    EXPECT_EQ(Get(0, ""), "empty-key");
+  }
+  EXPECT_EQ(db_->GetLevelStats(0)[0].num_files, 0);
 }
 
 TEST_F(DBTest, ColumnFamiliesAreIsolated) {
@@ -327,40 +377,13 @@ TEST_F(DBTest, CorruptManifestFailsOpen) {
 // compaction: the inputs and the manifest stay, so every key of the
 // damaged table still answers its value or Corruption, never NotFound.
 TEST_F(DBTest, CompactionOfACorruptBlockKeepsItsInputs) {
-  auto key = [](int table, int i) {
-    char buf[32];
-    snprintf(buf, sizeof(buf), "t%d-key%04d", table, i);
-    return std::string(buf);
-  };
-  auto value = [](int table, int i) {
-    return "value-" + std::to_string(table) + "-" + std::to_string(i) +
-           std::string(24, 'x');
-  };
-  constexpr int kKeys = 300;
-  options_.write_buffer_size = DBOptions().write_buffer_size;  // Flush below.
-  Reopen();
-  for (int table = 0; table < 3; ++table) {
-    for (int i = 0; i < kKeys; ++i) {
-      ASSERT_TRUE(db_->Put(0, key(table, i), value(table, i)).ok());
-    }
-    ASSERT_TRUE(db_->Flush().ok());
-  }
-  db_.reset();
-
-  const std::vector<std::string> tables = TableFiles();
-  ASSERT_EQ(tables.size(), 3u);
-  Env* env = Env::Default();
-  std::string contents;
-  ASSERT_TRUE(ReadFileToString(env, tables[0], &contents).ok());
-  contents[16] = static_cast<char>(contents[16] ^ 0x40);  // First block.
-  ASSERT_TRUE(WriteStringToFile(env, contents, tables[0]).ok());
-  Open();
+  ASSERT_NO_FATAL_FAILURE(WriteThreeTablesAndDamageTheOldest());
   std::string got;
-  EXPECT_TRUE(db_->Get(0, key(0, 0), &got).IsCorruption());
+  EXPECT_TRUE(db_->Get(0, TableKey(0, 0), &got).IsCorruption());
 
   // The fourth L0 table triggers the compaction that reads the block.
   for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(db_->Put(0, key(3, i), value(3, i)).ok());
+    ASSERT_TRUE(db_->Put(0, TableKey(3, i), TableValue(3, i)).ok());
   }
   EXPECT_TRUE(db_->Flush().IsCorruption());
   EXPECT_EQ(db_->GetLevelStats(0)[0].num_files, 4);
@@ -369,14 +392,14 @@ TEST_F(DBTest, CompactionOfACorruptBlockKeepsItsInputs) {
     int corrupt = 0;
     for (int table = 0; table < 4; ++table) {
       for (int i = 0; i < kKeys; ++i) {
-        const Status s = db_->Get(0, key(table, i), &got);
+        const Status s = db_->Get(0, TableKey(table, i), &got);
         if (table == 0 && s.IsCorruption()) {
           ++corrupt;
           continue;
         }
-        ASSERT_TRUE(s.ok()) << key(table, i) << " reopened=" << reopened
+        ASSERT_TRUE(s.ok()) << TableKey(table, i) << " reopened=" << reopened
                             << ": " << s.ToString();
-        EXPECT_EQ(got, value(table, i));
+        EXPECT_EQ(got, TableValue(table, i));
       }
     }
     EXPECT_GT(corrupt, 0);
@@ -385,6 +408,149 @@ TEST_F(DBTest, CompactionOfACorruptBlockKeepsItsInputs) {
     db_.reset();
     Open();
   }
+}
+
+// The first compaction error sticks: the damaged input is not re-read
+// at every later flush (L0 would grow without bound), every later write
+// answers the error, and reads keep answering.
+TEST_F(DBTest, FailedCompactionIsStickyAndStopsL0Growth) {
+  ASSERT_NO_FATAL_FAILURE(WriteThreeTablesAndDamageTheOldest());
+
+  // Six more flushes; the first compacts and fails on the damaged block.
+  int failed_writes = 0;
+  for (int table = 3; table < 9; ++table) {
+    for (int i = 0; i < kKeys; ++i) {
+      const Status s = db_->Put(0, TableKey(table, i), TableValue(table, i));
+      if (table == 3) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+      } else if (s.IsCorruption()) {
+        ++failed_writes;
+      }
+    }
+    if (table > 3) {
+      EXPECT_TRUE(db_->Delete(0, TableKey(1, 0)).IsCorruption());
+    }
+    const Status flush = db_->Flush();
+    EXPECT_TRUE(flush.IsCorruption()) << "flush " << table << ": "
+                                      << flush.ToString();
+    EXPECT_EQ(db_->GetLevelStats(0)[0].num_files, 4) << "flush " << table;
+  }
+  EXPECT_EQ(failed_writes, 5 * kKeys);  // Every write after the failure.
+  EXPECT_TRUE(db_->Checkpoint(dir_ + "_ckpt").IsCorruption());
+  EXPECT_EQ(TableFiles().size(), 4u);
+
+  // Keys outside the damaged block still read back.
+  std::string got;
+  int corrupt = 0;
+  for (int table = 0; table < 4; ++table) {
+    for (int i = 0; i < kKeys; ++i) {
+      const Status s = db_->Get(0, TableKey(table, i), &got);
+      if (table == 0 && s.IsCorruption()) {
+        ++corrupt;
+        continue;
+      }
+      ASSERT_TRUE(s.ok()) << TableKey(table, i) << ": " << s.ToString();
+      EXPECT_EQ(got, TableValue(table, i));
+    }
+  }
+  EXPECT_GT(corrupt, 0);
+  EXPECT_LT(corrupt, kKeys);
+  EXPECT_EQ(Get(0, TableKey(5, 0)), "NOT_FOUND");
+  ASSERT_TRUE(DestroyDB(dir_ + "_ckpt").ok());
+}
+
+// A MANIFEST in the layout before the format number (next file number,
+// then a last sequence field) fails DB::Open with Corruption instead of
+// being misread, even with a valid checksum.
+TEST_F(DBTest, ManifestWithoutTheFormatNumberFailsOpen) {
+  db_.reset();
+  std::string rep;
+  PutVarint64(&rep, 5);     // next_file_number
+  PutVarint64(&rep, 1234);  // last sequence number
+  PutVarint32(&rep, 1);     // next_cf_id
+  PutVarint32(&rep, 1);     // one family
+  PutVarint32(&rep, 0);
+  PutLengthPrefixedSlice(&rep, "default");
+  for (int level = 0; level < kNumLevels; ++level) PutVarint32(&rep, 0);
+  PutFixed32(&rep, crc32c::Mask(crc32c::Value(rep.data(), rep.size())));
+
+  Env* env = Env::Default();
+  ASSERT_TRUE(DestroyDB(dir_).ok());
+  ASSERT_TRUE(env->CreateDir(dir_).ok());
+  ASSERT_TRUE(WriteStringToFile(env, rep, dir_ + "/MANIFEST-000004").ok());
+  ASSERT_TRUE(
+      WriteStringToFile(env, "MANIFEST-000004\n", dir_ + "/CURRENT").ok());
+  const Status s = DB::Open(options_, dir_, &db_);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+// Each key's newest state wins a compaction whatever mix of writes,
+// tombstones and rewrites its inputs hold: every history of five steps
+// (an L1 file, then four L0 tables, oldest first), each step a put, a
+// delete or nothing, is written, compacted in one L0 -> L1 compaction
+// and read back.
+TEST_F(DBTest, CompactionKeepsTheNewestCopyOfEachKey) {
+  constexpr int kSteps = 5;
+  constexpr int kHistories = 243;  // 3^kSteps
+  options_.write_buffer_size = DBOptions().write_buffer_size;  // Flush below.
+  Reopen();
+  // op(h, step): 0 nothing, 1 put, 2 delete.
+  auto op = [](int history, int step) {
+    for (int i = 0; i < step; ++i) history /= 3;
+    return history % 3;
+  };
+  auto key = [](int history) { return "key" + std::to_string(history); };
+  auto value = [](int history, int step) {
+    return "v" + std::to_string(history) + "@" + std::to_string(step);
+  };
+  auto expected = [&](int history, int steps) {
+    std::string want = "NOT_FOUND";
+    for (int step = 0; step < steps; ++step) {
+      if (op(history, step) == 1) want = value(history, step);
+      if (op(history, step) == 2) want = "NOT_FOUND";
+    }
+    return want;
+  };
+  auto write_step = [&](int step) {
+    for (int h = 0; h < kHistories; ++h) {
+      if (op(h, step) == 1) {
+        ASSERT_TRUE(db_->Put(0, key(h), value(h, step)).ok());
+      } else if (op(h, step) == 2) {
+        ASSERT_TRUE(db_->Delete(0, key(h)).ok());
+      }
+    }
+  };
+  auto check = [&](int steps) {
+    for (int h = 0; h < kHistories; ++h) {
+      ASSERT_EQ(Get(0, key(h)), expected(h, steps))
+          << key(h) << " after " << steps << " steps";
+    }
+  };
+
+  // Step 0 lands in L1: three filler flushes reach the L0 trigger.
+  write_step(0);
+  ASSERT_TRUE(db_->Flush().ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(db_->Put(0, "filler", std::to_string(i)).ok());
+    ASSERT_TRUE(db_->Flush().ok());
+  }
+  std::vector<DB::LevelStats> stats = db_->GetLevelStats(0);
+  ASSERT_EQ(stats[0].num_files, 0);
+  ASSERT_EQ(stats[1].num_files, 1);
+  check(1);
+
+  // Steps 1-4 are four L0 tables; the fourth flush compacts all of them
+  // with the L1 file.
+  for (int step = 1; step < kSteps; ++step) {
+    write_step(step);
+    ASSERT_TRUE(db_->Flush().ok());
+    check(step + 1);
+  }
+  stats = db_->GetLevelStats(0);
+  EXPECT_EQ(stats[0].num_files, 0);
+  EXPECT_EQ(stats[1].num_files, 1);
+  Reopen();
+  check(kSteps);
 }
 
 TEST_F(DBTest, LargeValuesRoundTrip) {
@@ -446,47 +612,41 @@ TEST_F(DBTest, MemtableTombstoneShadowsAnOlderTable) {
   EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
 }
 
-TEST(MemTableOneEntryTest, IteratorYieldsUserKeysInOrderWithNewestTag) {
+TEST(MemTableOneEntryTest, IteratorYieldsKeysInOrderWithTheNewestWrite) {
   MemTable mem;
-  mem.Add(1, kTypeValue, "b", "b1");
-  mem.Add(2, kTypeValue, "a", "a1");
-  mem.Add(3, kTypeValue, "c", "c1");
-  mem.Add(4, kTypeValue, "b", "b2");
-  mem.Add(5, kTypeDeletion, "a", "");
-  mem.Add(6, kTypeValue, "c", "c2");
+  mem.Add(kTypeValue, "b", "b1");
+  mem.Add(kTypeValue, "a", "a1");
+  mem.Add(kTypeValue, "c", "c1");
+  mem.Add(kTypeValue, "b", "b2");
+  mem.Add(kTypeDeletion, "a", "");
+  mem.Add(kTypeValue, "c", "c2");
 
   std::string scanned;
   MemTable::Iterator iter(&mem);
   for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
-    ParsedInternalKey parsed;
-    ASSERT_TRUE(ParseInternalKey(iter.internal_key(), &parsed));
-    scanned += parsed.user_key.ToString() + "@" +
-               std::to_string(parsed.sequence);
-    scanned += parsed.type == kTypeDeletion
+    scanned += iter.key().ToString();
+    scanned += iter.type() == kTypeDeletion
                    ? "D;"
                    : "=" + iter.value().ToString() + ";";
   }
-  EXPECT_EQ(scanned, "a@5D;b@4=b2;c@6=c2;");
+  EXPECT_EQ(scanned, "aD;b=b2;c=c2;");
 }
 
 TEST(MemTableOneEntryTest, MemoryGrowsWithDistinctKeysNotOverwrites) {
   MemTable mem;
   const std::string value(32, 'v');
   for (int i = 0; i < 100; ++i) {
-    mem.Add(static_cast<SequenceNumber>(i + 1), kTypeValue,
-            "key" + std::to_string(i), value);
+    mem.Add(kTypeValue, "key" + std::to_string(i), value);
   }
   const size_t after_inserts = mem.ApproximateMemoryUsage();
   for (int round = 0; round < 50; ++round) {
     for (int i = 0; i < 100; ++i) {
-      mem.Add(static_cast<SequenceNumber>(1000 + round * 100 + i),
-              kTypeValue, "key" + std::to_string(i), value);
+      mem.Add(kTypeValue, "key" + std::to_string(i), value);
     }
   }
   EXPECT_EQ(mem.ApproximateMemoryUsage(), after_inserts);
   for (int i = 100; i < 200; ++i) {
-    mem.Add(static_cast<SequenceNumber>(10000 + i), kTypeValue,
-            "key" + std::to_string(i), value);
+    mem.Add(kTypeValue, "key" + std::to_string(i), value);
   }
   EXPECT_GT(mem.ApproximateMemoryUsage(), after_inserts);
 }
