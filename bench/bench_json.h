@@ -1,8 +1,10 @@
 // Machine-readable results for every bench_* binary: alongside the
 // human tables on stdout, each bench writes one
-// <results_dir>/<name>.json (default bench/results/, override with
-// $RAILGUN_BENCH_RESULTS_DIR) so CI smoke jobs and regression tooling
-// can assert on numbers without scraping stdout.
+// <results_dir>/<name>.json (default the git-ignored bench/fresh/,
+// override with $RAILGUN_BENCH_RESULTS_DIR) so CI smoke jobs and
+// regression tooling can assert on numbers without scraping stdout.
+// The checked-in baselines under bench/results/ are only rewritten on
+// purpose: RAILGUN_BENCH_RESULTS_DIR=bench/results.
 #ifndef RAILGUN_BENCH_BENCH_JSON_H_
 #define RAILGUN_BENCH_BENCH_JSON_H_
 
@@ -80,7 +82,7 @@ class JsonResult {
   void Write() const {
     const char* override_dir = getenv("RAILGUN_BENCH_RESULTS_DIR");
     const std::string dir =
-        override_dir != nullptr ? override_dir : "bench/results";
+        override_dir != nullptr ? override_dir : "bench/fresh";
     Env* env = Env::Default();
     Status status = env->CreateDir(dir);
     if (status.ok()) {

@@ -1,8 +1,9 @@
 // Shared main() for the google-benchmark micro benches: identical to
 // BENCHMARK_MAIN(), plus routing the library's native JSON reporter at
 // the same results directory the macro benches' JsonResult uses
-// (bench/results/ or $RAILGUN_BENCH_RESULTS_DIR), so every bench_*
-// binary leaves one machine-readable <name>.json behind.
+// (the git-ignored bench/fresh/ or $RAILGUN_BENCH_RESULTS_DIR), so every
+// bench_* binary leaves one machine-readable <name>.json behind without
+// touching the checked-in baselines under bench/results/.
 #ifndef RAILGUN_BENCH_BENCH_MICRO_MAIN_H_
 #define RAILGUN_BENCH_BENCH_MICRO_MAIN_H_
 
@@ -18,7 +19,7 @@
   int main(int argc, char** argv) {                                          \
     const char* override_dir = getenv("RAILGUN_BENCH_RESULTS_DIR");          \
     const std::string dir =                                                  \
-        override_dir != nullptr ? override_dir : "bench/results";            \
+        override_dir != nullptr ? override_dir : "bench/fresh";              \
     std::string out_flag;                                                    \
     std::string fmt_flag = "--benchmark_out_format=json";                    \
     std::vector<char*> args;                                                 \

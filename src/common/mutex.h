@@ -70,7 +70,7 @@ enum LockRank : int {
 
   // --- msg (3xx) ----------------------------------------------------
   kRankMsgBufferPool = 305,      // msg::BufferPool free-list
-  kRankMsgWake = 310,            // broker wake/park epoch
+  kRankMsgWake = 310,            // broker per-consumer wake slot
   kRankMsgServerRebalance = 315, // BusServer per-conn rebalance buffer
   // engine::Coordinator::mu_. Exception: ranks inside the msg band
   // because assignment strategies run under the broker group lock.

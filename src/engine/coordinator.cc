@@ -23,6 +23,10 @@ msg::Assignment Coordinator::Assign(
   input.tasks = partitions;
   input.replication_factor = replication_factor_;
   for (const auto& m : members) {
+    // A unit joins before its first stream arrives; until then it holds
+    // no task, active or replica (an empty topic set would mean "every
+    // topic" to the assignment).
+    if (m.topics.empty()) continue;
     input.units.push_back(
         {m.member_id, NodeOf(m.metadata),
          std::set<std::string>(m.topics.begin(), m.topics.end())});

@@ -1,7 +1,6 @@
 #include "engine/processor_unit.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/hash.h"
 #include "trace/tracer.h"
@@ -12,6 +11,10 @@ namespace {
 
 // Max messages taken per poll or replica fetch.
 constexpr size_t kPollMax = 256;
+// Max real time the loop parks in its blocking poll (or backs off after
+// a failed one) before re-checking shutdown, operational requests and
+// replica fetches. A message, rebalance or wake ends the park sooner.
+constexpr Micros kPollWait = 10 * kMicrosPerMilli;
 
 }  // namespace
 
@@ -41,6 +44,7 @@ ProcessorUnit::~ProcessorUnit() {
 
 Status ProcessorUnit::Start() {
   coordinator_->RegisterUnitDir(unit_id_, dir_);
+  RAILGUN_RETURN_IF_ERROR(Subscribe());
   running_ = true;
   thread_ = std::thread([this] { Run(); });
   return Status::OK();
@@ -51,14 +55,16 @@ void ProcessorUnit::Stop() {
     if (thread_.joinable()) thread_.join();
     return;
   }
-  op_cv_.NotifyAll();
+  backoff_cv_.NotifyAll();
+  (void)bus_->WakeConsumer(unit_id_);  // Cut the poll's park short.
   if (thread_.joinable()) thread_.join();
   (void)bus_->Unsubscribe(unit_id_);  // Best effort on shutdown.
 }
 
 void ProcessorUnit::Kill() {
   running_ = false;
-  op_cv_.NotifyAll();
+  backoff_cv_.NotifyAll();
+  (void)bus_->WakeConsumer(unit_id_);  // Cut the poll's park short.
   if (thread_.joinable()) thread_.join();
   // No Unsubscribe: the bus discovers the death via heartbeat expiry
   // (or the harness calls KillConsumer for immediate detection).
@@ -69,10 +75,8 @@ void ProcessorUnit::EnqueueRegisterStream(const StreamDef& stream) {
     MutexLock lock(&mu_);
     pending_streams_.push_back(stream);
   }
-  op_cv_.NotifyAll();
-  // A loop parked in a blocking bus poll applies the registration on
-  // its next pass; interrupt it so DDL takes effect promptly (NotFound
-  // before the first subscription: the op_cv_ park covers that phase).
+  // The loop applies the registration on its next pass; interrupt its
+  // park so DDL takes effect promptly.
   (void)bus_->WakeConsumer(unit_id_);
 }
 
@@ -117,21 +121,12 @@ void ProcessorUnit::DrainOperationalRequests() {
   }
   if (pending.empty()) return;
 
-  bool changed = false;
-  {
-    MutexLock lock(&mu_);
-    for (auto& stream : pending) {
-      streams_[stream.name] = std::move(stream);
-      changed = true;
-    }
-  }
-  if (!changed) return;
-
   // Propagate updated stream definitions into live task processors:
   // queries added at runtime are planned and backfilled (paper §3.1
   // operational requests / §6 metric backfill).
   {
     MutexLock lock(&mu_);
+    for (auto& stream : pending) streams_[stream.name] = std::move(stream);
     for (auto& [key, processor] : processors_) {
       const StreamDef* stream = StreamForTopic(processor->topic());
       if (stream != nullptr && !processor->SyncQueries(*stream).ok()) {
@@ -171,15 +166,9 @@ Status ProcessorUnit::Subscribe() {
           active_tasks_.end());
     }
   };
-  const Status subscribed = bus_->Subscribe(
-      unit_id_, kActiveGroup, topics,
-      "node=" + node_id_ + ";unit=" + unit_id_, coordinator_,
-      std::move(listener));
-  if (subscribed.ok()) {
-    MutexLock lock(&mu_);
-    subscribed_ = true;
-  }
-  return subscribed;
+  return bus_->Subscribe(unit_id_, kActiveGroup, topics,
+                         "node=" + node_id_ + ";unit=" + unit_id_,
+                         coordinator_, std::move(listener));
 }
 
 void ProcessorUnit::HandleAssigned(
@@ -205,6 +194,7 @@ void ProcessorUnit::HandleAssigned(
 StatusOr<TaskProcessor*> ProcessorUnit::GetOrCreateProcessor(
     const msg::TopicPartition& tp, uint64_t* replay_offset) {
   const std::string key = Coordinator::TaskSubdir(tp);
+  const StreamDef* stream;
   {
     MutexLock lock(&mu_);
     auto it = processors_.find(key);
@@ -212,11 +202,6 @@ StatusOr<TaskProcessor*> ProcessorUnit::GetOrCreateProcessor(
       *replay_offset = it->second->replay_offset();
       return it->second.get();
     }
-  }
-
-  const StreamDef* stream;
-  {
-    MutexLock lock(&mu_);
     stream = StreamForTopic(tp.topic);
   }
   if (stream == nullptr) {
@@ -279,20 +264,16 @@ void ProcessorUnit::SyncReplicaTasks() {
   const std::vector<msg::TopicPartition> replicas =
       coordinator_->ReplicaTasksFor(unit_id_);
 
+  // Kept replicas keep their progress; new ones start at UINT64_MAX,
+  // initialized lazily by the loop.
   std::map<msg::TopicPartition, uint64_t> new_positions;
+  MutexLock lock(&mu_);
   for (const auto& tp : replicas) {
-    MutexLock lock(&mu_);
     auto it = replica_positions_.find(tp);
-    if (it != replica_positions_.end()) {
-      new_positions[tp] = it->second;  // Keep progress.
-    } else {
-      new_positions[tp] = UINT64_MAX;  // Lazily initialized below.
-    }
+    new_positions[tp] = it != replica_positions_.end() ? it->second
+                                                       : UINT64_MAX;
   }
-  {
-    MutexLock lock(&mu_);
-    replica_positions_ = std::move(new_positions);
-  }
+  replica_positions_ = std::move(new_positions);
 }
 
 namespace {
@@ -483,26 +464,14 @@ void ProcessorUnit::Run() {
     DrainOperationalRequests();
     SyncReplicaTasks();
 
-    {
-      MutexLock lock(&mu_);
-      if (!subscribed_) {
-        // Not yet a group member, so there is no consumer to block in:
-        // park until the first stream registration (or shutdown).
-        if (pending_streams_.empty() && running_) {
-          op_cv_.WaitFor(&mu_, options_.poll_wait);
-        }
-        continue;
-      }
-    }
-
     // Active tasks: blocking poll through the consumer group. Acts as
     // the heartbeat and parks (wake-on-arrival) when nothing is ready.
     // PollBatch hands back views into the transport's pooled buffer, so
     // the hot path never copies event payloads into per-message strings.
     trace::Tracer* tracer = trace::Tracer::Global();
     const Micros poll_start = tracer->enabled() ? tracer->NowMicros() : 0;
-    Status poll_status = bus_->PollBatch(
-        unit_id_, kPollMax, &active_batch_, options_.poll_wait);
+    Status poll_status =
+        bus_->PollBatch(unit_id_, kPollMax, &active_batch_, kPollWait);
     if (poll_start != 0 && !active_batch_.empty()) {
       // No context yet at poll time: histogram-only hop (park-to-batch
       // latency; empty polls are just the idle park, skip them).
@@ -522,13 +491,11 @@ void ProcessorUnit::Run() {
       poll_status = Subscribe();
     }
     if (!poll_status.ok()) {
-      // A failed poll or rejoin returns immediately: park briefly so
-      // replica duty continues without hot-spinning.
+      // A failed poll or rejoin returns immediately: back off one real-
+      // time slice so replica duty continues without hot-spinning.
       MutexLock lock(&mu_);
       ++stats_.poll_errors;
-      if (running_) {
-        op_cv_.WaitFor(&mu_, options_.poll_wait);
-      }
+      if (running_) backoff_cv_.WaitFor(&mu_, kPollWait);
     }
 
     // Replica tasks: direct fetch, tracked positions. Fetched messages
@@ -536,12 +503,10 @@ void ProcessorUnit::Run() {
     std::map<msg::TopicPartition, std::vector<msg::MessageView>>
         replica_groups;
     std::deque<msg::MessageBatch> replica_keepalive;
-    std::vector<std::pair<msg::TopicPartition, uint64_t>> replica_list;
+    std::map<msg::TopicPartition, uint64_t> replica_list;
     {
       MutexLock lock(&mu_);
-      for (const auto& [tp, pos] : replica_positions_) {
-        replica_list.push_back({tp, pos});
-      }
+      replica_list = replica_positions_;
     }
     for (auto& [tp, pos] : replica_list) {
       if (pos == UINT64_MAX) {
@@ -554,20 +519,16 @@ void ProcessorUnit::Run() {
       }
       std::vector<msg::Message> batch;
       const Status fetched = bus_->Fetch(tp, pos, kPollMax, &batch);
-      if (fetched.ok()) {
+      if (fetched.ok() && !batch.empty()) {
         // Advance past what was actually read: retention may have
         // clamped the fetch forward of pos (offsets are absolute).
-        if (!batch.empty()) {
-          pos = batch.back().offset + 1;
-          replica_keepalive.emplace_back();
-          replica_keepalive.back().Adopt(std::move(batch));
-          replica_groups[tp] = replica_keepalive.back().views();
-        }
-      } else {
-        MutexLock lock(&mu_);
-        ++stats_.poll_errors;
+        pos = batch.back().offset + 1;
+        replica_keepalive.emplace_back();
+        replica_keepalive.back().Adopt(std::move(batch));
+        replica_groups[tp] = replica_keepalive.back().views();
       }
       MutexLock lock(&mu_);
+      if (!fetched.ok()) ++stats_.poll_errors;
       auto it = replica_positions_.find(tp);
       if (it != replica_positions_.end()) it->second = pos;
     }

@@ -2,6 +2,13 @@
 // handles operational requests, polls its active tasks through the
 // consumer group, fetches its replica tasks directly, routes messages to
 // their task processors, and replies for active tasks only.
+//
+// The unit joins the active group in Start, with no topics until the
+// first stream arrives, so its loop parks in one place: the blocking
+// PollBatch. A produce to one of its partitions, a rebalance or the
+// park slice ends that park; EnqueueRegisterStream, Stop and Kill cut
+// it short with WakeConsumer. Replica tasks are read with Fetch, so a
+// replica catches up whenever the unit wakes or at the park slice.
 #ifndef RAILGUN_ENGINE_PROCESSOR_UNIT_H_
 #define RAILGUN_ENGINE_PROCESSOR_UNIT_H_
 
@@ -25,11 +32,6 @@ namespace railgun::engine {
 
 struct UnitOptions {
   TaskProcessorOptions task;
-  // Max real time the unit loop parks inside a blocking bus poll before
-  // re-checking shutdown, operational requests and replica fetches. The
-  // loop wakes immediately when a message arrives (wake-on-arrival);
-  // this only bounds the idle park.
-  Micros poll_wait = 10 * kMicrosPerMilli;
   // Optional metrics sink (borrowed; must outlive the unit): records
   // the per-poll active batch size distribution.
   introspect::Registry* registry = nullptr;
@@ -59,7 +61,8 @@ class ProcessorUnit {
   ProcessorUnit(const ProcessorUnit&) = delete;
   ProcessorUnit& operator=(const ProcessorUnit&) = delete;
 
-  // Registers with the bus and starts the processing thread.
+  // Joins the active group (no topics yet) and starts the processing
+  // thread.
   Status Start();
   // Graceful shutdown (leaves the consumer group).
   void Stop();
@@ -118,10 +121,9 @@ class ProcessorUnit {
   std::atomic<bool> running_{false};
 
   mutable Mutex mu_{kRankEngineUnit};
-  // Parks the loop before its first subscription (no consumer to block
-  // in yet); EnqueueRegisterStream and Stop/Kill notify it.
-  CondVar op_cv_;
-  bool subscribed_ GUARDED_BY(mu_) = false;
+  // Cuts the poll-error backoff short on Stop/Kill: a bus that fails
+  // polls may not carry a WakeConsumer either.
+  CondVar backoff_cv_;
   std::deque<StreamDef> pending_streams_ GUARDED_BY(mu_);
   std::map<std::string, StreamDef> streams_ GUARDED_BY(mu_);  // By name.
   std::map<std::string, std::unique_ptr<TaskProcessor>> processors_

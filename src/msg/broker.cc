@@ -1,7 +1,6 @@
 #include "msg/broker.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/hash.h"
 #include "trace/tracer.h"
@@ -19,13 +18,13 @@ InProcessBus::Topic* InProcessBus::FindTopic(const std::string& topic) const {
   return it == topics_.end() ? nullptr : it->second.get();
 }
 
-void InProcessBus::NotifyArrival() {
+void InProcessBus::Signal(WakeSlot* slot) {
   {
-    MutexLock lock(&wake_mu_);
-    ++wake_epoch_;
+    MutexLock lock(&slot->mu);
+    slot->signalled = true;
   }
   poll_wakes_.fetch_add(1, std::memory_order_relaxed);
-  wake_cv_.NotifyAll();
+  slot->cv.NotifyAll();
 }
 
 Status InProcessBus::SetTopicRetention(const std::string& topic,
@@ -75,13 +74,11 @@ uint64_t InProcessBus::BacklogHint() const {
 }
 
 Status InProcessBus::WakeConsumer(const std::string& consumer_id) {
-  {
-    MutexLock lock(&group_mu_);
-    auto it = consumers_.find(consumer_id);
-    if (it == consumers_.end()) return Status::NotFound("no consumer");
-    it->second.interrupted = true;
-  }
-  NotifyArrival();
+  MutexLock lock(&group_mu_);
+  auto it = consumers_.find(consumer_id);
+  if (it == consumers_.end()) return Status::NotFound("no consumer");
+  it->second.interrupted = true;
+  Signal(it->second.slot.get());
   return Status::OK();
 }
 
@@ -102,20 +99,17 @@ Status InProcessBus::CreateTopic(const std::string& topic, int partitions) {
   }
 
   // New partitions affect every group subscribed to this topic.
-  {
-    MutexLock lock(&group_mu_);
-    for (auto& [name, group] : groups_) {
-      for (const auto& member : group.members) {
-        const auto& consumer = consumers_[member];
-        if (std::find(consumer.topics.begin(), consumer.topics.end(),
-                      topic) != consumer.topics.end()) {
-          RebalanceGroupLocked(name);
-          break;
-        }
+  MutexLock lock(&group_mu_);
+  for (auto& [name, group] : groups_) {
+    for (const auto& member : group.members) {
+      const auto& consumer = consumers_[member];
+      if (std::find(consumer.topics.begin(), consumer.topics.end(),
+                    topic) != consumer.topics.end()) {
+        RebalanceGroupLocked(name);
+        break;
       }
     }
   }
-  NotifyArrival();
   return Status::OK();
 }
 
@@ -176,6 +170,9 @@ Status InProcessBus::ProduceBatch(const std::string& topic,
   trace::Tracer* tracer = trace::Tracer::Global();
   const Micros append_start = tracer->enabled() ? tracer->NowMicros() : 0;
   const Micros now = clock_->NowMicros();
+  // The readers parked on the touched partitions, signalled once each
+  // after the partition locks are released.
+  std::vector<std::shared_ptr<WakeSlot>> woken;
   for (size_t p = 0; p < buckets.size(); ++p) {
     if (buckets[p].empty()) continue;
     PartitionLog* log = t->partitions[p].get();
@@ -185,13 +182,19 @@ Status InProcessBus::ProduceBatch(const std::string& topic,
                    std::move(records[i].key), std::move(records[i].payload),
                    now);
     }
+    for (auto& slot : log->waiters) {
+      if (std::find(woken.begin(), woken.end(), slot) == woken.end()) {
+        woken.push_back(std::move(slot));
+      }
+    }
+    log->waiters.clear();
   }
   if (append_start != 0) {
     tracer->Record(trace::Stage::kBrokerAppend,
                    trace::CurrentTraceContext(), append_start,
                    tracer->NowMicros());
   }
-  NotifyArrival();
+  for (const auto& slot : woken) Signal(slot.get());
   return Status::OK();
 }
 
@@ -201,29 +204,26 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
                                const std::string& metadata,
                                AssignmentStrategy* strategy,
                                RebalanceListener listener) {
-  {
-    MutexLock lock(&group_mu_);
-    ConsumerState& consumer = consumers_[consumer_id];
-    consumer.group = group;
-    consumer.topics = topics;
-    consumer.metadata = metadata;
-    consumer.listener = std::move(listener);
-    consumer.last_heartbeat = clock_->NowMicros();
-    consumer.alive = true;
-    // A fenced consumer rejoining resumes at its kept positions, which
-    // floor retention again from now on.
-    for (const auto& [tp, pos] : consumer.positions) {
-      RecomputeCommittedFloorLocked(tp);
-    }
-
-    Group& g = groups_[group];
-    if (g.strategy == nullptr) {
-      g.strategy = strategy != nullptr ? strategy : &default_strategy_;
-    }
-    g.members.insert(consumer_id);
-    RebalanceGroupLocked(group);
+  MutexLock lock(&group_mu_);
+  ConsumerState& consumer = consumers_[consumer_id];
+  consumer.group = group;
+  consumer.topics = topics;
+  consumer.metadata = metadata;
+  consumer.listener = std::move(listener);
+  consumer.last_heartbeat = clock_->NowMicros();
+  consumer.alive = true;
+  // A fenced consumer rejoining resumes at its kept positions, which
+  // floor retention again from now on.
+  for (const auto& [tp, pos] : consumer.positions) {
+    RecomputeCommittedFloorLocked(tp);
   }
-  NotifyArrival();
+
+  Group& g = groups_[group];
+  if (g.strategy == nullptr) {
+    g.strategy = strategy != nullptr ? strategy : &default_strategy_;
+  }
+  g.members.insert(consumer_id);
+  RebalanceGroupLocked(group);
   return Status::OK();
 }
 
@@ -236,33 +236,32 @@ void InProcessBus::SetGroupStrategy(const std::string& group,
 }
 
 Status InProcessBus::Unsubscribe(const std::string& consumer_id) {
-  {
-    MutexLock lock(&group_mu_);
-    auto it = consumers_.find(consumer_id);
-    if (it == consumers_.end()) return Status::NotFound("no consumer");
-    const std::string group = it->second.group;
-    std::vector<TopicPartition> tracked;
-    for (const auto& [tp, pos] : it->second.positions) tracked.push_back(tp);
-    consumers_.erase(it);
-    for (const auto& tp : tracked) RecomputeCommittedFloorLocked(tp);
-    auto git = groups_.find(group);
-    if (git != groups_.end()) {
-      git->second.members.erase(consumer_id);
-      if (git->second.members.empty()) {
-        if (git->second.pinned_strategy) {
-          // Keep the group record: its pinned strategy must apply to
-          // the next joiner (erasing would silently fall back to the
-          // default policy).
-          git->second.current.clear();
-        } else {
-          groups_.erase(git);
-        }
+  MutexLock lock(&group_mu_);
+  auto it = consumers_.find(consumer_id);
+  if (it == consumers_.end()) return Status::NotFound("no consumer");
+  // A poll parked for the leaving consumer answers NotFound at once.
+  Signal(it->second.slot.get());
+  const std::string group = it->second.group;
+  std::vector<TopicPartition> tracked;
+  for (const auto& [tp, pos] : it->second.positions) tracked.push_back(tp);
+  consumers_.erase(it);
+  for (const auto& tp : tracked) RecomputeCommittedFloorLocked(tp);
+  auto git = groups_.find(group);
+  if (git != groups_.end()) {
+    git->second.members.erase(consumer_id);
+    if (git->second.members.empty()) {
+      if (git->second.pinned_strategy) {
+        // Keep the group record: its pinned strategy must apply to
+        // the next joiner (erasing would silently fall back to the
+        // default policy).
+        git->second.current.clear();
       } else {
-        RebalanceGroupLocked(group);
+        groups_.erase(git);
       }
+    } else {
+      RebalanceGroupLocked(group);
     }
   }
-  NotifyArrival();
   return Status::OK();
 }
 
@@ -300,6 +299,8 @@ void InProcessBus::RebalanceGroupLocked(const std::string& group_name) {
       info.previous_assignment = prev->second;
     }
     members.push_back(std::move(info));
+    // Every member must wake to deliver the new generation's callbacks.
+    Signal(it->second.slot.get());
   }
   group.current = group.strategy->Assign(members,
                                          GroupPartitionsLocked(group));
@@ -335,6 +336,7 @@ void InProcessBus::FenceLocked(const std::string& consumer_id,
   }
   auto git = groups_.find(consumer->group);
   if (git != groups_.end()) git->second.members.erase(consumer_id);
+  Signal(consumer->slot.get());
 }
 
 void InProcessBus::RecomputeCommittedFloorLocked(const TopicPartition& tp) {
@@ -369,18 +371,107 @@ Status InProcessBus::PollBatch(const std::string& consumer_id,
   const Micros trace_poll_start =
       tracer->enabled() ? tracer->NowMicros() : 0;
   for (;;) {
-    uint64_t epoch;
-    {
-      MutexLock lock(&wake_mu_);
-      epoch = wake_epoch_;
-    }
+    std::vector<Message> messages;
+    std::vector<TopicPartition> revoked, assigned;
+    RebalanceListener listener;
     bool delivered_callbacks = false;
     bool interrupted = false;
+    // Soonest visible_time among the consumer's pending messages (0 when
+    // it has none buffered).
     Micros earliest_visible = 0;
-    std::vector<Message> messages;
-    RAILGUN_RETURN_IF_ERROR(PollOnce(consumer_id, max_messages, &messages,
-                                     &delivered_callbacks,
-                                     &earliest_visible, &interrupted));
+    // Shared ownership: the park outlives an Unsubscribe of the consumer.
+    std::shared_ptr<WakeSlot> slot;
+    {
+      MutexLock lock(&group_mu_);
+      auto it = consumers_.find(consumer_id);
+      if (it == consumers_.end()) return Status::NotFound("no consumer");
+      ConsumerState& consumer = it->second;
+      // Fenced: the same answer as for a consumer the bus never knew, so
+      // the caller re-subscribes rather than treating it as a transport
+      // failure.
+      if (!consumer.alive) return Status::NotFound("consumer fenced");
+      consumer.last_heartbeat = clock_->NowMicros();
+      // Whatever signalled the slot before this scan is seen by it.
+      slot = consumer.slot;
+      {
+        MutexLock wake_lock(&slot->mu);
+        slot->signalled = false;
+      }
+      interrupted = consumer.interrupted;
+      consumer.interrupted = false;
+      CheckLivenessLocked();
+
+      Group& group = groups_[consumer.group];
+      if (consumer.seen_generation != group.generation) {
+        // Deliver the rebalance: revoke old, assign new.
+        const auto new_it = group.current.find(consumer_id);
+        const std::vector<TopicPartition> new_assignment =
+            new_it == group.current.end() ? std::vector<TopicPartition>{}
+                                          : new_it->second;
+        for (const auto& tp : consumer.assignment) {
+          if (std::find(new_assignment.begin(), new_assignment.end(), tp) ==
+              new_assignment.end()) {
+            revoked.push_back(tp);
+          }
+        }
+        for (const auto& tp : new_assignment) {
+          if (std::find(consumer.assignment.begin(),
+                        consumer.assignment.end(),
+                        tp) == consumer.assignment.end()) {
+            assigned.push_back(tp);
+            if (consumer.positions.count(tp) == 0) {
+              consumer.positions[tp] = 0;
+              RecomputeCommittedFloorLocked(tp);
+            }
+          }
+        }
+        consumer.assignment = new_assignment;
+        consumer.seen_generation = group.generation;
+        listener = consumer.listener;
+        delivered_callbacks = true;
+      }
+
+      // A poll that observed a rebalance delivers only the callbacks: the
+      // consumer may reposition (seek) newly assigned partitions before
+      // its next fetch. A scan that reaches a partition's end registers
+      // the slot there, so the next produce to it ends the park.
+      const Micros now = clock_->NowMicros();
+      for (const auto& tp : consumer.assignment) {
+        if (delivered_callbacks || messages.size() >= max_messages) break;
+        auto t = FindTopic(tp.topic);
+        if (t == nullptr ||
+            static_cast<size_t>(tp.partition) >= t->partitions.size()) {
+          continue;
+        }
+        PartitionLog* log =
+            t->partitions[static_cast<size_t>(tp.partition)].get();
+        uint64_t& pos = consumer.positions[tp];
+        MutexLock log_lock(&log->mu);
+        if (pos < log->base_offset) pos = log->base_offset;  // Truncated.
+        const uint64_t end = log->end_offset.load(std::memory_order_relaxed);
+        while (pos < end && messages.size() < max_messages) {
+          const LogEntry& entry = log->entries[pos - log->base_offset];
+          if (entry.visible_time > now) {
+            if (earliest_visible == 0 ||
+                entry.visible_time < earliest_visible) {
+              earliest_visible = entry.visible_time;
+            }
+            break;
+          }
+          messages.push_back(entry.message);
+          ++pos;
+        }
+        if (pos == end && std::find(log->waiters.begin(), log->waiters.end(),
+                                    slot) == log->waiters.end()) {
+          log->waiters.push_back(slot);
+        }
+      }
+    }
+
+    if (!revoked.empty() && listener.on_revoked) listener.on_revoked(revoked);
+    if (!assigned.empty() && listener.on_assigned) {
+      listener.on_assigned(assigned);
+    }
     if (!messages.empty() || delivered_callbacks || interrupted ||
         max_wait <= 0) {
       if (trace_poll_start != 0 && !messages.empty()) {
@@ -394,8 +485,8 @@ Status InProcessBus::PollBatch(const std::string& consumer_id,
     }
     const Micros now = clock_->NowMicros();
     if (now >= deadline) return Status::OK();
-    // Park until something arrives, but never longer than a bounded
-    // real-time slice: the consumer keeps heartbeating (every PollOnce
+    // Park until the slot is signalled, but never longer than a bounded
+    // real-time slice: the consumer keeps heartbeating (every scan
     // refreshes it), re-checks delivery-delay visibility and the
     // deadline — which is how a simulated clock advanced by another
     // thread is noticed without any wake-up.
@@ -409,111 +500,12 @@ Status InProcessBus::PollBatch(const std::string& consumer_id,
     // Only a real-time clock's deltas are meaningful as condition-
     // variable wait bounds; a simulated clock re-checks each slice.
     if (clock_->IsRealTime() && delta < slice) slice = delta;
-    MutexLock lock(&wake_mu_);
-    if (wake_epoch_ == epoch) {
+    MutexLock lock(&slot->mu);
+    if (!slot->signalled) {
       poll_parks_.fetch_add(1, std::memory_order_relaxed);
-      wake_cv_.WaitFor(&wake_mu_, slice);
+      slot->cv.WaitFor(&slot->mu, slice);
     }
   }
-}
-
-Status InProcessBus::PollOnce(const std::string& consumer_id,
-                              size_t max_messages, std::vector<Message>* out,
-                              bool* delivered_callbacks,
-                              Micros* earliest_visible, bool* interrupted) {
-  out->clear();
-  *delivered_callbacks = false;
-  *earliest_visible = 0;
-  *interrupted = false;
-  std::vector<TopicPartition> revoked, assigned;
-  RebalanceListener listener;
-
-  {
-    MutexLock lock(&group_mu_);
-    auto it = consumers_.find(consumer_id);
-    if (it == consumers_.end()) return Status::NotFound("no consumer");
-    ConsumerState& consumer = it->second;
-    // Fenced: the same answer as for a consumer the bus never knew, so
-    // the caller re-subscribes rather than treating it as a transport
-    // failure.
-    if (!consumer.alive) return Status::NotFound("consumer fenced");
-    consumer.last_heartbeat = clock_->NowMicros();
-    if (consumer.interrupted) {
-      consumer.interrupted = false;
-      *interrupted = true;
-    }
-    CheckLivenessLocked();
-
-    Group& group = groups_[consumer.group];
-    if (consumer.seen_generation != group.generation) {
-      // Deliver the rebalance: revoke old, assign new.
-      const auto new_it = group.current.find(consumer_id);
-      const std::vector<TopicPartition> new_assignment =
-          new_it == group.current.end() ? std::vector<TopicPartition>{}
-                                        : new_it->second;
-      for (const auto& tp : consumer.assignment) {
-        if (std::find(new_assignment.begin(), new_assignment.end(), tp) ==
-            new_assignment.end()) {
-          revoked.push_back(tp);
-        }
-      }
-      for (const auto& tp : new_assignment) {
-        if (std::find(consumer.assignment.begin(), consumer.assignment.end(),
-                      tp) == consumer.assignment.end()) {
-          assigned.push_back(tp);
-          if (consumer.positions.count(tp) == 0) {
-            consumer.positions[tp] = 0;
-            RecomputeCommittedFloorLocked(tp);
-          }
-        }
-      }
-      consumer.assignment = new_assignment;
-      consumer.seen_generation = group.generation;
-      listener = consumer.listener;
-      *delivered_callbacks = true;
-    }
-
-    // A poll that observed a rebalance delivers only the callbacks: the
-    // consumer may reposition (seek) newly assigned partitions before
-    // its next fetch.
-    const Micros now = clock_->NowMicros();
-    if (!*delivered_callbacks) {
-      for (const auto& tp : consumer.assignment) {
-        if (out->size() >= max_messages) break;
-        auto t = FindTopic(tp.topic);
-        if (t == nullptr ||
-            static_cast<size_t>(tp.partition) >= t->partitions.size()) {
-          continue;
-        }
-        PartitionLog* log =
-            t->partitions[static_cast<size_t>(tp.partition)].get();
-        uint64_t& pos = consumer.positions[tp];
-        MutexLock log_lock(&log->mu);
-        if (pos < log->base_offset) pos = log->base_offset;  // Truncated.
-        while (pos < log->end_offset.load(std::memory_order_relaxed) &&
-               out->size() < max_messages) {
-          const LogEntry& entry = log->entries[pos - log->base_offset];
-          if (entry.visible_time > now) {
-            if (*earliest_visible == 0 ||
-                entry.visible_time < *earliest_visible) {
-              *earliest_visible = entry.visible_time;
-            }
-            break;
-          }
-          out->push_back(entry.message);
-          ++pos;
-        }
-      }
-    }
-  }
-
-  if (*delivered_callbacks) {
-    if (!revoked.empty() && listener.on_revoked) listener.on_revoked(revoked);
-    if (!assigned.empty() && listener.on_assigned) {
-      listener.on_assigned(assigned);
-    }
-  }
-  return Status::OK();
 }
 
 Status InProcessBus::Fetch(const TopicPartition& tp, uint64_t offset,
@@ -585,16 +577,13 @@ StatusOr<uint64_t> InProcessBus::BaseOffset(const TopicPartition& tp) const {
 }
 
 Status InProcessBus::KillConsumer(const std::string& consumer_id) {
-  {
-    MutexLock lock(&group_mu_);
-    auto it = consumers_.find(consumer_id);
-    if (it == consumers_.end()) return Status::NotFound("no consumer");
-    FenceLocked(consumer_id, &it->second);
-    if (groups_.count(it->second.group) != 0) {
-      RebalanceGroupLocked(it->second.group);
-    }
+  MutexLock lock(&group_mu_);
+  auto it = consumers_.find(consumer_id);
+  if (it == consumers_.end()) return Status::NotFound("no consumer");
+  FenceLocked(consumer_id, &it->second);
+  if (groups_.count(it->second.group) != 0) {
+    RebalanceGroupLocked(it->second.group);
   }
-  NotifyArrival();
   return Status::OK();
 }
 

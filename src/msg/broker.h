@@ -11,11 +11,16 @@
 // Concurrency model: broker state is sharded. Each partition log has a
 // private mutex, so producers to different partitions never contend;
 // group coordination (membership, assignments, positions, heartbeats)
-// lives behind a separate lock. Consumers may park inside Poll on a
-// condition variable; every produce, rebalance and WakeConsumer call
-// notifies parked consumers, so the engine's hot loops block on arrival
-// instead of sleep-polling. Lock order: group_mu_ -> topics_mu_ ->
-// PartitionLog mutexes (innermost); never the reverse.
+// lives behind a separate lock. A consumer parks inside PollBatch on
+// its own wake slot. A scan that reaches a partition's end registers
+// the slot on that partition, and a produce signals only the slots
+// registered on the partitions it appended to. Rebalances, fences,
+// Subscribe/Unsubscribe and CreateTopic signal the members of the
+// groups they change; WakeConsumer signals the one consumer. So the
+// engine's hot loops block on arrival instead of sleep-polling, and an
+// arrival wakes only the readers of its partition. Lock order:
+// group_mu_ -> topics_mu_ -> PartitionLog mutexes -> wake slots
+// (innermost); never the reverse.
 #ifndef RAILGUN_MSG_BROKER_H_
 #define RAILGUN_MSG_BROKER_H_
 
@@ -69,7 +74,8 @@ class InProcessBus : public Bus {
 
   // ----- Producing -----
   // Publishes a whole batch with one partition-lock acquisition per
-  // touched partition and one consumer wake-up.
+  // touched partition, then signals the consumers parked on those
+  // partitions.
   Status ProduceBatch(const std::string& topic,
                       std::vector<ProduceRecord> records) override;
 
@@ -99,9 +105,10 @@ class InProcessBus : public Bus {
   // partition back through on_assigned and resumes at its kept
   // positions.
   //
-  // With max_wait > 0 an empty poll parks on the bus's condition
-  // variable (wake-on-arrival) until a message becomes visible, a
-  // rebalance is delivered, WakeConsumer is called, or max_wait elapses.
+  // With max_wait > 0 an empty poll parks on the consumer's wake slot
+  // (wake-on-arrival) until a message arrives on one of its partitions,
+  // a rebalance is delivered, WakeConsumer is called, or max_wait
+  // elapses.
   // max_wait, like every other duration here, is interpreted in the
   // bus clock's domain: virtual time under a simulated clock, real time
   // under the monotonic clock. The consumer keeps heartbeating and
@@ -138,11 +145,10 @@ class InProcessBus : public Bus {
   // returns (possibly empty) instead of waiting out max_wait. The
   // interrupt is level-triggered — a wake issued while the consumer is
   // between polls is consumed by its next Poll, never lost. Arrival
-  // notifications from producers are internal — a parked consumer
-  // re-scans and re-parks if the message was not for it — whereas this
-  // is the engine's lever for loops that multiplex bus polling with
-  // local work (e.g. a processor unit with a stream registration to
-  // apply, or a front end being stopped).
+  // signals from producers are internal and reach only the readers of
+  // the partition, whereas this is the engine's lever for loops that
+  // multiplex bus polling with local work (e.g. a processor unit with a
+  // stream registration to apply, or a front end being stopped).
   Status WakeConsumer(const std::string& consumer_id) override;
 
   // Per-topic retention override (introspect: the internals stream is
@@ -164,6 +170,7 @@ class InProcessBus : public Bus {
   uint64_t BacklogHint() const;
   // Blocking-poll park/wake-up counts (wake-on-arrival health: parks
   // without wakes means idle, wakes without parks means busy-spinning).
+  // A wake is one consumer signalled.
   uint64_t poll_park_count() const {
     return poll_parks_.load(std::memory_order_relaxed);
   }
@@ -182,6 +189,14 @@ class InProcessBus : public Bus {
     Message message;
     Micros visible_time = 0;
   };
+  // One consumer's park. Level-triggered: PollBatch clears `signalled`
+  // before each scan and parks only while it is still clear, so a
+  // signal sent between the scan and the park is never lost.
+  struct WakeSlot {
+    Mutex mu{kRankMsgWake};
+    CondVar cv;
+    bool signalled GUARDED_BY(mu) = false;
+  };
   struct PartitionLog {
     mutable Mutex mu{kRankMsgPartition};
     // entries.front() is at base_offset.
@@ -195,6 +210,10 @@ class InProcessBus : public Bus {
     // Per-topic retention override; 0 = use the broker-wide
     // BusOptions::retention_messages.
     uint64_t retention_override GUARDED_BY(mu) = 0;
+    // Slots of consumers whose scan reached this partition's end; the
+    // next produce here signals and clears them. Shared ownership keeps
+    // a slot valid after its consumer unsubscribed.
+    std::vector<std::shared_ptr<WakeSlot>> waiters GUARDED_BY(mu);
   };
   struct Topic {
     // unique_ptr elements keep per-partition mutexes address-stable.
@@ -209,6 +228,8 @@ class InProcessBus : public Bus {
     std::map<TopicPartition, uint64_t> positions;
     Micros last_heartbeat = 0;
     uint64_t seen_generation = 0;
+    // Where this consumer's polls park.
+    std::shared_ptr<WakeSlot> slot = std::make_shared<WakeSlot>();
     // Level-triggered WakeConsumer flag; consumed by the next Poll.
     bool interrupted = false;
     bool alive = true;
@@ -231,25 +252,21 @@ class InProcessBus : public Bus {
                     int partition, std::string key, std::string payload,
                     Micros now) REQUIRES(log->mu);
   void TruncateLocked(PartitionLog* log) REQUIRES(log->mu);
+  // Recomputes the group's assignment and signals its members.
   void RebalanceGroupLocked(const std::string& group_name)
       REQUIRES(group_mu_);
   void CheckLivenessLocked() REQUIRES(group_mu_);
-  // Declares the consumer dead and drops it from its group (the caller
-  // rebalances the group).
+  // Declares the consumer dead, drops it from its group (the caller
+  // rebalances the group) and signals it, so a parked poll answers
+  // NotFound at once.
   void FenceLocked(const std::string& consumer_id, ConsumerState* consumer)
       REQUIRES(group_mu_);
   void RecomputeCommittedFloorLocked(const TopicPartition& tp)
       REQUIRES(group_mu_);
   std::vector<TopicPartition> GroupPartitionsLocked(const Group& group) const
       REQUIRES(group_mu_);
-  // One non-blocking poll attempt. On an empty result, *earliest_visible
-  // is the soonest visible_time among the consumer's pending messages
-  // (or 0 when it has none buffered). Consumes a pending WakeConsumer
-  // interrupt into *interrupted.
-  Status PollOnce(const std::string& consumer_id, size_t max_messages,
-                  std::vector<Message>* out, bool* delivered_callbacks,
-                  Micros* earliest_visible, bool* interrupted);
-  void NotifyArrival();
+  // Sets the slot's flag and wakes its parked poll.
+  void Signal(WakeSlot* slot);
 
   BusOptions options_;
   Clock* clock_;
@@ -264,13 +281,6 @@ class InProcessBus : public Bus {
   mutable Mutex group_mu_{kRankMsgGroup};
   std::map<std::string, ConsumerState> consumers_ GUARDED_BY(group_mu_);
   std::map<std::string, Group> groups_ GUARDED_BY(group_mu_);
-
-  // Wake-on-arrival channel for blocking Poll: parked consumers re-scan
-  // whenever the epoch advances (new message, rebalance, or a
-  // WakeConsumer interrupt flagged in their ConsumerState).
-  Mutex wake_mu_{kRankMsgWake};
-  CondVar wake_cv_;
-  uint64_t wake_epoch_ GUARDED_BY(wake_mu_) = 0;
 
   std::atomic<uint64_t> rebalance_count_{0};
   std::atomic<uint64_t> poll_parks_{0};

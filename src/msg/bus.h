@@ -13,10 +13,12 @@
 //    coordinator-driven rebalances delivered synchronously inside
 //    PollBatch via the listener.
 //  - PollBatch is the one consuming call. With max_wait > 0 it blocks
-//    (wake-on-arrival) until a message becomes visible, a rebalance is
-//    delivered, WakeConsumer fires, or max_wait elapses. WakeConsumer is
-//    level-triggered: a wake issued between polls is consumed by the
-//    next poll, never lost.
+//    (wake-on-arrival) until a message becomes visible on one of the
+//    consumer's partitions, a rebalance is delivered, WakeConsumer
+//    fires, or max_wait elapses. A produce need not wake consumers of
+//    other partitions (InProcessBus wakes only the partition's readers).
+//    WakeConsumer is level-triggered: a wake issued between polls is
+//    consumed by the next poll, never lost.
 //  - Seek/Fetch never position a consumer below the retention-trimmed
 //    log head: offsets inside truncated data clamp forward.
 //  - A delivered message carries topic, partition, offset, key and

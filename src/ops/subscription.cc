@@ -10,6 +10,8 @@ namespace railgun::ops {
 namespace {
 
 constexpr size_t kPumpBatch = 256;
+// Pump poll quantum; Cancel cuts a park or a backoff short.
+constexpr Micros kPollWait = 50 * kMicrosPerMilli;
 // Server-side cap on one Fetch long-poll.
 constexpr Micros kMaxFetchWait = 2 * kMicrosPerSecond;
 
@@ -144,8 +146,8 @@ StatusOr<uint64_t> SubscriptionHub::Create(const std::string& statement) {
 void SubscriptionHub::Pump(Subscription* sub) {
   msg::MessageBatch messages;
   while (!sub->stop.load(std::memory_order_acquire)) {
-    const Status status = bus_->PollBatch(sub->consumer_id, kPumpBatch,
-                                          &messages, options_.poll_wait);
+    const Status status =
+        bus_->PollBatch(sub->consumer_id, kPumpBatch, &messages, kPollWait);
     if (status.IsNotFound()) {
       // The bus fenced the tail consumer: end the subscription the way
       // Cancel does, so the client's next Fetch gets the typed NotFound
@@ -160,7 +162,7 @@ void SubscriptionHub::Pump(Subscription* sub) {
       decode_errors_->Add(1);
       // Transport failure: back off one quantum (Cancel cuts it short).
       MutexLock lock(&sub->mu);
-      (void)sub->cv.WaitFor(&sub->mu, options_.poll_wait,
+      (void)sub->cv.WaitFor(&sub->mu, kPollWait,
                             [&]() NO_THREAD_SAFETY_ANALYSIS {
                               return sub->stop.load(
                                   std::memory_order_acquire);

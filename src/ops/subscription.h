@@ -53,8 +53,6 @@ namespace railgun::ops {
 struct SubscriptionHubOptions {
   // Bounded per-subscription record queue (eviction beyond).
   size_t queue_capacity = 1024;
-  // Pump poll quantum (also the cancel/stop latency bound).
-  Micros poll_wait = 50 * kMicrosPerMilli;
 };
 
 class SubscriptionHub {

@@ -128,6 +128,7 @@ Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
         ProcessEventInIsland(event, island.get(), /*results=*/nullptr));
     replay_iter->Advance();
   }
+  RAILGUN_RETURN_IF_ERROR(replay_iter->status());
   islands_.push_back(std::move(island));
   return Status::OK();
 }
@@ -143,16 +144,20 @@ Status TaskPlan::ProcessEvent(const Event& event,
 
 Status TaskPlan::ProcessEventInIsland(const Event& event, Island* island,
                                       std::vector<MetricResult>* results) {
+  // An edge that could not read a chunk still hands over what it drained
+  // before the error. Every drained event is applied, so none enters or
+  // expires twice or never; then the event fails with the read error.
   window::EdgeDeltas edges;
-  island->windows_mgr.Advance(event.timestamp, &edges);
+  Status edge_status = island->windows_mgr.Advance(event.timestamp, &edges);
 
   WindowDelta delta;
   for (auto& wnode : island->windows) {
-    wnode.op->Collect(event.timestamp, edges, &delta);
+    const Status collected = wnode.op->Collect(event.timestamp, edges, &delta);
+    if (edge_status.ok()) edge_status = collected;
     RAILGUN_RETURN_IF_ERROR(ApplyDelta(delta, &wnode));
 
     // Report the (updated) aggregations for the arriving event's entity.
-    if (results == nullptr) continue;
+    if (results == nullptr || !edge_status.ok()) continue;
     const Micros epoch =
         wnode.spec.kind == WindowKind::kTumbling ? delta.epoch : 0;
     for (auto& fnode : wnode.filters) {
@@ -173,7 +178,7 @@ Status TaskPlan::ProcessEventInIsland(const Event& event, Island* island,
       }
     }
   }
-  return Status::OK();
+  return edge_status;
 }
 
 Status TaskPlan::ApplyDelta(const WindowDelta& delta, WindowNode* node) {

@@ -550,12 +550,16 @@ void ReservoirIterator::PositionAt(ChunkSeq seq, size_t index) {
 
 void ReservoirIterator::LoadCurrent() {
   valid_ = false;
+  status_ = Status::OK();
   while (true) {
     if (chunk_ == nullptr || chunk_->seq() != chunk_seq_) {
       auto chunk_or = reservoir_->GetChunk(chunk_seq_, /*prefetch_next=*/true);
       if (!chunk_or.ok()) {
         chunk_.reset();
-        return;  // Past the end (or truncated): AtEnd.
+        // Only a missing chunk (past the newest, or truncated) is the
+        // end; a chunk that exists but cannot be read is an error.
+        if (!chunk_or.status().IsNotFound()) status_ = chunk_or.status();
+        return;
       }
       chunk_ = chunk_or.value();
     }

@@ -80,8 +80,12 @@ class ReservoirIterator {
   ReservoirIterator(const ReservoirIterator&) = delete;
   ReservoirIterator& operator=(const ReservoirIterator&) = delete;
 
-  // False when positioned past the newest available event.
+  // False when positioned past the newest available event, or when a
+  // chunk failed to load (status() says which).
   bool AtEnd() const { return !valid_; }
+  // The error that stopped the iterator at a chunk it could not read
+  // (Corruption, IOError); OK at the real end. Refresh retries the read.
+  const Status& status() const { return status_; }
   // REQUIRES: !AtEnd(). The reference is only stable until the next
   // Append to the reservoir (the open chunk's storage may grow).
   const Event& event() const { return chunk_->event(index_); }
@@ -110,6 +114,7 @@ class ReservoirIterator {
   ChunkSeq chunk_seq_ = 0;
   size_t index_ = 0;
   bool valid_ = false;
+  Status status_;
 };
 
 class Reservoir {

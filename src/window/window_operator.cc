@@ -57,9 +57,10 @@ WindowOperator* WindowManager::GetOrCreate(const WindowSpec& spec) {
   return raw;
 }
 
-void WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
+Status WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
   deltas->entered_by_offset.clear();
   deltas->expired_by_offset.clear();
+  Status status;
 
   // Heads: every event with timestamp <= now - offset enters.
   for (auto& [offset, iter] : heads_) {
@@ -71,6 +72,7 @@ void WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
       iter->Advance();
       iter->Refresh();
     }
+    if (status.ok()) status = iter->status();
   }
 
   // Tails: every event with timestamp < now - offset expires
@@ -84,7 +86,9 @@ void WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
       iter->Advance();
       iter->Refresh();
     }
+    if (status.ok()) status = iter->status();
   }
+  return status;
 }
 
 void WindowManager::SavePositions(std::string* blob) const {
@@ -202,8 +206,8 @@ void AppendPointers(const std::vector<Event>& events,
 }
 }  // namespace
 
-void WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
-                             WindowDelta* out) {
+Status WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
+                               WindowDelta* out) {
   out->entered.clear();
   out->expired.clear();
   out->owned.clear();
@@ -254,9 +258,10 @@ void WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
         --in_window_;
       }
       for (const Event& e : out->owned) out->expired.push_back(&e);
-      break;
+      return count_tail_->status();
     }
   }
+  return Status::OK();
 }
 
 }  // namespace railgun::window

@@ -57,8 +57,10 @@ class WindowManager {
   WindowOperator* GetOrCreate(const WindowSpec& spec);
 
   // Advances all shared edges to the arrival timestamp `now` and fills
-  // the per-offset deltas consumed by WindowOperator::Collect.
-  void Advance(Micros now, EdgeDeltas* deltas);
+  // the per-offset deltas consumed by WindowOperator::Collect. An edge
+  // whose iterator cannot read a chunk stops there: the deltas keep what
+  // every edge drained, and the first read error is returned.
+  Status Advance(Micros now, EdgeDeltas* deltas);
 
   size_t num_operators() const { return operators_.size(); }
   // Distinct reservoir iterators in use (the Figure 9(b) x-axis).
@@ -100,8 +102,9 @@ class WindowOperator {
   const WindowSpec& spec() const { return spec_; }
 
   // Extracts this window's delta for the evaluation at `now` from the
-  // shared edge deltas.
-  void Collect(Micros now, const EdgeDeltas& deltas, WindowDelta* out);
+  // shared edge deltas. A count window's private tail reports a read
+  // error the way Advance does.
+  Status Collect(Micros now, const EdgeDeltas& deltas, WindowDelta* out);
 
  private:
   friend class WindowManager;

@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "engine/coordinator.h"
+#include "engine/processor_unit.h"
 #include "engine/stream_def.h"
 #include "engine/task_processor.h"
 #include "msg/broker.h"
@@ -396,8 +397,9 @@ TEST(CoordinatorTest, DonorLookupPrefersActiveThenReplicaThenStale) {
   coordinator.RegisterUnitDir("u2", "/data/u2");
   coordinator.RegisterUnitDir("u3", "/data/u3");
 
-  std::vector<msg::MemberInfo> members = {
-      {"u1", "node=n1", {}}, {"u2", "node=n2", {}}, {"u3", "node=n3", {}}};
+  std::vector<msg::MemberInfo> members = {{"u1", "node=n1", {}, {"t"}},
+                                          {"u2", "node=n2", {}, {"t"}},
+                                          {"u3", "node=n3", {}, {"t"}}};
   std::vector<msg::TopicPartition> partitions = {{"t", 0}};
   coordinator.Assign(members, partitions);
 
@@ -417,13 +419,66 @@ TEST(CoordinatorTest, DonorLookupPrefersActiveThenReplicaThenStale) {
 TEST(CoordinatorTest, GenerationAdvancesPerAssign) {
   Coordinator coordinator(1);
   EXPECT_EQ(coordinator.generation(), 0u);
-  std::vector<msg::MemberInfo> members = {{"u1", "node=n1", {}}};
+  std::vector<msg::MemberInfo> members = {{"u1", "node=n1", {}, {"t"}}};
   coordinator.Assign(members, {{"t", 0}});
   EXPECT_EQ(coordinator.generation(), 1u);
   coordinator.Assign(members, {{"t", 0}});
   EXPECT_EQ(coordinator.generation(), 2u);
   // Perfectly sticky: nothing moved on the second run.
   EXPECT_EQ(coordinator.total_moved_active(), 1);  // Only the first.
+}
+
+TEST(CoordinatorTest, UnitWithoutTopicsHoldsNoTask) {
+  // A processor unit joins the active group before its first stream
+  // arrives. Until it lists a topic it must hold no task, active or
+  // replica: it could not process one.
+  Coordinator coordinator(2);
+  std::vector<msg::MemberInfo> members = {{"u1", "node=n1", {}, {"t"}},
+                                          {"u2", "node=n2", {}, {}}};
+  const msg::Assignment assignment =
+      coordinator.Assign(members, {{"t", 0}, {"t", 1}});
+  EXPECT_EQ(assignment.at("u1").size(), 2u);
+  EXPECT_TRUE(assignment.at("u2").empty());
+  EXPECT_TRUE(coordinator.ReplicaTasksFor("u2").empty());
+}
+
+TEST(ProcessorUnitTest, StreamRegistrationCutsTheParkShort) {
+  // The unit joins the active group in Start and parks in its blocking
+  // poll. On a frozen simulated clock that park never times out, so a
+  // registration applies only if EnqueueRegisterStream wakes it: the
+  // first right after Start, the rest once the unit has parked again.
+  const std::string dir = "/tmp/railgun_unit_register_test";
+  ASSERT_TRUE(Env::Default()->RemoveDirRecursive(dir).ok());
+  SimulatedClock clock(0);
+  msg::BusOptions bus_options;
+  bus_options.delivery_delay = 0;
+  bus_options.clock = &clock;
+  msg::InProcessBus bus(bus_options);
+  const StreamDef stream = PaymentsStream();
+  for (const auto& p : stream.partitioners) {
+    ASSERT_TRUE(bus.CreateTopic(stream.TopicFor(p), 2).ok());
+  }
+  Coordinator coordinator(1);
+  bus.SetGroupStrategy(kActiveGroup, &coordinator);
+  ProcessorUnit unit(UnitOptions(), "n1/u0", "n1", dir + "/u0", &bus,
+                     &coordinator, &clock);
+  ASSERT_TRUE(unit.Start().ok());
+
+  Clock* real = MonotonicClock::Default();
+  for (int i = 0; i < 3; ++i) {
+    if (i > 0) real->SleepMicros(30 * kMicrosPerMilli);  // Parked again.
+    unit.EnqueueRegisterStream(stream);
+    const Micros start = real->NowMicros();
+    while (unit.has_pending_streams() &&
+           real->NowMicros() - start < 5 * kMicrosPerSecond) {
+      real->SleepMicros(100);
+    }
+    EXPECT_FALSE(unit.has_pending_streams())
+        << "registration " << i << " was left to a park that never ends";
+  }
+  EXPECT_EQ(bus.AssignmentOf("n1/u0").size(), 4u);
+  unit.Stop();
+  EXPECT_EQ(unit.stats().poll_errors, 0u);
 }
 
 }  // namespace

@@ -79,7 +79,6 @@ ClusterOptions FastClusterOptions(const std::string& dir, int nodes,
   options.node.num_processor_units = 2;
   options.node.unit.task.reservoir.chunk_target_bytes = 4096;
   options.node.unit.task.checkpoint_interval_events = 500;
-  options.node.unit.poll_wait = 2 * kMicrosPerMilli;
   options.bus.delivery_delay = 50;
   options.base_dir = dir;
   return options;

@@ -565,6 +565,84 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
   EXPECT_LT(elapsed, 2 * kMicrosPerSecond);
 }
 
+TEST(BlockingPollTest, ProduceToAnotherTopicLeavesConsumerParked) {
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("a", 1).ok());
+  ASSERT_TRUE(bus.CreateTopic("b", 1).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"a"}, "", nullptr, {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
+
+  // Produces to "b" while c is parked on "a": nobody reads "b", so no
+  // consumer is signalled and c waits out its max_wait.
+  const uint64_t wakes_before = bus.poll_wake_count();
+  std::thread producer([&bus] {
+    for (int i = 0; i < 20; ++i) {
+      MonotonicClock::Default()->SleepMicros(2 * kMicrosPerMilli);
+      EXPECT_TRUE(ProduceOne(&bus, "b", "k", "other topic").ok());
+    }
+  });
+  const Micros start = MonotonicClock::Default()->NowMicros();
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out, 100 * kMicrosPerMilli).ok());
+  const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
+  producer.join();
+  EXPECT_TRUE(out.empty());
+  EXPECT_GE(elapsed, 90 * kMicrosPerMilli);
+  EXPECT_EQ(bus.poll_wake_count(), wakes_before)
+      << "a produce to b signalled a consumer of a";
+}
+
+TEST(BlockingPollTest, PartitionHandedOverWhileParkedWakesOnItsNextProduce) {
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());  // Assignments.
+  ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
+  ASSERT_EQ(bus.AssignmentOf("c1"), (std::vector<TopicPartition>{{"t", 0}}));
+
+  // c1 parks; c2 leaves, so a rebalance hands c1 partition 1 while it is
+  // parked. Its next park must cover partition 1 too.
+  std::thread driver([&bus] {
+    MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
+    EXPECT_TRUE(bus.Unsubscribe("c2").ok());
+    MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
+    EXPECT_TRUE(ProduceOne(&bus, "t", KeyForPartition(1, 2), "moved").ok());
+  });
+  const Micros start = MonotonicClock::Default()->NowMicros();
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out, 5 * kMicrosPerSecond).ok());
+  EXPECT_TRUE(out.empty());  // The rebalance: callbacks only.
+  EXPECT_EQ(bus.AssignmentOf("c1").size(), 2u);
+  ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out, 5 * kMicrosPerSecond).ok());
+  const Micros elapsed = MonotonicClock::Default()->NowMicros() - start;
+  driver.join();
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].partition, 1);
+  EXPECT_EQ(out[0].payload, "moved");
+  EXPECT_LT(elapsed, kMicrosPerSecond);
+}
+
+TEST(BlockingPollTest, ProduceAfterARegisteredConsumerLeftIsSafe) {
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
+  // This scan reaches the partition's end and registers c's wake slot.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
+  ASSERT_TRUE(bus.Unsubscribe("c").ok());
+
+  // The partition still lists the departed consumer's slot: signalling
+  // it must touch only memory the bus still owns (ASan checks this).
+  ASSERT_TRUE(ProduceOne(&bus, "t", "k", "after leave").ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].payload, "after leave");
+}
+
 TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
   BusOptions options = FastBus();
   options.retention_messages = 5;

@@ -9,6 +9,7 @@
 
 #include "common/env.h"
 #include "plan/task_plan.h"
+#include "reservoir/segment.h"
 
 namespace railgun::plan {
 namespace {
@@ -275,6 +276,65 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
   ASSERT_EQ(r1.size(), 1u);
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_NEAR(r2[0].value.ToNumber(), r1[0].value.ToNumber(), 1e-9);
+}
+
+TEST_F(TaskPlanTest, UnreadableSealedChunkFailsTheEventInsteadOfEndingTheTail) {
+  // A one-chunk cache without prefetch: a sealed chunk that the tail has
+  // not reached yet is read back from disk when the tail gets there.
+  plan_.reset();
+  reservoir_.reset();
+  const std::string res_dir = dir_ + "/res_damaged";
+  reservoir::ReservoirOptions ropts;
+  ropts.chunk_target_bytes = 2048;
+  ropts.async_io = false;
+  ropts.cache_capacity = 1;
+  ropts.enable_prefetch = false;
+  ropts.schema_fields = {{"cardId", FieldType::kString},
+                         {"merchantId", FieldType::kString},
+                         {"amount", FieldType::kDouble}};
+  reservoir_ = std::make_unique<reservoir::Reservoir>(ropts, res_dir);
+  ASSERT_TRUE(reservoir_->Open().ok());
+  plan_ = std::make_unique<TaskPlan>(reservoir_.get(), db_.get());
+  ASSERT_TRUE(plan_->Init().ok());
+  AddQuery("SELECT sum(amount) FROM p GROUP BY cardId "
+           "OVER sliding 10 minutes");
+
+  // Under ten minutes of events: nothing expires, several chunks seal.
+  Micros ts = 0;
+  while (reservoir_->stats().chunks_written < 4) {
+    ts += kMicrosPerSecond / 2;
+    ASSERT_LT(ts, 9 * kMicrosPerMinute);
+    Step(ts, "c1", "m1", 1.0);
+  }
+
+  // Flip one payload byte of the second sealed chunk's record.
+  std::vector<reservoir::ChunkLocation> locations;
+  uint64_t last_number = 0, last_size = 0;
+  ASSERT_TRUE(reservoir::SegmentReader(Env::Default(), res_dir)
+                  .ScanAll(&locations, &last_number, &last_size)
+                  .ok());
+  ASSERT_GE(locations.size(), 3u);
+  const reservoir::ChunkLocation& damaged = locations[1];
+  const std::string segment =
+      reservoir::SegmentFileName(res_dir, damaged.file_number);
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(Env::Default(), segment, &bytes).ok());
+  bytes[damaged.offset + 16 + damaged.size / 2] ^= 0x40;
+  ASSERT_TRUE(WriteStringToFile(Env::Default(), bytes, segment).ok());
+
+  // Ten minutes later the window's tail must expire everything, across
+  // the damaged chunk: the read error fails the event, every time.
+  for (int i = 1; i <= 2; ++i) {
+    Event e;
+    e.timestamp = ts + 10 * kMicrosPerMinute + i;
+    e.id = ++next_id_;
+    e.offset = next_id_;
+    e.values = {FieldValue("c1"), FieldValue("m1"), FieldValue(1.0)};
+    ASSERT_TRUE(reservoir_->Append(e).ok());
+    std::vector<MetricResult> results;
+    const Status processed = plan_->ProcessEvent(e, &results);
+    EXPECT_TRUE(processed.IsCorruption()) << i << ": " << processed.ToString();
+  }
 }
 
 TEST_F(TaskPlanTest, UnknownFieldsRejected) {

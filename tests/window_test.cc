@@ -67,9 +67,9 @@ class WindowOperatorTest : public ::testing::Test {
     e.values = {FieldValue(static_cast<double>(id))};
     bool accepted;
     EXPECT_TRUE(reservoir_->Append(e, &accepted).ok());
-    manager_->Advance(ts, &edges_);
+    EXPECT_TRUE(manager_->Advance(ts, &edges_).ok());
     WindowDelta delta;
-    op->Collect(ts, edges_, &delta);
+    EXPECT_TRUE(op->Collect(ts, edges_, &delta).ok());
     return delta;
   }
 
@@ -207,10 +207,10 @@ TEST_F(WindowOperatorTest, SharedTailBroadcastsToBothWindows) {
     bool accepted;
     ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
     EdgeDeltas edges;
-    manager_->Advance(e.timestamp, &edges);
+    EXPECT_TRUE(manager_->Advance(e.timestamp, &edges).ok());
     WindowDelta d1, d2;
-    w1->Collect(e.timestamp, edges, &d1);
-    w2->Collect(e.timestamp, edges, &d2);
+    EXPECT_TRUE(w1->Collect(e.timestamp, edges, &d1).ok());
+    EXPECT_TRUE(w2->Collect(e.timestamp, edges, &d2).ok());
     w1_expired += static_cast<int>(d1.expired.size());
     w2_expired += static_cast<int>(d2.expired.size());
   }
@@ -244,11 +244,11 @@ TEST_F(WindowOperatorTest, SaveRestorePositionsResumeExactly) {
     ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
 
     EdgeDeltas edges1, edges2;
-    manager_->Advance(e.timestamp, &edges1);
-    restored_mgr.Advance(e.timestamp, &edges2);
+    EXPECT_TRUE(manager_->Advance(e.timestamp, &edges1).ok());
+    EXPECT_TRUE(restored_mgr.Advance(e.timestamp, &edges2).ok());
     WindowDelta d1, d2;
-    op->Collect(e.timestamp, edges1, &d1);
-    restored_op->Collect(e.timestamp, edges2, &d2);
+    EXPECT_TRUE(op->Collect(e.timestamp, edges1, &d1).ok());
+    EXPECT_TRUE(restored_op->Collect(e.timestamp, edges2, &d2).ok());
     ASSERT_EQ(d1.expired.size(), d2.expired.size());
     for (size_t k = 0; k < d1.expired.size(); ++k) {
       EXPECT_EQ(d1.expired[k]->id, d2.expired[k]->id);
@@ -291,13 +291,13 @@ TEST_F(WindowOperatorTest, RestoreBeforeOperatorCreationKeepsCountState) {
     ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
 
     EdgeDeltas edges0, edges_a, edges_b;
-    manager_->Advance(e.timestamp, &edges0);
-    restored_first.Advance(e.timestamp, &edges_a);
-    created_first.Advance(e.timestamp, &edges_b);
+    EXPECT_TRUE(manager_->Advance(e.timestamp, &edges0).ok());
+    EXPECT_TRUE(restored_first.Advance(e.timestamp, &edges_a).ok());
+    EXPECT_TRUE(created_first.Advance(e.timestamp, &edges_b).ok());
     WindowDelta d0, da, db;
-    op->Collect(e.timestamp, edges0, &d0);
-    op_a->Collect(e.timestamp, edges_a, &da);
-    op_b->Collect(e.timestamp, edges_b, &db);
+    EXPECT_TRUE(op->Collect(e.timestamp, edges0, &d0).ok());
+    EXPECT_TRUE(op_a->Collect(e.timestamp, edges_a, &da).ok());
+    EXPECT_TRUE(op_b->Collect(e.timestamp, edges_b, &db).ok());
     ASSERT_EQ(d0.expired.size(), 1u);
     ASSERT_EQ(da.expired.size(), d0.expired.size())
         << "restore-first lost state";
@@ -328,9 +328,9 @@ TEST_F(WindowOperatorTest, RestoreBeforeCreationKeepsTumblingEpoch) {
   bool accepted;
   ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
   EdgeDeltas edges;
-  restored.Advance(e.timestamp, &edges);
+  EXPECT_TRUE(restored.Advance(e.timestamp, &edges).ok());
   WindowDelta delta;
-  restored_op->Collect(e.timestamp, edges, &delta);
+  EXPECT_TRUE(restored_op->Collect(e.timestamp, edges, &delta).ok());
   EXPECT_FALSE(delta.reset) << "restored epoch was dropped";
 }
 
