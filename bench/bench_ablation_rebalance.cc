@@ -21,12 +21,13 @@ using msg::TopicPartition;
 
 namespace {
 
-std::vector<UnitDesc> MakeUnits(int nodes, int units_per_node) {
+std::vector<UnitDesc> MakeUnits(int nodes, int units_per_node,
+                                const std::set<std::string>& topics) {
   std::vector<UnitDesc> units;
   for (int n = 0; n < nodes; ++n) {
     for (int u = 0; u < units_per_node; ++u) {
       units.push_back({"n" + std::to_string(n) + "/u" + std::to_string(u),
-                       "n" + std::to_string(n)});
+                       "n" + std::to_string(n), topics});
     }
   }
   return units;
@@ -82,7 +83,7 @@ ChurnStats RunChurn(const AssignFn& assign, int num_tasks) {
 
   ChurnStats stats;
   auto apply = [&](int nodes) {
-    in.units = MakeUnits(nodes, 4);
+    in.units = MakeUnits(nodes, 4, {"t"});
     const TaskAssignmentResult result = assign(in);
     stats.total_moves += result.moved_active + result.moved_replicas;
     ++stats.rebalances;

@@ -79,9 +79,7 @@ LatencyHistogram RunHopping(Micros hop) {
   hop_options.hop = hop;
   baseline::HoppingEngine engine(hop_options, db.get());
 
-  baseline::WorkerOptions worker_options;
-  baseline::BaselineWorker worker(worker_options, &bus, &engine, stream,
-                                  "payments.cardId",
+  baseline::BaselineWorker worker(&bus, &engine, stream, "payments.cardId",
                                   MonotonicClock::Default());
   RAILGUN_CHECK_OK(worker.Start());
 

@@ -179,9 +179,6 @@ int main() {
     const HopResult result = DriveHop(&remote, &remote, pings, events);
     PrintRow("remote (loopback TCP)", result);
     add_series("remote_loopback_tcp", result);
-    // The tracer is compiled in and disabled here, so this run *is* the
-    // trace_off variant: emit it under that name for the perf gate.
-    add_series("trace_off", result);
 
     // (d) Same loopback hop with sampled tracing on: contexts minted
     // per batch, trailers on the wire, 1-in-1024 batches record spans.
@@ -194,7 +191,7 @@ int main() {
     trace::Tracer::Global()->Clear();
     PrintRow("remote traced 1/1024", traced);
     add_series("trace_sampled_1_in_1024", traced);
-    printf("tracing overhead vs trace_off: sampled %+.2f%%\n",
+    printf("tracing overhead vs untraced loopback: sampled %+.2f%%\n",
            (1.0 - traced.events_per_sec / result.events_per_sec) * 100.0);
     server.Stop();
   }

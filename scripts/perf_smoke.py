@@ -10,13 +10,12 @@ runners are far too noisy for a hard cross-run perf gate, so baseline
 comparisons always pass — the annotations make regressions visible on
 the PR without flaking it.
 
-Tracing overhead gates (within the *fresh* file, so runner speed cancels
-out): when the fresh results carry the tracing variants, the
-tracer-disabled run must stay within 1% of the untraced reference
-(`batched_events_per_sec` or, for the hop bench, the loopback series) —
-this one is HARD and fails the job, since a disabled tracer is supposed
-to cost one relaxed atomic load per hop. The 1-in-1024 sampled run gets
-a warn-only 5% allowance.
+Tracing overhead (within the *fresh* file, so runner speed cancels out):
+when the fresh results carry the 1-in-1024 sampled run, it gets a
+warn-only 5% allowance against the untraced reference
+(`batched_events_per_sec` or, for the hop bench, the loopback series).
+There is no tracer-disabled gate: both benches measured that variant as
+a rerun of (or the same run as) the reference, so it could not fail.
 """
 
 import json
@@ -59,7 +58,8 @@ def main() -> int:
         else:
             print(f"perf_smoke ok: {line}")
 
-    return trace_gates(fresh) or ops_hook_gate(fresh)
+    trace_warning(fresh)
+    return ops_hook_gate(fresh)
 
 
 def ops_hook_gate(fresh: dict) -> int:
@@ -87,40 +87,28 @@ def ops_hook_gate(fresh: dict) -> int:
     return 0
 
 
-def trace_gates(fresh: dict) -> int:
-    """Hard 1% gate on trace_off, warn-only 5% on sampled tracing."""
-    reference = None
+def trace_warning(fresh: dict) -> None:
+    """Warn-only 5% allowance on 1-in-1024 sampled tracing."""
+    key, budget = "trace_sampled_1_in_1024_events_per_sec", 0.05
+    if key not in fresh:
+        return
     for ref_key in ("batched_events_per_sec",
                     "remote_loopback_tcp_events_per_sec"):
         if ref_key in fresh and float(fresh[ref_key]) > 0:
-            reference = (ref_key, float(fresh[ref_key]))
+            ref = float(fresh[ref_key])
             break
-    if reference is None:
-        return 0
-    ref_key, ref = reference
-
-    failed = 0
-    for key, budget, hard in (
-        ("trace_off_events_per_sec", 0.01, True),
-        ("trace_sampled_1_in_1024_events_per_sec", 0.05, False),
-    ):
-        if key not in fresh:
-            continue
-        now = float(fresh[key])
-        overhead = 1.0 - now / ref
-        line = (
-            f"{key}: {now:.0f} vs {ref_key} {ref:.0f} "
-            f"(overhead {overhead:+.1%}, budget {budget:.0%})"
-        )
-        if overhead > budget:
-            if hard:
-                print(f"::error::tracing overhead gate failed: {line}")
-                failed = 1
-            else:
-                print(f"::warning::tracing overhead above budget: {line}")
-        else:
-            print(f"trace_gate ok: {line}")
-    return failed
+    else:
+        return
+    now = float(fresh[key])
+    overhead = 1.0 - now / ref
+    line = (
+        f"{key}: {now:.0f} vs {ref_key} {ref:.0f} "
+        f"(overhead {overhead:+.1%}, budget {budget:.0%})"
+    )
+    if overhead > budget:
+        print(f"::warning::tracing overhead above budget: {line}")
+    else:
+        print(f"trace_gate ok: {line}")
 
 
 if __name__ == "__main__":

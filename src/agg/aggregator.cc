@@ -370,31 +370,35 @@ class LastPrevAggregator : public Aggregator {
 };
 
 // -------------------------------------------------------- countDistinct
-// Distinct count with per-value reference counts in the auxiliary column
-// family (paper: "the countDistinct uses an auxiliary column-family in
-// RocksDB to hold the counts").
+// Distinct count with per-value reference counts beside the state (the
+// paper keeps them in an auxiliary RocksDB column family; here they share
+// the store's one keyspace). A count's key is kCountKeyTag, the
+// length-prefixed state key, then the value's string form. No state key
+// ("m...") or checkpoint key ("__ckpt_...") starts with the tag, and the
+// length prefix keeps (state key, value) pairs apart whatever bytes
+// either holds.
 class CountDistinctAggregator : public Aggregator {
  public:
   Status Enter(const Event* const* events, size_t n, int field,
                std::string* state, AggContext* ctx) override {
     RAILGUN_RETURN_IF_ERROR(CheckArgs(field, ctx));
+    const size_t prefix = StartCountKey(ctx->state_key);
     int64_t distinct_delta = 0;
-    std::string stored;
     for (size_t i = 0; i < n; ++i) {
-      const std::string aux_key =
-          ctx->aux_key_prefix + events[i]->values[field].ToString();
+      SetCountValue(prefix, events[i]->values[field]);
       int64_t refs = 0;
-      Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
+      Status s = ctx->db->Get(storage::kDefaultColumnFamily, key_, &stored_);
       if (s.ok()) {
-        Slice in(stored);
+        Slice in(stored_);
         if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
       } else if (!s.IsNotFound()) {
         return s;
       }
       ++refs;
-      stored.clear();
-      PutVarsint64(&stored, refs);
-      RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
+      stored_.clear();
+      PutVarsint64(&stored_, refs);
+      RAILGUN_RETURN_IF_ERROR(
+          ctx->db->Put(storage::kDefaultColumnFamily, key_, stored_));
       if (refs == 1) ++distinct_delta;
     }
     return distinct_delta == 0 ? Status::OK()
@@ -403,26 +407,27 @@ class CountDistinctAggregator : public Aggregator {
   Status Expire(const Event* const* events, size_t n, int field,
                 std::string* state, AggContext* ctx) override {
     RAILGUN_RETURN_IF_ERROR(CheckArgs(field, ctx));
+    const size_t prefix = StartCountKey(ctx->state_key);
     int64_t distinct_delta = 0;
-    std::string stored;
     for (size_t i = 0; i < n; ++i) {
-      const std::string aux_key =
-          ctx->aux_key_prefix + events[i]->values[field].ToString();
-      Status s = ctx->db->Get(ctx->aux_cf, aux_key, &stored);
+      SetCountValue(prefix, events[i]->values[field]);
+      Status s = ctx->db->Get(storage::kDefaultColumnFamily, key_, &stored_);
       if (s.IsNotFound()) continue;  // Never entered (reset?).
       RAILGUN_RETURN_IF_ERROR(s);
       int64_t refs = 0;
-      Slice in(stored);
+      Slice in(stored_);
       if (!GetVarsint64(&in, &refs)) return Status::Corruption("aux state");
       --refs;
       if (refs <= 0) {
-        RAILGUN_RETURN_IF_ERROR(ctx->db->Delete(ctx->aux_cf, aux_key));
+        RAILGUN_RETURN_IF_ERROR(
+            ctx->db->Delete(storage::kDefaultColumnFamily, key_));
         --distinct_delta;
         continue;
       }
-      stored.clear();
-      PutVarsint64(&stored, refs);
-      RAILGUN_RETURN_IF_ERROR(ctx->db->Put(ctx->aux_cf, aux_key, stored));
+      stored_.clear();
+      PutVarsint64(&stored_, refs);
+      RAILGUN_RETURN_IF_ERROR(
+          ctx->db->Put(storage::kDefaultColumnFamily, key_, stored_));
     }
     return distinct_delta == 0 ? Status::OK()
                                : BumpDistinct(state, distinct_delta);
@@ -439,6 +444,8 @@ class CountDistinctAggregator : public Aggregator {
   }
 
  private:
+  static constexpr char kCountKeyTag = 'd';
+
   // Distinct values are identified by their string form, so the value
   // must come from a field (never count(*)'s implicit 1).
   static Status CheckArgs(int field, const AggContext* ctx) {
@@ -449,6 +456,16 @@ class CountDistinctAggregator : public Aggregator {
       return Status::InvalidArgument("countDistinct needs a field");
     }
     return Status::OK();
+  }
+  // Writes the count keys' shared prefix into key_; returns its length.
+  size_t StartCountKey(const Slice& state_key) {
+    key_.assign(1, kCountKeyTag);
+    PutLengthPrefixedSlice(&key_, state_key);
+    return key_.size();
+  }
+  void SetCountValue(size_t prefix, const FieldValue& value) {
+    key_.resize(prefix);
+    key_ += value.ToString();
   }
   static Status BumpDistinct(std::string* state, int64_t delta) {
     int64_t n = 0;
@@ -462,6 +479,11 @@ class CountDistinctAggregator : public Aggregator {
     PutVarsint64(state, n + delta);
     return Status::OK();
   }
+
+  // Scratch reused across calls: the count key being built and the
+  // count read back.
+  std::string key_;
+  std::string stored_;
 };
 
 }  // namespace

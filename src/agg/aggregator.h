@@ -2,8 +2,8 @@
 // a serialized state blob on event entry and expiry, exactly mirroring
 // the paper's state layouts: sum/count keep a single value, avg a
 // (sum, count) pair, stdDev the Welford triple, max/min a monotonic
-// deque, and countDistinct per-value counts in an auxiliary column
-// family of the state store.
+// deque, and countDistinct per-value counts under keys of their own in
+// the state store.
 #ifndef RAILGUN_AGG_AGGREGATOR_H_
 #define RAILGUN_AGG_AGGREGATOR_H_
 
@@ -32,13 +32,14 @@ enum class AggKind : uint8_t {
 StatusOr<AggKind> ParseAggKind(const std::string& name);
 const char* AggKindName(AggKind kind);
 
-// Access to auxiliary storage for aggregators that need it
-// (countDistinct keeps per-value counts in a dedicated column family).
+// The state store and the key of the state being updated, for
+// aggregators that keep records beside their state blob. countDistinct
+// keeps one per-value count per (state key, value), under a key it
+// derives from both (aggregator.cc).
 struct AggContext {
   storage::DB* db = nullptr;
-  uint32_t aux_cf = 0;
-  // Unique prefix for this (metric, entity) pair's auxiliary keys.
-  std::string aux_key_prefix;
+  // The state's key; the caller keeps its bytes alive across the call.
+  Slice state_key;
 };
 
 class Aggregator {

@@ -29,8 +29,8 @@ struct HoppingOptions {
 
 class HoppingEngine {
  public:
-  // Borrows the store; uses its default column family with a
-  // "h|" key prefix.
+  // Borrows the store; keeps its records under the "h|" key prefix of
+  // the store's one keyspace.
   HoppingEngine(const HoppingOptions& options, storage::DB* db);
 
   // Processes one (key, timestamp, amount) event and reports the best

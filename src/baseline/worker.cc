@@ -6,15 +6,17 @@ namespace {
 
 // Max messages taken per partition fetch.
 constexpr size_t kPollMax = 256;
+// Pause after a pass that fetched nothing.
+constexpr Micros kIdleSleep = 200;
+constexpr char kKeyField[] = "cardId";
+constexpr char kAmountField[] = "amount";
 
 }  // namespace
 
-BaselineWorker::BaselineWorker(const WorkerOptions& options,
-                               msg::Bus* bus, HoppingEngine* engine,
+BaselineWorker::BaselineWorker(msg::Bus* bus, HoppingEngine* engine,
                                engine::StreamDef stream, std::string topic,
                                Clock* clock)
-    : options_(options),
-      bus_(bus),
+    : bus_(bus),
       engine_(engine),
       stream_(std::move(stream)),
       topic_(std::move(topic)),
@@ -24,8 +26,8 @@ BaselineWorker::~BaselineWorker() { Stop(); }
 
 Status BaselineWorker::Start() {
   const reservoir::Schema schema(0, stream_.fields);
-  key_index_ = schema.FieldIndex(options_.key_field);
-  amount_index_ = schema.FieldIndex(options_.amount_field);
+  key_index_ = schema.FieldIndex(kKeyField);
+  amount_index_ = schema.FieldIndex(kAmountField);
   if (key_index_ < 0 || amount_index_ < 0) {
     return Status::InvalidArgument("worker fields not in schema");
   }
@@ -90,7 +92,7 @@ void BaselineWorker::Run() {
         }
       }
     }
-    if (!any) clock_->SleepMicros(options_.idle_sleep);
+    if (!any) clock_->SleepMicros(kIdleSleep);
   }
 }
 

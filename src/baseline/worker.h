@@ -17,18 +17,12 @@
 
 namespace railgun::baseline {
 
-struct WorkerOptions {
-  std::string key_field = "cardId";
-  std::string amount_field = "amount";
-  Micros idle_sleep = 200;
-};
-
 class BaselineWorker {
  public:
-  // Borrows the bus and engine. Consumes every partition of `topic`.
-  BaselineWorker(const WorkerOptions& options, msg::Bus* bus,
-                 HoppingEngine* engine, engine::StreamDef stream,
-                 std::string topic, Clock* clock);
+  // Borrows the bus and engine. Consumes every partition of `topic`,
+  // keying by the stream's "cardId" field and summing its "amount".
+  BaselineWorker(msg::Bus* bus, HoppingEngine* engine,
+                 engine::StreamDef stream, std::string topic, Clock* clock);
   ~BaselineWorker();
 
   Status Start();
@@ -39,7 +33,6 @@ class BaselineWorker {
  private:
   void Run();
 
-  WorkerOptions options_;
   msg::Bus* bus_;
   HoppingEngine* engine_;
   engine::StreamDef stream_;

@@ -24,8 +24,7 @@ msg::Assignment Coordinator::Assign(
   input.replication_factor = replication_factor_;
   for (const auto& m : members) {
     // A unit joins before its first stream arrives; until then it holds
-    // no task, active or replica (an empty topic set would mean "every
-    // topic" to the assignment).
+    // no task, active or replica, and does not count toward the budget.
     if (m.topics.empty()) continue;
     input.units.push_back(
         {m.member_id, NodeOf(m.metadata),

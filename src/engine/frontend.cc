@@ -55,6 +55,10 @@ Status FrontEnd::SubscribeReplies() {
 
 void FrontEnd::Stop() {
   running_ = false;
+  {
+    MutexLock lock(&mu_);
+    backoff_cv_.NotifyAll();  // Cut a poll-error backoff short.
+  }
   (void)bus_->WakeConsumer(consumer_id_);  // Cut a parked reply poll short.
   if (thread_.joinable()) thread_.join();
   // NotFound when never started: fine.
@@ -288,10 +292,13 @@ void FrontEnd::Run() {
     // replies published meanwhile are read on the next poll.
     const bool rejoined = polled.IsNotFound() && SubscribeReplies().ok();
     if (!polled.ok() && !rejoined) {
-      // Error-recovery path (transport failure), not the hot loop:
-      // bounded backoff, then keep expiring deadlines below.
+      // Error-recovery path (transport failure), not the hot loop: back
+      // off one real-time slice, then keep expiring deadlines below. A
+      // simulated clock's SleepMicros would advance virtual time instead
+      // of waiting, spinning the loop and ageing every deadline.
       batch.Clear();
-      clock_->SleepMicros(kPollWait);
+      MutexLock lock(&mu_);
+      (void)backoff_cv_.WaitFor(&mu_, kPollWait, [this] { return !running_; });
     }
 
     std::vector<Completion> done;

@@ -174,6 +174,8 @@ class FrontEnd {
   std::atomic<bool> running_{false};
 
   mutable Mutex mu_{kRankEngineFrontEnd};
+  // Run's wait after a failed reply poll; Stop notifies it.
+  CondVar backoff_cv_;
   // Shared so a submit copies a pointer, not the stream definition.
   std::map<std::string, std::shared_ptr<const Route>> routes_
       GUARDED_BY(mu_);

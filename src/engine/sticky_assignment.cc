@@ -23,7 +23,7 @@ class Assigner {
       remaining_[u.unit_id] = budget_;
       node_of_[u.unit_id] = u.node_id;
       load_[u.unit_id] = 0;
-      if (!u.topics.empty()) topics_of_[u.unit_id] = u.topics;
+      topics_of_[u.unit_id] = u.topics;
     }
   }
 
@@ -90,8 +90,7 @@ class Assigner {
   // A unit that didn't subscribe to the task's topic would consume and
   // drop its messages: never a candidate, not even as a fallback.
   bool Subscribed(const TopicPartition& task, const std::string& unit) const {
-    auto it = topics_of_.find(unit);
-    return it == topics_of_.end() || it->second.count(task.topic) > 0;
+    return topics_of_.at(unit).count(task.topic) > 0;
   }
 
   bool CanAssign(const TopicPartition& task, const std::string& unit) const {

@@ -24,7 +24,7 @@ struct UnitDesc {
   std::string unit_id;
   std::string node_id;
   // Topics this unit subscribed to; a task is only assignable to units
-  // subscribed to its topic (empty = all topics).
+  // subscribed to its topic, so a unit with no topics gets nothing.
   std::set<std::string> topics;
 };
 

@@ -42,7 +42,6 @@ Status TaskProcessor::Open() {
       storage::DB::Open(options_.db, DbDir(dir_), &db_));
 
   plan_.reset(new plan::TaskPlan(reservoir_.get(), db_.get()));
-  RAILGUN_RETURN_IF_ERROR(plan_->Init());
   for (const auto& q : stream_.queries) {
     RAILGUN_ASSIGN_OR_RETURN(std::string partitioner,
                              stream_.PartitionerForQuery(q));

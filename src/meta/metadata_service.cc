@@ -22,7 +22,7 @@ void MetadataService::CheckLeasesLocked(Micros now) {
     if (!record.alive) {
       // Prune old tombstones (workers restart under fresh ids; without
       // a bound the map and every view would grow forever).
-      if (now - record.died_at >= options_.dead_node_retention) {
+      if (now - record.died_at >= kDeadNodeRetention) {
         it = nodes_.erase(it);
         continue;
       }

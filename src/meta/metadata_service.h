@@ -43,12 +43,13 @@ struct MetadataServiceOptions {
   // its lease and is marked dead in the view. Its units are left to the
   // bus session (BusOptions::session_timeout).
   Micros lease_timeout = 5 * kMicrosPerSecond;
-  // Dead nodes stay visible in the view this long after leaving or
-  // expiring (so operators see recent departures), then their records
-  // are pruned — workers restart under fresh generated ids, so without
-  // a bound the node map would grow forever.
-  Micros dead_node_retention = 10 * kMicrosPerMinute;
 };
+
+// Dead nodes stay visible in the view this long after leaving or
+// expiring (so operators see recent departures), then their records are
+// pruned — workers restart under fresh generated ids, so without a bound
+// the node map would grow forever.
+constexpr Micros kDeadNodeRetention = 10 * kMicrosPerMinute;
 
 class MetadataService {
  public:
@@ -122,7 +123,7 @@ class MetadataService {
   };
 
   // Marks nodes whose lease ran out dead (bumping the generation and
-  // leases_expired) and prunes tombstones past dead_node_retention.
+  // leases_expired) and prunes tombstones past kDeadNodeRetention.
   void CheckLeasesLocked(Micros now) REQUIRES(mu_);
 
   MetadataServiceOptions options_;

@@ -26,9 +26,8 @@ Assignment RoundRobinStrategy::Assign(
     const MemberInfo* picked = nullptr;
     for (size_t probe = 0; probe < sorted_members.size(); ++probe) {
       const MemberInfo* m = sorted_members[(i + probe) % sorted_members.size()];
-      if (m->topics.empty() ||
-          std::find(m->topics.begin(), m->topics.end(), tp.topic) !=
-              m->topics.end()) {
+      if (std::find(m->topics.begin(), m->topics.end(), tp.topic) !=
+          m->topics.end()) {
         picked = m;
         break;
       }

@@ -24,7 +24,8 @@ struct MemberInfo {
   // mid-transition on different topic sets (a stream created while
   // some units haven't registered it yet); a strategy must never hand
   // a partition to a member that didn't subscribe to its topic — the
-  // member would consume and drop the messages. Empty = all topics.
+  // member would consume and drop the messages. A member with no topics
+  // gets nothing.
   std::vector<std::string> topics;
 };
 

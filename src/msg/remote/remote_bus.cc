@@ -36,7 +36,7 @@ std::shared_ptr<RemoteBus::Conn> RemoteBus::ConnFor(
     const std::string& key) const {
   MutexLock lock(&mu_);
   auto& conn = conns_[key];
-  if (conn == nullptr) conn = std::make_shared<Conn>(options_);
+  if (conn == nullptr) conn = std::make_shared<Conn>();
   return conn;
 }
 

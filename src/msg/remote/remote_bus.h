@@ -46,14 +46,15 @@
 
 namespace railgun::msg::remote {
 
+// Reconnect backoff window: the first failed dial backs a connection off
+// for kReconnectBackoffMin, doubling per consecutive failure up to
+// kReconnectBackoffMax, with up to +25% jitter so a fleet of clients
+// doesn't re-dial a recovering broker in lockstep.
+constexpr Micros kReconnectBackoffMin = 50 * kMicrosPerMilli;
+constexpr Micros kReconnectBackoffMax = 2 * kMicrosPerSecond;
+
 struct RemoteBusOptions {
   std::string address;  // "host:port" of a BusServer.
-  // Reconnect backoff window: the first failed dial backs a connection
-  // off for reconnect_backoff_min, doubling per consecutive failure up
-  // to reconnect_backoff_max, with up to +25% jitter so a fleet of
-  // clients doesn't re-dial a recovering broker in lockstep.
-  Micros reconnect_backoff_min = 50 * kMicrosPerMilli;
-  Micros reconnect_backoff_max = 2 * kMicrosPerSecond;
   // Clock the backoff window is measured on (tests inject a simulated
   // one). Defaults to the monotonic clock.
   Clock* clock = nullptr;
@@ -130,15 +131,12 @@ class RemoteBus : public Bus {
 
  private:
   struct Conn {
-    explicit Conn(const RemoteBusOptions& options)
-        : backoff(options.reconnect_backoff_min,
-                  options.reconnect_backoff_max) {}
-
     Mutex mu{kRankMsgRemoteConn};
     Socket sock GUARDED_BY(mu);
     uint64_t next_correlation GUARDED_BY(mu) = 1;
     bool connected GUARDED_BY(mu) = false;
-    ReconnectBackoff backoff GUARDED_BY(mu);
+    ReconnectBackoff backoff GUARDED_BY(mu){kReconnectBackoffMin,
+                                            kReconnectBackoffMax};
     // The server's answer to the last kHello when it refused it; calls
     // inside the backoff window report it rather than a bare
     // "unreachable".

@@ -12,17 +12,8 @@ using window::WindowDelta;
 using window::WindowKind;
 
 TaskPlan::TaskPlan(reservoir::Reservoir* reservoir, storage::DB* db)
-    : reservoir_(reservoir), db_(db) {}
-
-Status TaskPlan::Init() {
-  auto cf_or = db_->FindColumnFamily("agg_aux");
-  if (cf_or.ok()) {
-    aux_cf_ = cf_or.value();
-  } else {
-    RAILGUN_ASSIGN_OR_RETURN(aux_cf_, db_->CreateColumnFamily("agg_aux"));
-  }
+    : reservoir_(reservoir), db_(db) {
   islands_.push_back(std::make_unique<Island>(reservoir_));
-  return Status::OK();
 }
 
 Status TaskPlan::AddQuery(const query::QueryDef& query) {
@@ -227,10 +218,7 @@ Status TaskPlan::ApplyEventRun(const std::vector<const Event*>& events,
       std::string state;
       Status s = db_->Get(storage::kDefaultColumnFamily, key, &state);
       if (!s.ok() && !s.IsNotFound()) return s;
-      agg::AggContext ctx;
-      ctx.db = db_;
-      ctx.aux_cf = aux_cf_;
-      ctx.aux_key_prefix = key + "|";
+      agg::AggContext ctx{db_, key};
       RAILGUN_RETURN_IF_ERROR(
           entering ? leaf.aggregator->Enter(&events[i], j - i,
                                             leaf.field_index, &state, &ctx)

@@ -2,7 +2,8 @@
 // Aggregator operators computing every metric of a task, with shared
 // prefixes. Metrics that share a window, filter and group-by reuse the
 // same DAG path, so each arriving event advances each distinct window
-// once and touches exactly one state-store key per DAG leaf (§4.1.3).
+// once and touches one state-store key per DAG leaf (§4.1.3), plus one
+// per-value count per event for a countDistinct leaf.
 #ifndef RAILGUN_PLAN_TASK_PLAN_H_
 #define RAILGUN_PLAN_TASK_PLAN_H_
 
@@ -30,14 +31,14 @@ struct MetricResult {
 
 class TaskPlan {
  public:
-  // All pointers are borrowed and must outlive the plan. The DB gains an
-  // "agg_aux" column family for countDistinct if not already present.
+  // All pointers are borrowed and must outlive the plan. Every record
+  // the plan keeps lives in the DB's one keyspace: each leaf's state
+  // under StateKey ("m..."), and countDistinct's per-value counts under
+  // keys the aggregator derives from that state key (aggregator.cc).
   TaskPlan(reservoir::Reservoir* reservoir, storage::DB* db);
 
   TaskPlan(const TaskPlan&) = delete;
   TaskPlan& operator=(const TaskPlan&) = delete;
-
-  Status Init();
 
   // Registers a query's metrics into the DAG (prefix-shared).
   Status AddQuery(const query::QueryDef& query);
@@ -114,7 +115,9 @@ class TaskPlan {
   Status ApplyEventRun(const std::vector<const reservoir::Event*>& events,
                        bool entering, Micros epoch, GroupNode* gnode);
 
-  // State-store key for a (metric, epoch, entity).
+  // State-store key for a (metric, epoch, entity): "m<metric>[@<epoch>]|"
+  // then the group key. Digits end at the first '|', so two different
+  // triples never share a key.
   static std::string StateKey(uint64_t metric_id, Micros epoch,
                               const std::string& group_key);
   static std::string GroupKeyOf(const reservoir::Event& event,
@@ -122,7 +125,6 @@ class TaskPlan {
 
   reservoir::Reservoir* reservoir_;
   storage::DB* db_;
-  uint32_t aux_cf_ = 0;
   std::vector<std::unique_ptr<Island>> islands_;
   uint64_t next_metric_id_ = 1;
   size_t num_metrics_ = 0;

@@ -37,9 +37,9 @@ bool ParseFileName(const std::string& name, uint64_t* number,
 DB::DB(const DBOptions& options, std::string dbname)
     : options_(options),
       dbname_(std::move(dbname)),
-      env_(options.env != nullptr ? options.env : Env::Default()) {
-  versions_.reset(new VersionSet(env_, dbname_));
-}
+      env_(options.env != nullptr ? options.env : Env::Default()),
+      mem_(std::make_unique<MemTable>()),
+      versions_(std::make_unique<VersionSet>(env_, dbname_)) {}
 
 DB::~DB() {
   MutexLock lock(&mu_);
@@ -61,9 +61,6 @@ Status DB::Open(const DBOptions& options, const std::string& path,
 Status DB::Recover() {
   MutexLock lock(&mu_);
   RAILGUN_RETURN_IF_ERROR(versions_->Recover(options_.create_if_missing));
-  for (const auto& [id, cf] : versions_->families()) {
-    mems_[id] = std::make_unique<MemTable>();
-  }
   // Tables a crash left half-written are not in the manifest.
   RemoveObsoleteFiles();
   return Status::OK();
@@ -82,41 +79,29 @@ Status DB::Delete(uint32_t cf, const Slice& key) {
 Status DB::AddLocked(uint32_t cf, ValueType type, const Slice& key,
                      const Slice& value) {
   if (!bg_error_.ok()) return bg_error_;
-  auto it = mems_.find(cf);
-  if (it == mems_.end()) {
+  if (cf != kDefaultColumnFamily) {
     return Status::InvalidArgument("unknown column family");
   }
-  it->second->Add(type, key, value);
-  return MaybeScheduleFlush();
-}
-
-Status DB::MaybeScheduleFlush() {
-  size_t total = 0;
-  for (const auto& [id, mem] : mems_) total += mem->ApproximateMemoryUsage();
-  if (total >= options_.write_buffer_size) {
+  mem_->Add(type, key, value);
+  if (mem_->ApproximateMemoryUsage() >= options_.write_buffer_size) {
     return FlushLocked();
   }
   return Status::OK();
 }
 
 Status DB::Get(uint32_t cf, const Slice& key, std::string* value) {
-  MutexLock lock(&mu_);
-  auto it = mems_.find(cf);
-  if (it == mems_.end()) {
+  if (cf != kDefaultColumnFamily) {
     return Status::InvalidArgument("unknown column family");
   }
-  Lookup lookup = it->second->Get(key, value);
+  MutexLock lock(&mu_);
+  Lookup lookup = mem_->Get(key, value);
   if (lookup == Lookup::kAbsent) {
-    RAILGUN_ASSIGN_OR_RETURN(lookup, GetFromTables(cf, key, value));
+    RAILGUN_ASSIGN_OR_RETURN(lookup, GetFromTables(key, value));
   }
   return lookup == Lookup::kFound ? Status::OK() : Status::NotFound("");
 }
 
-StatusOr<Lookup> DB::GetFromTables(uint32_t cf_id, const Slice& key,
-                                   std::string* value) {
-  ColumnFamilyMeta* cf = versions_->GetFamily(cf_id);
-  if (cf == nullptr) return Status::InvalidArgument("unknown column family");
-
+StatusOr<Lookup> DB::GetFromTables(const Slice& key, std::string* value) {
   auto check_file = [&](const FileMetaData& f) -> StatusOr<Lookup> {
     if (key.compare(f.smallest) < 0 || key.compare(f.largest) > 0) {
       return Lookup::kAbsent;
@@ -126,14 +111,14 @@ StatusOr<Lookup> DB::GetFromTables(uint32_t cf_id, const Slice& key,
   };
 
   // L0 files may overlap and are kept newest first.
-  for (const FileMetaData& f : cf->levels[0]) {
+  for (const FileMetaData& f : versions_->files(0)) {
     RAILGUN_ASSIGN_OR_RETURN(Lookup lookup, check_file(f));
     if (lookup != Lookup::kAbsent) return lookup;
   }
 
   // L1+: files are non-overlapping and sorted; binary search by range.
   for (int level = 1; level < kNumLevels; ++level) {
-    const auto& files = cf->levels[level];
+    const auto& files = versions_->files(level);
     // Find the first file whose largest key >= key.
     auto iter = std::lower_bound(
         files.begin(), files.end(), key,
@@ -161,20 +146,6 @@ StatusOr<Table*> DB::GetTable(uint64_t file_number) {
   return raw;
 }
 
-StatusOr<uint32_t> DB::CreateColumnFamily(const std::string& name) {
-  MutexLock lock(&mu_);
-  RAILGUN_ASSIGN_OR_RETURN(uint32_t id, versions_->CreateColumnFamily(name));
-  mems_[id] = std::make_unique<MemTable>();
-  return id;
-}
-
-StatusOr<uint32_t> DB::FindColumnFamily(const std::string& name) {
-  MutexLock lock(&mu_);
-  const ColumnFamilyMeta* cf = versions_->FindFamilyByName(name);
-  if (cf == nullptr) return Status::NotFound("no column family: " + name);
-  return cf->id;
-}
-
 Status DB::Flush() {
   MutexLock lock(&mu_);
   return FlushLocked();
@@ -182,31 +153,18 @@ Status DB::Flush() {
 
 Status DB::FlushLocked() {
   if (!bg_error_.ok()) return bg_error_;
-  bool any = false;
-  for (auto& [id, mem] : mems_) {
-    if (!mem->Empty()) {
-      RAILGUN_RETURN_IF_ERROR(FlushMemTable(id, mem.get()));
-      any = true;
-    }
-  }
-  if (!any) return Status::OK();
+  if (mem_->Empty()) return Status::OK();
+  RAILGUN_RETURN_IF_ERROR(FlushMemTable());
   RAILGUN_RETURN_IF_ERROR(versions_->LogAndApply());
-
-  // Fresh memtables.
-  for (auto& [id, mem] : mems_) {
-    mem = std::make_unique<MemTable>();
-  }
+  mem_ = std::make_unique<MemTable>();
 
   // A failed compaction is not retried: its inputs would fail again,
   // and L0 would grow with every flush.
-  for (auto& [id, mem] : mems_) {
-    bg_error_ = MaybeCompact(id);
-    RAILGUN_RETURN_IF_ERROR(bg_error_);
-  }
-  return Status::OK();
+  bg_error_ = MaybeCompact();
+  return bg_error_;
 }
 
-Status DB::FlushMemTable(uint32_t cf_id, MemTable* mem) {
+Status DB::FlushMemTable() {
   const uint64_t file_number = versions_->NewFileNumber();
   const std::string fname = SstFileName(dbname_, file_number);
 
@@ -221,7 +179,7 @@ Status DB::FlushMemTable(uint32_t cf_id, MemTable* mem) {
   FileMetaData meta;
   meta.number = file_number;
 
-  MemTable::Iterator iter(mem);
+  MemTable::Iterator iter(mem_.get());
   for (iter.SeekToFirst(); iter.Valid(); iter.Next()) {
     if (builder.NumEntries() == 0) meta.smallest = iter.key().ToString();
     meta.largest = iter.key().ToString();
@@ -232,18 +190,16 @@ Status DB::FlushMemTable(uint32_t cf_id, MemTable* mem) {
   RAILGUN_RETURN_IF_ERROR(file->Close());
 
   meta.file_size = builder.FileSize();
-  versions_->AddFile(cf_id, 0, std::move(meta));
+  versions_->AddFile(0, std::move(meta));
   return Status::OK();
 }
 
-Status DB::MaybeCompact(uint32_t cf_id) {
+Status DB::MaybeCompact() {
   while (true) {
-    ColumnFamilyMeta* cf = versions_->GetFamily(cf_id);
-
     // L0 -> L1 when too many overlapping L0 files accumulate.
-    if (cf->levels[0].size() >= kL0CompactionTrigger) {
+    if (versions_->files(0).size() >= kL0CompactionTrigger) {
       // Newest first, which ranks them for the merge.
-      std::vector<FileMetaData> l0_inputs = cf->levels[0];
+      const std::vector<FileMetaData> l0_inputs = versions_->files(0);
       // All L1 files overlapping the union of L0 ranges participate.
       std::string smallest = l0_inputs[0].smallest;
       std::string largest = l0_inputs[0].largest;
@@ -251,28 +207,21 @@ Status DB::MaybeCompact(uint32_t cf_id) {
         smallest = std::min(smallest, f.smallest);
         largest = std::max(largest, f.largest);
       }
-      std::vector<FileMetaData> l1_inputs;
-      for (const FileMetaData* f :
-           cf->OverlappingFiles(1, smallest, largest)) {
-        l1_inputs.push_back(*f);
-      }
-      RAILGUN_RETURN_IF_ERROR(CompactRange(cf_id, 0, l0_inputs, l1_inputs));
+      RAILGUN_RETURN_IF_ERROR(CompactRange(
+          0, l0_inputs, versions_->OverlappingFiles(1, smallest, largest)));
       continue;
     }
 
     // Size-triggered compactions down the levels.
     bool compacted = false;
     for (int level = 1; level + 1 < kNumLevels; ++level) {
-      if (cf->LevelBytes(level) > MaxBytesForLevel(options_, level) &&
-          !cf->levels[level].empty()) {
-        const FileMetaData input = cf->levels[level][0];
-        std::vector<FileMetaData> next_inputs;
-        for (const FileMetaData* f : cf->OverlappingFiles(
-                 level + 1, input.smallest, input.largest)) {
-          next_inputs.push_back(*f);
-        }
-        RAILGUN_RETURN_IF_ERROR(
-            CompactRange(cf_id, level, {input}, next_inputs));
+      if (versions_->LevelBytes(level) > MaxBytesForLevel(options_, level) &&
+          !versions_->files(level).empty()) {
+        const FileMetaData input = versions_->files(level)[0];
+        RAILGUN_RETURN_IF_ERROR(CompactRange(
+            level, {input},
+            versions_->OverlappingFiles(level + 1, input.smallest,
+                                        input.largest)));
         compacted = true;
         break;
       }
@@ -281,17 +230,16 @@ Status DB::MaybeCompact(uint32_t cf_id) {
   }
 }
 
-Status DB::CompactRange(uint32_t cf_id, int level,
+Status DB::CompactRange(int level,
                         const std::vector<FileMetaData>& inputs_level,
                         const std::vector<FileMetaData>& inputs_next) {
   const int output_level = level + 1;
 
   // Tombstones can be dropped when no level below the output can still
   // hold an older version of the key.
-  ColumnFamilyMeta* cf = versions_->GetFamily(cf_id);
   bool deeper_data = false;
   for (int l = output_level + 1; l < kNumLevels; ++l) {
-    if (!cf->levels[l].empty()) {
+    if (!versions_->files(l).empty()) {
       deeper_data = true;
       break;
     }
@@ -395,15 +343,15 @@ Status DB::CompactRange(uint32_t cf_id, int level,
 
   // Install: remove inputs, add outputs.
   for (const auto& f : inputs_level) {
-    versions_->RemoveFile(cf_id, level, f.number);
+    versions_->RemoveFile(level, f.number);
     table_cache_.erase(f.number);
   }
   for (const auto& f : inputs_next) {
-    versions_->RemoveFile(cf_id, output_level, f.number);
+    versions_->RemoveFile(output_level, f.number);
     table_cache_.erase(f.number);
   }
   for (auto& f : outputs) {
-    versions_->AddFile(cf_id, output_level, std::move(f));
+    versions_->AddFile(output_level, std::move(f));
   }
   RAILGUN_RETURN_IF_ERROR(versions_->LogAndApply());
   RemoveObsoleteFiles();
@@ -452,24 +400,12 @@ Status DB::Checkpoint(const std::string& dir) {
 std::vector<DB::LevelStats> DB::GetLevelStats(uint32_t cf) {
   MutexLock lock(&mu_);
   std::vector<LevelStats> stats(kNumLevels);
-  ColumnFamilyMeta* meta = versions_->GetFamily(cf);
-  if (meta == nullptr) return stats;
+  if (cf != kDefaultColumnFamily) return stats;
   for (int level = 0; level < kNumLevels; ++level) {
-    stats[level].num_files = static_cast<int>(meta->levels[level].size());
-    stats[level].bytes = meta->LevelBytes(level);
+    stats[level].num_files = static_cast<int>(versions_->files(level).size());
+    stats[level].bytes = versions_->LevelBytes(level);
   }
   return stats;
-}
-
-uint64_t DB::TotalSstBytes() {
-  MutexLock lock(&mu_);
-  uint64_t total = 0;
-  for (const auto& [id, cf] : versions_->families()) {
-    for (const auto& level : cf.levels) {
-      for (const auto& f : level) total += f.file_size;
-    }
-  }
-  return total;
 }
 
 Status DestroyDB(const std::string& path, Env* env) {

@@ -4,6 +4,12 @@
 // key, so the API is Put/Delete/Get per key, with no write batches and
 // no scans.
 //
+// One keyspace: there are no column families. Callers that keep several
+// kinds of record in one store give each kind its own key prefix (the
+// plan's state keys, countDistinct's per-value counts and the task's
+// checkpoint keys do). The `cf` argument of the per-key calls survives
+// only for existing callers: kDefaultColumnFamily is the one valid value.
+//
 // One entry per user key, in memory and on disk: a write replaces the
 // key's memtable entry, and a table entry is the user key plus a value
 // whose first byte is its type (dbformat.h). No entry carries a sequence
@@ -40,7 +46,7 @@ namespace railgun::storage {
 
 struct DBOptions {
   bool create_if_missing = true;
-  // Total memtable bytes (across column families) that trigger a flush.
+  // Memtable bytes that trigger a flush.
   size_t write_buffer_size = 4 * 1024 * 1024;
   // Max bytes for L1; each further level is 10x larger.
   uint64_t max_bytes_for_level_base = 10 * 1024 * 1024;
@@ -51,7 +57,7 @@ struct DBOptions {
   Env* env = nullptr;  // Defaults to Env::Default().
 };
 
-// Default column family id.
+// The one keyspace's id; any other `cf` answers InvalidArgument.
 constexpr uint32_t kDefaultColumnFamily = 0;
 
 class DB {
@@ -59,13 +65,12 @@ class DB {
   static Status Open(const DBOptions& options, const std::string& path,
                      std::unique_ptr<DB>* db);
 
-  // Flushes the memtables, so a clean close loses nothing.
+  // Flushes the memtable, so a clean close loses nothing.
   ~DB();
   DB(const DB&) = delete;
   DB& operator=(const DB&) = delete;
 
-  // Each write replaces the key's entry in the family's memtable. An
-  // unknown column family answers InvalidArgument.
+  // Each write replaces the key's entry in the memtable.
   Status Put(uint32_t cf, const Slice& key, const Slice& value);
   Status Delete(uint32_t cf, const Slice& key);
   // Reads always see the newest write: the store keeps no snapshots, so
@@ -74,12 +79,7 @@ class DB {
   // after a compaction error.
   Status Get(uint32_t cf, const Slice& key, std::string* value);
 
-  // Column families.
-  StatusOr<uint32_t> CreateColumnFamily(const std::string& name);
-  // Returns the id, or NotFound.
-  StatusOr<uint32_t> FindColumnFamily(const std::string& name);
-
-  // Forces all memtables to SSTables. There is no write-ahead log: the
+  // Forces the memtable to an SSTable. There is no write-ahead log: the
   // store is durable as of its last flush or checkpoint, and the engine
   // recovers newer state by replaying the message log.
   Status Flush();
@@ -93,8 +93,8 @@ class DB {
     int num_files = 0;
     uint64_t bytes = 0;
   };
+  // Zeroes for a cf other than kDefaultColumnFamily.
   std::vector<LevelStats> GetLevelStats(uint32_t cf);
-  uint64_t TotalSstBytes();
 
   const std::string& path() const { return dbname_; }
 
@@ -104,28 +104,27 @@ class DB {
   Status Recover();
   Status AddLocked(uint32_t cf, ValueType type, const Slice& key,
                    const Slice& value) REQUIRES(mu_);
-  Status MaybeScheduleFlush() REQUIRES(mu_);
   Status FlushLocked() REQUIRES(mu_);
-  Status FlushMemTable(uint32_t cf_id, MemTable* mem);
-  Status MaybeCompact(uint32_t cf_id);
+  Status FlushMemTable() REQUIRES(mu_);
+  Status MaybeCompact() REQUIRES(mu_);
   // Merges the inputs into level + 1. Each key keeps the copy of the
   // first-ranked input holding it: inputs_level in order (L0 newest
   // first), then inputs_next.
-  Status CompactRange(uint32_t cf_id, int level,
-                      const std::vector<FileMetaData>& inputs_level,
-                      const std::vector<FileMetaData>& inputs_next);
+  Status CompactRange(int level, const std::vector<FileMetaData>& inputs_level,
+                      const std::vector<FileMetaData>& inputs_next)
+      REQUIRES(mu_);
   // The table stays owned by table_cache_ until its file is removed.
-  StatusOr<Table*> GetTable(uint64_t file_number);
-  StatusOr<Lookup> GetFromTables(uint32_t cf_id, const Slice& key,
-                                 std::string* value);
-  void RemoveObsoleteFiles();
+  StatusOr<Table*> GetTable(uint64_t file_number) REQUIRES(mu_);
+  StatusOr<Lookup> GetFromTables(const Slice& key, std::string* value)
+      REQUIRES(mu_);
+  void RemoveObsoleteFiles() REQUIRES(mu_);
 
   DBOptions options_;
   std::string dbname_;
   Env* env_;
 
   Mutex mu_{kRankStorageDb};
-  std::map<uint32_t, std::unique_ptr<MemTable>> mems_ GUARDED_BY(mu_);
+  std::unique_ptr<MemTable> mem_ GUARDED_BY(mu_);
   std::unique_ptr<VersionSet> versions_ GUARDED_BY(mu_);
   std::map<uint64_t, std::unique_ptr<Table>> table_cache_ GUARDED_BY(mu_);
   // The first compaction error; once set, writes and flushes return it.

@@ -1,7 +1,7 @@
-// In-memory buffer of recent writes for one column family, holding one
-// entry per user key in a hash index: a point read is one probe and a
-// write to a key already present replaces its entry in place. Keys are
-// sorted only when a flush iterates them.
+// In-memory buffer of the store's recent writes, holding one entry per
+// user key in a hash index: a point read is one probe and a write to a
+// key already present replaces its entry in place. Keys are sorted only
+// when a flush iterates them.
 //
 // Keeping only the newest write is safe because the store has no
 // snapshots: reads always want the newest state, and a flush only wants

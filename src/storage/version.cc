@@ -14,8 +14,10 @@ namespace {
 // Leads every manifest snapshot. The first layout had no format number:
 // it began with the next file number, which is at least 3, so a manifest
 // of that layout (internal keys with sequence numbers, and a last
-// sequence field) never reads as this one.
-constexpr uint32_t kManifestFormat = 2;
+// sequence field) never reads as this one. Format 2 listed column
+// families (a count, then each family's id, name and levels); format 3
+// has one keyspace and lists the levels alone.
+constexpr uint32_t kManifestFormat = 3;
 
 }  // namespace
 
@@ -35,19 +37,19 @@ std::string VersionSet::ManifestPath(uint64_t number) const {
   return dbname_ + buf;
 }
 
-uint64_t ColumnFamilyMeta::LevelBytes(int level) const {
+uint64_t VersionSet::LevelBytes(int level) const {
   uint64_t total = 0;
-  for (const auto& f : levels[level]) total += f.file_size;
+  for (const auto& f : levels_[level]) total += f.file_size;
   return total;
 }
 
-std::vector<const FileMetaData*> ColumnFamilyMeta::OverlappingFiles(
+std::vector<FileMetaData> VersionSet::OverlappingFiles(
     int level, const Slice& smallest, const Slice& largest) const {
-  std::vector<const FileMetaData*> result;
-  for (const auto& f : levels[level]) {
+  std::vector<FileMetaData> result;
+  for (const auto& f : levels_[level]) {
     if (Slice(f.largest).compare(smallest) >= 0 &&
         Slice(f.smallest).compare(largest) <= 0) {
-      result.push_back(&f);
+      result.push_back(f);
     }
   }
   return result;
@@ -63,12 +65,7 @@ Status VersionSet::Recover(bool create_if_missing) {
       return Status::NotFound("database does not exist: " + dbname_);
     }
     RAILGUN_RETURN_IF_ERROR(env_->CreateDir(dbname_));
-    // Fresh database: default column family, first manifest.
-    ColumnFamilyMeta def;
-    def.id = 0;
-    def.name = "default";
-    families_[0] = std::move(def);
-    return LogAndApply();
+    return LogAndApply();  // Fresh database: the first manifest.
   }
 
   std::string manifest_name;
@@ -110,19 +107,13 @@ Status VersionSet::WriteSnapshot(uint64_t manifest_number) {
   std::string rep;
   PutVarint32(&rep, kManifestFormat);
   PutVarint64(&rep, next_file_number_);
-  PutVarint32(&rep, next_cf_id_);
-  PutVarint32(&rep, static_cast<uint32_t>(families_.size()));
-  for (const auto& [id, cf] : families_) {
-    PutVarint32(&rep, id);
-    PutLengthPrefixedSlice(&rep, cf.name);
-    for (int level = 0; level < kNumLevels; ++level) {
-      PutVarint32(&rep, static_cast<uint32_t>(cf.levels[level].size()));
-      for (const auto& f : cf.levels[level]) {
-        PutVarint64(&rep, f.number);
-        PutVarint64(&rep, f.file_size);
-        PutLengthPrefixedSlice(&rep, f.smallest);
-        PutLengthPrefixedSlice(&rep, f.largest);
-      }
+  for (const auto& files : levels_) {
+    PutVarint32(&rep, static_cast<uint32_t>(files.size()));
+    for (const auto& f : files) {
+      PutVarint64(&rep, f.number);
+      PutVarint64(&rep, f.file_size);
+      PutLengthPrefixedSlice(&rep, f.smallest);
+      PutLengthPrefixedSlice(&rep, f.largest);
     }
   }
   PutFixed32(&rep, crc32c::Mask(crc32c::Value(rep.data(), rep.size())));
@@ -145,76 +136,36 @@ Status VersionSet::ReadSnapshot(const std::string& path) {
   if (!GetVarint32(&input, &format) || format != kManifestFormat) {
     return Status::Corruption("unsupported manifest format");
   }
-  uint32_t num_families;
-  if (!GetVarint64(&input, &next_file_number_) ||
-      !GetVarint32(&input, &next_cf_id_) ||
-      !GetVarint32(&input, &num_families)) {
+  if (!GetVarint64(&input, &next_file_number_)) {
     return Status::Corruption("bad manifest header");
   }
 
-  families_.clear();
-  for (uint32_t i = 0; i < num_families; ++i) {
-    ColumnFamilyMeta cf;
-    Slice name;
-    if (!GetVarint32(&input, &cf.id) ||
-        !GetLengthPrefixedSlice(&input, &name)) {
-      return Status::Corruption("bad manifest family");
+  for (auto& files : levels_) {
+    files.clear();
+    uint32_t num_files;
+    if (!GetVarint32(&input, &num_files)) {
+      return Status::Corruption("bad manifest level");
     }
-    cf.name = name.ToString();
-    for (int level = 0; level < kNumLevels; ++level) {
-      uint32_t num_files;
-      if (!GetVarint32(&input, &num_files)) {
-        return Status::Corruption("bad manifest level");
+    for (uint32_t j = 0; j < num_files; ++j) {
+      FileMetaData meta;
+      Slice smallest, largest;
+      if (!GetVarint64(&input, &meta.number) ||
+          !GetVarint64(&input, &meta.file_size) ||
+          !GetLengthPrefixedSlice(&input, &smallest) ||
+          !GetLengthPrefixedSlice(&input, &largest)) {
+        return Status::Corruption("bad manifest file entry");
       }
-      for (uint32_t j = 0; j < num_files; ++j) {
-        FileMetaData meta;
-        Slice smallest, largest;
-        if (!GetVarint64(&input, &meta.number) ||
-            !GetVarint64(&input, &meta.file_size) ||
-            !GetLengthPrefixedSlice(&input, &smallest) ||
-            !GetLengthPrefixedSlice(&input, &largest)) {
-          return Status::Corruption("bad manifest file entry");
-        }
-        meta.smallest = smallest.ToString();
-        meta.largest = largest.ToString();
-        cf.levels[level].push_back(std::move(meta));
-      }
+      meta.smallest = smallest.ToString();
+      meta.largest = largest.ToString();
+      files.push_back(std::move(meta));
     }
-    const uint32_t id = cf.id;
-    families_[id] = std::move(cf);
   }
   if (!input.empty()) return Status::Corruption("manifest trailing bytes");
   return Status::OK();
 }
 
-StatusOr<uint32_t> VersionSet::CreateColumnFamily(const std::string& name) {
-  if (FindFamilyByName(name) != nullptr) {
-    return Status::AlreadyExists("column family exists: " + name);
-  }
-  const uint32_t id = next_cf_id_++;
-  ColumnFamilyMeta cf;
-  cf.id = id;
-  cf.name = name;
-  families_[id] = std::move(cf);
-  RAILGUN_RETURN_IF_ERROR(LogAndApply());
-  return id;
-}
-
-ColumnFamilyMeta* VersionSet::GetFamily(uint32_t id) {
-  auto it = families_.find(id);
-  return it == families_.end() ? nullptr : &it->second;
-}
-
-const ColumnFamilyMeta* VersionSet::FindFamilyByName(
-    const std::string& name) const {
-  for (const auto& [id, cf] : families_) {
-    if (cf.name == name) return &cf;
-  }
-  return nullptr;
-}
-
-void VersionSet::AddFile(uint32_t cf_id, int level, FileMetaData meta) {
-  auto& files = GetFamily(cf_id)->levels[level];
+void VersionSet::AddFile(int level, FileMetaData meta) {
+  auto& files = levels_[level];
   files.push_back(std::move(meta));
   std::sort(files.begin(), files.end(),
             [level](const FileMetaData& a, const FileMetaData& b) {
@@ -224,9 +175,8 @@ void VersionSet::AddFile(uint32_t cf_id, int level, FileMetaData meta) {
             });
 }
 
-void VersionSet::RemoveFile(uint32_t cf_id, int level, uint64_t number) {
-  auto* cf = GetFamily(cf_id);
-  auto& files = cf->levels[level];
+void VersionSet::RemoveFile(int level, uint64_t number) {
+  auto& files = levels_[level];
   files.erase(std::remove_if(files.begin(), files.end(),
                              [number](const FileMetaData& f) {
                                return f.number == number;
@@ -236,10 +186,8 @@ void VersionSet::RemoveFile(uint32_t cf_id, int level, uint64_t number) {
 
 std::vector<uint64_t> VersionSet::LiveFiles() const {
   std::vector<uint64_t> live;
-  for (const auto& [id, cf] : families_) {
-    for (const auto& level : cf.levels) {
-      for (const auto& f : level) live.push_back(f.number);
-    }
+  for (const auto& files : levels_) {
+    for (const auto& f : files) live.push_back(f.number);
   }
   return live;
 }

@@ -1,4 +1,4 @@
-// Version state of the LSM tree: per-column-family leveled file lists,
+// Version state of the LSM tree: one keyspace, one leveled file list,
 // persisted as full-snapshot manifests (MANIFEST-N + CURRENT pointer),
 // each starting with a format number and ending in a masked crc32c of the
 // snapshot.
@@ -13,7 +13,6 @@
 #define RAILGUN_STORAGE_VERSION_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,28 +32,13 @@ struct FileMetaData {
   std::string largest;   // Largest user key.
 };
 
-struct ColumnFamilyMeta {
-  uint32_t id = 0;
-  std::string name;
-  // levels[0] newest first; deeper levels sorted by smallest key.
-  std::vector<std::vector<FileMetaData>> levels{
-      static_cast<size_t>(kNumLevels)};
-
-  // Total bytes at a level.
-  uint64_t LevelBytes(int level) const;
-  // Files at a level whose key range meets [smallest, largest].
-  std::vector<const FileMetaData*> OverlappingFiles(
-      int level, const Slice& smallest, const Slice& largest) const;
-};
-
-// VersionSet owns the durable metadata: column families, file lists and
+// VersionSet owns the durable metadata: the file list of each level and
 // the next file number.
 class VersionSet {
  public:
   VersionSet(Env* env, std::string dbname);
 
-  // Loads CURRENT -> MANIFEST, or initializes a fresh database with the
-  // default column family.
+  // Loads CURRENT -> MANIFEST, or initializes a fresh, empty database.
   Status Recover(bool create_if_missing);
 
   // Writes a new manifest snapshot and repoints CURRENT.
@@ -63,20 +47,22 @@ class VersionSet {
   uint64_t NewFileNumber() { return next_file_number_++; }
   uint64_t next_file_number() const { return next_file_number_; }
 
-  // Column family registry.
-  StatusOr<uint32_t> CreateColumnFamily(const std::string& name);
-  const std::map<uint32_t, ColumnFamilyMeta>& families() const {
-    return families_;
+  // files(0) is newest first; deeper levels are sorted by smallest key.
+  const std::vector<FileMetaData>& files(int level) const {
+    return levels_[level];
   }
-  ColumnFamilyMeta* GetFamily(uint32_t id);
-  const ColumnFamilyMeta* FindFamilyByName(const std::string& name) const;
+  // Total bytes at a level.
+  uint64_t LevelBytes(int level) const;
+  // Files at a level whose key range meets [smallest, largest].
+  std::vector<FileMetaData> OverlappingFiles(int level, const Slice& smallest,
+                                             const Slice& largest) const;
 
   // File bookkeeping helpers used by flush/compaction. AddFile keeps
   // each level in its order above.
-  void AddFile(uint32_t cf_id, int level, FileMetaData meta);
-  void RemoveFile(uint32_t cf_id, int level, uint64_t number);
+  void AddFile(int level, FileMetaData meta);
+  void RemoveFile(int level, uint64_t number);
 
-  // All live SST file numbers across families (for GC and checkpoints).
+  // All live SST file numbers (for GC and checkpoints).
   std::vector<uint64_t> LiveFiles() const;
 
   std::string ManifestPath(uint64_t number) const;
@@ -88,8 +74,8 @@ class VersionSet {
   Env* env_;
   std::string dbname_;
   uint64_t next_file_number_ = 2;  // 1 is reserved for the first manifest.
-  uint32_t next_cf_id_ = 1;  // 0 = default CF.
-  std::map<uint32_t, ColumnFamilyMeta> families_;
+  std::vector<std::vector<FileMetaData>> levels_{
+      static_cast<size_t>(kNumLevels)};
 };
 
 // File name helpers.

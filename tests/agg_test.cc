@@ -179,11 +179,8 @@ class CountDistinctTest : public ::testing::Test {
     storage::DBOptions options;
     ASSERT_TRUE(
         storage::DB::Open(options, "/tmp/railgun_agg_cd_test", &db_).ok());
-    auto cf = db_->CreateColumnFamily("aux");
-    ASSERT_TRUE(cf.ok());
     ctx_.db = db_.get();
-    ctx_.aux_cf = cf.value();
-    ctx_.aux_key_prefix = "m1|card9|";
+    ctx_.state_key = "m1|card9";
   }
   std::unique_ptr<storage::DB> db_;
   AggContext ctx_;
@@ -204,6 +201,22 @@ TEST_F(CountDistinctTest, CountsDistinctWithRefCounts) {
   // Expire the second addr1: down to 1.
   ASSERT_TRUE(ExpireOne(agg.get(), FieldValue("addr1"), 3, &state, &ctx_).ok());
   EXPECT_EQ(ResultOf(agg.get(), state), 1);
+}
+
+// Counts live in the store's one keyspace: a state key and a value
+// that concatenate to the same bytes as another pair still count apart.
+TEST_F(CountDistinctTest, PairsThatConcatenateAlikeCountApart) {
+  auto agg = Aggregator::Create(AggKind::kCountDistinct);
+  AggContext other{db_.get(), "m1|card9|a"};
+  std::string state, other_state;
+  ASSERT_TRUE(EnterOne(agg.get(), FieldValue("a|b"), 1, &state, &ctx_).ok());
+  ASSERT_TRUE(
+      EnterOne(agg.get(), FieldValue("b"), 2, &other_state, &other).ok());
+  EXPECT_EQ(ResultOf(agg.get(), state), 1);
+  EXPECT_EQ(ResultOf(agg.get(), other_state), 1);
+  ASSERT_TRUE(ExpireOne(agg.get(), FieldValue("a|b"), 1, &state, &ctx_).ok());
+  EXPECT_EQ(ResultOf(agg.get(), state), 0);
+  EXPECT_EQ(ResultOf(agg.get(), other_state), 1);
 }
 
 TEST_F(CountDistinctTest, RequiresContext) {
@@ -299,14 +312,8 @@ class AggRunSplitTest : public ::testing::TestWithParam<AggKind> {
     ASSERT_TRUE(storage::DB::Open(storage::DBOptions(),
                                   "/tmp/railgun_agg_split_test", &db_)
                     .ok());
-    auto cf = db_->CreateColumnFamily("aux");
-    ASSERT_TRUE(cf.ok());
-    for (AggContext* ctx : {&whole_ctx_, &split_ctx_}) {
-      ctx->db = db_.get();
-      ctx->aux_cf = cf.value();
-    }
-    whole_ctx_.aux_key_prefix = "whole|";
-    split_ctx_.aux_key_prefix = "split|";
+    whole_ctx_ = {db_.get(), "whole"};
+    split_ctx_ = {db_.get(), "split"};
   }
 
   std::unique_ptr<storage::DB> db_;

@@ -110,8 +110,8 @@ TEST_F(BaselineTest, WorkerPublishesOneSumCountReplyPerEvent) {
   options.window_size = 5 * kMicrosPerMinute;
   options.hop = kMicrosPerMinute;
   HoppingEngine engine(options, db_.get());
-  BaselineWorker worker(WorkerOptions{}, &bus, &engine, stream,
-                        "payments.cardId", MonotonicClock::Default());
+  BaselineWorker worker(&bus, &engine, stream, "payments.cardId",
+                        MonotonicClock::Default());
   ASSERT_TRUE(worker.Start().ok());
 
   // Five events of one card inside one window instance: request i

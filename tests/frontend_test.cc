@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -312,6 +313,59 @@ TEST(FrontEndPublishFailureTest, FailsEachRequestOnceOnTheCallingThread) {
 
   frontend.Stop();  // Completes nothing twice.
   for (const auto& call : calls) EXPECT_EQ(call.load(), 1);
+}
+
+// Fails every reply poll, as a bus whose transport is down does.
+class PollFailingBus : public msg::InProcessBus {
+ public:
+  using msg::InProcessBus::InProcessBus;
+
+  Status PollBatch(const std::string&, size_t, msg::MessageBatch*,
+                   Micros) override {
+    ++polls_;
+    return Status::IOError("injected poll failure");
+  }
+  int polls() const { return polls_.load(); }
+
+ private:
+  std::atomic<int> polls_{0};
+};
+
+// A failed reply poll backs off in real time: on a frozen simulated
+// clock the front end neither advances virtual time nor ages a pending
+// request past its deadline.
+TEST(FrontEndPollFailureTest, BacksOffInRealTimeOnAFrozenClock) {
+  SimulatedClock clock(1000 * kMicrosPerSecond);
+  msg::BusOptions bus_options;
+  bus_options.delivery_delay = 0;
+  bus_options.clock = &clock;
+  PollFailingBus bus(bus_options);
+  FrontEndOptions options;
+  options.request_timeout = 50 * kMicrosPerMilli;
+  FrontEnd frontend(options, "nodeP", &bus, &clock);
+  ASSERT_TRUE(frontend.Start().ok());
+  ASSERT_TRUE(frontend.RegisterStream(TwoPartitionerStream()).ok());
+
+  std::atomic<int> calls{0};
+  ASSERT_TRUE(frontend
+                  .Submit("payments", SampleEvent(),
+                          [&](Status, const std::vector<MetricReply>&) {
+                            ++calls;
+                          })
+                  .ok());
+  const Micros frozen = clock.NowMicros();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  EXPECT_EQ(clock.NowMicros(), frozen);
+  EXPECT_EQ(calls.load(), 0);
+  EXPECT_EQ(frontend.pending_count(), 1u);
+  EXPECT_EQ(frontend.timed_out_requests(), 0u);
+  // One poll per backoff slice, not a spin.
+  EXPECT_GT(bus.polls(), 0);
+  EXPECT_LT(bus.polls(), 100);
+
+  frontend.Stop();  // Fails the pending request once.
+  EXPECT_EQ(calls.load(), 1);
 }
 
 TEST(FrontEndLifecycleTest, SubmitBeforeStartIsUnavailable) {

@@ -352,7 +352,7 @@ TEST_F(MembershipTest, DeadNodeRecordsArePrunedAfterRetention) {
   ASSERT_TRUE(meta_->Leave("w1").ok());
   EXPECT_NE(FindNode(meta_->View(), "w1"), nullptr);  // Visible tombstone.
 
-  clock_.Advance(MetadataServiceOptions{}.dead_node_retention - 1);
+  clock_.Advance(kDeadNodeRetention - 1);
   ASSERT_TRUE(Announce("w2", {"w2/u0"}).ok());
   EXPECT_NE(FindNode(meta_->View(), "w1"), nullptr);
 

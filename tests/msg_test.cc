@@ -732,14 +732,28 @@ TEST(RetentionTest, SeekClampsToRetainedBase) {
 
 TEST(RoundRobinTest, SpreadsPartitionsEvenly) {
   RoundRobinStrategy strategy;
-  std::vector<MemberInfo> members = {{"m1", "", {}}, {"m2", "", {}},
-                                     {"m3", "", {}}};
+  std::vector<MemberInfo> members = {
+      {"m1", "", {}, {"t"}}, {"m2", "", {}, {"t"}}, {"m3", "", {}, {"t"}}};
   std::vector<TopicPartition> partitions;
   for (int p = 0; p < 9; ++p) partitions.push_back({"t", p});
   const Assignment result = strategy.Assign(members, partitions);
+  ASSERT_EQ(result.size(), 3u);
   for (const auto& [member, tps] : result) {
     EXPECT_EQ(tps.size(), 3u);
   }
+}
+
+// A member with no topics subscribed to nothing: it owns no partition.
+TEST(RoundRobinTest, MemberWithoutTopicsOwnsNothing) {
+  RoundRobinStrategy strategy;
+  std::vector<MemberInfo> members = {{"m1", "", {}, {"t"}},
+                                     {"m2", "", {}, {}}};
+  std::vector<TopicPartition> partitions;
+  for (int p = 0; p < 4; ++p) partitions.push_back({"t", p});
+  const Assignment result = strategy.Assign(members, partitions);
+  ASSERT_EQ(result.size(), 1u);
+  EXPECT_EQ(result.at("m1").size(), 4u);
+  EXPECT_EQ(result.count("m2"), 0u);
 }
 
 }  // namespace

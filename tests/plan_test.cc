@@ -34,7 +34,6 @@ class TaskPlanTest : public ::testing::Test {
     storage::DBOptions dopts;
     ASSERT_TRUE(storage::DB::Open(dopts, dir_ + "/db", &db_).ok());
     plan_ = std::make_unique<TaskPlan>(reservoir_.get(), db_.get());
-    ASSERT_TRUE(plan_->Init().ok());
   }
 
   void AddQuery(const std::string& sql) {
@@ -159,6 +158,48 @@ TEST_F(TaskPlanTest, CountDistinctExpiresWithWindow) {
       r2["countDistinct(merchantId) over sliding 10m by cardId|c"], 2);
 }
 
+// countDistinct's per-value counts share the store with every other
+// record, so their keys must keep each (group, value) pair apart even
+// when '|' appears in a group key or in a counted value: card "x" seeing
+// merchant "y|z" and card "x|y" seeing merchant "z" are two counters.
+TEST_F(TaskPlanTest, CountDistinctKeepsGroupsApartWhateverTheirBytes) {
+  AddQuery("SELECT countDistinct(merchantId) FROM p GROUP BY cardId "
+           "OVER sliding 10 minutes");
+  const std::string metric =
+      "countDistinct(merchantId) over sliding 10m by cardId|";
+  auto r1 = Step(1 * kMicrosPerMinute, "x", "y|z", 1);
+  EXPECT_DOUBLE_EQ(r1[metric + "x"], 1);
+  auto r2 = Step(2 * kMicrosPerMinute, "x|y", "z", 1);
+  EXPECT_DOUBLE_EQ(r2[metric + "x|y"], 1);
+  auto r3 = Step(3 * kMicrosPerMinute, "x", "y|z", 1);
+  EXPECT_DOUBLE_EQ(r3[metric + "x"], 1);
+  // The minute-1 and minute-2 events expire as each card sees a new one.
+  auto r4 = Step(12 * kMicrosPerMinute + 30 * kMicrosPerSecond, "x|y", "z",
+                 1);
+  EXPECT_DOUBLE_EQ(r4[metric + "x|y"], 1);
+  auto r5 = Step(13 * kMicrosPerMinute + 30 * kMicrosPerSecond, "x", "w", 1);
+  EXPECT_DOUBLE_EQ(r5[metric + "x"], 1);
+}
+
+// The same pair in a tumbling window, whose state keys carry the epoch:
+// counters stay apart within an epoch, and a new epoch starts from zero.
+TEST_F(TaskPlanTest, TumblingCountDistinctKeepsGroupsApartPerEpoch) {
+  AddQuery("SELECT countDistinct(merchantId) FROM p GROUP BY cardId "
+           "OVER tumbling 10 minutes");
+  const std::string metric =
+      "countDistinct(merchantId) over tumbling 10m by cardId|";
+  auto r1 = Step(61 * kMicrosPerMinute, "x", "y|z", 1);
+  EXPECT_DOUBLE_EQ(r1[metric + "x"], 1);
+  auto r2 = Step(62 * kMicrosPerMinute, "x|y", "z", 1);
+  EXPECT_DOUBLE_EQ(r2[metric + "x|y"], 1);
+  auto r3 = Step(63 * kMicrosPerMinute, "x|y", "q", 1);
+  EXPECT_DOUBLE_EQ(r3[metric + "x|y"], 2);
+  auto r4 = Step(71 * kMicrosPerMinute, "x|y", "z", 1);
+  EXPECT_DOUBLE_EQ(r4[metric + "x|y"], 1);
+  auto r5 = Step(72 * kMicrosPerMinute, "x", "y|z", 1);
+  EXPECT_DOUBLE_EQ(r5[metric + "x"], 1);
+}
+
 TEST_F(TaskPlanTest, OneArrivalExpiresARunOfSameCardEvents) {
   AddQuery("SELECT sum(amount), max(amount), countDistinct(merchantId) "
            "FROM p GROUP BY cardId OVER sliding 10 minutes");
@@ -251,7 +292,6 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
   // A new plan over the same reservoir/db, restored, continues with
   // identical results.
   auto plan2 = std::make_unique<TaskPlan>(reservoir_.get(), db_.get());
-  ASSERT_TRUE(plan2->Init().ok());
   auto q = query::ParseQuery(
       "SELECT sum(amount) FROM p GROUP BY cardId OVER sliding 5 minutes");
   ASSERT_TRUE(plan2->AddQuery(q.value()).ok());
@@ -295,7 +335,6 @@ TEST_F(TaskPlanTest, UnreadableSealedChunkFailsTheEventInsteadOfEndingTheTail) {
   reservoir_ = std::make_unique<reservoir::Reservoir>(ropts, res_dir);
   ASSERT_TRUE(reservoir_->Open().ok());
   plan_ = std::make_unique<TaskPlan>(reservoir_.get(), db_.get());
-  ASSERT_TRUE(plan_->Init().ok());
   AddQuery("SELECT sum(amount) FROM p GROUP BY cardId "
            "OVER sliding 10 minutes");
 

@@ -830,7 +830,7 @@ TEST(RemoteBusBackoffTest, DeadBrokerIsNotHammeredByRetryingCallers) {
 
   // Once the (capped, jittered) window elapses, exactly one new dial
   // goes out per window.
-  clock.Advance(options.reconnect_backoff_max * 2);
+  clock.Advance(kReconnectBackoffMax * 2);
   EXPECT_TRUE(ProduceOne(&remote, "t", "k", "v").IsUnavailable());
   EXPECT_EQ(remote.dial_attempts(), 2u);
   EXPECT_TRUE(ProduceOne(&remote, "t", "k", "v").IsUnavailable());

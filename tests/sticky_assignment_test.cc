@@ -17,13 +17,15 @@ std::vector<TopicPartition> MakeTasks(int n) {
   return tasks;
 }
 
-// Units: two per node across `nodes` nodes.
-std::vector<UnitDesc> MakeUnits(int nodes, int units_per_node) {
+// Units: `units_per_node` per node across `nodes` nodes, each subscribed
+// to `topics`.
+std::vector<UnitDesc> MakeUnits(int nodes, int units_per_node,
+                                const std::set<std::string>& topics) {
   std::vector<UnitDesc> units;
   for (int n = 0; n < nodes; ++n) {
     for (int u = 0; u < units_per_node; ++u) {
       units.push_back({"n" + std::to_string(n) + "/u" + std::to_string(u),
-                       "n" + std::to_string(n)});
+                       "n" + std::to_string(n), topics});
     }
   }
   return units;
@@ -32,7 +34,7 @@ std::vector<UnitDesc> MakeUnits(int nodes, int units_per_node) {
 TEST(StickyAssignmentTest, AssignsEveryTaskExactlyOnce) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(8);
-  in.units = MakeUnits(2, 2);
+  in.units = MakeUnits(2, 2, {"t"});
   in.replication_factor = 1;
   const auto result = ComputeStickyAssignment(in);
   EXPECT_EQ(result.active.size(), 8u);
@@ -42,7 +44,7 @@ TEST(StickyAssignmentTest, AssignsEveryTaskExactlyOnce) {
 TEST(StickyAssignmentTest, BudgetBalancesLoad) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(8);
-  in.units = MakeUnits(2, 2);  // 4 units, budget = 2.
+  in.units = MakeUnits(2, 2, {"t"});  // 4 units, budget = 2.
   const auto result = ComputeStickyAssignment(in);
   for (const auto& [unit, tasks] : result.active_by_unit) {
     EXPECT_LE(tasks.size(), 2u) << unit;
@@ -52,7 +54,7 @@ TEST(StickyAssignmentTest, BudgetBalancesLoad) {
 TEST(StickyAssignmentTest, ReplicasNeverColocateWithActiveOnSameNode) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(6);
-  in.units = MakeUnits(3, 2);
+  in.units = MakeUnits(3, 2, {"t"});
   in.replication_factor = 2;
   const auto result = ComputeStickyAssignment(in);
   ASSERT_EQ(result.active.size(), 6u);
@@ -73,7 +75,7 @@ TEST(StickyAssignmentTest, ReplicasNeverColocateWithActiveOnSameNode) {
 TEST(StickyAssignmentTest, StickinessKeepsPreviousActives) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(8);
-  in.units = MakeUnits(4, 1);
+  in.units = MakeUnits(4, 1, {"t"});
   const auto first = ComputeStickyAssignment(in);
 
   // Re-run with the previous assignment: nothing should move.
@@ -86,7 +88,7 @@ TEST(StickyAssignmentTest, StickinessKeepsPreviousActives) {
 TEST(StickyAssignmentTest, FailedNodesTasksGoToTheirReplicas) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(4);
-  in.units = MakeUnits(3, 1);
+  in.units = MakeUnits(3, 1, {"t"});
   in.replication_factor = 2;
   const auto first = ComputeStickyAssignment(in);
 
@@ -121,7 +123,7 @@ TEST(StickyAssignmentTest, StalePreferredOverCold) {
   // One task, two candidate units; u_stale previously held the task.
   TaskAssignmentInput in;
   in.tasks = MakeTasks(1);
-  in.units = {{"u_stale", "nA"}, {"u_cold", "nB"}};
+  in.units = {{"u_stale", "nA", {"t"}}, {"u_cold", "nB", {"t"}}};
   in.stale[{"t", 0}] = {"u_stale"};
   const auto result = ComputeStickyAssignment(in);
   EXPECT_EQ(result.active.at({"t", 0}), "u_stale");
@@ -130,7 +132,7 @@ TEST(StickyAssignmentTest, StalePreferredOverCold) {
 TEST(StickyAssignmentTest, WeightedTasksReduceColocation) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(4);
-  in.units = MakeUnits(2, 1);
+  in.units = MakeUnits(2, 1, {"t"});
   in.weights[{"t", 0}] = 3.0;  // One heavy task.
   const auto result = ComputeStickyAssignment(in);
   // The heavy task's unit should carry fewer additional tasks than the
@@ -142,7 +144,7 @@ TEST(StickyAssignmentTest, WeightedTasksReduceColocation) {
 TEST(StickyAssignmentTest, MoreUnitsThanTasksLeavesSomeIdle) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(2);
-  in.units = MakeUnits(4, 2);
+  in.units = MakeUnits(4, 2, {"t"});
   const auto result = ComputeStickyAssignment(in);
   EXPECT_EQ(result.active.size(), 2u);
   size_t assigned_units = result.active_by_unit.size();
@@ -154,7 +156,7 @@ TEST(StickyAssignmentTest, ReplicationCappedByNodeCount) {
   // one-copy-per-node invariant; the assigner falls back gracefully.
   TaskAssignmentInput in;
   in.tasks = MakeTasks(2);
-  in.units = MakeUnits(2, 2);
+  in.units = MakeUnits(2, 2, {"t"});
   in.replication_factor = 3;
   const auto result = ComputeStickyAssignment(in);
   for (const auto& [task, units] : result.replicas) {
@@ -183,7 +185,7 @@ TEST(StickyAssignmentTest, TasksOnlyLandOnSubscribedUnits) {
   TaskAssignmentInput in;
   for (int i = 0; i < 4; ++i) in.tasks.push_back({"old", i});
   for (int i = 0; i < 4; ++i) in.tasks.push_back({"fresh", i});
-  in.units = MakeUnits(2, 2);
+  in.units = MakeUnits(2, 2, {"old"});
   in.units[0].topics = {"old"};
   in.units[1].topics = {"old"};
   in.units[2].topics = {"old", "fresh"};
@@ -218,13 +220,24 @@ TEST(StickyAssignmentTest, NoSubscriberLeavesTaskUnassigned) {
   TaskAssignmentInput in;
   in.tasks = MakeTasks(2);
   in.tasks.push_back({"orphan", 0});
-  in.units = MakeUnits(1, 2);
-  for (auto& u : in.units) u.topics = {"t"};
+  in.units = MakeUnits(1, 2, {"t"});
   const auto result = ComputeStickyAssignment(in);
   // "t" tasks assigned; the orphan topic waits for a subscriber instead
   // of being consumed-and-dropped.
   EXPECT_EQ(result.active.size(), 2u);
   EXPECT_EQ(result.active.count({"orphan", 0}), 0u);
+}
+
+TEST(StickyAssignmentTest, UnitWithoutTopicsGetsNothing) {
+  TaskAssignmentInput in;
+  in.tasks = MakeTasks(4);
+  in.units = MakeUnits(2, 1, {"t"});
+  in.units[1].topics.clear();
+  in.replication_factor = 2;
+  const auto result = ComputeStickyAssignment(in);
+  EXPECT_EQ(result.active.size(), 4u);
+  EXPECT_EQ(result.active_by_unit.count(in.units[1].unit_id), 0u);
+  EXPECT_EQ(result.replicas_by_unit.count(in.units[1].unit_id), 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Tests for the full LSM store: put/get/delete, column families, flush,
-// compaction, recovery, checkpoints and corruption handling.
+// Tests for the full LSM store: put/get/delete in its one keyspace,
+// flush, compaction, recovery, checkpoints and corruption handling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,31 +157,17 @@ TEST_F(DBTest, EmptyValueAndBinaryKeys) {
   EXPECT_EQ(db_->GetLevelStats(0)[0].num_files, 0);
 }
 
-TEST_F(DBTest, ColumnFamiliesAreIsolated) {
-  auto cf_or = db_->CreateColumnFamily("aux");
-  ASSERT_TRUE(cf_or.ok());
-  const uint32_t aux = cf_or.value();
-
-  ASSERT_TRUE(db_->Put(0, "k", "default").ok());
-  ASSERT_TRUE(db_->Put(aux, "k", "aux").ok());
-  EXPECT_EQ(Get(0, "k"), "default");
-  EXPECT_EQ(Get(aux, "k"), "aux");
-  ASSERT_TRUE(db_->Delete(aux, "k").ok());
-  EXPECT_EQ(Get(0, "k"), "default");
-  EXPECT_EQ(Get(aux, "k"), "NOT_FOUND");
-
-  EXPECT_TRUE(db_->CreateColumnFamily("aux").status().IsAlreadyExists());
-  EXPECT_TRUE(db_->FindColumnFamily("aux").ok());
-  EXPECT_TRUE(db_->FindColumnFamily("nope").status().IsNotFound());
-}
-
+// The store has one keyspace: kDefaultColumnFamily is the only valid id.
 TEST_F(DBTest, UnknownColumnFamilyIsInvalidArgument) {
-  constexpr uint32_t kUnknown = 77;
+  constexpr uint32_t kUnknown = 1;
   std::string value;
   EXPECT_TRUE(db_->Put(kUnknown, "k", "v").IsInvalidArgument());
   EXPECT_TRUE(db_->Delete(kUnknown, "k").IsInvalidArgument());
   EXPECT_TRUE(db_->Get(kUnknown, "k", &value).IsInvalidArgument());
   EXPECT_EQ(Get(0, "k"), "NOT_FOUND");
+  for (const DB::LevelStats& level : db_->GetLevelStats(kUnknown)) {
+    EXPECT_EQ(level.num_files, 0);
+  }
 }
 
 TEST_F(DBTest, SurvivesFlushAndCompaction) {
@@ -224,19 +210,6 @@ TEST_F(DBTest, RecoversAfterCleanClose) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(Get(0, "k" + std::to_string(i)), "v" + std::to_string(i));
   }
-}
-
-TEST_F(DBTest, RecoversColumnFamiliesAfterReopen) {
-  auto cf_or = db_->CreateColumnFamily("metrics");
-  ASSERT_TRUE(cf_or.ok());
-  const uint32_t cf = cf_or.value();
-  ASSERT_TRUE(db_->Put(cf, "m1", "42").ok());
-  ASSERT_TRUE(db_->Flush().ok());
-  Reopen();
-  auto found = db_->FindColumnFamily("metrics");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value(), cf);
-  EXPECT_EQ(Get(cf, "m1"), "42");
 }
 
 TEST_F(DBTest, CheckpointIsConsistentSnapshot) {
@@ -484,6 +457,31 @@ TEST_F(DBTest, ManifestWithoutTheFormatNumberFailsOpen) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
+// A well-formed MANIFEST of format 2, which listed column families,
+// fails DB::Open with Corruption: directories written before the store
+// had one keyspace must be wiped.
+TEST_F(DBTest, FormatTwoManifestFailsOpen) {
+  db_.reset();
+  std::string rep;
+  PutVarint32(&rep, 2);  // format
+  PutVarint64(&rep, 5);  // next_file_number
+  PutVarint32(&rep, 1);  // next_cf_id
+  PutVarint32(&rep, 1);  // one family
+  PutVarint32(&rep, 0);
+  PutLengthPrefixedSlice(&rep, "default");
+  for (int level = 0; level < kNumLevels; ++level) PutVarint32(&rep, 0);
+  PutFixed32(&rep, crc32c::Mask(crc32c::Value(rep.data(), rep.size())));
+
+  Env* env = Env::Default();
+  ASSERT_TRUE(DestroyDB(dir_).ok());
+  ASSERT_TRUE(env->CreateDir(dir_).ok());
+  ASSERT_TRUE(WriteStringToFile(env, rep, dir_ + "/MANIFEST-000004").ok());
+  ASSERT_TRUE(
+      WriteStringToFile(env, "MANIFEST-000004\n", dir_ + "/CURRENT").ok());
+  const Status s = DB::Open(options_, dir_, &db_);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
 // Each key's newest state wins a compaction whatever mix of writes,
 // tombstones and rewrites its inputs hold: every history of five steps
 // (an L1 file, then four L0 tables, oldest first), each step a put, a
@@ -558,24 +556,6 @@ TEST_F(DBTest, LargeValuesRoundTrip) {
   ASSERT_TRUE(db_->Put(0, "big", big).ok());
   ASSERT_TRUE(db_->Flush().ok());
   EXPECT_EQ(Get(0, "big"), big);
-}
-
-TEST_F(DBTest, ManyColumnFamiliesUnderChurn) {
-  std::vector<uint32_t> cfs;
-  for (int i = 0; i < 8; ++i) {
-    auto cf = db_->CreateColumnFamily("cf" + std::to_string(i));
-    ASSERT_TRUE(cf.ok());
-    cfs.push_back(cf.value());
-  }
-  for (int round = 0; round < 2000; ++round) {
-    const uint32_t cf = cfs[static_cast<size_t>(round) % cfs.size()];
-    ASSERT_TRUE(db_->Put(cf, "k" + std::to_string(round % 50),
-                         std::to_string(round)).ok());
-  }
-  Reopen();
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(db_->FindColumnFamily("cf" + std::to_string(i)).ok());
-  }
 }
 
 // --- One memtable entry per key -------------------------------------

@@ -1,7 +1,7 @@
 // Model-based randomized testing of the LSM store: a long random
 // sequence of puts/deletes/flushes/reopens is mirrored into an in-memory
 // reference model; the store must agree with the model at every probe
-// point, across column families.
+// point, for two key populations sharing the store's one keyspace.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -30,23 +30,28 @@ class ModelTest : public ::testing::TestWithParam<uint64_t> {
   }
 
   void Open() {
-    db_.reset();  // Close (flushing the memtables) before reopening.
+    db_.reset();  // Close (flushing the memtable) before reopening.
     ASSERT_TRUE(DB::Open(options_, dir_, &db_).ok());
   }
 
-  // Writes draw from keys 0..799; the audit also probes the keys above,
-  // which are never written.
+  // Writes draw from keys 0..799 of each population; the audit also
+  // probes the keys above, which are never written.
   static constexpr uint64_t kWrittenKeys = 800;
   static constexpr uint64_t kProbedKeys = 900;
+  // Two populations in one keyspace, as the engine keeps state records
+  // ("m...") beside countDistinct's per-value counts ("d..."); the same
+  // number names a different key in each.
+  static constexpr int kPopulations = 2;
 
-  static std::string Key(uint64_t n) {
+  static std::string Key(int population, uint64_t n) {
     char buf[24];
-    snprintf(buf, sizeof(buf), "key%06llu",
+    snprintf(buf, sizeof(buf), "%ckey%06llu", population == 0 ? 'm' : 'd',
              static_cast<unsigned long long>(n));
     return buf;
   }
   std::string RandomKey(Random64* rng) {
-    return Key(rng->Uniform(kWrittenKeys));
+    const int population = static_cast<int>(rng->Uniform(kPopulations));
+    return Key(population, rng->Uniform(kWrittenKeys));
   }
 
   DBOptions options_;
@@ -56,51 +61,43 @@ class ModelTest : public ::testing::TestWithParam<uint64_t> {
 
 TEST_P(ModelTest, AgreesWithReferenceModelUnderChurn) {
   Random64 rng(GetParam());
-  // Model: cf -> key -> value.
-  std::map<uint32_t, std::map<std::string, std::string>> model;
-  std::vector<uint32_t> cfs = {kDefaultColumnFamily};
-  auto aux = db_->CreateColumnFamily("aux");
-  ASSERT_TRUE(aux.ok());
-  cfs.push_back(aux.value());
+  std::map<std::string, std::string> model;
 
   for (int step = 0; step < 8000; ++step) {
-    const uint32_t cf = cfs[rng.Uniform(cfs.size())];
     const int action = static_cast<int>(rng.Uniform(100));
     if (action < 55) {  // Put.
       const std::string key = RandomKey(&rng);
       const std::string value =
           "v" + std::to_string(step) + std::string(rng.Uniform(64), 'x');
-      ASSERT_TRUE(db_->Put(cf, key, value).ok());
-      model[cf][key] = value;
+      ASSERT_TRUE(db_->Put(kDefaultColumnFamily, key, value).ok());
+      model[key] = value;
     } else if (action < 75) {  // Delete (possibly nonexistent).
       const std::string key = RandomKey(&rng);
-      ASSERT_TRUE(db_->Delete(cf, key).ok());
-      model[cf].erase(key);
-    } else if (action < 90) {  // A burst of writes across families.
+      ASSERT_TRUE(db_->Delete(kDefaultColumnFamily, key).ok());
+      model.erase(key);
+    } else if (action < 90) {  // A burst of writes across populations.
       for (int i = 0; i < 5; ++i) {
-        const uint32_t bcf = cfs[rng.Uniform(cfs.size())];
         const std::string key = RandomKey(&rng);
         if (rng.OneIn(4)) {
-          ASSERT_TRUE(db_->Delete(bcf, key).ok());
-          model[bcf].erase(key);
+          ASSERT_TRUE(db_->Delete(kDefaultColumnFamily, key).ok());
+          model.erase(key);
         } else {
           const std::string value = "b" + std::to_string(step * 10 + i);
-          ASSERT_TRUE(db_->Put(bcf, key, value).ok());
-          model[bcf][key] = value;
+          ASSERT_TRUE(db_->Put(kDefaultColumnFamily, key, value).ok());
+          model[key] = value;
         }
       }
     } else if (action < 94) {  // Flush.
       ASSERT_TRUE(db_->Flush().ok());
     } else if (action < 97) {  // Probe a batch of random keys.
       for (int i = 0; i < 10; ++i) {
-        const uint32_t pcf = cfs[rng.Uniform(cfs.size())];
         const std::string key = RandomKey(&rng);
         std::string value;
-        const Status s = db_->Get(pcf, key, &value);
-        auto it = model[pcf].find(key);
-        if (it == model[pcf].end()) {
+        const Status s = db_->Get(kDefaultColumnFamily, key, &value);
+        auto it = model.find(key);
+        if (it == model.end()) {
           EXPECT_TRUE(s.IsNotFound())
-              << "step " << step << " cf " << pcf << " key " << key
+              << "step " << step << " key " << key
               << ": store has a value the model does not";
         } else {
           ASSERT_TRUE(s.ok()) << "step " << step << " key " << key << ": "
@@ -115,19 +112,17 @@ TEST_P(ModelTest, AgreesWithReferenceModelUnderChurn) {
 
   // Final audit: every key a write could touch (so every key the model
   // ever held, present or deleted) and keys never written.
-  for (const uint32_t cf : cfs) {
+  for (int population = 0; population < kPopulations; ++population) {
     for (uint64_t n = 0; n < kProbedKeys; ++n) {
-      const std::string key = Key(n);
+      const std::string key = Key(population, n);
       std::string value;
-      const Status s = db_->Get(cf, key, &value);
-      auto it = model[cf].find(key);
-      if (it == model[cf].end()) {
-        EXPECT_TRUE(s.IsNotFound())
-            << "cf " << cf << " key " << key << ": " << s.ToString();
+      const Status s = db_->Get(kDefaultColumnFamily, key, &value);
+      auto it = model.find(key);
+      if (it == model.end()) {
+        EXPECT_TRUE(s.IsNotFound()) << "key " << key << ": " << s.ToString();
       } else {
-        ASSERT_TRUE(s.ok()) << "cf " << cf << " key " << key << ": "
-                            << s.ToString();
-        EXPECT_EQ(value, it->second) << "cf " << cf << " key " << key;
+        ASSERT_TRUE(s.ok()) << "key " << key << ": " << s.ToString();
+        EXPECT_EQ(value, it->second) << "key " << key;
       }
     }
   }
