@@ -1,6 +1,8 @@
 // Microbenchmarks (google-benchmark) for the event reservoir's component
 // costs: append, chunk serialization round trip, compression codec,
-// event codec and iterator scans.
+// event codec and iterator scans. The append and round-trip benchmarks
+// also report `mem_bytes_per_event`, the heap bytes a closed chunk holds
+// per event.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_micro_main.h"
@@ -40,13 +42,19 @@ void BM_ReservoirAppend(benchmark::State& state) {
     ts += 2000;
   }
   state.SetItemsProcessed(state.iterations());
+  // Heap bytes per event the closed chunks hold in the cache.
+  const auto footprint = res.cache_footprint();
+  if (footprint.events > 0) {
+    state.counters["mem_bytes_per_event"] =
+        static_cast<double>(footprint.bytes) / footprint.events;
+  }
 }
 BENCHMARK(BM_ReservoirAppend)->Arg(16 * 1024)->Arg(64 * 1024)
     ->Arg(256 * 1024);
 
 void BM_ChunkSerializeRoundTrip(benchmark::State& state) {
   const reservoir::Schema schema(1, SharedGenerator()->schema_fields());
-  reservoir::Chunk chunk(1, 1);
+  reservoir::Chunk chunk(1, &schema);
   for (int i = 0; i < state.range(0); ++i) {
     chunk.Add(SharedGenerator()->Next(i * 1000));
   }
@@ -54,14 +62,16 @@ void BM_ChunkSerializeRoundTrip(benchmark::State& state) {
   int64_t bytes = 0;
   for (auto _ : state) {
     std::string payload;
-    chunk.SerializeTo(schema, &payload);
+    chunk.SerializeTo(&payload);
     std::unique_ptr<reservoir::Chunk> decoded;
     benchmark::DoNotOptimize(
-        reservoir::Chunk::Deserialize(1, schema, payload, &decoded));
+        reservoir::Chunk::Deserialize(1, &schema, payload, &decoded));
     bytes += static_cast<int64_t>(payload.size());
   }
   state.SetBytesProcessed(bytes);
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["mem_bytes_per_event"] =
+      static_cast<double>(chunk.MemoryBytes()) / chunk.num_events();
 }
 BENCHMARK(BM_ChunkSerializeRoundTrip)->Arg(64)->Arg(512);
 

@@ -9,8 +9,15 @@
 namespace railgun::crc32c {
 
 // Returns the crc32c of concat(A, data[0,n-1]) where init_crc is the
-// crc32c of some string A.
+// crc32c of some string A. Uses the CPU's crc32 instruction (x86-64
+// SSE4.2) when it has one, and a table loop otherwise.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+// The two paths Extend chooses between, exposed so tests can check each.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+bool HardwareAvailable();
+// REQUIRES: HardwareAvailable().
+uint32_t ExtendHardware(uint32_t init_crc, const char* data, size_t n);
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

@@ -114,7 +114,7 @@ Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
   // start at the oldest event, so the window mechanics replay exactly.
   auto replay_iter = reservoir_->NewIterator();
   while (!replay_iter->AtEnd()) {
-    const Event event = replay_iter->event();  // Copy: we advance below.
+    const Event& event = replay_iter->event();
     RAILGUN_RETURN_IF_ERROR(
         ProcessEventInIsland(event, island.get(), /*results=*/nullptr));
     replay_iter->Advance();
@@ -138,12 +138,13 @@ Status TaskPlan::ProcessEventInIsland(const Event& event, Island* island,
   // An edge that could not read a chunk still hands over what it drained
   // before the error. Every drained event is applied, so none enters or
   // expires twice or never; then the event fails with the read error.
-  window::EdgeDeltas edges;
-  Status edge_status = island->windows_mgr.Advance(event.timestamp, &edges);
+  Status edge_status =
+      island->windows_mgr.Advance(event.timestamp, &island->edges);
 
-  WindowDelta delta;
+  WindowDelta& delta = island->delta;
   for (auto& wnode : island->windows) {
-    const Status collected = wnode.op->Collect(event.timestamp, edges, &delta);
+    const Status collected =
+        wnode.op->Collect(event.timestamp, island->edges, &delta);
     if (edge_status.ok()) edge_status = collected;
     RAILGUN_RETURN_IF_ERROR(ApplyDelta(delta, &wnode));
 

@@ -103,6 +103,9 @@ class TaskPlan {
     explicit Island(reservoir::Reservoir* reservoir) : windows_mgr(reservoir) {}
     window::WindowManager windows_mgr;
     std::vector<WindowNode> windows;
+    // Per-event scratch, reused so warm edges decode without allocating.
+    window::EdgeDeltas edges;
+    window::WindowDelta delta;
   };
 
   Status AddQueryToIsland(const query::QueryDef& query, Island* island);

@@ -53,6 +53,16 @@ ChunkCache::Stats ChunkCache::stats() const {
   return stats_;
 }
 
+ChunkCache::Footprint ChunkCache::footprint() const {
+  MutexLock lock(&mu_);
+  Footprint footprint;
+  for (const auto& [seq, entry] : map_) {
+    footprint.bytes += entry.chunk->MemoryBytes();
+    footprint.events += entry.chunk->num_events();
+  }
+  return footprint;
+}
+
 void ChunkCache::ResetStats() {
   MutexLock lock(&mu_);
   stats_ = Stats();

@@ -39,6 +39,13 @@ class ChunkCache {
   Stats stats() const;
   void ResetStats();
 
+  // Heap bytes (Chunk::MemoryBytes) and events of the cached chunks.
+  struct Footprint {
+    size_t bytes = 0;
+    size_t events = 0;
+  };
+  Footprint footprint() const;
+
  private:
   mutable Mutex mu_{kRankStorageChunkCache};
   size_t capacity_;

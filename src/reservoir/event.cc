@@ -91,7 +91,8 @@ Status EventCodec::Decode(Slice* input, Micros base_ts, Event* event) const {
       !GetVarint64(input, &offset)) {
     return Status::Corruption("bad event header");
   }
-  event->timestamp = base_ts + ts_delta;
+  event->timestamp = static_cast<Micros>(static_cast<uint64_t>(base_ts) +
+                                        static_cast<uint64_t>(ts_delta));
   event->id = id;
   event->offset = offset;
   // Overwrite the value slots in place: a reused event keeps its string
@@ -128,6 +129,46 @@ Status EventCodec::Decode(Slice* input, Micros base_ts, Event* event) const {
       case FieldType::kBool: {
         if (input->empty()) return Status::Corruption("bad bool");
         slot.value = (*input)[0] != 0;
+        input->remove_prefix(1);
+        break;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status EventCodec::Skip(Slice* input, Micros base_ts,
+                        Micros* timestamp) const {
+  int64_t ts_delta = 0;
+  uint64_t id = 0, offset = 0;
+  if (!GetVarsint64(input, &ts_delta) || !GetVarint64(input, &id) ||
+      !GetVarint64(input, &offset)) {
+    return Status::Corruption("bad event header");
+  }
+  // A wrapping add, as in Decode: the delta comes from unchecked bytes.
+  *timestamp = static_cast<Micros>(static_cast<uint64_t>(base_ts) +
+                                   static_cast<uint64_t>(ts_delta));
+  for (const SchemaField& field : schema_->fields()) {
+    switch (field.type) {
+      case FieldType::kInt64: {
+        int64_t v = 0;
+        if (!GetVarsint64(input, &v)) return Status::Corruption("bad int");
+        break;
+      }
+      case FieldType::kDouble: {
+        double v = 0;
+        if (!GetDouble(input, &v)) return Status::Corruption("bad double");
+        break;
+      }
+      case FieldType::kString: {
+        Slice v;
+        if (!GetLengthPrefixedSlice(input, &v)) {
+          return Status::Corruption("bad string");
+        }
+        break;
+      }
+      case FieldType::kBool: {
+        if (input->empty()) return Status::Corruption("bad bool");
         input->remove_prefix(1);
         break;
       }

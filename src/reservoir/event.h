@@ -105,6 +105,9 @@ class EventCodec {
   // Appends the event (timestamp delta-encoded against base_ts).
   void Encode(const Event& event, Micros base_ts, std::string* dst) const;
   Status Decode(Slice* input, Micros base_ts, Event* event) const;
+  // Checks every field of one encoded event and moves past it without
+  // materializing values; reports the event's timestamp.
+  Status Skip(Slice* input, Micros base_ts, Micros* timestamp) const;
 
  private:
   const Schema* schema_;

@@ -80,8 +80,8 @@ Status Reservoir::Open() {
           std::max(last_persisted_offset_, loc.max_offset);
     }
   }
-  open_.chunk = std::make_shared<Chunk>(next_chunk_seq_++,
-                                        registry_->current_id());
+  open_.chunk =
+      std::make_shared<Chunk>(next_chunk_seq_++, registry_->Current());
 
   if (options_.async_io) {
     writer_thread_ = std::thread([this] { WriterLoop(); });
@@ -133,7 +133,6 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
     }
   }
 
-  Event to_add = event;
   // The open chunk's lower time boundary: events older than this are
   // out of order with respect to chunks that already closed.
   Micros open_boundary = last_closed_max_ts_;
@@ -143,36 +142,39 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
     open_boundary = transition_.back().chunk->max_timestamp();
   }
 
-  if (open_boundary >= 0 && to_add.timestamp < open_boundary) {
+  const Event* to_add = &event;
+  Event rewritten;  // Only the late-event rewrite path copies the event.
+  if (open_boundary >= 0 && event.timestamp < open_boundary) {
     // Grace handling: transition chunks still accept late events that
     // fall inside (or just before) their time range, newest first.
     for (auto it = transition_.rbegin(); it != transition_.rend(); ++it) {
-      if (to_add.timestamp >= it->chunk->min_timestamp()) {
-        it->chunk->Add(to_add);
-        it->ids.insert(to_add.id);
+      if (event.timestamp >= it->chunk->min_timestamp()) {
+        it->chunk->Add(event);
+        it->ids.insert(event.id);
         ++stats_.late_transition_adds;
         *accepted = true;
         return Status::OK();
       }
     }
-    if (!transition_.empty() &&
-        to_add.timestamp > last_closed_max_ts_) {
+    if (!transition_.empty() && event.timestamp > last_closed_max_ts_) {
       // Older than every transition chunk's range but newer than the
       // durable chunks: absorb into the oldest transition chunk.
-      transition_.front().chunk->Add(to_add);
-      transition_.front().ids.insert(to_add.id);
+      transition_.front().chunk->Add(event);
+      transition_.front().ids.insert(event.id);
       ++stats_.late_transition_adds;
       *accepted = true;
       return Status::OK();
     }
-    if (to_add.timestamp < last_closed_max_ts_) {
+    if (event.timestamp < last_closed_max_ts_) {
       // Truly late: older than data already persisted.
       switch (options_.late_policy) {
         case LateEventPolicy::kDiscard:
           ++stats_.late_drops;
           return Status::OK();
         case LateEventPolicy::kRewriteTimestamp:
-          to_add.timestamp = open_boundary;
+          rewritten = event;
+          rewritten.timestamp = open_boundary;
+          to_add = &rewritten;
           ++stats_.late_rewrites;
           break;
       }
@@ -180,11 +182,11 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
     // Otherwise: within the open chunk's tolerance (sorted at close).
   }
 
-  open_.chunk->Add(to_add);
-  open_.ids.insert(to_add.id);
+  open_.chunk->Add(*to_add);
+  open_.ids.insert(event.id);
   *accepted = true;
 
-  MaybeCloseTransitionsLocked(to_add.timestamp);
+  MaybeCloseTransitionsLocked(to_add->timestamp);
   if (open_.chunk->EstimatedBytes() >= options_.chunk_target_bytes) {
     CloseOpenChunkLocked();
   }
@@ -194,8 +196,8 @@ Status Reservoir::AppendLocked(const Event& event, bool* accepted) {
 void Reservoir::CloseOpenChunkLocked() {
   if (open_.chunk->empty()) return;
   InMemoryChunk closing = std::move(open_);
-  open_.chunk = std::make_shared<Chunk>(next_chunk_seq_++,
-                                        registry_->current_id());
+  open_.chunk =
+      std::make_shared<Chunk>(next_chunk_seq_++, registry_->Current());
   open_.ids.clear();
 
   if (options_.ooo_grace > 0) {
@@ -229,11 +231,8 @@ void Reservoir::FinalizeChunkLocked(InMemoryChunk in_mem) {
 }
 
 Status Reservoir::WriteChunk(const std::shared_ptr<Chunk>& chunk) {
-  const Schema* schema = registry_->Get(chunk->schema_id());
-  if (schema == nullptr) return Status::Corruption("unknown schema id");
-
   std::string payload;
-  chunk->SerializeTo(*schema, &payload);
+  chunk->SerializeTo(&payload);
 
   ChunkLocation location;
   RAILGUN_RETURN_IF_ERROR(writer_->Append(*chunk, payload, &location));
@@ -355,7 +354,7 @@ StatusOr<std::shared_ptr<Chunk>> Reservoir::LoadChunkFromDisk(ChunkSeq seq) {
 
   std::unique_ptr<Chunk> chunk;
   RAILGUN_RETURN_IF_ERROR(
-      Chunk::Deserialize(seq, *schema, Slice(payload), &chunk));
+      Chunk::Deserialize(seq, schema, Slice(payload), &chunk));
   return std::shared_ptr<Chunk>(std::move(chunk));
 }
 
@@ -405,7 +404,7 @@ std::unique_ptr<ReservoirIterator> Reservoir::NewIteratorAt(Micros ts) {
   }
   iter->PositionAt(target, 0);
   // Advance within the chunk to the first event with timestamp >= ts.
-  while (!iter->AtEnd() && iter->event().timestamp < ts) {
+  while (!iter->AtEnd() && iter->timestamp() < ts) {
     iter->Advance();
   }
   return iter;

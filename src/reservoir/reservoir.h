@@ -1,10 +1,13 @@
 // The event reservoir (paper §4.1.1): stores all events of one task
 // processor with a tiny in-memory footprint. Events accumulate in an
-// open chunk; closed chunks are sorted, serialized, compressed and
-// appended to immutable segment files by an asynchronous writer so that
-// persistence never blocks event processing. Windows read events through
-// iterators that pin at most one chunk each and eagerly prefetch the next
-// chunk, keeping disk I/O off the critical path.
+// open chunk; closed chunks are sorted, compressed and appended to
+// immutable segment files by an asynchronous writer so that persistence
+// never blocks event processing. Chunks in memory (open, in flight or
+// cached) hold their events encoded, as on disk, so the cache's capacity
+// in chunks bounds memory at ~0.5 KB per 103-field event. Windows read
+// events through iterators that pin at most one chunk each, decode one
+// event at a time, and eagerly prefetch the next chunk, keeping disk I/O
+// off the critical path.
 #ifndef RAILGUN_RESERVOIR_RESERVOIR_H_
 #define RAILGUN_RESERVOIR_RESERVOIR_H_
 
@@ -86,9 +89,18 @@ class ReservoirIterator {
   // The error that stopped the iterator at a chunk it could not read
   // (Corruption, IOError); OK at the real end. Refresh retries the read.
   const Status& status() const { return status_; }
-  // REQUIRES: !AtEnd(). The reference is only stable until the next
-  // Append to the reservoir (the open chunk's storage may grow).
-  const Event& event() const { return chunk_->event(index_); }
+  // REQUIRES: !AtEnd() for the three readers below.
+  // The current event's timestamp, read without decoding the event.
+  Micros timestamp() const { return chunk_->timestamp(index_); }
+  // Decodes the current event into *event, overwriting its value slots.
+  void ReadEvent(Event* event) const { chunk_->DecodeEvent(index_, event); }
+  // Decodes the current event into scratch the iterator owns. The
+  // reference is valid until the iterator moves (Advance, Refresh) or is
+  // destroyed.
+  const Event& event() {
+    ReadEvent(&scratch_);
+    return scratch_;
+  }
 
   // Moves forward one event. After AtEnd(), call Refresh() (cheap) to
   // pick up newly appended events.
@@ -99,8 +111,6 @@ class ReservoirIterator {
   // restored exactly after recovery).
   ChunkSeq chunk_seq() const { return chunk_seq_; }
   size_t index() const { return index_; }
-
-  Micros CurrentTimestamp() const { return event().timestamp; }
 
  private:
   friend class Reservoir;
@@ -115,6 +125,7 @@ class ReservoirIterator {
   size_t index_ = 0;
   bool valid_ = false;
   Status status_;
+  Event scratch_;  // Backs event().
 };
 
 class Reservoir {
@@ -161,6 +172,7 @@ class Reservoir {
 
   ReservoirStats stats() const;
   ChunkCache::Stats cache_stats() const { return cache_.stats(); }
+  ChunkCache::Footprint cache_footprint() const { return cache_.footprint(); }
   size_t num_live_iterators() const;
   Micros MaxTimestamp() const;
   uint64_t NumBufferedEvents() const;  // Events not yet persisted.

@@ -58,17 +58,15 @@ WindowOperator* WindowManager::GetOrCreate(const WindowSpec& spec) {
 }
 
 Status WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
-  deltas->entered_by_offset.clear();
-  deltas->expired_by_offset.clear();
   Status status;
-
   // Heads: every event with timestamp <= now - offset enters.
   for (auto& [offset, iter] : heads_) {
-    auto& out = deltas->entered_by_offset[offset];
+    EventRun& out = deltas->entered_by_offset[offset];
+    out.clear();
     const Micros threshold = now - offset;
     iter->Refresh();
-    while (!iter->AtEnd() && iter->event().timestamp <= threshold) {
-      out.push_back(iter->event());
+    while (!iter->AtEnd() && iter->timestamp() <= threshold) {
+      iter->ReadEvent(out.Add());
       iter->Advance();
       iter->Refresh();
     }
@@ -78,11 +76,12 @@ Status WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
   // Tails: every event with timestamp < now - offset expires
   // (T_eval - ws <= t_i keeps the boundary event inside; see §2).
   for (auto& [offset, iter] : tails_) {
-    auto& out = deltas->expired_by_offset[offset];
+    EventRun& out = deltas->expired_by_offset[offset];
+    out.clear();
     const Micros threshold = now - offset;
     iter->Refresh();
-    while (!iter->AtEnd() && iter->event().timestamp < threshold) {
-      out.push_back(iter->event());
+    while (!iter->AtEnd() && iter->timestamp() < threshold) {
+      iter->ReadEvent(out.Add());
       iter->Advance();
       iter->Refresh();
     }
@@ -199,10 +198,8 @@ WindowOperator::WindowOperator(WindowSpec spec,
     : spec_(spec), reservoir_(reservoir) {}
 
 namespace {
-void AppendPointers(const std::vector<Event>& events,
-                    std::vector<const Event*>* out) {
-  out->reserve(out->size() + events.size());
-  for (const Event& e : events) out->push_back(&e);
+void AppendPointers(const EventRun& events, std::vector<const Event*>* out) {
+  for (size_t i = 0; i < events.size(); ++i) out->push_back(&events[i]);
 }
 }  // namespace
 
@@ -215,7 +212,7 @@ Status WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
   out->epoch = 0;
 
   auto entered_it = deltas.entered_by_offset.find(spec_.HeadOffset());
-  const std::vector<Event>* entered =
+  const EventRun* entered =
       entered_it == deltas.entered_by_offset.end() ? nullptr
                                                    : &entered_it->second;
 
@@ -248,16 +245,16 @@ Status WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
         AppendPointers(head_it->second, &out->entered);
         in_window_ += head_it->second.size();
       }
-      // The count tail drains a private iterator whose event references
-      // are invalidated by Advance: copy into owned storage first.
+      // The count tail drains a private iterator: decode into owned
+      // slots, then point at them once the run stops growing.
       count_tail_->Refresh();
       while (in_window_ > spec_.count && !count_tail_->AtEnd()) {
-        out->owned.push_back(count_tail_->event());
+        count_tail_->ReadEvent(out->owned.Add());
         count_tail_->Advance();
         count_tail_->Refresh();
         --in_window_;
       }
-      for (const Event& e : out->owned) out->expired.push_back(&e);
+      AppendPointers(out->owned, &out->expired);
       return count_tail_->status();
     }
   }

@@ -8,6 +8,10 @@
 // share one tail iterator. WindowManager drains every shared iterator
 // exactly once per arriving event and *broadcasts* the drained events to
 // all windows subscribed to that edge.
+//
+// Edges compare thresholds against the iterators' timestamps and decode
+// only the events that cross, into slots the caller's EdgeDeltas keeps
+// across events, so a warm edge drains without allocating.
 #ifndef RAILGUN_WINDOW_WINDOW_OPERATOR_H_
 #define RAILGUN_WINDOW_WINDOW_OPERATOR_H_
 
@@ -21,15 +25,34 @@
 
 namespace railgun::window {
 
+// Events decoded into reused slots: the first size() slots are live, and
+// the slots past them keep their value storage for the next fill.
+class EventRun {
+ public:
+  void clear() { size_ = 0; }
+  size_t size() const { return size_; }
+  const reservoir::Event& operator[](size_t i) const { return slots_[i]; }
+  // Makes the next slot live and returns it for the caller to fill.
+  reservoir::Event* Add() {
+    if (size_ == slots_.size()) slots_.emplace_back();
+    return &slots_[size_++];
+  }
+
+ private:
+  std::vector<reservoir::Event> slots_;
+  size_t size_ = 0;
+};
+
 // One advancement step's output for one window. Entered/expired point
 // into the EdgeDeltas storage (or `owned`) and are valid until the next
-// WindowManager::Advance — the plan consumes them within the same step.
+// WindowManager::Advance or Collect — the plan consumes them within the
+// same step.
 struct WindowDelta {
   std::vector<const reservoir::Event*> entered;
   std::vector<const reservoir::Event*> expired;
   // Backing storage for events not owned by EdgeDeltas (count-window
   // tails drain a private iterator).
-  std::vector<reservoir::Event> owned;
+  EventRun owned;
   // Tumbling windows: set when the window rolled over; downstream
   // aggregation state must reset before applying `entered`.
   bool reset = false;
@@ -37,10 +60,11 @@ struct WindowDelta {
   Micros epoch = 0;
 };
 
-// Drained edge events per arriving event, keyed by edge offset.
+// Drained edge events per arriving event, keyed by edge offset. Reuse one
+// across events: Advance refills its runs in place.
 struct EdgeDeltas {
-  std::map<Micros, std::vector<reservoir::Event>> entered_by_offset;
-  std::map<Micros, std::vector<reservoir::Event>> expired_by_offset;
+  std::map<Micros, EventRun> entered_by_offset;
+  std::map<Micros, EventRun> expired_by_offset;
 };
 
 class WindowOperator;

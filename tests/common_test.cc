@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -123,6 +124,71 @@ TEST(Crc32cTest, KnownProperties) {
   const uint32_t split = crc32c::Extend(crc32c::Value("hello ", 6),
                                         "world", 5);
   EXPECT_EQ(whole, split);
+}
+
+// Known answers: RFC 3720 (iSCSI) B.4 and the "123456789" check value.
+struct Crc32cVector {
+  std::string data;
+  uint32_t crc;
+};
+
+std::vector<Crc32cVector> Crc32cVectors() {
+  std::string zeros(32, '\0'), ones(32, '\xff'), up, down;
+  for (int i = 0; i < 32; ++i) {
+    up.push_back(static_cast<char>(i));
+    down.push_back(static_cast<char>(31 - i));
+  }
+  return {{"123456789", 0xE3069283u}, {zeros, 0x8A9136AAu},
+          {ones, 0x62A8AB43u},        {up, 0x46DD794Eu},
+          {down, 0x113FDB5Cu}};
+}
+
+using Crc32cFn = uint32_t (*)(uint32_t, const char*, size_t);
+
+// Extend, and each path it may choose that this CPU can run.
+std::vector<std::pair<std::string, Crc32cFn>> Crc32cImplementations() {
+  std::vector<std::pair<std::string, Crc32cFn>> impls = {
+      {"Extend", crc32c::Extend}, {"portable", crc32c::ExtendPortable}};
+  if (crc32c::HardwareAvailable()) {
+    impls.emplace_back("hardware", crc32c::ExtendHardware);
+  }
+  return impls;
+}
+
+TEST(Crc32cTest, KnownAnswers) {
+  for (const auto& [name, extend] : Crc32cImplementations()) {
+    for (const auto& v : Crc32cVectors()) {
+      EXPECT_EQ(extend(0, v.data.data(), v.data.size()), v.crc)
+          << name << ", length " << v.data.size();
+    }
+  }
+}
+
+// The byte-at-a-time definition of CRC32C (reflected 0x82f63b78).
+uint32_t BytewiseCrc32c(uint32_t crc, const char* data, size_t n) {
+  crc = ~crc;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= static_cast<unsigned char>(data[i]);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32cTest, MatchesBytewiseAtEveryLengthAndAlignment) {
+  Random64 rng(7);
+  std::string buf(1024 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (const auto& [name, extend] : Crc32cImplementations()) {
+    for (size_t align = 0; align < 8; ++align) {
+      for (size_t n = 0; n <= 1024; ++n) {
+        const char* p = buf.data() + align;
+        ASSERT_EQ(extend(0x12345678u, p, n), BytewiseCrc32c(0x12345678u, p, n))
+            << name << ", alignment " << align << ", length " << n;
+      }
+    }
+  }
 }
 
 TEST(Crc32cTest, MaskUnmaskRoundTrip) {
