@@ -59,7 +59,7 @@ BENCHMARK(BM_FetchBatch)->Arg(16)->Arg(256);
 void BM_GroupPoll(benchmark::State& state) {
   InProcessBus bus(InstantBus());
   RAILGUN_CHECK_OK(bus.CreateTopic("t", 8));
-  RAILGUN_CHECK_OK(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}));
+  RAILGUN_CHECK_OK(bus.Subscribe("c", "g", {"t"}, "", {}));
   MessageBatch batch;
   RAILGUN_CHECK_OK(bus.PollBatch("c", 1, &batch));  // Absorb the assignment.
   uint64_t produced = 0;
@@ -86,7 +86,7 @@ void BM_Rebalance(benchmark::State& state) {
     state.ResumeTiming();
     for (int m = 0; m < state.range(0); ++m) {
       RAILGUN_CHECK_OK(
-          bus.Subscribe("c" + std::to_string(m), "g", {"t"}, "", nullptr, {}));
+          bus.Subscribe("c" + std::to_string(m), "g", {"t"}, "", {}));
     }
     benchmark::DoNotOptimize(bus.rebalance_count());
   }

@@ -51,8 +51,7 @@ HopResult DriveHop(Bus* producer_bus, Bus* consumer_bus, int64_t pings,
       return result;
     }
   }
-  if (!consumer_bus->Subscribe("hop-consumer", "hop-group", {kTopic}, "",
-                               nullptr, {})
+  if (!consumer_bus->Subscribe("hop-consumer", "hop-group", {kTopic}, "", {})
            .ok()) {
     return result;
   }

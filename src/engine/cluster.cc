@@ -21,9 +21,8 @@ Cluster::Cluster(const ClusterOptions& options)
   bus_options.clock = clock_;
   bus_.reset(new msg::InProcessBus(bus_options));
   coordinator_.reset(new Coordinator(options_.replication_factor));
-  // Pre-install the sticky strategy server-side: processor units that
-  // join over the network (whose strategy pointer cannot cross the
-  // wire) then get the same placement as local units.
+  // The sticky coordinator places the active group's tasks for every
+  // processor unit, local or joining over the network.
   bus_->SetGroupStrategy(kActiveGroup, coordinator_.get());
 
   // Wire every node's layers into the cluster-wide metrics registry;

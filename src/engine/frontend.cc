@@ -50,7 +50,7 @@ Status FrontEnd::SubscribeReplies() {
   // its loop can park in a blocking Poll (wake-on-arrival) instead of
   // fetch-and-sleep polling.
   return bus_->Subscribe(consumer_id_, "fe." + node_id_, {reply_topic_}, "",
-                         nullptr, {});
+                         {});
 }
 
 void FrontEnd::Stop() {

@@ -168,7 +168,7 @@ Status ProcessorUnit::Subscribe() {
   };
   return bus_->Subscribe(unit_id_, kActiveGroup, topics,
                          "node=" + node_id_ + ";unit=" + unit_id_,
-                         coordinator_, std::move(listener));
+                         std::move(listener));
 }
 
 void ProcessorUnit::HandleAssigned(

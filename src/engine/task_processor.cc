@@ -9,7 +9,7 @@ namespace railgun::engine {
 
 namespace {
 constexpr char kCkptOffsetKey[] = "__ckpt_offset";
-constexpr char kCkptWindowsKey[] = "__ckpt_winpos";
+constexpr char kCkptPlanKey[] = "__ckpt_plan";
 
 std::string ReservoirDir(const std::string& dir) { return dir + "/reservoir"; }
 std::string DbDir(const std::string& dir) { return dir + "/db"; }
@@ -42,20 +42,21 @@ Status TaskProcessor::Open() {
       storage::DB::Open(options_.db, DbDir(dir_), &db_));
 
   plan_.reset(new plan::TaskPlan(reservoir_.get(), db_.get()));
-  for (const auto& q : stream_.queries) {
-    RAILGUN_ASSIGN_OR_RETURN(std::string partitioner,
-                             stream_.PartitionerForQuery(q));
-    if (stream_.TopicFor(partitioner) == topic_) {
-      RAILGUN_RETURN_IF_ERROR(plan_->AddQuery(q));
-      installed_queries_.insert(q.raw);
-    }
-  }
-  RAILGUN_RETURN_IF_ERROR(InstallPipelines(stream_));
-
-  // Restore checkpointed positions, if any.
   std::string value;
   Status s = db_->Get(storage::kDefaultColumnFamily, kCkptOffsetKey, &value);
-  if (s.ok()) {
+  if (s.IsNotFound()) {
+    // No checkpoint: the state store was wiped, and replay from offset 0
+    // rebuilds every query's state in island 0.
+    replay_offset_ = 0;
+    for (const auto& q : stream_.queries) {
+      RAILGUN_ASSIGN_OR_RETURN(std::string partitioner,
+                               stream_.PartitionerForQuery(q));
+      if (stream_.TopicFor(partitioner) == topic_) {
+        RAILGUN_RETURN_IF_ERROR(plan_->AddQuery(q));
+      }
+    }
+  } else {
+    RAILGUN_RETURN_IF_ERROR(s);
     Slice in(value);
     int64_t ckpt_offset;
     if (!GetVarsint64(&in, &ckpt_offset)) {
@@ -75,18 +76,21 @@ Status TaskProcessor::Open() {
     replay_offset_ = std::min(static_cast<uint64_t>(ckpt_offset + 1),
                               persisted_plus_one);
 
-    std::string winpos;
-    s = db_->Get(storage::kDefaultColumnFamily, kCkptWindowsKey, &winpos);
-    if (s.ok()) {
-      RAILGUN_RETURN_IF_ERROR(plan_->RestoreWindowPositions(winpos));
-    } else if (!s.IsNotFound()) {
-      return s;
+    // The checkpoint names the queries its state belongs to: rebuild
+    // them as they ran.
+    std::string blob;
+    s = db_->Get(storage::kDefaultColumnFamily, kCkptPlanKey, &blob);
+    if (s.IsNotFound()) {
+      return Status::Corruption(
+          "checkpoint holds no plan: written by an older layout, wipe the "
+          "task's state directory");
     }
-  } else if (!s.IsNotFound()) {
-    return s;
-  } else {
-    replay_offset_ = 0;
+    RAILGUN_RETURN_IF_ERROR(s);
+    RAILGUN_RETURN_IF_ERROR(plan_->Restore(blob));
   }
+  // Queries the plan lacks (added after the checkpoint) are installed
+  // like any runtime metric addition; pipelines are installed here too.
+  RAILGUN_RETURN_IF_ERROR(SyncQueries(stream_));
 
   // Events already persisted in the reservoir must not be re-appended.
   if (reservoir_->NumPersistedChunks() > 0) {
@@ -262,9 +266,9 @@ Status TaskProcessor::SyncQueries(const StreamDef& updated) {
     auto partitioner_or = updated.PartitionerForQuery(q);
     if (!partitioner_or.ok()) continue;
     if (updated.TopicFor(partitioner_or.value()) != topic_) continue;
-    if (installed_queries_.count(q.raw) > 0) continue;
-    RAILGUN_RETURN_IF_ERROR(plan_->AddQueryBackfilled(q));
-    installed_queries_.insert(q.raw);
+    if (plan_->HasQuery(q.raw)) continue;
+    RAILGUN_RETURN_IF_ERROR(
+        plan_->AddQueryBackfilled(q, last_processed_offset_));
   }
   RAILGUN_RETURN_IF_ERROR(InstallPipelines(updated));
   stream_ = updated;
@@ -276,16 +280,16 @@ Status TaskProcessor::Checkpoint() {
   //    (open-chunk events stay bus-replayable).
   RAILGUN_RETURN_IF_ERROR(reservoir_->Sync());
 
-  // 2. Stamp the state store with the consistent replay point + window
-  //    iterator positions, then snapshot it.
+  // 2. Stamp the state store with the consistent replay point + the
+  //    plan (its queries and window positions), then snapshot it.
   std::string offset_value;
   PutVarsint64(&offset_value, last_processed_offset_);
   RAILGUN_RETURN_IF_ERROR(db_->Put(storage::kDefaultColumnFamily,
                                    kCkptOffsetKey, offset_value));
-  std::string winpos;
-  plan_->SaveWindowPositions(&winpos);
+  std::string plan;
+  plan_->Save(&plan);
   RAILGUN_RETURN_IF_ERROR(
-      db_->Put(storage::kDefaultColumnFamily, kCkptWindowsKey, winpos));
+      db_->Put(storage::kDefaultColumnFamily, kCkptPlanKey, plan));
 
   RAILGUN_RETURN_IF_ERROR(env_->RemoveDirRecursive(CkptTmpDir(dir_)));
   RAILGUN_RETURN_IF_ERROR(db_->Checkpoint(CkptTmpDir(dir_)));

@@ -1,9 +1,10 @@
 // TaskProcessor (paper §4.1): computes every metric of one
 // (topic, partition). Owns a share-nothing event reservoir, an embedded
 // LSM state store and a task plan. Supports synchronized checkpointing
-// of both stores (plus window iterator positions) and recovery by
-// rolling the state store back to its last checkpoint and replaying the
-// message log from the checkpointed offset.
+// of both stores (plus the plan: its queries and window positions) and
+// recovery by rolling the state store back to its last checkpoint,
+// rebuilding the plan from it and replaying the message log from the
+// checkpointed offset.
 #ifndef RAILGUN_ENGINE_TASK_PROCESSOR_H_
 #define RAILGUN_ENGINE_TASK_PROCESSOR_H_
 
@@ -117,7 +118,6 @@ class TaskProcessor {
   StreamDef stream_;
   std::string topic_;
   Env* env_;
-  std::set<std::string> installed_queries_;  // By raw statement text.
   std::set<std::string> installed_pipelines_;  // By raw statement text.
 
   std::unique_ptr<reservoir::Reservoir> reservoir_;

@@ -202,7 +202,6 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
                                const std::string& group,
                                const std::vector<std::string>& topics,
                                const std::string& metadata,
-                               AssignmentStrategy* strategy,
                                RebalanceListener listener) {
   MutexLock lock(&group_mu_);
   ConsumerState& consumer = consumers_[consumer_id];
@@ -218,11 +217,7 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
     RecomputeCommittedFloorLocked(tp);
   }
 
-  Group& g = groups_[group];
-  if (g.strategy == nullptr) {
-    g.strategy = strategy != nullptr ? strategy : &default_strategy_;
-  }
-  g.members.insert(consumer_id);
+  groups_[group].members.insert(consumer_id);
   RebalanceGroupLocked(group);
   return Status::OK();
 }
@@ -230,9 +225,7 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
 void InProcessBus::SetGroupStrategy(const std::string& group,
                                     AssignmentStrategy* strategy) {
   MutexLock lock(&group_mu_);
-  Group& g = groups_[group];
-  g.strategy = strategy;
-  g.pinned_strategy = true;
+  groups_[group].strategy = strategy;
 }
 
 Status InProcessBus::Unsubscribe(const std::string& consumer_id) {
@@ -248,18 +241,14 @@ Status InProcessBus::Unsubscribe(const std::string& consumer_id) {
   for (const auto& tp : tracked) RecomputeCommittedFloorLocked(tp);
   auto git = groups_.find(group);
   if (git != groups_.end()) {
-    git->second.members.erase(consumer_id);
-    if (git->second.members.empty()) {
-      if (git->second.pinned_strategy) {
-        // Keep the group record: its pinned strategy must apply to
-        // the next joiner (erasing would silently fall back to the
-        // default policy).
-        git->second.current.clear();
-      } else {
-        groups_.erase(git);
-      }
-    } else {
+    Group& g = git->second;
+    g.members.erase(consumer_id);
+    if (!g.members.empty()) {
       RebalanceGroupLocked(group);
+    } else if (g.strategy == nullptr) {
+      groups_.erase(git);
+    } else {
+      g.current.clear();  // The strategy stays for the next joiner.
     }
   }
   return Status::OK();
@@ -302,8 +291,9 @@ void InProcessBus::RebalanceGroupLocked(const std::string& group_name) {
     // Every member must wake to deliver the new generation's callbacks.
     Signal(it->second.slot.get());
   }
-  group.current = group.strategy->Assign(members,
-                                         GroupPartitionsLocked(group));
+  AssignmentStrategy* strategy =
+      group.strategy != nullptr ? group.strategy : &default_strategy_;
+  group.current = strategy->Assign(members, GroupPartitionsLocked(group));
   ++group.generation;
   ++rebalance_count_;
 }

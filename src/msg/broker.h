@@ -83,15 +83,14 @@ class InProcessBus : public Bus {
   Status Subscribe(const std::string& consumer_id, const std::string& group,
                    const std::vector<std::string>& topics,
                    const std::string& metadata,
-                   AssignmentStrategy* strategy,
                    RebalanceListener listener) override;
   Status Unsubscribe(const std::string& consumer_id) override;
 
-  // Installs (or replaces) the assignment strategy of a group
-  // server-side, before or after members join. Remote subscribers
-  // cannot ship a strategy across the wire, so a broker process
-  // pre-installs the engine's sticky coordinator here and every joining
-  // worker — local or remote — gets the same placement policy.
+  // Installs (or replaces) the assignment strategy of a group, before
+  // or after members join; it outlives the group emptying out. A group
+  // without one runs round-robin. A broker process pre-installs the
+  // engine's sticky coordinator here, so every joining worker — local
+  // or remote — gets the same placement policy.
   void SetGroupStrategy(const std::string& group,
                         AssignmentStrategy* strategy);
 
@@ -235,11 +234,10 @@ class InProcessBus : public Bus {
     bool alive = true;
   };
   struct Group {
-    AssignmentStrategy* strategy = nullptr;  // Borrowed.
-    // True when the strategy came from SetGroupStrategy: it must
-    // survive the group emptying out (a later joiner gets the same
-    // policy), not be dropped with the last member.
-    bool pinned_strategy = false;
+    // Borrowed; set by SetGroupStrategy, else the group runs round-robin.
+    // A group with one is kept when it empties out, so the strategy
+    // applies to the next joiner.
+    AssignmentStrategy* strategy = nullptr;
     std::set<std::string> members;
     uint64_t generation = 0;
     Assignment current;  // member -> partitions.

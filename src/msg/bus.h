@@ -72,15 +72,13 @@ class Bus {
                               std::vector<ProduceRecord> records) = 0;
 
   // ----- Group management -----
-  // Registers a consumer in a group. The strategy pointer is shared by
-  // the whole group (the first subscriber's strategy wins); pass nullptr
-  // for the broker's default. Remote implementations cannot ship a
-  // strategy across the wire and always use the server-side default.
+  // Registers a consumer in a group. The group's assignment strategy is
+  // the broker's business (InProcessBus::SetGroupStrategy), never the
+  // subscriber's: a strategy cannot cross the wire.
   virtual Status Subscribe(const std::string& consumer_id,
                            const std::string& group,
                            const std::vector<std::string>& topics,
                            const std::string& metadata,
-                           AssignmentStrategy* strategy,
                            RebalanceListener listener) = 0;
   virtual Status Unsubscribe(const std::string& consumer_id) = 0;
 

@@ -158,8 +158,7 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       parsed = parsed && GetLengthPrefixedSlice(&in, &metadata);
       if (parsed) {
         // The buffering listener feeds rebalances into this consumer's
-        // Poll responses; the client-side strategy cannot cross the
-        // wire, so the group runs the server default.
+        // Poll responses.
         auto buffer = BufferFor(consumer.ToString());
         RebalanceListener listener;
         listener.on_revoked =
@@ -175,7 +174,7 @@ Frame BusServer::HandleRequest(const FrameView& request) {
                                       assigned.begin(), assigned.end());
             };
         status = bus_->Subscribe(consumer.ToString(), group.ToString(),
-                                 topics, metadata.ToString(), nullptr,
+                                 topics, metadata.ToString(),
                                  std::move(listener));
       }
       break;

@@ -200,9 +200,7 @@ Status RemoteBus::Subscribe(const std::string& consumer_id,
                             const std::string& group,
                             const std::vector<std::string>& topics,
                             const std::string& metadata,
-                            AssignmentStrategy* strategy,
                             RebalanceListener listener) {
-  (void)strategy;  // Cannot cross the wire; the server default applies.
   std::string payload;
   PutLengthPrefixedSlice(&payload, consumer_id);
   PutLengthPrefixedSlice(&payload, group);

@@ -26,12 +26,12 @@
 //
 // Rebalance callbacks arrive piggybacked on poll responses and are
 // invoked synchronously before PollBatch returns, preserving the Bus
-// contract. The client-side AssignmentStrategy cannot cross the wire:
-// remote subscribers always run the server's default strategy.
+// contract. The group's assignment strategy is the server's.
 #ifndef RAILGUN_MSG_REMOTE_REMOTE_BUS_H_
 #define RAILGUN_MSG_REMOTE_REMOTE_BUS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -83,8 +83,17 @@ class RemoteBus : public Bus {
 
   Status Subscribe(const std::string& consumer_id, const std::string& group,
                    const std::vector<std::string>& topics,
-                   const std::string& metadata, AssignmentStrategy* strategy,
+                   const std::string& metadata,
                    RebalanceListener listener) override;
+  // Accepts the former six-argument form, whose strategy argument is now
+  // always nullptr, for callers not yet moved to the form above.
+  Status Subscribe(const std::string& consumer_id, const std::string& group,
+                   const std::vector<std::string>& topics,
+                   const std::string& metadata, std::nullptr_t,
+                   RebalanceListener listener) {
+    return Subscribe(consumer_id, group, topics, metadata,
+                     std::move(listener));
+  }
   Status Unsubscribe(const std::string& consumer_id) override;
 
   // Zero-copy poll: the response body stays in a pooled receive buffer

@@ -135,7 +135,6 @@ StatusOr<uint64_t> SubscriptionHub::Create(const std::string& statement) {
       };
   RAILGUN_RETURN_IF_ERROR(bus_->Subscribe(sub->consumer_id, sub->consumer_id,
                                           {sub->topic}, /*metadata=*/"",
-                                          /*strategy=*/nullptr,
                                           std::move(listener)));
   sub->pump = std::thread([this, raw] { Pump(raw); });
   created_->Add(1);

@@ -1,8 +1,9 @@
 #include "plan/task_plan.h"
 
-#include "common/coding.h"
-
 #include <algorithm>
+
+#include "common/coding.h"
+#include "common/crc32c.h"
 
 namespace railgun::plan {
 
@@ -103,10 +104,18 @@ Status TaskPlan::AddQueryToIsland(const query::QueryDef& query,
     gnode->metrics.push_back(std::move(leaf));
     ++num_metrics_;
   }
+  island->queries.push_back(query.raw);
   return Status::OK();
 }
 
-Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
+bool TaskPlan::HasQuery(const std::string& raw) const {
+  return std::any_of(islands_.begin(), islands_.end(), [&](const auto& i) {
+    return std::count(i->queries.begin(), i->queries.end(), raw) > 0;
+  });
+}
+
+Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query,
+                                    int64_t last_offset) {
   auto island = std::make_unique<Island>(reservoir_);
   RAILGUN_RETURN_IF_ERROR(AddQueryToIsland(query, island.get()));
 
@@ -115,6 +124,7 @@ Status TaskPlan::AddQueryBackfilled(const query::QueryDef& query) {
   auto replay_iter = reservoir_->NewIterator();
   while (!replay_iter->AtEnd()) {
     const Event& event = replay_iter->event();
+    if (static_cast<int64_t>(event.offset) > last_offset) break;
     RAILGUN_RETURN_IF_ERROR(
         ProcessEventInIsland(event, island.get(), /*results=*/nullptr));
     replay_iter->Advance();
@@ -255,26 +265,51 @@ std::string TaskPlan::GroupKeyOf(const Event& event, const GroupNode& group) {
   return key;
 }
 
-void TaskPlan::SaveWindowPositions(std::string* blob) const {
-  std::string tmp;
+void TaskPlan::Save(std::string* blob) const {
+  // Layout: [island count, (query count, raw query*, window positions)*]
+  // with every string length-prefixed, then a masked CRC32C of it all.
+  const size_t start = blob->size();
+  PutVarint32(blob, static_cast<uint32_t>(islands_.size()));
+  std::string positions;
   for (const auto& island : islands_) {
-    tmp.clear();
-    island->windows_mgr.SavePositions(&tmp);
-    PutLengthPrefixedSlice(blob, tmp);
+    PutVarint32(blob, static_cast<uint32_t>(island->queries.size()));
+    for (const auto& raw : island->queries) PutLengthPrefixedSlice(blob, raw);
+    positions.clear();
+    island->windows_mgr.SavePositions(&positions);
+    PutLengthPrefixedSlice(blob, positions);
   }
+  PutFixed32(blob, crc32c::Mask(crc32c::Value(blob->data() + start,
+                                              blob->size() - start)));
 }
 
-Status TaskPlan::RestoreWindowPositions(const std::string& blob) {
-  Slice in(blob);
-  for (auto& island : islands_) {
-    Slice island_blob;
-    if (!GetLengthPrefixedSlice(&in, &island_blob)) {
-      return Status::Corruption("window position blob too short");
-    }
-    RAILGUN_RETURN_IF_ERROR(
-        island->windows_mgr.RestorePositions(island_blob.ToString()));
+Status TaskPlan::Restore(const std::string& blob) {
+  if (islands_.size() != 1 || !islands_[0]->queries.empty()) {
+    return Status::InvalidArgument("restore needs a plan without queries");
   }
-  return Status::OK();
+  const Status corrupt = Status::Corruption("plan checkpoint does not decode");
+  if (blob.size() < 4) return corrupt;
+  const size_t body = blob.size() - 4;
+  if (crc32c::Unmask(DecodeFixed32(blob.data() + body)) !=
+      crc32c::Value(blob.data(), body)) {
+    return Status::Corruption("plan checkpoint checksum mismatch");
+  }
+  Slice in(blob.data(), body), raw, positions;
+  uint32_t num_islands, num_queries;
+  if (!GetVarint32(&in, &num_islands) || num_islands == 0) return corrupt;
+  for (uint32_t i = 0; i < num_islands; ++i) {
+    if (i > 0) islands_.push_back(std::make_unique<Island>(reservoir_));
+    Island* island = islands_.back().get();
+    if (!GetVarint32(&in, &num_queries)) return corrupt;
+    for (uint32_t q = 0; q < num_queries; ++q) {
+      if (!GetLengthPrefixedSlice(&in, &raw)) return corrupt;
+      RAILGUN_ASSIGN_OR_RETURN(query::QueryDef query,
+                               query::ParseQuery(raw.ToString()));
+      RAILGUN_RETURN_IF_ERROR(AddQueryToIsland(query, island));
+    }
+    if (!GetLengthPrefixedSlice(&in, &positions)) return corrupt;
+    RAILGUN_RETURN_IF_ERROR(island->windows_mgr.RestorePositions(positions));
+  }
+  return in.empty() ? Status::OK() : corrupt;
 }
 
 size_t TaskPlan::num_window_nodes() const {

@@ -44,10 +44,16 @@ class TaskPlan {
   Status AddQuery(const query::QueryDef& query);
 
   // Registers a query and backfills its aggregation state from the
-  // events already in the reservoir (paper §6 future work). The new
-  // metrics run in their own DAG island so historical replay cannot
-  // disturb the positions of existing window iterators.
-  Status AddQueryBackfilled(const query::QueryDef& query);
+  // events already in the reservoir (paper §6 future work), stopping at
+  // the first event past `last_offset`: a recovering task has persisted
+  // events it will replay through the whole plan. The new metrics run in
+  // their own DAG island so historical replay cannot disturb the
+  // positions of existing window iterators.
+  Status AddQueryBackfilled(const query::QueryDef& query,
+                            int64_t last_offset = INT64_MAX);
+
+  // True when a query with this raw statement text is planned.
+  bool HasQuery(const std::string& raw) const;
 
   // Advances every window for the arriving event (already appended to
   // the reservoir) and updates all aggregation states. Appends one
@@ -57,11 +63,16 @@ class TaskPlan {
   Status ProcessEvent(const reservoir::Event& event,
                       std::vector<MetricResult>* results);
 
-  // Serializes / restores every window-edge iterator position across the
-  // plan (checkpoint support). Restore must be called after the same
-  // queries were re-added in the same order.
-  void SaveWindowPositions(std::string* blob) const;
-  Status RestoreWindowPositions(const std::string& blob);
+  // Checkpoint support. Save writes a self-describing blob: for each
+  // island, the raw text of its queries in the order they were added,
+  // then its window positions, all under a checksum. Restore runs on a
+  // plan that holds no queries: it rebuilds every island from the blob
+  // (same metric ids, no replay: the state is already in the DB) and
+  // positions its windows. A blob that does not decode, or whose
+  // positions do not match the rebuilt windows, is Corruption and leaves
+  // the plan unusable.
+  void Save(std::string* blob) const;
+  Status Restore(const std::string& blob);
 
   // DAG introspection (tests + DESIGN ablations).
   size_t num_window_nodes() const;
@@ -101,6 +112,8 @@ class TaskPlan {
   // normally added queries, and each backfilled query gets its own.
   struct Island {
     explicit Island(reservoir::Reservoir* reservoir) : windows_mgr(reservoir) {}
+    // Raw text of the island's queries, in the order they were added.
+    std::vector<std::string> queries;
     window::WindowManager windows_mgr;
     std::vector<WindowNode> windows;
     // Per-event scratch, reused so warm edges decode without allocating.

@@ -12,7 +12,7 @@ WindowOperator* WindowManager::GetOrCreate(const WindowSpec& spec) {
   auto it = operators_.find(key);
   if (it != operators_.end()) return it->second.get();
 
-  auto op = std::make_unique<WindowOperator>(spec, reservoir_);
+  auto op = std::make_unique<WindowOperator>(spec);
 
   // Wire shared edges.
   switch (spec.kind) {
@@ -36,20 +36,6 @@ WindowOperator* WindowManager::GetOrCreate(const WindowSpec& spec) {
       }
       op->count_tail_ = reservoir_->NewIterator();
       break;
-  }
-
-  // State restored before this operator was re-created (recovery may
-  // run RestorePositions first): apply it now, replacing the fresh
-  // count tail with the checkpointed position.
-  auto pending = pending_restores_.find(key);
-  if (pending != pending_restores_.end()) {
-    op->current_epoch_ = pending->second.epoch;
-    op->in_window_ = pending->second.in_window;
-    if (pending->second.has_tail) {
-      op->count_tail_ = reservoir_->NewIteratorAtPosition(
-          pending->second.tail_chunk_seq, pending->second.tail_index);
-    }
-    pending_restores_.erase(pending);
   }
 
   WindowOperator* raw = op.get();
@@ -90,112 +76,91 @@ Status WindowManager::Advance(Micros now, EdgeDeltas* deltas) {
   return status;
 }
 
-void WindowManager::SavePositions(std::string* blob) const {
-  // Layout: [kind byte, key, chunk_seq, index]* with kind 'h'(ead),
-  // 't'(ail) keyed by offset, 'c'(ount tail) keyed by operator key, plus
-  // per-operator scalar state for tumbling/count windows.
-  PutVarint32(blob, static_cast<uint32_t>(heads_.size()));
-  for (const auto& [offset, iter] : heads_) {
+namespace {
+
+using EdgeIterators = std::map<Micros, std::unique_ptr<ReservoirIterator>>;
+
+void PutPosition(const ReservoirIterator& iter, std::string* blob) {
+  PutVarint64(blob, iter.chunk_seq());
+  PutVarint64(blob, iter.index());
+}
+
+std::unique_ptr<ReservoirIterator> GetPosition(
+    Slice* in, reservoir::Reservoir* reservoir) {
+  uint64_t seq, index;
+  if (!GetVarint64(in, &seq) || !GetVarint64(in, &index)) return nullptr;
+  return reservoir->NewIteratorAtPosition(seq, index);
+}
+
+void SaveEdges(const EdgeIterators& edges, std::string* blob) {
+  PutVarint32(blob, static_cast<uint32_t>(edges.size()));
+  for (const auto& [offset, iter] : edges) {
     PutVarsint64(blob, offset);
-    PutVarint64(blob, iter->chunk_seq());
-    PutVarint64(blob, iter->index());
-  }
-  PutVarint32(blob, static_cast<uint32_t>(tails_.size()));
-  for (const auto& [offset, iter] : tails_) {
-    PutVarsint64(blob, offset);
-    PutVarint64(blob, iter->chunk_seq());
-    PutVarint64(blob, iter->index());
-  }
-  uint32_t num_ops_with_state = 0;
-  for (const auto& [key, op] : operators_) {
-    if (op->count_tail_ != nullptr ||
-        op->spec_.kind == WindowKind::kTumbling) {
-      ++num_ops_with_state;
-    }
-  }
-  PutVarint32(blob, num_ops_with_state);
-  for (const auto& [key, op] : operators_) {
-    if (op->count_tail_ == nullptr &&
-        op->spec_.kind != WindowKind::kTumbling) {
-      continue;
-    }
-    PutLengthPrefixedSlice(blob, key);
-    PutVarsint64(blob, op->current_epoch_);
-    PutVarint64(blob, op->in_window_);
-    const bool has_tail = op->count_tail_ != nullptr;
-    blob->push_back(has_tail ? 1 : 0);
-    if (has_tail) {
-      PutVarint64(blob, op->count_tail_->chunk_seq());
-      PutVarint64(blob, op->count_tail_->index());
-    }
+    PutPosition(*iter, blob);
   }
 }
 
-Status WindowManager::RestorePositions(const std::string& blob) {
-  Slice in(blob);
+// The blob lists the same offsets as `edges`, in the same (map) order.
+Status RestoreEdges(Slice* in, reservoir::Reservoir* reservoir,
+                    EdgeIterators* edges) {
   uint32_t n;
-  if (!GetVarint32(&in, &n)) return Status::Corruption("window positions");
-  for (uint32_t i = 0; i < n; ++i) {
-    int64_t offset;
-    uint64_t seq, index;
-    if (!GetVarsint64(&in, &offset) || !GetVarint64(&in, &seq) ||
-        !GetVarint64(&in, &index)) {
-      return Status::Corruption("window head position");
-    }
-    heads_[offset] = reservoir_->NewIteratorAtPosition(seq, index);
+  if (!GetVarint32(in, &n) || n != edges->size()) {
+    return Status::Corruption("window edge count");
   }
-  if (!GetVarint32(&in, &n)) return Status::Corruption("window positions");
-  for (uint32_t i = 0; i < n; ++i) {
-    int64_t offset;
-    uint64_t seq, index;
-    if (!GetVarsint64(&in, &offset) || !GetVarint64(&in, &seq) ||
-        !GetVarint64(&in, &index)) {
-      return Status::Corruption("window tail position");
+  for (auto& [offset, iter] : *edges) {
+    int64_t saved_offset;
+    if (!GetVarsint64(in, &saved_offset) || saved_offset != offset) {
+      return Status::Corruption("window edge offset");
     }
-    tails_[offset] = reservoir_->NewIteratorAtPosition(seq, index);
-  }
-  if (!GetVarint32(&in, &n)) return Status::Corruption("window positions");
-  for (uint32_t i = 0; i < n; ++i) {
-    Slice key;
-    int64_t epoch;
-    uint64_t in_window;
-    if (!GetLengthPrefixedSlice(&in, &key) || !GetVarsint64(&in, &epoch) ||
-        !GetVarint64(&in, &in_window) || in.empty()) {
-      return Status::Corruption("window operator state");
-    }
-    const bool has_tail = in[0] != 0;
-    in.remove_prefix(1);
-    uint64_t seq = 0, index = 0;
-    if (has_tail &&
-        (!GetVarint64(&in, &seq) || !GetVarint64(&in, &index))) {
-      return Status::Corruption("count tail position");
-    }
-    auto it = operators_.find(key.ToString());
-    if (it != operators_.end()) {
-      it->second->current_epoch_ = epoch;
-      it->second->in_window_ = in_window;
-      if (has_tail) {
-        it->second->count_tail_ =
-            reservoir_->NewIteratorAtPosition(seq, index);
-      }
-    } else {
-      // The operator has not been re-created yet (restore ran before the
-      // plan registered its windows): stash for GetOrCreate instead of
-      // silently dropping recovery state.
-      PendingOperatorState& pending = pending_restores_[key.ToString()];
-      pending.epoch = epoch;
-      pending.in_window = in_window;
-      pending.has_tail = has_tail;
-      pending.tail_chunk_seq = seq;
-      pending.tail_index = index;
-    }
+    iter = GetPosition(in, reservoir);
+    if (iter == nullptr) return Status::Corruption("window edge position");
   }
   return Status::OK();
 }
 
-WindowOperator::WindowOperator(WindowSpec spec,
-                               reservoir::Reservoir* reservoir)
-    : spec_(spec), reservoir_(reservoir) {}
+}  // namespace
+
+void WindowManager::SavePositions(std::string* blob) const {
+  // Layout: heads and tails as [count, (offset, chunk_seq, index)*], then
+  // count windows as [count, (operator key, in_window, chunk_seq, index)*].
+  SaveEdges(heads_, blob);
+  SaveEdges(tails_, blob);
+  uint32_t num_count_windows = 0;
+  for (const auto& [key, op] : operators_) {
+    if (op->count_tail_ != nullptr) ++num_count_windows;
+  }
+  PutVarint32(blob, num_count_windows);
+  for (const auto& [key, op] : operators_) {
+    if (op->count_tail_ == nullptr) continue;
+    PutLengthPrefixedSlice(blob, key);
+    PutVarint64(blob, op->in_window_);
+    PutPosition(*op->count_tail_, blob);
+  }
+}
+
+Status WindowManager::RestorePositions(const Slice& blob) {
+  Slice in(blob);
+  RAILGUN_RETURN_IF_ERROR(RestoreEdges(&in, reservoir_, &heads_));
+  RAILGUN_RETURN_IF_ERROR(RestoreEdges(&in, reservoir_, &tails_));
+  uint32_t n;
+  if (!GetVarint32(&in, &n)) return Status::Corruption("count window count");
+  for (auto& [key, op] : operators_) {
+    if (op->count_tail_ == nullptr) continue;
+    Slice saved_key;
+    if (n-- == 0 || !GetLengthPrefixedSlice(&in, &saved_key) ||
+        saved_key != Slice(key) || !GetVarint64(&in, &op->in_window_)) {
+      return Status::Corruption("count window names no operator");
+    }
+    op->count_tail_ = GetPosition(&in, reservoir_);
+    if (op->count_tail_ == nullptr) {
+      return Status::Corruption("count window position");
+    }
+  }
+  if (n != 0 || !in.empty()) {
+    return Status::Corruption("window positions: trailing entries");
+  }
+  return Status::OK();
+}
 
 namespace {
 void AppendPointers(const EventRun& events, std::vector<const Event*>* out) {
@@ -208,7 +173,6 @@ Status WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
   out->entered.clear();
   out->expired.clear();
   out->owned.clear();
-  out->reset = false;
   out->epoch = 0;
 
   auto entered_it = deltas.entered_by_offset.find(spec_.HeadOffset());
@@ -226,12 +190,7 @@ Status WindowOperator::Collect(Micros now, const EdgeDeltas& deltas,
       break;
     }
     case WindowKind::kTumbling: {
-      const Micros epoch = (now / spec_.size) * spec_.size;
-      out->epoch = epoch;
-      if (epoch != current_epoch_) {
-        out->reset = true;
-        current_epoch_ = epoch;
-      }
+      out->epoch = (now / spec_.size) * spec_.size;
       if (entered != nullptr) AppendPointers(*entered, &out->entered);
       break;
     }

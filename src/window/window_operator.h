@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/slice.h"
 #include "reservoir/reservoir.h"
 #include "window/window.h"
 
@@ -53,10 +54,8 @@ struct WindowDelta {
   // Backing storage for events not owned by EdgeDeltas (count-window
   // tails drain a private iterator).
   EventRun owned;
-  // Tumbling windows: set when the window rolled over; downstream
-  // aggregation state must reset before applying `entered`.
-  bool reset = false;
-  // Epoch identifying the tumbling window instance (window start time).
+  // Tumbling windows: the window instance `now` falls in (its start
+  // time); the plan keys the instance's state by it.
   Micros epoch = 0;
 };
 
@@ -90,30 +89,17 @@ class WindowManager {
   // Distinct reservoir iterators in use (the Figure 9(b) x-axis).
   size_t num_edge_iterators() const { return heads_.size() + tails_.size(); }
 
-  // Serializes / restores the position of every edge iterator (used by
-  // checkpointing so recovered windows resume exactly where they were).
-  // Restore may run before the plan re-creates its operators: entries
-  // with no matching operator are stashed and applied by GetOrCreate, so
-  // recovery state survives either ordering.
+  // Serializes / restores the position of every edge iterator and the
+  // count-window state (used by checkpointing so recovered windows
+  // resume exactly where they were). Restore runs after the operators
+  // were re-created: the blob must name exactly this manager's edges
+  // and count windows, or it is Corruption.
   void SavePositions(std::string* blob) const;
-  Status RestorePositions(const std::string& blob);
+  Status RestorePositions(const Slice& blob);
 
  private:
-  friend class WindowOperator;
-
-  // Per-operator scalar state parsed by RestorePositions before the
-  // operator itself was re-created; applied (and dropped) on creation.
-  struct PendingOperatorState {
-    Micros epoch = -1;
-    uint64_t in_window = 0;
-    bool has_tail = false;
-    uint64_t tail_chunk_seq = 0;
-    uint64_t tail_index = 0;
-  };
-
   reservoir::Reservoir* reservoir_;
   std::map<std::string, std::unique_ptr<WindowOperator>> operators_;
-  std::map<std::string, PendingOperatorState> pending_restores_;
   // Shared head/tail iterators keyed by edge offset.
   std::map<Micros, std::unique_ptr<reservoir::ReservoirIterator>> heads_;
   std::map<Micros, std::unique_ptr<reservoir::ReservoirIterator>> tails_;
@@ -121,7 +107,7 @@ class WindowManager {
 
 class WindowOperator {
  public:
-  WindowOperator(WindowSpec spec, reservoir::Reservoir* reservoir);
+  explicit WindowOperator(WindowSpec spec) : spec_(spec) {}
 
   const WindowSpec& spec() const { return spec_; }
 
@@ -134,9 +120,6 @@ class WindowOperator {
   friend class WindowManager;
 
   WindowSpec spec_;
-  reservoir::Reservoir* reservoir_;
-  // Tumbling state.
-  Micros current_epoch_ = -1;
   // Count-window state: its tail is count-driven, so it cannot share.
   std::unique_ptr<reservoir::ReservoirIterator> count_tail_;
   uint64_t in_window_ = 0;

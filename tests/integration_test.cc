@@ -10,6 +10,7 @@
 #include <map>
 #include <mutex>
 
+#include "api/client.h"
 #include "common/env.h"
 #include "engine/cluster.h"
 #include "engine/coordinator.h"
@@ -434,6 +435,70 @@ TEST(IntegrationTest, FencedUnitRejoinsAndStaysExact) {
     MonotonicClock::Default()->SleepMicros(10000);
   }
   EXPECT_EQ(listed, all);
+  cluster.Stop();
+}
+
+TEST(IntegrationTest, MetricAddedAtRunTimeStaysExactAfterItsOwnerDies) {
+  // ADD METRIC on a live stream backfills the metric in the task that
+  // owns the partition, and checkpoints land after it. Then the owner's
+  // node dies: the other node recovers the task from the dead unit's
+  // directory and must keep answering the new metric exactly.
+  ClusterOptions options =
+      FastClusterOptions("/tmp/railgun_int_add_metric", 2, 1);
+  options.node.num_processor_units = 1;
+  options.node.unit.task.reservoir.chunk_target_bytes = 512;
+  options.node.unit.task.checkpoint_interval_events = 20;
+  Cluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  api::Client client(&cluster);
+  ASSERT_TRUE(client
+                  .CreateStream("CREATE STREAM payments (cardId STRING, "
+                                "amount DOUBLE) PARTITION BY cardId "
+                                "PARTITIONS 1")
+                  .ok());
+  ASSERT_TRUE(client
+                  .Query("ADD METRIC SELECT count(*) FROM payments "
+                         "GROUP BY cardId OVER sliding 1 hour")
+                  .ok());
+
+  // One event per second; the brute-force 30-second sum reads them all.
+  std::vector<std::pair<Micros, double>> history;
+  int exact = 0;
+  auto submit = [&](int i, bool check_sum) {
+    const Micros ts = static_cast<Micros>(i) * kMicrosPerSecond;
+    const double amount = 1.0 + i % 7;
+    history.emplace_back(ts, amount);
+    const api::EventResult r = client.SubmitSync(
+        "payments",
+        api::Row().At(ts).Set("cardId", "c").Set("amount", amount));
+    ASSERT_TRUE(r.ok()) << i << ": " << r.status.ToString();
+    if (!check_sum) return;
+    double expected = 0;
+    for (const auto& [t, a] : history) {
+      if (t >= ts - 30 * kMicrosPerSecond) expected += a;
+    }
+    const api::MetricValue* sum = r.Find("sum(amount) over sliding 30s by cardId");
+    ASSERT_NE(sum, nullptr) << i;
+    EXPECT_DOUBLE_EQ(sum->value.ToNumber(), expected) << "event " << i;
+    if (sum->value.ToNumber() == expected) ++exact;
+  };
+
+  for (int i = 0; i < 100; ++i) submit(i, false);
+  ASSERT_TRUE(client
+                  .Query("ADD METRIC SELECT sum(amount) FROM payments "
+                         "GROUP BY cardId OVER sliding 30 seconds")
+                  .ok());
+  for (int i = 100; i < 160; ++i) submit(i, true);
+
+  int owner = -1;
+  for (int n = 0; n < cluster.num_nodes(); ++n) {
+    if (!cluster.node(n)->unit(0)->active_tasks().empty()) owner = n;
+  }
+  ASSERT_NE(owner, -1);
+  ASSERT_TRUE(cluster.KillNode(owner).ok());
+  for (int i = 160; i < 260; ++i) submit(i, true);
+  EXPECT_EQ(exact, 160);
+  EXPECT_GT(cluster.TotalStats().recoveries, 0u);
   cluster.Stop();
 }
 

@@ -215,8 +215,7 @@ class MembershipTest : public ::testing::Test {
   void SubscribeUnit(const std::string& node, const std::string& unit) {
     ASSERT_TRUE(cluster_->bus()
                     ->Subscribe(unit, engine::kActiveGroup, {"pay.cardId"},
-                                "node=" + node + ";unit=" + unit, nullptr,
-                                {})
+                                "node=" + node + ";unit=" + unit, {})
                     .ok());
   }
 

@@ -48,7 +48,7 @@ TEST(BusTest, TopicAdministration) {
 
 TEST(BusTest, PinnedGroupStrategySurvivesAnEmptiedGroup) {
   // A broker process pre-installs the engine's coordinator with
-  // SetGroupStrategy; remote subscribers pass nullptr. The pin must
+  // SetGroupStrategy; subscribers never name a strategy. The pin must
   // outlive the group emptying out (e.g. the last worker process
   // leaving), or the next joiner would silently get the default
   // round-robin policy.
@@ -71,13 +71,13 @@ TEST(BusTest, PinnedGroupStrategySurvivesAnEmptiedGroup) {
   CountingStrategy strategy;
   bus.SetGroupStrategy("g", &strategy);
 
-  ASSERT_TRUE(bus.Subscribe("a", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("a", "g", {"t"}, "", {}).ok());
   EXPECT_EQ(strategy.calls, 1);
   ASSERT_TRUE(bus.Unsubscribe("a").ok());
 
   // The group emptied out; a fresh member must still be placed by the
   // pinned strategy, not the default.
-  ASSERT_TRUE(bus.Subscribe("b", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("b", "g", {"t"}, "", {}).ok());
   EXPECT_EQ(strategy.calls, 2);
   EXPECT_EQ(bus.AssignmentOf("b").size(), 2u);
   ASSERT_TRUE(bus.Unsubscribe("b").ok());
@@ -140,9 +140,9 @@ TEST(GroupTest, SinglePartitionOwnershipWithinGroup) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 4).ok());
   ASSERT_TRUE(
-      bus.Subscribe("c1", "g", {"t"}, "node=a", nullptr, {}).ok());
+      bus.Subscribe("c1", "g", {"t"}, "node=a", {}).ok());
   ASSERT_TRUE(
-      bus.Subscribe("c2", "g", {"t"}, "node=b", nullptr, {}).ok());
+      bus.Subscribe("c2", "g", {"t"}, "node=b", {}).ok());
 
   // Trigger assignment delivery.
   std::vector<Message> out;
@@ -160,8 +160,8 @@ TEST(GroupTest, SinglePartitionOwnershipWithinGroup) {
 TEST(GroupTest, PollDeliversOnlyAssignedPartitions) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
-  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", {}).ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(ProduceOne(&bus, "t", KeyForPartition(i % 2, 2), "m").ok());
   }
@@ -190,13 +190,13 @@ TEST(GroupTest, RebalanceCallbacksFireOnMembershipChange) {
   listener.on_revoked = [&](const std::vector<TopicPartition>& r) {
     revoked1.insert(revoked1.end(), r.begin(), r.end());
   };
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", listener).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(assigned1.size(), 4u);  // Sole member owns everything.
 
   // A second member takes over some partitions: c1 sees revocations.
-  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", {}).ok());
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   EXPECT_EQ(revoked1.size(), 2u);
 }
@@ -207,8 +207,8 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
   options.session_timeout = 1000;
   InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
-  ASSERT_TRUE(bus.Subscribe("alive", "g", {"t"}, "", nullptr, {}).ok());
-  ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("alive", "g", {"t"}, "", {}).ok());
+  ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "alive", 10, &out).ok());
   ASSERT_TRUE(PollMessages(&bus, "dead", 10, &out).ok());
@@ -231,7 +231,7 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
   listener.on_assigned = [&](const std::vector<TopicPartition>& a) {
     reassigned.insert(reassigned.end(), a.begin(), a.end());
   };
-  ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(bus.Subscribe("dead", "g", {"t"}, "", listener).ok());
   ASSERT_TRUE(PollMessages(&bus, "dead", 10, &out).ok());
   EXPECT_EQ(reassigned.size(), 1u);
   EXPECT_EQ(bus.AssignmentOf("dead"), reassigned);
@@ -240,8 +240,8 @@ TEST(GroupTest, HeartbeatTimeoutFencesDeadConsumer) {
 TEST(GroupTest, KillConsumerRebalancesImmediately) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
-  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   const uint64_t before = bus.rebalance_count();
@@ -262,7 +262,7 @@ TEST(GroupTest, BacklogHintCountsWhatLiveConsumersHaveNotRead) {
   }
   EXPECT_EQ(bus.BacklogHint(), 0u);  // Nobody tracks the partition yet.
 
-  ASSERT_TRUE(bus.Subscribe("a", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("a", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "a", 10, &out).ok());  // Assignment.
   EXPECT_EQ(bus.BacklogHint(), kProduced);
@@ -272,7 +272,7 @@ TEST(GroupTest, BacklogHintCountsWhatLiveConsumersHaveNotRead) {
 
   // A second group's member that has read nothing holds the partition's
   // minimum position back at 0...
-  ASSERT_TRUE(bus.Subscribe("b", "h", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("b", "h", {"t"}, "", {}).ok());
   ASSERT_TRUE(PollMessages(&bus, "b", 10, &out).ok());  // Assignment.
   EXPECT_EQ(bus.BacklogHint(), kProduced);
   // ...until it is fenced: a dead consumer's positions stop counting.
@@ -283,7 +283,7 @@ TEST(GroupTest, BacklogHintCountsWhatLiveConsumersHaveNotRead) {
 TEST(GroupTest, SeekRewindsConsumption) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
@@ -305,9 +305,9 @@ TEST(GroupTest, PartitionsOnlyAssignedToSubscribedMembers) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t1", 2).ok());
   ASSERT_TRUE(bus.CreateTopic("t2", 2).ok());
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t1"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t1"}, "", {}).ok());
   ASSERT_TRUE(
-      bus.Subscribe("c2", "g", {"t1", "t2"}, "", nullptr, {}).ok());
+      bus.Subscribe("c2", "g", {"t1", "t2"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
   ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
@@ -332,8 +332,8 @@ TEST(GroupTest, PartitionsOnlyAssignedToSubscribedMembers) {
 TEST(GroupTest, UnsubscribeTriggersRebalance) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
-  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", {}).ok());
   ASSERT_TRUE(bus.Unsubscribe("c2").ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());
@@ -344,7 +344,7 @@ TEST(GroupTest, UnsubscribeTriggersRebalance) {
 TEST(BlockingPollTest, WakesOnProduce) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   // Absorb the assignment.
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
@@ -366,7 +366,7 @@ TEST(BlockingPollTest, WakesOnProduce) {
 TEST(BlockingPollTest, HonorsMaxWaitWhenNothingArrives) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   // Absorb the assignment.
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
@@ -381,7 +381,7 @@ TEST(BlockingPollTest, HonorsMaxWaitWhenNothingArrives) {
 TEST(BlockingPollTest, WakeInterruptsParkedPoll) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   // Absorb the assignment.
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
@@ -401,7 +401,7 @@ TEST(BlockingPollTest, WakeInterruptsParkedPoll) {
 TEST(BlockingPollTest, WakeConsumerIsLevelTriggered) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   // Absorb the assignment.
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
@@ -480,7 +480,7 @@ TEST(BlockingPollTest, RebalanceWhileParkedDeliversCallbacksExactlyOnce) {
     ++assigned_calls;
     (void)a;
   };
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", listener).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());  // Initial assignment.
   ASSERT_EQ(assigned_calls.load(), 1);
@@ -489,7 +489,7 @@ TEST(BlockingPollTest, RebalanceWhileParkedDeliversCallbacksExactlyOnce) {
   // thread: the parked poll must wake and deliver the revocations.
   std::thread joiner([&bus] {
     MonotonicClock::Default()->SleepMicros(20 * kMicrosPerMilli);
-    EXPECT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+    EXPECT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", {}).ok());
   });
   const Micros start = MonotonicClock::Default()->NowMicros();
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out, 5 * kMicrosPerSecond).ok());
@@ -515,7 +515,7 @@ TEST(BlockingPollTest, ParkDeadlineFollowsTheBusClockDomain) {
   options.session_timeout = kMicrosPerHour;  // Irrelevant here.
   InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
 
@@ -547,7 +547,7 @@ TEST(BlockingPollTest, SimulatedVisibilityWakesParkedConsumer) {
   options.clock = &clock;
   InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
   ASSERT_TRUE(ProduceOne(&bus, "t", "k", "m").ok());
@@ -569,7 +569,7 @@ TEST(BlockingPollTest, ProduceToAnotherTopicLeavesConsumerParked) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("a", 1).ok());
   ASSERT_TRUE(bus.CreateTopic("b", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"a"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"a"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
 
@@ -595,8 +595,8 @@ TEST(BlockingPollTest, ProduceToAnotherTopicLeavesConsumerParked) {
 TEST(BlockingPollTest, PartitionHandedOverWhileParkedWakesOnItsNextProduce) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 2).ok());
-  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", nullptr, {}).ok());
-  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c1", "g", {"t"}, "", {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c2", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c1", 10, &out).ok());  // Assignments.
   ASSERT_TRUE(PollMessages(&bus, "c2", 10, &out).ok());
@@ -626,7 +626,7 @@ TEST(BlockingPollTest, PartitionHandedOverWhileParkedWakesOnItsNextProduce) {
 TEST(BlockingPollTest, ProduceAfterARegisteredConsumerLeftIsSafe) {
   InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
   // This scan reaches the partition's end and registers c's wake slot.
@@ -636,7 +636,7 @@ TEST(BlockingPollTest, ProduceAfterARegisteredConsumerLeftIsSafe) {
   // The partition still lists the departed consumer's slot: signalling
   // it must touch only memory the bus still owns (ASan checks this).
   ASSERT_TRUE(ProduceOne(&bus, "t", "k", "after leave").ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
   ASSERT_EQ(out.size(), 1u);
@@ -648,7 +648,7 @@ TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
   options.retention_messages = 5;
   InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   // Assignment (position 0).
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
@@ -677,7 +677,7 @@ TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
   options.retention_messages = 3;
   InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
@@ -700,7 +700,7 @@ TEST(RetentionTest, SeekClampsToRetainedBase) {
   options.retention_messages = 10;
   InProcessBus bus(options);
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
-  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
 

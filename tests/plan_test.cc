@@ -7,6 +7,8 @@
 #include <map>
 #include <set>
 
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "plan/task_plan.h"
 #include "reservoir/segment.h"
@@ -286,16 +288,15 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
     Step(i * kMicrosPerMinute, "c", "m", 1.0);
   }
   std::string blob;
-  plan_->SaveWindowPositions(&blob);
+  plan_->Save(&blob);
   EXPECT_FALSE(blob.empty());
 
-  // A new plan over the same reservoir/db, restored, continues with
-  // identical results.
+  // A new plan over the same reservoir/db, restored from the blob alone,
+  // continues with identical results.
   auto plan2 = std::make_unique<TaskPlan>(reservoir_.get(), db_.get());
-  auto q = query::ParseQuery(
-      "SELECT sum(amount) FROM p GROUP BY cardId OVER sliding 5 minutes");
-  ASSERT_TRUE(plan2->AddQuery(q.value()).ok());
-  ASSERT_TRUE(plan2->RestoreWindowPositions(blob).ok());
+  ASSERT_TRUE(plan2->Restore(blob).ok());
+  EXPECT_TRUE(plan2->HasQuery(
+      "SELECT sum(amount) FROM p GROUP BY cardId OVER sliding 5 minutes"));
 
   Event e;
   e.timestamp = 30 * kMicrosPerMinute;
@@ -316,6 +317,133 @@ TEST_F(TaskPlanTest, WindowPositionsSurviveSaveRestore) {
   ASSERT_EQ(r1.size(), 1u);
   ASSERT_EQ(r2.size(), 1u);
   EXPECT_NEAR(r2[0].value.ToNumber(), r1[0].value.ToNumber(), 1e-9);
+}
+
+// Runs one appended event through both plans and expects the same
+// results: metric ids, names, groups and values.
+void ExpectSameResults(TaskPlan* running, TaskPlan* restored,
+                       const Event& e) {
+  std::vector<MetricResult> want, got;
+  ASSERT_TRUE(running->ProcessEvent(e, &want).ok());
+  ASSERT_TRUE(restored->ProcessEvent(e, &got).ok());
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].metric_id, want[i].metric_id);
+    EXPECT_EQ(got[i].metric_name, want[i].metric_name);
+    EXPECT_EQ(got[i].group_key, want[i].group_key);
+    EXPECT_DOUBLE_EQ(got[i].value.ToNumber(), want[i].value.ToNumber())
+        << want[i].metric_name << " at ts " << e.timestamp;
+  }
+}
+
+TEST_F(TaskPlanTest, BackfilledIslandSurvivesSaveAndRestore) {
+  AddQuery("SELECT count(*) FROM p GROUP BY cardId OVER sliding 1 hour");
+  for (int i = 0; i < 30; ++i) {
+    Step(i * kMicrosPerMinute, "c", "m", 1.0 + i % 3);
+  }
+  auto q = query::ParseQuery(
+      "SELECT sum(amount) FROM p GROUP BY cardId OVER sliding 5 minutes");
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(plan_->AddQueryBackfilled(q.value()).ok());
+  for (int i = 30; i < 40; ++i) {
+    Step(i * kMicrosPerMinute, "c", "m", 1.0 + i % 3);
+  }
+
+  // A checkpoint: the plan blob plus a copy of the state store, which the
+  // restored plan gets to itself.
+  std::string blob;
+  plan_->Save(&blob);
+  ASSERT_TRUE(db_->Checkpoint(dir_ + "/ckpt").ok());
+  std::unique_ptr<storage::DB> db2;
+  ASSERT_TRUE(storage::DB::Open(storage::DBOptions(), dir_ + "/ckpt", &db2)
+                  .ok());
+  TaskPlan restored(reservoir_.get(), db2.get());
+  ASSERT_TRUE(restored.Restore(blob).ok());
+  EXPECT_EQ(restored.num_metrics(), plan_->num_metrics());
+  EXPECT_EQ(restored.num_edge_iterators(), plan_->num_edge_iterators());
+  EXPECT_TRUE(restored.HasQuery(q.value().raw));
+
+  // The 5-minute window keeps expiring: every later event reads the
+  // same values from both plans.
+  for (int i = 40; i < 60; ++i) {
+    Event e;
+    e.timestamp = i * kMicrosPerMinute;
+    e.id = ++next_id_;
+    e.offset = next_id_;
+    e.values = {FieldValue("c"), FieldValue("m"), FieldValue(1.0 + i % 3)};
+    ASSERT_TRUE(reservoir_->Append(e).ok());
+    ExpectSameResults(plan_.get(), &restored, e);
+  }
+}
+
+TEST_F(TaskPlanTest, RestoreNeedsAPlanWithoutQueries) {
+  AddQuery("SELECT count(*) FROM p GROUP BY cardId OVER sliding 1 hour");
+  std::string blob;
+  plan_->Save(&blob);
+  EXPECT_TRUE(plan_->Restore(blob).IsInvalidArgument());
+}
+
+TEST_F(TaskPlanTest, DamagedPlanBlobsAreRejected) {
+  // Every window kind, a filter, and a backfilled island: the blob
+  // carries edge positions, a count window and two islands.
+  AddQuery("SELECT sum(amount), count(*) FROM p WHERE amount > 1 "
+           "GROUP BY cardId OVER sliding 5 minutes delayed by 1 minute");
+  AddQuery("SELECT count(*) FROM p GROUP BY merchantId OVER tumbling 10 "
+           "minutes");
+  AddQuery("SELECT max(amount) FROM p GROUP BY cardId OVER sliding 3 events");
+  AddQuery("SELECT countDistinct(merchantId) FROM p GROUP BY cardId "
+           "OVER infinite");
+  for (int i = 0; i < 20; ++i) {
+    Step(i * kMicrosPerMinute, "c" + std::to_string(i % 2), "m", i % 4);
+  }
+  auto q = query::ParseQuery(
+      "SELECT avg(amount) FROM p GROUP BY cardId OVER sliding 2 minutes");
+  ASSERT_TRUE(q.ok());
+  ASSERT_TRUE(plan_->AddQueryBackfilled(q.value()).ok());
+  std::string blob;
+  plan_->Save(&blob);
+
+  auto restore = [&](const std::string& bytes) {
+    TaskPlan plan(reservoir_.get(), db_.get());
+    return plan.Restore(bytes);
+  };
+  ASSERT_TRUE(restore(blob).ok());
+  for (size_t len = 0; len < blob.size(); ++len) {
+    EXPECT_FALSE(restore(blob.substr(0, len)).ok()) << "length " << len;
+  }
+  for (size_t i = 0; i < blob.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = blob;
+      damaged[i] = static_cast<char>(damaged[i] ^ (1 << bit));
+      EXPECT_FALSE(restore(damaged).ok()) << "byte " << i << " bit " << bit;
+    }
+  }
+  // A blob from the earlier layout (one length-prefixed position record
+  // per island, no queries, no checksum) is Corruption.
+  std::string island;
+  PutVarint32(&island, 1);  // One head: offset 0 at chunk 1, index 0.
+  PutVarsint64(&island, 0);
+  PutVarint64(&island, 1);
+  PutVarint64(&island, 0);
+  PutVarint32(&island, 0);  // No tails.
+  PutVarint32(&island, 0);  // No operator state.
+  std::string old_blob;
+  PutLengthPrefixedSlice(&old_blob, island);
+  EXPECT_TRUE(restore(old_blob).IsCorruption());
+
+  // Under a re-stamped checksum the decoder itself meets every flip:
+  // whatever the status, it must not read out of bounds (the sanitizer
+  // builds run this).
+  const size_t body = blob.size() - 4;
+  for (size_t i = 0; i < body; ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string damaged = blob.substr(0, body);
+      damaged[i] = static_cast<char>(damaged[i] ^ (1 << bit));
+      PutFixed32(&damaged,
+                 crc32c::Mask(crc32c::Value(damaged.data(), damaged.size())));
+      (void)restore(damaged);
+    }
+  }
 }
 
 TEST_F(TaskPlanTest, UnreadableSealedChunkFailsTheEventInsteadOfEndingTheTail) {

@@ -598,7 +598,7 @@ TEST_F(RemoteBusTest, TopicAdministrationMirrorsTheHostedBus) {
 
 TEST_F(RemoteBusTest, ProducePollSeekAcrossTheWire) {
   ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
-  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());  // Assignment.
 
@@ -627,7 +627,7 @@ TEST_F(RemoteBusTest, ProducePollSeekAcrossTheWire) {
 
 TEST_F(RemoteBusTest, BlockingPollParksServerSideAndWakesOnArrival) {
   ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
-  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());  // Assignment.
 
@@ -649,7 +649,7 @@ TEST_F(RemoteBusTest, BlockingPollParksServerSideAndWakesOnArrival) {
 
 TEST_F(RemoteBusTest, WakeConsumerInterruptsAParkedRemotePoll) {
   ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
-  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
 
@@ -677,7 +677,7 @@ TEST_F(RemoteBusTest, RebalanceCallbacksStreamToTheRemoteClient) {
     revoked_total += static_cast<int>(r.size());
   };
   ASSERT_TRUE(
-      remote_->Subscribe("c1", "g", {"t"}, "", nullptr, listener).ok());
+      remote_->Subscribe("c1", "g", {"t"}, "", listener).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c1", 10, &out).ok());
   EXPECT_EQ(assigned_total.load(), 4);  // Sole member owns everything.
@@ -685,7 +685,7 @@ TEST_F(RemoteBusTest, RebalanceCallbacksStreamToTheRemoteClient) {
 
   // A second member (directly on the hosted bus) takes over partitions:
   // the remote consumer sees the revocations on its next poll.
-  ASSERT_TRUE(bus_->Subscribe("c2", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(bus_->Subscribe("c2", "g", {"t"}, "", {}).ok());
   ASSERT_TRUE(PollMessages(remote_.get(), "c1", 10, &out).ok());
   EXPECT_EQ(revoked_total.load(), 2);
   EXPECT_GT(bus_->rebalance_count(), 0u);
@@ -698,7 +698,7 @@ TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
   listener.on_assigned = [&](const std::vector<TopicPartition>& a) {
     assigned_total += static_cast<int>(a.size());
   };
-  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", listener).ok());
   std::vector<Message> out;
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());  // Assignment.
   ASSERT_TRUE(ProduceOne(remote_.get(), "t", "k", "before").ok());
@@ -713,7 +713,7 @@ TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
 
   // Rejoin: the partition comes back and reading resumes at the kept
   // position.
-  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, listener).ok());
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", listener).ok());
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
   EXPECT_EQ(assigned_total.load(), 2);
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
@@ -723,7 +723,7 @@ TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
 
 TEST_F(RemoteBusTest, ColumnarPollIsZeroCopyAndPoolStabilizes) {
   ASSERT_TRUE(remote_->CreateTopic("t", 1).ok());
-  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", nullptr, {}).ok());
+  ASSERT_TRUE(remote_->Subscribe("c", "g", {"t"}, "", {}).ok());
   MessageBatch batch;
   ASSERT_TRUE(remote_->PollBatch("c", 10, &batch).ok());  // Assignment.
 

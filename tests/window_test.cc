@@ -119,13 +119,11 @@ TEST_F(WindowOperatorTest, TumblingWindowResetsOnBoundary) {
       manager_->GetOrCreate(WindowSpec::Tumbling(kMicrosPerMinute));
 
   WindowDelta d1 = Step(op, 10 * kMicrosPerSecond, 1);
-  EXPECT_TRUE(d1.reset);  // First window instance.
   EXPECT_EQ(d1.epoch, 0);
   WindowDelta d2 = Step(op, 50 * kMicrosPerSecond, 2);
-  EXPECT_FALSE(d2.reset);
+  EXPECT_EQ(d2.epoch, 0);
   WindowDelta d3 = Step(op, 70 * kMicrosPerSecond, 3);
-  EXPECT_TRUE(d3.reset);  // Crossed the 60 s boundary.
-  EXPECT_EQ(d3.epoch, kMicrosPerMinute);
+  EXPECT_EQ(d3.epoch, kMicrosPerMinute);  // Crossed the 60 s boundary.
   EXPECT_TRUE(d3.expired.empty());  // Tumbling never expires; it resets.
 }
 
@@ -256,7 +254,7 @@ TEST_F(WindowOperatorTest, SaveRestorePositionsResumeExactly) {
   }
 }
 
-TEST_F(WindowOperatorTest, RestoreBeforeOperatorCreationKeepsCountState) {
+TEST_F(WindowOperatorTest, RestoredCountWindowKeepsItsState) {
   // Fill a 3-event count window past capacity so it carries real
   // per-operator state: in_window_ == 3 and an advanced count tail.
   WindowOperator* op = manager_->GetOrCreate(WindowSpec::CountSliding(3));
@@ -266,20 +264,12 @@ TEST_F(WindowOperatorTest, RestoreBeforeOperatorCreationKeepsCountState) {
   std::string blob;
   manager_->SavePositions(&blob);
 
-  // Recovery order A: restore BEFORE the plan re-creates the operator.
-  // The stashed state must be applied on creation — a full window
-  // expires exactly one event per arrival, as the original does.
-  WindowManager restored_first(reservoir_.get());
-  ASSERT_TRUE(restored_first.RestorePositions(blob).ok());
-  WindowOperator* op_a =
-      restored_first.GetOrCreate(WindowSpec::CountSliding(3));
-
-  // Recovery order B (the previously working path): create, then
-  // restore.
-  WindowManager created_first(reservoir_.get());
-  WindowOperator* op_b =
-      created_first.GetOrCreate(WindowSpec::CountSliding(3));
-  ASSERT_TRUE(created_first.RestorePositions(blob).ok());
+  // Create, then restore: a full window expires exactly one event per
+  // arrival, the same one the original expires.
+  WindowManager restored(reservoir_.get());
+  WindowOperator* restored_op =
+      restored.GetOrCreate(WindowSpec::CountSliding(3));
+  ASSERT_TRUE(restored.RestorePositions(blob).ok());
 
   for (int i = 5; i < 8; ++i) {
     Event e;
@@ -290,48 +280,50 @@ TEST_F(WindowOperatorTest, RestoreBeforeOperatorCreationKeepsCountState) {
     bool accepted;
     ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
 
-    EdgeDeltas edges0, edges_a, edges_b;
+    EdgeDeltas edges0, edges1;
     EXPECT_TRUE(manager_->Advance(e.timestamp, &edges0).ok());
-    EXPECT_TRUE(restored_first.Advance(e.timestamp, &edges_a).ok());
-    EXPECT_TRUE(created_first.Advance(e.timestamp, &edges_b).ok());
-    WindowDelta d0, da, db;
+    EXPECT_TRUE(restored.Advance(e.timestamp, &edges1).ok());
+    WindowDelta d0, d1;
     EXPECT_TRUE(op->Collect(e.timestamp, edges0, &d0).ok());
-    EXPECT_TRUE(op_a->Collect(e.timestamp, edges_a, &da).ok());
-    EXPECT_TRUE(op_b->Collect(e.timestamp, edges_b, &db).ok());
+    EXPECT_TRUE(restored_op->Collect(e.timestamp, edges1, &d1).ok());
     ASSERT_EQ(d0.expired.size(), 1u);
-    ASSERT_EQ(da.expired.size(), d0.expired.size())
-        << "restore-first lost state";
-    ASSERT_EQ(db.expired.size(), d0.expired.size()) << "create-first regressed";
-    EXPECT_EQ(da.expired[0]->id, d0.expired[0]->id);
-    EXPECT_EQ(db.expired[0]->id, d0.expired[0]->id);
+    ASSERT_EQ(d1.expired.size(), d0.expired.size());
+    EXPECT_EQ(d1.expired[0]->id, d0.expired[0]->id);
   }
 }
 
-TEST_F(WindowOperatorTest, RestoreBeforeCreationKeepsTumblingEpoch) {
-  WindowOperator* op =
-      manager_->GetOrCreate(WindowSpec::Tumbling(kMicrosPerMinute));
-  Step(op, 70 * kMicrosPerSecond, 1);  // Epoch = 60 s.
+TEST_F(WindowOperatorTest, RestoreOfAnEntryWithNoOperatorIsCorruption) {
+  // Restore follows creation, so every entry must name an edge or a
+  // count window the manager holds.
+  WindowOperator* op = manager_->GetOrCreate(WindowSpec::CountSliding(3));
+  Step(op, kMicrosPerSecond, 1);
   std::string blob;
   manager_->SavePositions(&blob);
 
-  WindowManager restored(reservoir_.get());
-  ASSERT_TRUE(restored.RestorePositions(blob).ok());
-  WindowOperator* restored_op =
-      restored.GetOrCreate(WindowSpec::Tumbling(kMicrosPerMinute));
+  // No operator at all: the head entry and the count window name nothing.
+  WindowManager empty(reservoir_.get());
+  EXPECT_TRUE(empty.RestorePositions(blob).IsCorruption());
 
-  // Same epoch: a restored operator must NOT reset (a fresh one would).
-  Event e;
-  e.timestamp = 80 * kMicrosPerSecond;
-  e.id = 2;
-  e.offset = 2;
-  e.values = {FieldValue(1.0)};
-  bool accepted;
-  ASSERT_TRUE(reservoir_->Append(e, &accepted).ok());
-  EdgeDeltas edges;
-  EXPECT_TRUE(restored.Advance(e.timestamp, &edges).ok());
-  WindowDelta delta;
-  EXPECT_TRUE(restored_op->Collect(e.timestamp, edges, &delta).ok());
-  EXPECT_FALSE(delta.reset) << "restored epoch was dropped";
+  // The same edges (a count window's head is the offset-0 head an
+  // infinite window also uses) but no count window for the entry.
+  WindowManager no_count_window(reservoir_.get());
+  no_count_window.GetOrCreate(WindowSpec::Infinite());
+  EXPECT_TRUE(no_count_window.RestorePositions(blob).IsCorruption());
+
+  // A count window of another size has another key.
+  WindowManager other_count(reservoir_.get());
+  other_count.GetOrCreate(WindowSpec::CountSliding(4));
+  EXPECT_TRUE(other_count.RestorePositions(blob).IsCorruption());
+
+  // An operator the blob does not name is Corruption as well.
+  WindowManager extra(reservoir_.get());
+  extra.GetOrCreate(WindowSpec::CountSliding(3));
+  extra.GetOrCreate(WindowSpec::CountSliding(4));
+  EXPECT_TRUE(extra.RestorePositions(blob).IsCorruption());
+
+  WindowManager same(reservoir_.get());
+  same.GetOrCreate(WindowSpec::CountSliding(3));
+  EXPECT_TRUE(same.RestorePositions(blob).ok());
 }
 
 }  // namespace
