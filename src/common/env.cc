@@ -274,10 +274,22 @@ class PosixEnv : public Env {
     return Status::OK();
   }
 
+  // Streams the file through one block-sized buffer: copying a large
+  // reservoir segment never holds the whole segment in memory.
   Status CopyFile(const std::string& from, const std::string& to) override {
-    std::string data;
-    RAILGUN_RETURN_IF_ERROR(ReadFileToString(this, from, &data));
-    return WriteStringToFile(this, data, to, /*sync=*/false);
+    std::unique_ptr<SequentialFile> source;
+    RAILGUN_RETURN_IF_ERROR(NewSequentialFile(from, &source));
+    std::unique_ptr<WritableFile> target;
+    RAILGUN_RETURN_IF_ERROR(NewWritableFile(to, &target));
+    constexpr size_t kBlock = 64 * 1024;
+    std::unique_ptr<char[]> scratch(new char[kBlock]);
+    for (;;) {
+      Slice block;
+      RAILGUN_RETURN_IF_ERROR(source->Read(kBlock, &block, scratch.get()));
+      if (block.empty()) break;
+      RAILGUN_RETURN_IF_ERROR(target->Append(block));
+    }
+    return target->Close();
   }
 };
 

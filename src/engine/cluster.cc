@@ -7,8 +7,8 @@ namespace railgun::engine {
 namespace {
 
 // Retention cap for the internals topic, set at Start so the self-stats
-// log stays bounded even when the broker-wide retention is "keep
-// everything for replay".
+// log stays bounded even while units or SUBSCRIBE tails that never
+// commit track it.
 constexpr uint64_t kInternalsRetention = 1 << 16;
 
 }  // namespace
@@ -38,6 +38,12 @@ Cluster::Cluster(const ClusterOptions& options)
   });
   registry_.AddProbe("bus.backlog", [this] {
     return static_cast<double>(bus_->BacklogHint());
+  });
+  registry_.AddProbe("bus.retained_messages", [this] {
+    return static_cast<double>(bus_->RetainedTotals().messages);
+  });
+  registry_.AddProbe("bus.retained_bytes", [this] {
+    return static_cast<double>(bus_->RetainedTotals().bytes);
   });
   registry_.AddProbe("bus.poll_parks", [this] {
     return static_cast<double>(bus_->poll_park_count());

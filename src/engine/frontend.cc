@@ -138,7 +138,8 @@ Status FrontEnd::Enqueue(const Route& route, const reservoir::Event& event,
     pending_count_.fetch_add(1, std::memory_order_relaxed);
   }
   envelope.event = event;
-  std::string payload;
+  std::string& payload = out->encoded;
+  payload.clear();
   EncodeEventEnvelope(envelope, route.schema, &payload);
   if (trace_ctx.valid()) {
     // Record the enqueue hop and ship the advanced context in the
@@ -150,11 +151,11 @@ Status FrontEnd::Enqueue(const Route& route, const reservoir::Event& event,
     trace::AppendTraceTrailer(advanced, &payload);
     if (!out->trace.valid()) out->trace = advanced;
   }
+  // The bus keeps each record's payload until its readers are done with
+  // it, so every target gets an exact-size copy, not the buffer's slack.
   for (size_t t = 0; t < route.targets.size(); ++t) {
-    std::string key = event.values[route.targets[t].second].ToString();
     out->records[t].push_back(
-        {std::move(key),
-         t + 1 == route.targets.size() ? std::move(payload) : payload});
+        {event.values[route.targets[t].second].ToString(), payload});
   }
   return Status::OK();
 }
@@ -282,6 +283,10 @@ void FrontEnd::FailPending(uint64_t request_id, const Status& status) {
 
 void FrontEnd::Run() {
   msg::MessageBatch batch;
+  const msg::TopicPartition replies{reply_topic_, 0};
+  // Reply offsets read up to (exclusive), and committed up to.
+  uint64_t read_to = 0;
+  uint64_t committed_to = 0;
   Micros next_sweep = 0;
   while (running_) {
     // Zero-copy reply poll: views decode straight out of the transport's
@@ -301,6 +306,7 @@ void FrontEnd::Run() {
       (void)backoff_cv_.WaitFor(&mu_, kPollWait, [this] { return !running_; });
     }
 
+    if (!batch.empty()) read_to = batch.views().back().offset + 1;
     std::vector<Completion> done;
     trace::Tracer* tracer = trace::Tracer::Global();
     for (const auto& message : batch.views()) {
@@ -350,7 +356,8 @@ void FrontEnd::Run() {
     // entry, so it runs once per kPollWait, not on every cycle: a
     // request completes at most kPollWait past its deadline.
     const Micros now = clock_->NowMicros();
-    if (now >= next_sweep) {
+    const bool sweep = now >= next_sweep;
+    if (sweep) {
       next_sweep = now + kPollWait;
       for (auto& shard : pending_) {
         MutexLock lock(&shard.mu);
@@ -378,6 +385,13 @@ void FrontEnd::Run() {
       if (completion.callback) {
         completion.callback(completion.status, completion.results);
       }
+    }
+    // The replies read are done with: let the bus drop them. Once per
+    // sweep, not per cycle: over a RemoteBus a commit is a round trip
+    // this loop waits for. A failed commit is retried at the next sweep.
+    if (sweep && read_to > committed_to &&
+        bus_->Commit(consumer_id_, replies, read_to).ok()) {
+      committed_to = read_to;
     }
   }
 }

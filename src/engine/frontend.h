@@ -139,6 +139,8 @@ class FrontEnd {
     std::vector<std::vector<msg::ProduceRecord>> records;
     // The batch's pending entries (fire-and-forget events have none).
     std::vector<uint64_t> request_ids;
+    // Encode buffer reused across the batch's events.
+    std::string encoded;
     // The first traced event's context after its enqueue span (invalid
     // when untraced); the produce hops parent under it.
     trace::TraceContext trace;

@@ -18,6 +18,16 @@ InProcessBus::Topic* InProcessBus::FindTopic(const std::string& topic) const {
   return it == topics_.end() ? nullptr : it->second.get();
 }
 
+InProcessBus::PartitionLog* InProcessBus::FindLog(
+    const TopicPartition& tp) const {
+  auto t = FindTopic(tp.topic);
+  if (t == nullptr || tp.partition < 0 ||
+      static_cast<size_t>(tp.partition) >= t->partitions.size()) {
+    return nullptr;
+  }
+  return t->partitions[static_cast<size_t>(tp.partition)].get();
+}
+
 void InProcessBus::Signal(WakeSlot* slot) {
   {
     MutexLock lock(&slot->mu);
@@ -33,7 +43,7 @@ Status InProcessBus::SetTopicRetention(const std::string& topic,
   if (t == nullptr) return Status::NotFound("no topic: " + topic);
   for (auto& log : t->partitions) {
     MutexLock lock(&log->mu);
-    log->retention_override = retention_messages;
+    log->retention_cap = retention_messages;
     TruncateLocked(log.get());
   }
   return Status::OK();
@@ -61,16 +71,32 @@ uint64_t InProcessBus::BacklogHint() const {
   }
   uint64_t backlog = 0;
   for (const auto& [tp, pos] : min_pos) {
-    auto t = FindTopic(tp.topic);
-    if (t == nullptr || tp.partition < 0 ||
-        static_cast<size_t>(tp.partition) >= t->partitions.size()) {
-      continue;
-    }
-    const uint64_t end = t->partitions[static_cast<size_t>(tp.partition)]
-                             ->end_offset.load(std::memory_order_acquire);
+    PartitionLog* log = FindLog(tp);
+    if (log == nullptr) continue;
+    const uint64_t end = log->end_offset.load(std::memory_order_acquire);
     if (end > pos) backlog += end - pos;
   }
   return backlog;
+}
+
+InProcessBus::Retained InProcessBus::RetainedTotals() const {
+  // Collect the logs first (topics are never deleted), then lock each on
+  // its own: the scan never holds topics_mu_, which every produce, poll
+  // and commit needs to find its topic.
+  std::vector<const PartitionLog*> logs;
+  {
+    MutexLock lock(&topics_mu_);
+    for (const auto& [name, topic] : topics_) {
+      for (const auto& log : topic->partitions) logs.push_back(log.get());
+    }
+  }
+  Retained total;
+  for (const PartitionLog* log : logs) {
+    MutexLock lock(&log->mu);
+    total.messages += log->entries.size();
+    total.bytes += log->retained_bytes;
+  }
+  return total;
 }
 
 Status InProcessBus::WakeConsumer(const std::string& consumer_id) {
@@ -124,29 +150,24 @@ std::vector<TopicPartition> InProcessBus::PartitionsOf(
   return result;
 }
 
-void InProcessBus::AppendLocked(PartitionLog* log, const std::string& topic,
-                                int partition, std::string key,
+void InProcessBus::AppendLocked(PartitionLog* log, std::string key,
                                 std::string payload, Micros now) {
-  const uint64_t offset = log->end_offset.load(std::memory_order_relaxed);
+  log->retained_bytes += key.size() + payload.size();
   log->entries.push_back(
-      {Message{topic, partition, offset, std::move(key), std::move(payload)},
-       now + options_.delivery_delay});
-  log->end_offset.store(offset + 1, std::memory_order_release);
-  TruncateLocked(log);
+      {std::move(key), std::move(payload), now + options_.delivery_delay});
+  log->end_offset.store(log->end_offset.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_release);
 }
 
 void InProcessBus::TruncateLocked(PartitionLog* log) {
-  const uint64_t cap = log->retention_override != 0
-                           ? log->retention_override
-                           : options_.retention_messages;
-  if (cap == 0) return;
-  if (log->entries.size() <= cap) return;
-  const uint64_t cap_base =
-      log->end_offset.load(std::memory_order_relaxed) - cap;
-  const uint64_t floor =
-      log->committed_floor.load(std::memory_order_acquire);
-  const uint64_t new_base = std::min(cap_base, floor);
+  uint64_t new_base = log->committed_floor.load(std::memory_order_acquire);
+  const uint64_t end = log->end_offset.load(std::memory_order_relaxed);
+  if (log->retention_cap != 0 && end > log->retention_cap) {
+    new_base = std::max(new_base, end - log->retention_cap);
+  }
   while (log->base_offset < new_base && !log->entries.empty()) {
+    const LogEntry& entry = log->entries.front();
+    log->retained_bytes -= entry.key.size() + entry.payload.size();
     log->entries.pop_front();
     ++log->base_offset;
   }
@@ -178,10 +199,10 @@ Status InProcessBus::ProduceBatch(const std::string& topic,
     PartitionLog* log = t->partitions[p].get();
     MutexLock lock(&log->mu);
     for (size_t i : buckets[p]) {
-      AppendLocked(log, topic, static_cast<int>(p),
-                   std::move(records[i].key), std::move(records[i].payload),
-                   now);
+      AppendLocked(log, std::move(records[i].key),
+                   std::move(records[i].payload), now);
     }
+    TruncateLocked(log);
     for (auto& slot : log->waiters) {
       if (std::find(woken.begin(), woken.end(), slot) == woken.end()) {
         woken.push_back(std::move(slot));
@@ -211,11 +232,10 @@ Status InProcessBus::Subscribe(const std::string& consumer_id,
   consumer.listener = std::move(listener);
   consumer.last_heartbeat = clock_->NowMicros();
   consumer.alive = true;
-  // A fenced consumer rejoining resumes at its kept positions, which
-  // floor retention again from now on.
-  for (const auto& [tp, pos] : consumer.positions) {
-    RecomputeCommittedFloorLocked(tp);
-  }
+  // The join's rebalance must reach the consumer even when the
+  // generation a fenced consumer last saw equals the new one (its group
+  // emptied, was erased and started counting again).
+  consumer.seen_generation = 0;
 
   groups_[group].members.insert(consumer_id);
   RebalanceGroupLocked(group);
@@ -229,27 +249,38 @@ void InProcessBus::SetGroupStrategy(const std::string& group,
 }
 
 Status InProcessBus::Unsubscribe(const std::string& consumer_id) {
-  MutexLock lock(&group_mu_);
-  auto it = consumers_.find(consumer_id);
-  if (it == consumers_.end()) return Status::NotFound("no consumer");
-  // A poll parked for the leaving consumer answers NotFound at once.
-  Signal(it->second.slot.get());
-  const std::string group = it->second.group;
   std::vector<TopicPartition> tracked;
-  for (const auto& [tp, pos] : it->second.positions) tracked.push_back(tp);
-  consumers_.erase(it);
-  for (const auto& tp : tracked) RecomputeCommittedFloorLocked(tp);
-  auto git = groups_.find(group);
-  if (git != groups_.end()) {
-    Group& g = git->second;
-    g.members.erase(consumer_id);
-    if (!g.members.empty()) {
-      RebalanceGroupLocked(group);
-    } else if (g.strategy == nullptr) {
-      groups_.erase(git);
-    } else {
-      g.current.clear();  // The strategy stays for the next joiner.
+  {
+    MutexLock lock(&group_mu_);
+    auto it = consumers_.find(consumer_id);
+    if (it == consumers_.end()) return Status::NotFound("no consumer");
+    // A poll parked for the leaving consumer answers NotFound at once.
+    Signal(it->second.slot.get());
+    const std::string group = it->second.group;
+    for (const auto& [tp, offset] : it->second.committed) {
+      tracked.push_back(tp);
     }
+    consumers_.erase(it);
+    for (const auto& tp : tracked) RecomputeCommittedFloorLocked(tp);
+    auto git = groups_.find(group);
+    if (git != groups_.end()) {
+      Group& g = git->second;
+      g.members.erase(consumer_id);
+      if (!g.members.empty()) {
+        RebalanceGroupLocked(group);
+      } else if (g.strategy == nullptr) {
+        groups_.erase(git);
+      } else {
+        g.current.clear();  // The strategy stays for the next joiner.
+      }
+    }
+  }
+  // The leaver no longer holds its partitions' floors down.
+  for (const auto& tp : tracked) {
+    PartitionLog* log = FindLog(tp);
+    if (log == nullptr) continue;
+    MutexLock lock(&log->mu);
+    TruncateLocked(log);
   }
   return Status::OK();
 }
@@ -316,14 +347,12 @@ void InProcessBus::CheckLivenessLocked() {
 void InProcessBus::FenceLocked(const std::string& consumer_id,
                                ConsumerState* consumer) {
   consumer->alive = false;
-  // Dropping the assignment (but not the positions) lets a consumer that
-  // was fenced while still alive rejoin with a plain Subscribe: every
-  // partition comes back through on_assigned, and each resumes where the
-  // consumer stopped.
+  // Dropping the assignment (but not the positions or commits) lets a
+  // consumer that was fenced while still alive rejoin with a plain
+  // Subscribe: every partition comes back through on_assigned, each
+  // resumes where the consumer stopped, and the log kept what it had
+  // not committed.
   consumer->assignment.clear();
-  for (const auto& [tp, pos] : consumer->positions) {
-    RecomputeCommittedFloorLocked(tp);
-  }
   auto git = groups_.find(consumer->group);
   if (git != groups_.end()) git->second.members.erase(consumer_id);
   Signal(consumer->slot.get());
@@ -332,19 +361,14 @@ void InProcessBus::FenceLocked(const std::string& consumer_id,
 void InProcessBus::RecomputeCommittedFloorLocked(const TopicPartition& tp) {
   uint64_t floor = UINT64_MAX;
   for (const auto& [id, consumer] : consumers_) {
-    if (!consumer.alive) continue;  // Fenced consumers don't pin the log.
-    auto it = consumer.positions.find(tp);
-    if (it != consumer.positions.end()) {
-      floor = std::min(floor, it->second);
-    }
+    auto it = consumer.committed.find(tp);
+    if (it != consumer.committed.end()) floor = std::min(floor, it->second);
   }
-  auto t = FindTopic(tp.topic);
-  if (t == nullptr || tp.partition < 0 ||
-      static_cast<size_t>(tp.partition) >= t->partitions.size()) {
-    return;
+  if (floor == UINT64_MAX) floor = 0;  // Untracked: keep everything.
+  PartitionLog* log = FindLog(tp);
+  if (log != nullptr) {
+    log->committed_floor.store(floor, std::memory_order_release);
   }
-  t->partitions[static_cast<size_t>(tp.partition)]->committed_floor.store(
-      floor, std::memory_order_release);
 }
 
 Status InProcessBus::PollBatch(const std::string& consumer_id,
@@ -409,8 +433,10 @@ Status InProcessBus::PollBatch(const std::string& consumer_id,
                         consumer.assignment.end(),
                         tp) == consumer.assignment.end()) {
             assigned.push_back(tp);
-            if (consumer.positions.count(tp) == 0) {
-              consumer.positions[tp] = 0;
+            consumer.positions.emplace(tp, 0);
+            // The first assignment starts tracking: the floor drops to
+            // 0 until this consumer commits.
+            if (consumer.committed.emplace(tp, 0).second) {
               RecomputeCommittedFloorLocked(tp);
             }
           }
@@ -448,7 +474,8 @@ Status InProcessBus::PollBatch(const std::string& consumer_id,
             }
             break;
           }
-          messages.push_back(entry.message);
+          messages.push_back(
+              Message{tp.topic, tp.partition, pos, entry.key, entry.payload});
           ++pos;
         }
         if (pos == end && std::find(log->waiters.begin(), log->waiters.end(),
@@ -516,7 +543,8 @@ Status InProcessBus::Fetch(const TopicPartition& tp, uint64_t offset,
   while (pos < end && out->size() < max_messages) {
     const LogEntry& entry = log->entries[pos - log->base_offset];
     if (entry.visible_time > now) break;
-    out->push_back(entry.message);
+    out->push_back(
+        Message{tp.topic, tp.partition, pos, entry.key, entry.payload});
     ++pos;
   }
   return Status::OK();
@@ -525,13 +553,9 @@ Status InProcessBus::Fetch(const TopicPartition& tp, uint64_t offset,
 Status InProcessBus::Seek(const std::string& consumer_id,
                           const TopicPartition& tp, uint64_t offset) {
   // Clamp forward to the retention-trimmed head, exactly like Fetch: a
-  // position inside truncated data is unreadable and — because committed
-  // positions floor retention — would freeze truncation at the stale
-  // offset forever.
-  auto t = FindTopic(tp.topic);
-  if (t != nullptr && tp.partition >= 0 &&
-      static_cast<size_t>(tp.partition) < t->partitions.size()) {
-    PartitionLog* log = t->partitions[static_cast<size_t>(tp.partition)].get();
+  // position inside truncated data is unreadable.
+  PartitionLog* log = FindLog(tp);
+  if (log != nullptr) {
     MutexLock lock(&log->mu);
     offset = std::max(offset, log->base_offset);
   }
@@ -539,7 +563,29 @@ Status InProcessBus::Seek(const std::string& consumer_id,
   auto it = consumers_.find(consumer_id);
   if (it == consumers_.end()) return Status::NotFound("no consumer");
   it->second.positions[tp] = offset;
-  RecomputeCommittedFloorLocked(tp);
+  return Status::OK();
+}
+
+Status InProcessBus::Commit(const std::string& consumer_id,
+                            const TopicPartition& tp, uint64_t offset) {
+  PartitionLog* log = FindLog(tp);
+  if (log == nullptr) return Status::NotFound("no partition " + tp.ToString());
+  // A commit past the end would drop messages not produced yet.
+  offset = std::min(offset, log->end_offset.load(std::memory_order_acquire));
+  {
+    MutexLock lock(&group_mu_);
+    auto it = consumers_.find(consumer_id);
+    if (it == consumers_.end()) return Status::NotFound("no consumer");
+    auto committed = it->second.committed.find(tp);
+    if (committed == it->second.committed.end()) {
+      return Status::NotFound("consumer does not track " + tp.ToString());
+    }
+    if (offset <= committed->second) return Status::OK();
+    committed->second = offset;
+    RecomputeCommittedFloorLocked(tp);
+  }
+  MutexLock lock(&log->mu);
+  TruncateLocked(log);
   return Status::OK();
 }
 

@@ -48,16 +48,6 @@ struct BusOptions {
   // A consumer missing heartbeats (polls) for longer than this is
   // declared dead and its group rebalances.
   Micros session_timeout = 3 * kMicrosPerSecond;
-  // Per-partition retention cap: when a log exceeds this many messages,
-  // its head is truncated down to the cap — but never past the minimum
-  // committed position of the consumers tracking that partition, so no
-  // group member loses unread data. Direct Fetch readers (replica
-  // shadowing, replay) are not tracked: a fetch below the trimmed head
-  // clamps forward to the earliest retained message, so lagging
-  // replicas skip the gap and re-sync from a donor on promotion.
-  // 0 retains everything (needed for unbounded replay-from-zero
-  // recovery).
-  uint64_t retention_messages = 0;
   Clock* clock = nullptr;  // Defaults to MonotonicClock.
 };
 
@@ -121,14 +111,19 @@ class InProcessBus : public Bus {
   Status Fetch(const TopicPartition& tp, uint64_t offset,
                size_t max_messages, std::vector<Message>* out) const override;
 
-  // Sets the consumer's position for a partition (recovery replay
-  // rewinds it; the position also floors retention). Offsets below the
-  // retention-trimmed log head clamp forward to the earliest retained
-  // message — the same rule as Fetch — so a replaying consumer can never
-  // be positioned inside truncated data (which would also pin the
-  // committed floor there and stall retention forever).
+  // Sets the consumer's read position for a partition (recovery replay
+  // rewinds it). Offsets below the retention-trimmed log head clamp
+  // forward to the earliest retained message — the same rule as Fetch —
+  // so a replaying consumer can never be positioned inside truncated
+  // data. Retention does not follow the position; it follows Commit.
   Status Seek(const std::string& consumer_id, const TopicPartition& tp,
               uint64_t offset) override;
+
+  // Raises the consumer's commit for a partition it tracks (capped at
+  // the partition's end) and drops what every tracker has committed
+  // past, under the partition's lock and outside group_mu_.
+  Status Commit(const std::string& consumer_id, const TopicPartition& tp,
+                uint64_t offset) override;
 
   StatusOr<uint64_t> EndOffset(const TopicPartition& tp) const override;
   // First offset still retained (> 0 once retention truncated the log).
@@ -150,10 +145,12 @@ class InProcessBus : public Bus {
   // stream registration to apply, or a front end being stopped).
   Status WakeConsumer(const std::string& consumer_id) override;
 
-  // Per-topic retention override (introspect: the internals stream is
-  // bounded regardless of the broker-wide retention policy, which most
-  // deployments leave at 0 = keep everything for replay). 0 restores
-  // the broker-wide setting. Applies immediately to existing backlog.
+  // Caps each partition of the topic at its newest `retention_messages`
+  // messages, tracked or not: the oldest go even when a tracker has not
+  // committed them (introspect bounds the internals stream this way; its
+  // readers tolerate gaps). A lagging poll, Seek or Fetch clamps forward
+  // to the earliest retained message. 0 removes the cap. Applies
+  // immediately to existing backlog.
   Status SetTopicRetention(const std::string& topic,
                            uint64_t retention_messages);
 
@@ -164,9 +161,16 @@ class InProcessBus : public Bus {
   // Sum of (end offset - live read position) over every partition some
   // alive consumer tracks: the broker-side queue depth (Cluster exports
   // it as the bus.backlog series). Uses the live poll positions, not the
-  // committed floors: floors only move on Seek and would overstate
-  // backlog.
+  // commits, which trail them and would overstate backlog.
   uint64_t BacklogHint() const;
+  // What every partition log holds right now: messages, and their key
+  // plus payload bytes (Cluster exports them as bus.retained_messages
+  // and bus.retained_bytes).
+  struct Retained {
+    uint64_t messages = 0;
+    uint64_t bytes = 0;
+  };
+  Retained RetainedTotals() const;
   // Blocking-poll park/wake-up counts (wake-on-arrival health: parks
   // without wakes means idle, wakes without parks means busy-spinning).
   // A wake is one consumer signalled.
@@ -176,16 +180,19 @@ class InProcessBus : public Bus {
   uint64_t poll_wake_count() const {
     return poll_wakes_.load(std::memory_order_relaxed);
   }
-  // The consumer's tracked position for a partition (its committed
-  // floor contribution). NotFound when the consumer does not track it.
+  // The consumer's read position for a partition. NotFound when the
+  // consumer has none there.
   StatusOr<uint64_t> PositionOf(const std::string& consumer_id,
                                 const TopicPartition& tp) const;
 
  private:
-  // A message as the log keeps it: consumers only see it once the
-  // delivery delay has elapsed (visible_time never leaves the broker).
+  // A message as the log keeps it: only what differs between messages.
+  // The log supplies topic, partition and offset. Consumers see it once
+  // the delivery delay has elapsed (visible_time never leaves the
+  // broker).
   struct LogEntry {
-    Message message;
+    std::string key;
+    std::string payload;
     Micros visible_time = 0;
   };
   // One consumer's park. Level-triggered: PollBatch clears `signalled`
@@ -196,19 +203,24 @@ class InProcessBus : public Bus {
     CondVar cv;
     bool signalled GUARDED_BY(mu) = false;
   };
+  // One partition's log. It keeps [floor, end): every message some
+  // tracker may still read (everything when no consumer tracks it), cut
+  // to the newest `retention_cap` messages when its topic has a cap.
   struct PartitionLog {
     mutable Mutex mu{kRankMsgPartition};
     // entries.front() is at base_offset.
     std::deque<LogEntry> entries GUARDED_BY(mu);
     uint64_t base_offset GUARDED_BY(mu) = 0;
+    // Key plus payload bytes of `entries`, kept with every append and
+    // drop.
+    uint64_t retained_bytes GUARDED_BY(mu) = 0;
     std::atomic<uint64_t> end_offset{0};  // Next offset to assign.
-    // Minimum committed position across the consumers tracking this
-    // partition; retention never truncates past it. UINT64_MAX when no
-    // consumer tracks the partition (retention cap applies alone).
-    std::atomic<uint64_t> committed_floor{UINT64_MAX};
-    // Per-topic retention override; 0 = use the broker-wide
-    // BusOptions::retention_messages.
-    uint64_t retention_override GUARDED_BY(mu) = 0;
+    // Lowest commit among the consumers tracking this partition (0 while
+    // one of them never committed, or when none tracks it); the log
+    // drops everything below it. Written under group_mu_.
+    std::atomic<uint64_t> committed_floor{0};
+    // SetTopicRetention's cap; 0 = none.
+    uint64_t retention_cap GUARDED_BY(mu) = 0;
     // Slots of consumers whose scan reached this partition's end; the
     // next produce here signals and clears them. Shared ownership keeps
     // a slot valid after its consumer unsubscribed.
@@ -224,7 +236,12 @@ class InProcessBus : public Bus {
     std::string metadata;
     RebalanceListener listener;
     std::vector<TopicPartition> assignment;
+    // Read positions.
     std::map<TopicPartition, uint64_t> positions;
+    // The partitions this consumer tracks (every one it was ever
+    // assigned, kept through a fence until Unsubscribe), each with its
+    // commit (0 until the first Commit).
+    std::map<TopicPartition, uint64_t> committed;
     Micros last_heartbeat = 0;
     uint64_t seen_generation = 0;
     // Where this consumer's polls park.
@@ -246,9 +263,12 @@ class InProcessBus : public Bus {
   // Topics are never deleted, so the pointer stays valid for the bus's
   // lifetime. nullptr when the topic does not exist.
   Topic* FindTopic(const std::string& topic) const;
-  void AppendLocked(PartitionLog* log, const std::string& topic,
-                    int partition, std::string key, std::string payload,
+  // tp's log; nullptr when the topic or partition does not exist.
+  PartitionLog* FindLog(const TopicPartition& tp) const;
+  void AppendLocked(PartitionLog* log, std::string key, std::string payload,
                     Micros now) REQUIRES(log->mu);
+  // Drops what the log no longer keeps: below its floor, and past its
+  // topic's cap.
   void TruncateLocked(PartitionLog* log) REQUIRES(log->mu);
   // Recomputes the group's assignment and signals its members.
   void RebalanceGroupLocked(const std::string& group_name)
@@ -256,9 +276,10 @@ class InProcessBus : public Bus {
   void CheckLivenessLocked() REQUIRES(group_mu_);
   // Declares the consumer dead, drops it from its group (the caller
   // rebalances the group) and signals it, so a parked poll answers
-  // NotFound at once.
+  // NotFound at once. It keeps tracking its partitions.
   void FenceLocked(const std::string& consumer_id, ConsumerState* consumer)
       REQUIRES(group_mu_);
+  // Sets tp's floor to the lowest commit among its trackers.
   void RecomputeCommittedFloorLocked(const TopicPartition& tp)
       REQUIRES(group_mu_);
   std::vector<TopicPartition> GroupPartitionsLocked(const Group& group) const

@@ -19,6 +19,14 @@
 //    other partitions (InProcessBus wakes only the partition's readers).
 //    WakeConsumer is level-triggered: a wake issued between polls is
 //    consumed by the next poll, never lost.
+//  - A message is kept only while a reader may still need it. A
+//    consumer tracks a partition from its first assignment until it
+//    unsubscribes (a fenced consumer still tracks it) and declares with
+//    Commit that it will not read below an offset again. A tracked
+//    partition drops every message below the lowest commit among its
+//    trackers; a tracker that never committed holds that floor at 0. A
+//    partition no consumer tracks keeps everything. A topic cap, where
+//    the implementation offers one, bounds tracked partitions too.
 //  - Seek/Fetch never position a consumer below the retention-trimmed
 //    log head: offsets inside truncated data clamp forward.
 //  - A delivered message carries topic, partition, offset, key and
@@ -101,9 +109,17 @@ class Bus {
                        std::vector<Message>* out) const = 0;
 
   // Rewinds the consumer's position (recovery replay). Clamps to the
-  // earliest retained offset.
+  // earliest retained offset. Moves only the read position: what the
+  // log keeps follows Commit.
   virtual Status Seek(const std::string& consumer_id,
                       const TopicPartition& tp, uint64_t offset) = 0;
+
+  // The consumer will not read tp below `offset` again, so the log may
+  // drop what lies below it once every other tracker is past it too.
+  // Commits only rise: a lower one than before is a no-op. NotFound when
+  // the consumer is unknown or does not track tp.
+  virtual Status Commit(const std::string& consumer_id,
+                        const TopicPartition& tp, uint64_t offset) = 0;
 
   virtual StatusOr<uint64_t> EndOffset(const TopicPartition& tp) const = 0;
   // First offset still retained (> 0 once retention truncated the log).

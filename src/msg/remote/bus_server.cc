@@ -226,14 +226,17 @@ Frame BusServer::HandleRequest(const FrameView& request) {
       }
       break;
     }
-    case OpCode::kSeek: {
+    case OpCode::kSeek:
+    case OpCode::kCommit: {
       Slice consumer;
       TopicPartition tp;
       uint64_t offset;
       if ((parsed = GetLengthPrefixedSlice(&in, &consumer) &&
                     GetTopicPartition(&in, &tp) &&
                     GetVarint64(&in, &offset))) {
-        status = bus_->Seek(consumer.ToString(), tp, offset);
+        status = static_cast<OpCode>(request.opcode) == OpCode::kSeek
+                     ? bus_->Seek(consumer.ToString(), tp, offset)
+                     : bus_->Commit(consumer.ToString(), tp, offset);
       }
       break;
     }

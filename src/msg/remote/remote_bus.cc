@@ -304,6 +304,15 @@ Status RemoteBus::Seek(const std::string& consumer_id,
   return CallControl(OpCode::kSeek, payload, nullptr);
 }
 
+Status RemoteBus::Commit(const std::string& consumer_id,
+                         const TopicPartition& tp, uint64_t offset) {
+  std::string payload;
+  PutLengthPrefixedSlice(&payload, consumer_id);
+  PutTopicPartition(&payload, tp);
+  PutVarint64(&payload, offset);
+  return Call(ConnFor(consumer_id), OpCode::kCommit, payload, nullptr);
+}
+
 StatusOr<uint64_t> RemoteBus::EndOffset(const TopicPartition& tp) const {
   std::string payload, result;
   PutTopicPartition(&payload, tp);

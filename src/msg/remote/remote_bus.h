@@ -4,10 +4,10 @@
 //
 // Connection model: one control connection for administrative and
 // producer traffic, plus one lazily created connection per key: per
-// consumer for PollBatch, and per caller-chosen key for other blocking
-// RPCs (CallOpcode) — a blocking call parks server-side on its own
-// connection while WakeConsumer/ProduceBatch traffic flows on the
-// control connection, mirroring the in-process wake-on-arrival
+// consumer for PollBatch and Commit, and per caller-chosen key for
+// other blocking RPCs (CallOpcode) — a blocking call parks server-side
+// on its own connection while WakeConsumer/ProduceBatch traffic flows
+// on the control connection, mirroring the in-process wake-on-arrival
 // contract. Each connection carries one outstanding request at a time
 // (correlation ids are still checked defensively). Every dialled connection first sends
 // kHello with wire.h's kProtocolVersion; a server speaking another
@@ -106,6 +106,9 @@ class RemoteBus : public Bus {
 
   Status Seek(const std::string& consumer_id, const TopicPartition& tp,
               uint64_t offset) override;
+  // One request on the consumer's own connection.
+  Status Commit(const std::string& consumer_id, const TopicPartition& tp,
+                uint64_t offset) override;
 
   StatusOr<uint64_t> EndOffset(const TopicPartition& tp) const override;
   StatusOr<uint64_t> BaseOffset(const TopicPartition& tp) const override;

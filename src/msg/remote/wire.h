@@ -48,8 +48,9 @@ constexpr uint8_t kResponseBit = 0x80;
 // and the test-only RPCs are gone; the bump refuses a v2 client at
 // connect instead of answering its first row produce NotSupported. v4:
 // kPoll responses lose their backlog trailer and columnar message groups
-// their publish/visible time columns.
-constexpr uint32_t kProtocolVersion = 4;
+// their publish/visible time columns. v5: kCommit lets a log drop what
+// its consumers have read; a v4 server would answer it NotSupported.
+constexpr uint32_t kProtocolVersion = 5;
 
 // The typed error a kHello with a foreign version gets (and that
 // RemoteBus surfaces from the first call on such a connection). Not a
@@ -76,6 +77,9 @@ enum class OpCode : uint8_t {
   kBaseOffset = 15,
   kKillConsumer = 16,
   kWakeConsumer = 17,
+  // [len-prefixed consumer][tp][varint64 offset] -> status only. Sent on
+  // the consumer's own connection, after the polls it follows.
+  kCommit = 22,
 
   // Connect-time version check: payload [varint32 version]. The server
   // answers OK when the version equals kProtocolVersion and the typed

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "api/client.h"
+#include "common/clock.h"
 
 namespace railgun::api {
 namespace {
@@ -343,6 +344,51 @@ TEST(ClientTest, AttachesToExternallyOwnedCluster) {
   EXPECT_TRUE(result.ok()) << result.status.ToString();
   client.Stop();  // Must not stop the externally owned cluster.
   EXPECT_TRUE(cluster.node(0)->alive());
+  cluster.Stop();
+}
+
+// The front end commits the replies it has read once per sweep
+// (kPollWait, 5 ms), so soon after a run its reply topic holds only the
+// few replies in flight, however many events went through. A bus that
+// keeps every reply holds two per event.
+TEST(ClientTest, ReplyTopicHoldsOnlyUnreadReplies) {
+  engine::ClusterOptions cluster_options;
+  cluster_options.num_nodes = 1;
+  cluster_options.base_dir = "/tmp/railgun-api-test-reply-retention";
+  cluster_options.bus.delivery_delay = 0;
+  engine::Cluster cluster(cluster_options);
+  ASSERT_TRUE(cluster.Start().ok());
+  Client client(&cluster);
+  ASSERT_TRUE(client.CreateStream(kPaymentsDdl).ok());
+  ASSERT_TRUE(client
+                  .Query("SELECT count(*) FROM payments GROUP BY cardId "
+                         "OVER sliding 5 minutes")
+                  .ok());
+  const msg::TopicPartition replies{
+      cluster.node(0)->frontend()->reply_topic(), 0};
+  int submitted = 0;
+  for (const int n : {2000, 8000}) {
+    for (int i = 0; i < n; ++i, ++submitted) {
+      EventResult result = client.SubmitSync(
+          "payments", Row()
+                          .At(submitted * kMicrosPerMilli)
+                          .Set("cardId", "c" + std::to_string(i % 16))
+                          .Set("merchantId", "m")
+                          .Set("amount", 1.0));
+      ASSERT_TRUE(result.ok()) << result.status.ToString();
+    }
+    const uint64_t end = cluster.bus()->EndOffset(replies).value();
+    EXPECT_EQ(end, 2u * static_cast<uint64_t>(submitted));
+    // The next sweep commits the last replies read; allow it a second.
+    uint64_t base = 0;
+    for (int wait_ms = 0; wait_ms < 1000; ++wait_ms) {
+      base = cluster.bus()->BaseOffset(replies).value();
+      if (end - base <= 8) break;
+      MonotonicClock::Default()->SleepMicros(kMicrosPerMilli);
+    }
+    EXPECT_LE(end - base, 8u) << "after " << submitted << " events";
+  }
+  client.Stop();
   cluster.Stop();
 }
 

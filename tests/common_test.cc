@@ -381,6 +381,35 @@ TEST(EnvTest, FileRoundTripAndListing) {
   EXPECT_FALSE(env->FileExists(dir));
 }
 
+TEST(EnvTest, CopyFileLargerThanOneBlockIsByteIdentical) {
+  Env* env = Env::Default();
+  const std::string dir = "/tmp/railgun_env_copy_test";
+  ASSERT_TRUE(env->RemoveDirRecursive(dir).ok());
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  // Three whole 64 KiB blocks and a partial one, every byte value.
+  std::string data;
+  for (size_t i = 0; i < 3 * 64 * 1024 + 123; ++i) {
+    data.push_back(static_cast<char>((i * 131 + i / 7) & 0xff));
+  }
+  ASSERT_TRUE(WriteStringToFile(env, data, dir + "/from").ok());
+  ASSERT_TRUE(env->CopyFile(dir + "/from", dir + "/to").ok());
+  std::string copy;
+  ASSERT_TRUE(ReadFileToString(env, dir + "/to", &copy).ok());
+  ASSERT_EQ(copy.size(), data.size());
+  EXPECT_TRUE(copy == data);
+  ASSERT_TRUE(env->RemoveDirRecursive(dir).ok());
+}
+
+TEST(EnvTest, CopyFileOfAMissingSourceIsNotFound) {
+  Env* env = Env::Default();
+  const std::string dir = "/tmp/railgun_env_copy_missing_test";
+  ASSERT_TRUE(env->RemoveDirRecursive(dir).ok());
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  EXPECT_TRUE(env->CopyFile(dir + "/missing", dir + "/to").IsNotFound());
+  EXPECT_FALSE(env->FileExists(dir + "/to"));
+  ASSERT_TRUE(env->RemoveDirRecursive(dir).ok());
+}
+
 TEST(EnvTest, AppendableFilePreservesContent) {
   Env* env = Env::Default();
   const std::string path = "/tmp/railgun_env_append_test";

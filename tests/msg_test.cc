@@ -9,6 +9,7 @@
 #include <map>
 #include <thread>
 
+#include "commit_contract.h"
 #include "msg/broker.h"
 #include "produce_util.h"
 
@@ -644,28 +645,26 @@ TEST(BlockingPollTest, ProduceAfterARegisteredConsumerLeftIsSafe) {
 }
 
 TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
-  BusOptions options = FastBus();
-  options.retention_messages = 5;
-  InProcessBus bus(options);
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
   // Assignment (position 0).
   ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());
 
-  // The consumer's committed position pins the log head even past the
-  // retention cap: nothing it hasn't read may be dropped.
+  // The consumer's commit pins the log head: nothing it hasn't
+  // committed may be dropped.
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
   EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 0u);
 
-  // Once the consumer's position moves past them, the next produce
-  // trims to the cap.
-  ASSERT_TRUE(bus.Seek("c", {"t", 0}, 20).ok());
+  // Once the consumer commits past them, they are dropped; a tracked
+  // partition keeps exactly what is not committed.
+  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 16).ok());
   ASSERT_TRUE(ProduceOne(&bus, "t", "k", "21st").ok());
   const uint64_t base = bus.BaseOffset({"t", 0}).value();
-  EXPECT_EQ(base, 21u - 5u);
+  EXPECT_EQ(base, 16u);
   // Replay from zero clamps to the earliest retained message.
   ASSERT_TRUE(bus.Fetch({"t", 0}, 0, 100, &out).ok());
   ASSERT_EQ(out.size(), 5u);
@@ -673,9 +672,7 @@ TEST(RetentionTest, TruncatesBelowMinimumCommittedOffset) {
 }
 
 TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
-  BusOptions options = FastBus();
-  options.retention_messages = 3;
-  InProcessBus bus(options);
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
@@ -684,11 +681,11 @@ TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
-  ASSERT_TRUE(bus.Seek("c", {"t", 0}, 4).ok());
+  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 4).ok());
   for (int i = 10; i < 20; ++i) {
     ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
-  // Cap would allow base 17, but offset 4 is the consumer's floor.
+  // Offset 4 is the consumer's floor.
   EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 4u);
   ASSERT_TRUE(PollMessages(&bus, "c", 100, &out).ok());
   ASSERT_FALSE(out.empty());
@@ -696,9 +693,7 @@ TEST(RetentionTest, PartiallyCommittedConsumerPinsTheFloor) {
 }
 
 TEST(RetentionTest, SeekClampsToRetainedBase) {
-  BusOptions options = FastBus();
-  options.retention_messages = 10;
-  InProcessBus bus(options);
+  InProcessBus bus(FastBus());
   ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
   ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
   std::vector<Message> out;
@@ -707,14 +702,14 @@ TEST(RetentionTest, SeekClampsToRetainedBase) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
   }
-  ASSERT_TRUE(bus.Seek("c", {"t", 0}, 100).ok());
+  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 90).ok());
   ASSERT_TRUE(ProduceOne(&bus, "t", "k", "100").ok());
   const uint64_t base = bus.BaseOffset({"t", 0}).value();
   ASSERT_GT(base, 0u);
 
   // A replaying consumer seeking below the trimmed head must be clamped
-  // to the earliest retained message, like Fetch — never positioned (and
-  // its committed floor never pinned) inside truncated data.
+  // to the earliest retained message, like Fetch — never positioned
+  // inside truncated data.
   ASSERT_TRUE(bus.Seek("c", {"t", 0}, 0).ok());
   EXPECT_EQ(bus.PositionOf("c", {"t", 0}).value(), base)
       << "seek positioned the consumer inside truncated data";
@@ -728,6 +723,93 @@ TEST(RetentionTest, SeekClampsToRetainedBase) {
   ASSERT_TRUE(PollMessages(&bus, "c", 1, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].offset, base + 5);
+}
+
+TEST(RetentionTest, UntrackedPartitionKeepsTheNewestCapMessages) {
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
+  ASSERT_TRUE(bus.SetTopicRetention("t", 5).ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
+  }
+  EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 15u);
+}
+
+TEST(RetentionTest, CapBoundsATrackerThatNeverCommits) {
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
+  ASSERT_TRUE(bus.SetTopicRetention("t", 5).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
+
+  // c tracks t-0 and never commits, which alone would hold the floor at
+  // 0; the cap still drops the oldest messages.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
+  }
+  EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 15u);
+  EXPECT_EQ(bus.RetainedTotals().messages, 5u);
+  for (int i = 20; i < 30; ++i) {
+    ASSERT_TRUE(ProduceOne(&bus, "t", "k", std::to_string(i)).ok());
+  }
+  EXPECT_EQ(bus.BaseOffset({"t", 0}).value(), 25u);
+
+  // The lagging reader resumes at the retained head.
+  ASSERT_TRUE(PollMessages(&bus, "c", 100, &out).ok());
+  ASSERT_EQ(out.size(), 5u);
+  EXPECT_EQ(out[0].offset, 25u);
+}
+
+TEST(RetentionTest, RetainedTotalsFollowTruncation) {
+  InProcessBus bus(FastBus());
+  ASSERT_TRUE(bus.CreateTopic("t", 1).ok());
+  ASSERT_TRUE(bus.CreateTopic("u", 2).ok());
+  ASSERT_TRUE(bus.Subscribe("c", "g", {"t"}, "", {}).ok());
+  std::vector<Message> out;
+  ASSERT_TRUE(PollMessages(&bus, "c", 10, &out).ok());  // Assignment.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(ProduceOne(&bus, "t", "key", std::string(100, 'p')).ok());
+  }
+  ASSERT_TRUE(ProduceOne(&bus, "u", "k", "untracked").ok());
+  InProcessBus::Retained retained = bus.RetainedTotals();
+  EXPECT_EQ(retained.messages, 11u);
+  EXPECT_EQ(retained.bytes, 10u * (3 + 100) + (1 + 9));
+
+  ASSERT_TRUE(bus.Commit("c", {"t", 0}, 7).ok());
+  retained = bus.RetainedTotals();
+  EXPECT_EQ(retained.messages, 4u);
+  EXPECT_EQ(retained.bytes, 3u * (3 + 100) + (1 + 9));
+}
+
+TEST(CommitTest, CommitBelowAnotherTrackersFloorDropsNothing) {
+  InProcessBus bus(FastBus());
+  CheckCommitBelowAnotherTrackersFloorDropsNothing(&bus);
+}
+
+TEST(CommitTest, FencedTrackerHoldsTheFloorUntilItUnsubscribes) {
+  InProcessBus bus(FastBus());
+  CheckFencedTrackerHoldsTheFloorUntilItUnsubscribes(&bus);
+}
+
+TEST(CommitTest, UntrackedPartitionKeepsEverything) {
+  InProcessBus bus(FastBus());
+  CheckUntrackedPartitionKeepsEverything(&bus);
+}
+
+TEST(CommitTest, CommitNeverLowersTheFloor) {
+  InProcessBus bus(FastBus());
+  CheckCommitNeverLowersTheFloor(&bus);
+}
+
+TEST(CommitTest, SeekAndFetchClampToTheRetainedHead) {
+  InProcessBus bus(FastBus());
+  CheckSeekAndFetchClampToTheRetainedHead(&bus);
+}
+
+TEST(GroupTest, FencedConsumerRejoinsAnEmptiedGroup) {
+  InProcessBus bus(FastBus());
+  CheckFencedConsumerRejoinsAnEmptiedGroup(&bus);
 }
 
 TEST(RoundRobinTest, SpreadsPartitionsEvenly) {

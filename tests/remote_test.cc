@@ -21,6 +21,7 @@
 #include "common/coding.h"
 #include "engine/cluster.h"
 #include "meta/broker.h"
+#include "commit_contract.h"
 #include "msg/broker.h"
 #include "msg/remote/bus_server.h"
 #include "msg/remote/remote_bus.h"
@@ -403,9 +404,8 @@ TEST(BusServerTest, HelloWithAForeignVersionGetsTheTypedMismatch) {
   auto sock_or = Socket::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(sock_or.ok());
   Socket sock = std::move(sock_or).value();
-  // kProtocolVersion - 1 is v3, whose kPoll responses end in a backlog
-  // trailer and whose message groups carry publish/visible columns.
-  ASSERT_EQ(kProtocolVersion, 4u);
+  // kProtocolVersion - 1 is v4, whose servers do not know kCommit.
+  ASSERT_EQ(kProtocolVersion, 5u);
   for (const uint32_t version :
        {kProtocolVersion + 1, kProtocolVersion - 1, kProtocolVersion}) {
     std::string wire;
@@ -719,6 +719,30 @@ TEST_F(RemoteBusTest, FencedConsumerGetsNotFoundAndResumesAfterRejoin) {
   ASSERT_TRUE(PollMessages(remote_.get(), "c", 10, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].payload, "during");
+}
+
+TEST_F(RemoteBusTest, FencedConsumerRejoinsAnEmptiedGroup) {
+  CheckFencedConsumerRejoinsAnEmptiedGroup(remote_.get());
+}
+
+TEST_F(RemoteBusTest, CommitBelowAnotherTrackersFloorDropsNothing) {
+  CheckCommitBelowAnotherTrackersFloorDropsNothing(remote_.get());
+}
+
+TEST_F(RemoteBusTest, FencedTrackerHoldsTheFloorUntilItUnsubscribes) {
+  CheckFencedTrackerHoldsTheFloorUntilItUnsubscribes(remote_.get());
+}
+
+TEST_F(RemoteBusTest, UntrackedPartitionKeepsEverything) {
+  CheckUntrackedPartitionKeepsEverything(remote_.get());
+}
+
+TEST_F(RemoteBusTest, CommitNeverLowersTheFloor) {
+  CheckCommitNeverLowersTheFloor(remote_.get());
+}
+
+TEST_F(RemoteBusTest, SeekAndFetchClampToTheRetainedHead) {
+  CheckSeekAndFetchClampToTheRetainedHead(remote_.get());
 }
 
 TEST_F(RemoteBusTest, ColumnarPollIsZeroCopyAndPoolStabilizes) {
